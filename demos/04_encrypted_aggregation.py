@@ -6,6 +6,10 @@ run on ciphertext handles and be decrypted only at the end.  The reference
 cipher here is *transparent* (fixed-point integers, no secrecy); what it
 demonstrates is the operator discipline, which an audit of per-handle
 operation traces enforces.
+
+Each client's gradient is one handle: an int64 array with one fixed-point
+slot per coordinate and one operator trace shared by all slots.  The audit
+still reports per coordinate, so a tag in a 6-slot trace counts 6 times.
 """
 
 import numpy as np

@@ -39,7 +39,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, save_csv
-from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError
+from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, is_int, is_real
 from .federation import FedConfig, run_experiment
 from .models import ModelSpec
 from .sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep
@@ -103,7 +103,10 @@ def _synthetic_from_dict(d: dict) -> SyntheticSpec:
             raise ConfigError(f"data.synthetic.{key}", "unknown field")
     kwargs = dict(d)
     if "rotation_degrees" in kwargs:
-        kwargs["rotation_degrees"] = tuple(float(x) for x in kwargs["rotation_degrees"])
+        degrees = kwargs["rotation_degrees"]
+        if not isinstance(degrees, list) or not all(is_real(x) for x in degrees):
+            raise ConfigError("data.synthetic.rotation_degrees", "must be a list of numbers")
+        kwargs["rotation_degrees"] = tuple(float(x) for x in degrees)
     try:
         return SyntheticSpec(**kwargs)
     except (InvalidSpec, TypeError) as exc:
@@ -136,8 +139,11 @@ def _suite_from_config(data: dict) -> tuple[DomainSuite, dict]:
     missing = required - set(block)
     if missing:
         raise ConfigError("data.csv", f"missing fields: {sorted(missing)}")
+    cols = block["feature_cols"]
+    if not isinstance(cols, list) or not all(isinstance(c, str) for c in cols):
+        raise ConfigError("data.csv.feature_cols", "must be a list of column names")
     schema = CsvSchema(
-        feature_cols=tuple(block["feature_cols"]),
+        feature_cols=tuple(cols),
         label_col=block["label_col"],
         domain_col=block["domain_col"],
     )
@@ -151,10 +157,13 @@ def _model_from_config(block: dict | None, suite: DomainSuite) -> ModelSpec:
     for key in block:
         if key not in known:
             raise ConfigError(f"model.{key}", "unknown field")
+    hidden_dim = block.get("hidden_dim", 8)
+    if not is_int(hidden_dim):
+        raise ConfigError("model.hidden_dim", "must be an integer")
     try:
         return ModelSpec(
             input_dim=suite.num_features,
-            hidden_dim=int(block.get("hidden_dim", 8)),
+            hidden_dim=hidden_dim,
             num_classes=suite.num_classes,
             activation=block.get("activation", "relu"),
         )
@@ -201,6 +210,8 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg = FedConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     target = doc["target"]
+    if target not in suite.domain_ids:
+        raise ConfigError("target", f"unknown domain {target!r}")
 
     result = run_experiment(suite, target, model, cfg)
 
@@ -366,19 +377,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidSpec, InvalidLambda, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSpec, InvalidLambda) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FedAlignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FedAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,8 @@ code.
 
 from __future__ import annotations
 
+import numbers
+
 
 class FedAlignError(Exception):
     """Base class for all fedalign errors."""
@@ -82,3 +84,13 @@ class ConfigError(FedAlignError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field {field!r}: {message}")
+
+
+def is_int(value) -> bool:
+    """True for an integer config value; a JSON boolean is not a number."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real config value; a JSON boolean is not a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

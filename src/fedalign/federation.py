@@ -39,7 +39,7 @@ from .aggregation import (
     aggregate_fedavg,
 )
 from .domains import DomainDataset, DomainSuite, leave_one_out, minibatch
-from .errors import ConfigError, EmptyDataset
+from .errors import ConfigError, EmptyDataset, is_int, is_real
 from .hekit import (
     DEFAULT_SCALE,
     aligned_aggregate_encrypted,
@@ -79,9 +79,9 @@ class LrDecay:
     factor: float
 
     def __post_init__(self):
-        if int(self.every_n_rounds) != self.every_n_rounds or self.every_n_rounds < 1:
+        if not is_int(self.every_n_rounds) or self.every_n_rounds < 1:
             raise ConfigError("lr_decay.every_n_rounds", "must be a positive integer")
-        if not (math.isfinite(self.factor) and self.factor > 0):
+        if not (is_real(self.factor) and math.isfinite(self.factor) and self.factor > 0):
             raise ConfigError("lr_decay.factor", "must be a positive real")
 
 
@@ -114,34 +114,37 @@ class FedConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
-        if int(self.rounds) != self.rounds or self.rounds < 0:
+        if not is_int(self.rounds) or self.rounds < 0:
             raise ConfigError("rounds", "must be a nonnegative integer")
-        if int(self.local_steps) != self.local_steps or self.local_steps < 1:
+        if not is_int(self.local_steps) or self.local_steps < 1:
             raise ConfigError("local_steps", "must be a positive integer")
-        if int(self.batch_size) != self.batch_size or self.batch_size < 1:
+        if not is_int(self.batch_size) or self.batch_size < 1:
             raise ConfigError("batch_size", "must be a positive integer")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError("lr", "must be a positive real")
         if self.strategy == "aligned":
             if self.lam is None:
                 object.__setattr__(self, "lam", 0.1)
-            if not (0.0 < self.lam <= 0.5):
+            if not (is_real(self.lam) and 0.0 < self.lam <= 0.5):
                 raise ConfigError("lambda", f"must be in (0, 0.5], got {self.lam}")
         elif self.lam is not None:
             raise ConfigError("lambda", f"only valid for the aligned strategy, not {self.strategy!r}")
         if self.strategy == "fedprox":
             if self.mu is None:
                 object.__setattr__(self, "mu", 0.01)
-            if not (math.isfinite(self.mu) and self.mu >= 0):
+            if not (is_real(self.mu) and math.isfinite(self.mu) and self.mu >= 0):
                 raise ConfigError("mu", "must be a nonnegative real")
         elif self.mu is not None:
             raise ConfigError("mu", f"only valid for the fedprox strategy, not {self.strategy!r}")
         if self.weighting is not None and self.weighting not in WEIGHTINGS:
             raise ConfigError("weighting", f"must be one of {WEIGHTINGS}, got {self.weighting!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", "must be a nonnegative integer")
-        if self.scale < 1 or (self.scale & (self.scale - 1)) != 0:
+        if not is_int(self.scale) or self.scale < 1 or (self.scale & (self.scale - 1)) != 0:
             raise ConfigError("scale", "must be a positive power of two")
+        for name in ("encrypt", "accumulate"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(name, "must be true or false")
         if self.align_target not in TARGETS:
             raise ConfigError("align_target", f"must be one of {TARGETS}")
         if self.order_mode not in ORDER_MODES:
@@ -235,11 +238,10 @@ def effective_lr(cfg: FedConfig, round_index: int) -> float:
 
 @dataclass
 class ClientState:
-    """One data-holding participant: a domain's dataset plus its RNG."""
+    """One data-holding participant: a domain and its dataset."""
 
     client_id: str
     dataset: DomainDataset
-    rng: Rng
 
 
 @dataclass
@@ -389,10 +391,12 @@ def client_local_step(
     state: ClientState,
     global_params: ParamVector,
     cfg: FedConfig,
+    rng: Rng,
     lr: float | None = None,
     loss: LossKind = LossKind(),
 ) -> ClientUpdate:
-    """One client's contribution for the round.
+    """One client's contribution for the round, drawing its minibatches
+    from ``rng``.
 
     With ``local_steps == 1`` this is exactly the minibatch gradient at the
     global parameters.  With more local steps the client walks ``local_steps``
@@ -405,7 +409,7 @@ def client_local_step(
     if lr is None:
         lr = cfg.lr
     if cfg.local_steps == 1:
-        x, y = minibatch(state.dataset, cfg.batch_size, state.rng)
+        x, y = minibatch(state.dataset, cfg.batch_size, rng)
         value, grad = loss_and_grad(global_params, x, y, loss)
         return ClientUpdate(
             client_id=state.client_id,
@@ -416,7 +420,7 @@ def client_local_step(
     w = global_params
     losses = []
     for _ in range(cfg.local_steps):
-        x, y = minibatch(state.dataset, cfg.batch_size, state.rng)
+        x, y = minibatch(state.dataset, cfg.batch_size, rng)
         value, grad = loss_and_grad(w, x, y, loss)
         if cfg.strategy == "fedprox":
             grad = grad + cfg.mu * (w.values - global_params.values)
@@ -455,7 +459,7 @@ def _encrypted_replay(
     if report.strategy == "aligned":
         index_of = {u.client_id: i for i, u in enumerate(updates)}
         conflicts = {(index_of[a], index_of[b]) for a, b, _ in report.conflict_pairs}
-        handles, audit = aligned_aggregate_encrypted(
+        handle, audit = aligned_aggregate_encrypted(
             enc,
             cfg.lam,
             report.order_used,
@@ -466,8 +470,8 @@ def _encrypted_replay(
             target=cfg.align_target,
         )
     else:
-        handles, audit = weighted_sum_encrypted(enc, list(report.weights), cipher)
-    return dec_vec(cipher, handles), audit.to_dict()
+        handle, audit = weighted_sum_encrypted(enc, list(report.weights), cipher)
+    return dec_vec(cipher, handle), audit.to_dict()
 
 
 def run_round(
@@ -480,10 +484,10 @@ def run_round(
     """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
-    updates = []
-    for k, state in enumerate(clients):
-        state.rng = Rng(cfg.seed, 1, k, t)
-        updates.append(client_local_step(state, server.params, cfg, lr=lr, loss=loss))
+    updates = [
+        client_local_step(state, server.params, cfg, Rng(cfg.seed, 1, k, t), lr=lr, loss=loss)
+        for k, state in enumerate(clients)
+    ]
 
     report = _aggregate(updates, cfg, t)
     audit_dict = None
@@ -526,10 +530,7 @@ def _run_protocol(
 ) -> ExperimentResult:
     initial = init_params(model, Rng(cfg.seed, 0))
     server = ServerState(params=initial)
-    clients = [
-        ClientState(client_id=ds.domain_id, dataset=ds, rng=Rng(cfg.seed, 1, k, 0))
-        for k, ds in enumerate(sources)
-    ]
+    clients = [ClientState(client_id=ds.domain_id, dataset=ds) for ds in sources]
     records = []
     for _ in range(cfg.rounds):
         records.append(run_round(server, clients, cfg, target_dataset, loss))

@@ -8,10 +8,16 @@ final decryption.  The reference :class:`TransparentCipher` provides no
 secrecy; it carries fixed-point integers in the handles and implements the
 operator semantics exactly, which is what the equivalence tests need.
 
-Every handle drags along an append-only trace of the operator tags that
-produced it.  The auditor accepts only {ENC, ADD, SUB, MUL}; any other tag
-(say, from a shortcut that decrypts, computes in plaintext and re-encrypts)
-raises :class:`TraceViolation`.  Traces are taken at face value — with a
+One handle packs a whole vector, as the slot packing of CKKS/BFV does: its
+payload is an int64 array (0-d for a constant such as a weight, 1-D for a
+gradient) and every operator acts on all slots at once.  Every handle drags
+along one append-only trace of the operator tags that produced it, shared
+by all of its slots.  The audit still counts per coordinate, so a tag in
+the trace of a P-slot handle counts P times.
+
+The auditor accepts only {ENC, ADD, SUB, MUL}; any other tag (say, from a
+shortcut that decrypts, computes in plaintext and re-encrypts) raises
+:class:`TraceViolation`.  Traces are taken at face value — with a
 transparent cipher there is nothing to hide — so the audit checks protocol
 shape, not adversarial behavior.
 
@@ -25,7 +31,7 @@ acting as a trusted comparator).
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
@@ -72,31 +78,25 @@ _INT_LIMIT = 2**31
 
 @dataclass(frozen=True)
 class CipherHandle:
-    """Opaque encrypted value: integer payload plus its operator trace."""
+    """Opaque encrypted vector: int64 slot payloads plus the one operator
+    trace that every slot shares.
 
-    payload: int
+    ``payload`` is 0-d for a constant (a weight, ``2``, ``lambda``) and 1-D
+    for a gradient.  Every slot goes through the same operator sequence, so
+    one trace describes them all.
+    """
+
+    payload: np.ndarray
     trace: tuple[str, ...]
-
-
-def _round_half_away(x: float) -> int:
-    return math.floor(x + 0.5) if x >= 0 else -math.floor(-x + 0.5)
-
-
-def _div_round(n: int, d: int) -> int:
-    """Integer division rounded to nearest, ties away from zero (d > 0)."""
-    q, r = divmod(abs(n), d)
-    if 2 * r >= d:
-        q += 1
-    return q if n >= 0 else -q
 
 
 @dataclass(frozen=True)
 class FixedPointCodec:
-    """Maps reals to scaled integers: encode(x) = round(x * scale).
+    """Maps reals to scaled integers elementwise: encode(x) = round(x * scale).
 
     ``scale`` must be a positive power of two.  Round-trip error is at most
     half a unit (1 unit = 1/scale); each MUL rescales its raw product by
-    1/scale exactly once, rounding to nearest.
+    1/scale exactly once, rounding to nearest with ties away from zero.
     """
 
     scale: int = DEFAULT_SCALE
@@ -105,22 +105,30 @@ class FixedPointCodec:
         if self.scale < 1 or (self.scale & (self.scale - 1)) != 0:
             raise InvalidSpec(f"scale must be a positive power of two, got {self.scale}")
 
-    def encode(self, x: float) -> int:
-        if not math.isfinite(x):
+    def encode(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
             raise NonFiniteResult("cannot encode a non-finite value")
-        raw = _round_half_away(x * self.scale)
-        return self.check_range(raw)
+        scaled = x * self.scale
+        # Round half away from zero, then range-check the float before the
+        # int64 cast so an out-of-range value cannot wrap.
+        raw = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+        return self.check_range(raw).astype(np.int64)
 
-    def decode(self, i: int) -> float:
+    def decode(self, i: np.ndarray) -> np.ndarray:
         return i / self.scale
 
-    def rescale(self, raw_product: int) -> int:
-        return self.check_range(_div_round(raw_product, self.scale))
+    def rescale(self, raw_product: np.ndarray) -> np.ndarray:
+        """Divide by ``scale``, rounding to nearest with ties away from zero."""
+        magnitude = (np.abs(raw_product) + self.scale // 2) // self.scale
+        return self.check_range(np.where(raw_product < 0, -magnitude, magnitude))
 
-    def check_range(self, i: int) -> int:
-        if abs(i) >= _INT_LIMIT:
+    def check_range(self, i: np.ndarray) -> np.ndarray:
+        i = np.asarray(i)
+        worst = np.max(np.abs(i), initial=0)
+        if worst >= _INT_LIMIT:
             raise OverflowAtScale(
-                f"encoded magnitude {abs(i)} exceeds the codec range "
+                f"encoded magnitude {int(worst)} exceeds the codec range "
                 f"(|value| must stay below {_INT_LIMIT / self.scale:g} at scale {self.scale})"
             )
         return i
@@ -129,14 +137,16 @@ class FixedPointCodec:
 class Cipher:
     """Interface of an encrypted-arithmetic backend.
 
-    Implementations must keep add/sub/mul closed over handles — plaintext
-    never appears between :meth:`enc` and :meth:`dec`.
+    Handles pack a whole vector (or one constant); add/sub/mul act slot by
+    slot, broadcasting a constant against a vector.  Implementations must
+    keep add/sub/mul closed over handles — plaintext never appears between
+    :meth:`enc` and :meth:`dec`.
     """
 
-    def enc(self, x: float) -> CipherHandle:
+    def enc(self, x) -> CipherHandle:
         raise NotImplementedError
 
-    def dec(self, h: CipherHandle) -> float:
+    def dec(self, h: CipherHandle) -> np.ndarray:
         raise NotImplementedError
 
     def add(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
@@ -156,10 +166,10 @@ class TransparentCipher(Cipher):
     def __init__(self, codec: FixedPointCodec | None = None):
         self.codec = codec or FixedPointCodec()
 
-    def enc(self, x: float) -> CipherHandle:
+    def enc(self, x) -> CipherHandle:
         return CipherHandle(payload=self.codec.encode(x), trace=(ENC,))
 
-    def dec(self, h: CipherHandle) -> float:
+    def dec(self, h: CipherHandle) -> np.ndarray:
         return self.codec.decode(h.payload)
 
     def add(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
@@ -171,6 +181,7 @@ class TransparentCipher(Cipher):
         return CipherHandle(payload=payload, trace=a.trace + b.trace + (SUB,))
 
     def mul(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
+        # Both factors are below 2^31 in magnitude, so the int64 product is exact.
         payload = self.codec.rescale(a.payload * b.payload)
         return CipherHandle(payload=payload, trace=a.trace + b.trace + (MUL,))
 
@@ -180,20 +191,20 @@ def transparent_cipher(scale: int = DEFAULT_SCALE) -> TransparentCipher:
     return TransparentCipher(FixedPointCodec(scale=scale))
 
 
-def enc_vec(cipher: Cipher, v: RealVec) -> list[CipherHandle]:
-    """Encrypt a vector elementwise; every trace starts with exactly [ENC]."""
-    v = np.asarray(v, dtype=np.float64)
-    return [cipher.enc(float(x)) for x in v]
+def enc_vec(cipher: Cipher, v: RealVec) -> CipherHandle:
+    """Encrypt a vector into one handle whose trace is exactly [ENC]."""
+    return cipher.enc(v)
 
 
-def dec_vec(cipher: Cipher, handles: Sequence[CipherHandle]) -> RealVec:
-    return np.array([cipher.dec(h) for h in handles], dtype=np.float64)
+def dec_vec(cipher: Cipher, handle: CipherHandle) -> RealVec:
+    return cipher.dec(handle)
 
 
 @dataclass(frozen=True)
 class TraceAudit:
     """Summary of an operator-trace inspection (raised past, not returned,
-    on violation)."""
+    on violation).  Counts are per coordinate: a tag in the trace of a
+    P-slot handle counts P times."""
 
     coordinates: int
     total_tags: int
@@ -215,52 +226,50 @@ def audit_trace(handles: Sequence[CipherHandle]) -> TraceAudit:
     an encryption, or any foreign operator tag.
     """
     counts: dict[str, int] = {}
-    total = 0
+    coordinates = total = 0
     for idx, h in enumerate(handles):
         if len(h.trace) == 0:
-            raise TraceViolation(f"coordinate {idx}: handle has an empty trace")
+            raise TraceViolation(f"handle {idx}: empty trace")
         if h.trace[0] != ENC:
-            raise TraceViolation(f"coordinate {idx}: trace does not start with ENC")
-        for tag in h.trace:
+            raise TraceViolation(f"handle {idx}: trace does not start with ENC")
+        slots = int(np.size(h.payload))
+        for tag, n in Counter(h.trace).items():
             if tag not in ALLOWED_TAGS:
-                raise TraceViolation(f"coordinate {idx}: forbidden operator tag {tag!r}")
-            counts[tag] = counts.get(tag, 0) + 1
-            total += 1
-    return TraceAudit(coordinates=len(handles), total_tags=total, tag_counts=counts)
+                raise TraceViolation(f"handle {idx}: forbidden operator tag {tag!r}")
+            counts[tag] = counts.get(tag, 0) + n * slots
+        coordinates += slots
+        total += len(h.trace) * slots
+    return TraceAudit(coordinates=coordinates, total_tags=total, tag_counts=counts)
 
 
-def _check_enc_updates(enc_updates: Sequence[Sequence[CipherHandle]]) -> int:
+def _check_enc_updates(enc_updates: Sequence[CipherHandle]) -> None:
     if len(enc_updates) == 0:
         raise InvalidSpec("no encrypted updates")
-    dim = len(enc_updates[0])
-    for k, vec in enumerate(enc_updates):
-        if len(vec) != dim:
-            raise DimensionMismatch(f"encrypted update {k} has length {len(vec)} != {dim}")
-    return dim
+    shape = np.shape(enc_updates[0].payload)
+    for k, h in enumerate(enc_updates):
+        if np.shape(h.payload) != shape:
+            raise DimensionMismatch(f"encrypted update {k} has shape {np.shape(h.payload)} != {shape}")
 
 
 def weighted_sum_encrypted(
-    enc_updates: Sequence[Sequence[CipherHandle]],
+    enc_updates: Sequence[CipherHandle],
     weights: Sequence[float],
     cipher: Cipher,
-) -> tuple[list[CipherHandle], TraceAudit]:
+) -> tuple[CipherHandle, TraceAudit]:
     """Encrypted ``sum_k E(w_k) (x) E(g_k)`` — the averaging step of any
     strategy, in operator algebra."""
-    dim = _check_enc_updates(enc_updates)
+    _check_enc_updates(enc_updates)
     if len(weights) != len(enc_updates):
         raise DimensionMismatch("one weight per encrypted update required")
     enc_w = [cipher.enc(float(w)) for w in weights]
-    out: list[CipherHandle] = []
-    for c in range(dim):
-        acc = cipher.mul(enc_w[0], enc_updates[0][c])
-        for k in range(1, len(enc_updates)):
-            acc = cipher.add(acc, cipher.mul(enc_w[k], enc_updates[k][c]))
-        out.append(acc)
-    return out, audit_trace(out)
+    out = cipher.mul(enc_w[0], enc_updates[0])
+    for w, g in zip(enc_w[1:], enc_updates[1:]):
+        out = cipher.add(out, cipher.mul(w, g))
+    return out, audit_trace([out])
 
 
 def aligned_aggregate_encrypted(
-    enc_updates: Sequence[Sequence[CipherHandle]],
+    enc_updates: Sequence[CipherHandle],
     lam: float,
     order: Mapping,
     cipher: Cipher,
@@ -268,7 +277,7 @@ def aligned_aggregate_encrypted(
     weights: Sequence[float] | None = None,
     accumulate: bool = True,
     target: str = "original",
-) -> tuple[list[CipherHandle], TraceAudit]:
+) -> tuple[CipherHandle, TraceAudit]:
     """Replay the alignment aggregation entirely in encrypted space.
 
     ``order`` is the visiting-order record of a plaintext aggregation
@@ -286,12 +295,12 @@ def aligned_aggregate_encrypted(
     """
     if not (0.0 < lam <= 0.5):
         raise InvalidSpec(f"lambda must be in (0, 0.5], got {lam}")
-    dim = _check_enc_updates(enc_updates)
+    _check_enc_updates(enc_updates)
     k = len(enc_updates)
     conflict_set = {(int(i), int(j)) for i, j in conflicts}
 
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
-    working = [list(vec) for vec in enc_updates]
+    working = list(enc_updates)
     outer = [int(i) for i in order["outer"]]
     inner = {int(i): [int(j) for j in js] for i, js in order["inner"].items()}
 
@@ -299,14 +308,9 @@ def aligned_aggregate_encrypted(
         for j in inner.get(i, []):
             if (i, j) not in conflict_set:
                 continue
-            base = working[i] if accumulate else list(enc_updates[i])
+            base = working[i] if accumulate else enc_updates[i]
             tgt = enc_updates[j] if target == "original" else working[j]
-            new_i = []
-            for c in range(dim):
-                diff = cipher.sub(base[c], tgt[c])
-                step = cipher.mul(two_lam, diff)
-                new_i.append(cipher.sub(base[c], step))
-            working[i] = new_i
+            working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
 
     if weights is None:
         weights = [1.0 / k] * k

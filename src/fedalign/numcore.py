@@ -19,7 +19,7 @@ package relies on:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "RealVec",
     "RealMat",
     "Rng",
-    "as_vec",
-    "as_mat",
     "ensure_finite",
     "dot",
     "squared_distance",
@@ -42,24 +40,6 @@ __all__ = [
 # Type aliases: a RealVec is a 1-D float64 array, a RealMat a 2-D one.
 RealVec = np.ndarray
 RealMat = np.ndarray
-
-
-def as_vec(values: Iterable[float]) -> RealVec:
-    """Coerce ``values`` to a 1-D float64 array, rejecting non-finite entries."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got ndim={v.ndim}")
-    ensure_finite(v, "vector")
-    return v
-
-
-def as_mat(values: Iterable[Iterable[float]]) -> RealMat:
-    """Coerce ``values`` to a 2-D row-major float64 matrix."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    ensure_finite(m, "matrix")
-    return m
 
 
 def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .domains import DomainSuite
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .federation import STRATEGIES, FedConfig, run_experiment
 from .models import LossKind, ModelSpec
 
@@ -77,15 +77,21 @@ class SweepSpec:
         for key in d:
             if key not in known:
                 raise ConfigError(f"sweep.{key}", "unknown sweep field")
-        for req in ("strategies", "seeds", "targets"):
+        lists = {}
+        for req, ok, what in (
+            ("strategies", lambda v: isinstance(v, str), "names"),
+            ("seeds", is_int, "integers"),
+            ("targets", lambda v: isinstance(v, str), "domain ids"),
+        ):
             if req not in d:
                 raise ConfigError(f"sweep.{req}", "required")
-        return cls(
-            strategies=tuple(d["strategies"]),
-            seeds=tuple(int(s) for s in d["seeds"]),
-            targets=tuple(d["targets"]),
-            overrides=dict(d.get("overrides") or {}),
-        )
+            if not isinstance(d[req], list) or not all(ok(v) for v in d[req]):
+                raise ConfigError(f"sweep.{req}", f"must be a list of {what}")
+            lists[req] = tuple(d[req])
+        overrides = d.get("overrides") or {}
+        if not isinstance(overrides, Mapping):
+            raise ConfigError("sweep.overrides", "must be a JSON object")
+        return cls(**lists, overrides=dict(overrides))
 
 
 @dataclass(frozen=True)

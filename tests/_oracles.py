@@ -1,5 +1,8 @@
 """Shared numerical oracles for the test suite.
 
+Scalar fixed-point rounding on Python integers, the reference for the
+cipher codec's elementwise int64 arithmetic.
+
 Central finite differences over the flat parameter vector, with the usual
 gradient-check hygiene: a symmetric relative-error metric with an absolute
 floor (difference quotients bottom out around 1e-9 at h=1e-6, so demanding
@@ -8,9 +11,24 @@ roundoff), and a relu kink guard so no hidden-unit preactivation sits
 within a step of the non-differentiable point.
 """
 
+import math
+
 import numpy as np
 
 from fedalign.models import LossKind, ParamVector, loss_and_grad
+
+
+def round_half_away(x: float) -> int:
+    """Nearest integer to ``x``, ties away from zero."""
+    return math.floor(x + 0.5) if x >= 0 else -math.floor(-x + 0.5)
+
+
+def div_round(n: int, d: int) -> int:
+    """``n / d`` rounded to nearest, ties away from zero (d > 0)."""
+    q, r = divmod(abs(n), d)
+    if 2 * r >= d:
+        q += 1
+    return q if n >= 0 else -q
 
 
 def fd_gradient(params: ParamVector, x, y, loss: LossKind = LossKind(), h: float = 1e-6) -> np.ndarray:

@@ -101,10 +101,13 @@ class TestRun:
         cfg = write_config(tmp_path, "exp.json", doc)
         assert main(["run", "--config", cfg]) == 2
 
-    def test_unknown_domain_is_runtime_error(self, tmp_path, capsys):
+    def test_unknown_target_rejected_before_running(self, tmp_path, capsys):
         cfg = run_config(tmp_path, target="domX")
-        assert main(["run", "--config", cfg]) == 1
-        assert "domX" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'target'" in err and "domX" in err
+        assert not out.exists()
 
     def test_malformed_json_positions(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -144,6 +147,51 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         assert json.loads((out / "summary.json").read_text())["target"] == "dom1"
+
+
+def _with_fed(**fields):
+    return {"federation": {**SMALL_FED, **fields}}
+
+
+BAD_VALUES = [
+    pytest.param(
+        _with_fed(lr_decay={"every_n_rounds": 2, "factor": "10"}), "lr_decay.factor", id="lr_decay.factor-str"
+    ),
+    pytest.param({"model": {"hidden_dim": "x"}}, "model.hidden_dim", id="hidden_dim-str"),
+    pytest.param(
+        {"sweep": {"strategies": ["fedavg"], "seeds": ["a"], "targets": ["dom0"]}}, "sweep.seeds", id="seeds-str"
+    ),
+    pytest.param(
+        {"data": {"synthetic": {**SMALL_DATA["synthetic"], "rotation_degrees": "ab"}}},
+        "data.synthetic.rotation_degrees",
+        id="rotation_degrees-str",
+    ),
+    pytest.param(
+        {"data": {"csv": {"path": "suite.csv", "feature_cols": 5, "label_col": "label", "domain_col": "domain"}}},
+        "data.csv.feature_cols",
+        id="feature_cols-int",
+    ),
+    pytest.param(_with_fed(accumulate="no"), "accumulate", id="accumulate-str"),
+    pytest.param(_with_fed(encrypt="yes"), "encrypt", id="encrypt-str"),
+    pytest.param(_with_fed(rounds=True), "rounds", id="rounds-bool"),
+    pytest.param(_with_fed(lr=True), "lr", id="lr-bool"),
+    pytest.param(_with_fed(seed=True), "seed", id="seed-bool"),
+    pytest.param(_with_fed(scale=True), "scale", id="scale-bool"),
+]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("patch, field", BAD_VALUES)
+    def test_exit_2_names_field(self, tmp_path, capsys, patch, field):
+        doc = {"model": {"hidden_dim": 4}, "data": SMALL_DATA, "federation": dict(SMALL_FED), **patch}
+        if "sweep" in doc:
+            command = ["sweep", "--spec"]
+        else:
+            command = ["run", "--config"]
+            doc["target"] = "dom2"
+        path = write_config(tmp_path, "bad.json", doc)
+        assert main([*command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert f"config field {field!r}" in capsys.readouterr().err
 
 
 class TestSweep:

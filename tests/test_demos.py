@@ -1,0 +1,37 @@
+"""Smoke test: the walk-through demos run to completion.
+
+Each demo runs in its own process from an empty working directory, with
+its temporary directory inside it, so any file it writes lands there.
+``05_benchmark_sweep.py`` is left out: it runs a full comparison grid and
+takes about a minute.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+def test_demo_set():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

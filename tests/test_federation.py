@@ -7,6 +7,7 @@ from fedalign.domains import (
     DomainDataset,
     DomainSuite,
     SyntheticSpec,
+    default_benchmark_spec,
     generate,
     leave_one_out,
     minibatch,
@@ -140,8 +141,8 @@ class TestClientLocalStep:
 
     def test_single_step_is_raw_minibatch_gradient(self):
         cfg = FedConfig(strategy="fedavg", batch_size=8, lr=0.1)
-        state = ClientState("c", self.ds, Rng(7))
-        update = client_local_step(state, self.params, cfg)
+        state = ClientState("c", self.ds)
+        update = client_local_step(state, self.params, cfg, Rng(7))
         x, y = minibatch(self.ds, 8, Rng(7))
         value, grad = loss_and_grad(self.params, x, y)
         assert np.array_equal(update.gradient, grad)
@@ -150,8 +151,8 @@ class TestClientLocalStep:
 
     def test_two_local_steps_compose(self):
         cfg = FedConfig(strategy="fedavg", local_steps=2, batch_size=4, lr=0.1)
-        state = ClientState("c", self.ds, Rng(9))
-        update = client_local_step(state, self.params, cfg)
+        state = ClientState("c", self.ds)
+        update = client_local_step(state, self.params, cfg, Rng(9))
 
         rng = Rng(9)
         w = self.params
@@ -164,8 +165,8 @@ class TestClientLocalStep:
 
     def test_fedprox_proximal_pull(self):
         cfg = FedConfig(strategy="fedprox", local_steps=2, batch_size=4, lr=0.1, mu=0.5)
-        state = ClientState("c", self.ds, Rng(9))
-        update = client_local_step(state, self.params, cfg)
+        state = ClientState("c", self.ds)
+        update = client_local_step(state, self.params, cfg, Rng(9))
 
         rng = Rng(9)
         w = self.params
@@ -182,8 +183,8 @@ class TestClientLocalStep:
         # and vanishes, so fedprox and fedavg send identical updates.
         prox = FedConfig(strategy="fedprox", batch_size=8, mu=10.0)
         avg = FedConfig(strategy="fedavg", batch_size=8)
-        u1 = client_local_step(ClientState("c", self.ds, Rng(3)), self.params, prox)
-        u2 = client_local_step(ClientState("c", self.ds, Rng(3)), self.params, avg)
+        u1 = client_local_step(ClientState("c", self.ds), self.params, prox, Rng(3))
+        u2 = client_local_step(ClientState("c", self.ds), self.params, avg, Rng(3))
         assert np.array_equal(u1.gradient, u2.gradient)
 
 
@@ -194,7 +195,7 @@ class TestRunRound:
         cfg = FedConfig(strategy="fedavg", batch_size=8, lr=0.05)
         params = init_params(MODEL, Rng(cfg.seed, 0))
         server = ServerState(params=params)
-        clients = [ClientState(s.domain_id, s, Rng(0)) for s in sources]
+        clients = [ClientState(s.domain_id, s) for s in sources]
         record = run_round(server, clients, cfg, target)
         expected = sgd_step(params, record.aggregation.aggregated, 0.05)
         assert np.array_equal(server.params.values, expected.values)
@@ -206,7 +207,7 @@ class TestRunRound:
         sources, target = leave_one_out(suite, "dom2")
         cfg = FedConfig(strategy="aligned", batch_size=8)
         server = ServerState(params=init_params(MODEL, Rng(cfg.seed, 0)))
-        clients = [ClientState(s.domain_id, s, Rng(0)) for s in sources]
+        clients = [ClientState(s.domain_id, s) for s in sources]
         record = run_round(server, clients, cfg, target)
         assert {c["client_id"] for c in record.per_client} == {"dom0", "dom1"}
         assert set(record.source_metrics) == {"dom0", "dom1"}
@@ -347,3 +348,22 @@ class TestRunExperiment:
         cfg = FedConfig(strategy="aligned", rounds=3, batch_size=8)
         res = run_experiment(suite, "dom1", LOGREG, cfg)
         assert np.all(np.isfinite(res.final_params.values))
+
+
+class TestEncryptedGoldenDigests:
+    """Final parameters and per-run trace-tag totals of 50 encrypted rounds
+    on the default benchmark, pinned so a change to the cipher handles that
+    moves a single bit of any decrypted aggregate shows up here."""
+
+    @pytest.mark.parametrize(
+        "strategy, digest, total_tags",
+        [
+            ("aligned", "a7e370f49419ad795c763f151d6f91816c1c5501770b2c1767cc57f0a1109bb3", 70140),
+            ("fedavg", "2662df2570e31a048775df7cf5db085d1be6e14f711abcf24f1cca678830f732", 23100),
+        ],
+    )
+    def test_pinned(self, strategy, digest, total_tags):
+        cfg = FedConfig(strategy=strategy, rounds=50, seed=0, encrypt=True)
+        res = run_experiment(generate(default_benchmark_spec(seed=0)), "dom3", ModelSpec(2, 8, 2), cfg)
+        assert res.summary()["final_params_sha256"] == digest
+        assert sum(r.trace_audit["total_tags"] for r in res.records) == total_tags

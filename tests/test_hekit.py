@@ -29,6 +29,8 @@ from fedalign.hekit import (
     weighted_sum_encrypted,
 )
 
+from _oracles import div_round, round_half_away
+
 
 class LeakyCipher(TransparentCipher):
     """Test double that cheats: mul decrypts, multiplies in plaintext and
@@ -146,6 +148,48 @@ class TestVectors:
         v = np.array([0.1, -0.2, 0.3, 127.0])
         back = dec_vec(c, enc_vec(c, v))
         assert np.max(np.abs(back - v)) <= 1.0 / DEFAULT_SCALE
+
+
+class TestVectorHandles:
+    def test_one_overflowing_slot_raises(self):
+        c = transparent_cipher()
+        with pytest.raises(OverflowAtScale):
+            c.enc(np.array([0.5, 200.0, -0.25]))
+        h = c.enc(np.array([1.0, 100.0, -1.0]))
+        with pytest.raises(OverflowAtScale):
+            c.add(h, h)  # only the middle slot leaves the 128 headroom
+
+    def test_mul_ties_round_away_from_zero(self):
+        c = transparent_cipher(scale=2)
+        v = c.enc(np.array([-0.5, -1.5, -2.5, 0.5, 1.5]))  # payloads -1 -3 -5 1 3
+        half = c.enc(0.5)  # payload 1: every raw product sits on a tie
+        h = c.mul(half, v)
+        assert h.payload.tolist() == [-1, -2, -3, 1, 2]
+        assert h.payload.dtype == np.int64
+        assert h.trace == (ENC, ENC, MUL)
+
+    @given(
+        # Products of two values below 11 stay inside the 128 headroom.
+        st.lists(st.floats(-11, 11, allow_nan=False), min_size=1, max_size=16),
+        st.sampled_from([1, 2, 2**10, DEFAULT_SCALE]),
+    )
+    @settings(max_examples=200)
+    def test_codec_matches_scalar_reference(self, xs, scale):
+        codec = FixedPointCodec(scale=scale)
+        enc = codec.encode(np.array(xs))
+        assert enc.tolist() == [round_half_away(x * scale) for x in xs]
+        assert codec.decode(enc).tolist() == [i / scale for i in enc.tolist()]
+        a, b = enc.tolist(), enc[::-1].tolist()
+        got = codec.rescale(enc * enc[::-1])
+        assert got.tolist() == [div_round(x * y, scale) for x, y in zip(a, b)]
+
+    def test_audit_counts_each_tag_once_per_slot(self):
+        c = transparent_cipher()
+        h = c.mul(c.enc(0.5), enc_vec(c, np.ones(5)))
+        audit = audit_trace([h])
+        assert audit.coordinates == 5
+        assert audit.tag_counts == {ENC: 10, MUL: 5}
+        assert audit.total_tags == 15
 
 
 class TestAudit:

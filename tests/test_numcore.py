@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedalign.errors import DimensionMismatch, NonFiniteResult
-from fedalign.numcore import Rng, as_mat, as_vec, axpby, dot, shuffle, squared_distance, weighted_sum
+from fedalign.numcore import Rng, axpby, dot, shuffle, squared_distance, weighted_sum
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -14,22 +14,6 @@ def vec_pair(draw, min_n=1, max_n=40):
     a = draw(st.lists(finite, min_size=n, max_size=n))
     b = draw(st.lists(finite, min_size=n, max_size=n))
     return np.array(a), np.array(b)
-
-
-class TestCoercion:
-    def test_as_vec_rejects_matrix(self):
-        with pytest.raises(DimensionMismatch):
-            as_vec([[1.0, 2.0]])
-
-    def test_as_mat_rejects_vector(self):
-        with pytest.raises(DimensionMismatch):
-            as_mat([1.0, 2.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteResult):
-            as_vec([1.0, float("nan")])
-        with pytest.raises(NonFiniteResult):
-            as_mat([[float("inf")]])
 
 
 class TestDot:
