@@ -101,6 +101,14 @@ def _synthetic_from_dict(d: dict) -> SyntheticSpec:
     for key in d:
         if key not in known:
             raise ConfigError(f"data.synthetic.{key}", "unknown field")
+    for key, ok, what in (
+        ("num_domains", is_int, "an integer"),
+        ("samples_per_domain", is_int, "an integer"),
+        ("seed", is_int, "an integer"),
+        ("noise_sigma", is_real, "a number"),
+    ):
+        if key in d and not ok(d[key]):
+            raise ConfigError(f"data.synthetic.{key}", f"must be {what}")
     kwargs = dict(d)
     if "rotation_degrees" in kwargs:
         degrees = kwargs["rotation_degrees"]

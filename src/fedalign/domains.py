@@ -27,6 +27,8 @@ from .errors import (
     InvalidSpec,
     ParseError,
     UnknownDomain,
+    is_finite_real,
+    is_int,
 )
 from .numcore import RealMat, Rng, shuffle
 
@@ -139,17 +141,19 @@ class SyntheticSpec:
         object.__setattr__(self, "rotation_degrees", tuple(float(r) for r in self.rotation_degrees))
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.num_domains < 2:
-            raise InvalidSpec("num_domains must be >= 2")
-        if self.samples_per_domain < 1:
-            raise InvalidSpec("samples_per_domain must be positive")
+        if not is_int(self.num_domains) or self.num_domains < 2:
+            raise InvalidSpec("num_domains must be an integer >= 2")
+        if not is_int(self.samples_per_domain) or self.samples_per_domain < 1:
+            raise InvalidSpec("samples_per_domain must be a positive integer")
+        if not is_int(self.seed) or self.seed < 0:
+            raise InvalidSpec("seed must be a nonnegative integer")
         if len(self.rotation_degrees) != self.num_domains:
             raise InvalidSpec(
                 f"rotation_degrees has {len(self.rotation_degrees)} entries "
                 f"for {self.num_domains} domains"
             )
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be nonnegative")
+        if not is_finite_real(self.noise_sigma) or self.noise_sigma < 0:
+            raise InvalidSpec("noise_sigma must be a finite nonnegative real")
 
 
 def default_benchmark_spec(seed: int = 0) -> SyntheticSpec:
@@ -236,7 +240,7 @@ def minibatch(dataset: DomainDataset, batch_size: int, rng: Rng) -> tuple[RealMa
     if batch_size < n:
         idx = shuffle(rng, n)[:batch_size]
     else:
-        idx = np.array([rng.integers(0, n) for _ in range(batch_size)], dtype=np.int64)
+        idx = rng.integers(0, n, size=batch_size)
     return dataset.features[idx], dataset.labels[idx]
 
 

@@ -7,6 +7,7 @@ code.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -94,3 +95,14 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """True for a real config value; a JSON boolean is not a number."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """True for a real config value that is a finite float; an integer too
+    large for a float (JSON has no size limit) is not."""
+    if not is_real(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

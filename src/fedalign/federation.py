@@ -39,7 +39,7 @@ from .aggregation import (
     aggregate_fedavg,
 )
 from .domains import DomainDataset, DomainSuite, leave_one_out, minibatch
-from .errors import ConfigError, EmptyDataset, is_int, is_real
+from .errors import ConfigError, EmptyDataset, is_finite_real, is_int, is_real
 from .hekit import (
     DEFAULT_SCALE,
     aligned_aggregate_encrypted,
@@ -81,7 +81,7 @@ class LrDecay:
     def __post_init__(self):
         if not is_int(self.every_n_rounds) or self.every_n_rounds < 1:
             raise ConfigError("lr_decay.every_n_rounds", "must be a positive integer")
-        if not (is_real(self.factor) and math.isfinite(self.factor) and self.factor > 0):
+        if not (is_finite_real(self.factor) and self.factor > 0):
             raise ConfigError("lr_decay.factor", "must be a positive real")
 
 
@@ -120,7 +120,7 @@ class FedConfig:
             raise ConfigError("local_steps", "must be a positive integer")
         if not is_int(self.batch_size) or self.batch_size < 1:
             raise ConfigError("batch_size", "must be a positive integer")
-        if not (is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
+        if not (is_finite_real(self.lr) and self.lr > 0):
             raise ConfigError("lr", "must be a positive real")
         if self.strategy == "aligned":
             if self.lam is None:
@@ -132,7 +132,7 @@ class FedConfig:
         if self.strategy == "fedprox":
             if self.mu is None:
                 object.__setattr__(self, "mu", 0.01)
-            if not (is_real(self.mu) and math.isfinite(self.mu) and self.mu >= 0):
+            if not (is_finite_real(self.mu) and self.mu >= 0):
                 raise ConfigError("mu", "must be a nonnegative real")
         elif self.mu is not None:
             raise ConfigError("mu", f"only valid for the fedprox strategy, not {self.strategy!r}")

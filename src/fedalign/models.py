@@ -106,17 +106,6 @@ class ParamVector:
         return out
 
 
-def flatten_layers(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Inverse of :meth:`ParamVector.layers`."""
-    parts = []
-    for (fi, fo), (w, b) in zip(spec.layer_shapes, layers):
-        if w.shape != (fi, fo) or b.shape != (fo,):
-            raise DimensionMismatch(f"layer shapes {w.shape}/{b.shape} do not match spec ({fi},{fo})")
-        parts.append(np.asarray(w, dtype=np.float64).reshape(-1))
-        parts.append(np.asarray(b, dtype=np.float64))
-    return np.concatenate(parts)
-
-
 @dataclass(frozen=True)
 class LossKind:
     """Cross-entropy, optionally with per-class positive weights.

@@ -110,9 +110,16 @@ class Rng:
         """Derive an independent generator keyed by ``key + subkeys``."""
         return Rng(*self.key, *subkeys)
 
-    def integers(self, low: int, high: int | None = None) -> int:
-        """One integer from ``[low, high)`` (or ``[0, low)`` when high is None)."""
-        return int(self._gen.integers(low, high))
+    def integers(self, low, high=None, size=None) -> np.ndarray | int:
+        """Integers from ``[low, high)`` (or ``[0, low)`` when high is None).
+
+        A Python ``int`` for scalar bounds and no ``size``; otherwise an
+        int64 array shaped like ``size`` or like the broadcast bounds.  One
+        call draws exactly what the matching sequence of scalar calls would,
+        element by element in C order, and leaves the same state behind.
+        """
+        out = self._gen.integers(low, high, size)
+        return int(out) if np.ndim(out) == 0 else out
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray | float:
         return self._gen.normal(loc, scale, size)
@@ -129,15 +136,19 @@ def shuffle(rng: Rng, n: int) -> np.ndarray:
 
     The swap loop is written out here (rather than delegated to numpy's
     ``permutation``) so the exact algorithm consuming the stream is pinned
-    in this repository.  Deterministic per rng state.
+    in this repository: for ``i = n-1 .. 1``, swap slot ``i`` with a slot
+    ``j`` drawn uniformly from ``[0, i]``.  All ``n - 1`` swap indices come
+    from one generator call with the bounds ``n, n-1, .., 2``, which draws
+    the same values and leaves the same state as one scalar call per swap.
+    Deterministic per rng state.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = rng.integers(0, i + 1)
+    perm = list(range(n))
+    swaps = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), swaps):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def weighted_sum(vectors: Sequence[RealVec], weights: Sequence[float]) -> RealVec:

@@ -64,6 +64,9 @@ class SweepSpec:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError("sweep.strategies", f"unknown strategy {s!r}")
+        for seed in self.seeds:
+            if not is_int(seed) or seed < 0:
+                raise ConfigError("sweep.seeds", f"must be nonnegative integers, got {seed!r}")
         if self.overrides:
             for s in self.overrides:
                 if s not in self.strategies:

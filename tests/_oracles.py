@@ -1,5 +1,9 @@
 """Shared numerical oracles for the test suite.
 
+Fisher-Yates with one scalar generator call per swap, and with-replacement
+row draws one scalar call at a time: the references for the sampler's
+one-call forms, which must read the Philox stream identically.
+
 Scalar fixed-point rounding on Python integers, the reference for the
 cipher codec's elementwise int64 arithmetic.
 
@@ -16,6 +20,20 @@ import math
 import numpy as np
 
 from fedalign.models import LossKind, ParamVector, loss_and_grad
+
+
+def scalar_shuffle(rng, n: int) -> np.ndarray:
+    """Fisher-Yates over ``0..n-1``, drawing each swap index separately."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.integers(0, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def scalar_draws(rng, n: int, count: int) -> np.ndarray:
+    """``count`` row indices from ``[0, n)``, with replacement, one call each."""
+    return np.array([rng.integers(0, n) for _ in range(count)], dtype=np.int64)
 
 
 def round_half_away(x: float) -> int:

@@ -177,6 +177,21 @@ BAD_VALUES = [
     pytest.param(_with_fed(lr=True), "lr", id="lr-bool"),
     pytest.param(_with_fed(seed=True), "seed", id="seed-bool"),
     pytest.param(_with_fed(scale=True), "scale", id="scale-bool"),
+    pytest.param(_with_fed(lr=10**400), "lr", id="lr-huge-int"),
+    pytest.param(_with_fed(strategy="fedprox", mu=10**400), "mu", id="mu-huge-int"),
+    pytest.param(
+        _with_fed(lr_decay={"every_n_rounds": 2, "factor": 10**400}), "lr_decay.factor", id="lr_decay.factor-huge-int"
+    ),
+    pytest.param(
+        {"data": {"synthetic": {**SMALL_DATA["synthetic"], "num_domains": True}}},
+        "data.synthetic.num_domains",
+        id="num_domains-bool",
+    ),
+    pytest.param(
+        {"data": {"synthetic": {**SMALL_DATA["synthetic"], "seed": True}}},
+        "data.synthetic.seed",
+        id="synthetic-seed-bool",
+    ),
 ]
 
 
@@ -264,6 +279,16 @@ class TestSweep:
         assert main(["sweep", "--spec", cfg]) == 2
         assert "domX" in capsys.readouterr().err
 
+    def test_every_seed_checked_before_running(self, tmp_path, capsys):
+        cfg = self.sweep_config(
+            tmp_path,
+            sweep={"strategies": ["fedavg"], "seeds": [0, -1], "targets": ["dom0"]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "config field 'sweep.seeds'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_restricts_grid(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         out = tmp_path / "out"
@@ -295,6 +320,13 @@ class TestGenData:
         main(["gen-data", "--spec", spec, "--out", str(a), "--quiet"])
         main(["gen-data", "--spec", spec, "--out", str(b), "--quiet"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_boolean_row_count_rejected(self, tmp_path, capsys):
+        spec = write_config(tmp_path, "s.json", {"samples_per_domain": True})
+        out = tmp_path / "s.csv"
+        assert main(["gen-data", "--spec", spec, "--out", str(out), "--quiet"]) == 2
+        assert "config field 'data.synthetic.samples_per_domain'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_spec_field(self, tmp_path, capsys):
         spec = write_config(tmp_path, "s.json", {"samples": 10})

@@ -26,6 +26,8 @@ from fedalign.errors import (
 )
 from fedalign.numcore import Rng
 
+from _oracles import scalar_draws
+
 
 class TestRotationMatrix:
     def test_zero_is_identity(self):
@@ -68,6 +70,10 @@ class TestSyntheticSpec:
             dict(samples_per_domain=0),
             dict(rotation_degrees=(0.0, 10.0)),  # wrong length for 4 domains
             dict(noise_sigma=-0.1),
+            dict(samples_per_domain=True),
+            dict(num_domains=4.0),
+            dict(seed=-1),
+            dict(noise_sigma=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):
@@ -171,6 +177,16 @@ class TestMinibatch:
     def test_with_replacement_when_oversized(self, ds):
         x, y = minibatch(ds, ds.num_rows + 10, Rng(1))
         assert x.shape[0] == ds.num_rows + 10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+    def test_with_replacement_matches_scalar_draws(self, ds, n):
+        small = DomainDataset("s", ds.features[:n], ds.labels[:n])
+        for batch in (n + 1, 2 * n + 3, 100):
+            fast, ref = Rng(8, n, batch), Rng(8, n, batch)
+            x, y = minibatch(small, batch, fast)
+            idx = scalar_draws(ref, n, batch)
+            assert np.array_equal(x, small.features[idx]) and np.array_equal(y, small.labels[idx])
+            assert fast.integers(2**62) == ref.integers(2**62)
 
     def test_deterministic(self, ds):
         xa, ya = minibatch(ds, 8, Rng(42))

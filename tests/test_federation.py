@@ -350,6 +350,26 @@ class TestRunExperiment:
         assert np.all(np.isfinite(res.final_params.values))
 
 
+class TestPlainGoldenDigests:
+    """Final parameters of 50 plaintext rounds on the default benchmark,
+    pinned so a change to the sampler or the training loop that moves a
+    single bit of any strategy's trajectory shows up here."""
+
+    @pytest.mark.parametrize(
+        "strategy, extra, digest",
+        [
+            ("aligned", {}, "e7aff87f90519b62fc777a83d8a65e8959dcd8714b3cbf2d2e2ca50000383117"),
+            ("fedavg", {}, "31c59b761ffc78bd35465e263bdfc4a5508f457bfe7a89174eadd32689c3bff9"),
+            ("fedprox", {"local_steps": 3}, "1604da21e8a783c22c4c2aefd2e205786750173317ab7eeb81501b0fafcbf4aa"),
+            ("deepall", {}, "80321d8d820777b6f17935d69cf06986a4fd1e22d82ed3851aa658bbf59eae67"),
+        ],
+    )
+    def test_pinned(self, strategy, extra, digest):
+        cfg = FedConfig(strategy=strategy, rounds=50, seed=0, **extra)
+        res = run_experiment(generate(default_benchmark_spec(0)), "dom3", ModelSpec(2, 8, 2), cfg)
+        assert res.summary()["final_params_sha256"] == digest
+
+
 class TestEncryptedGoldenDigests:
     """Final parameters and per-run trace-tag totals of 50 encrypted rounds
     on the default benchmark, pinned so a change to the cipher handles that

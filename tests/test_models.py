@@ -10,7 +10,6 @@ from fedalign.models import (
     ModelSpec,
     ParamVector,
     evaluate,
-    flatten_layers,
     forward,
     init_params,
     loss_and_grad,
@@ -54,7 +53,7 @@ class TestParamVector:
     def test_layers_flatten_round_trip(self):
         rng = Rng(4)
         params = init_params(MLP, rng)
-        rebuilt = flatten_layers(MLP, params.layers())
+        rebuilt = np.concatenate([a.ravel() for layer in params.layers() for a in layer])
         assert np.array_equal(rebuilt, params.values)
 
     def test_layer_shapes(self):
@@ -83,7 +82,7 @@ class TestForward:
     def test_logreg_is_affine(self):
         w = np.array([[1.0, -1.0], [0.5, 2.0]])
         b = np.array([0.1, -0.2])
-        params = ParamVector(LOGREG, flatten_layers(LOGREG, [(w, b)]))
+        params = ParamVector(LOGREG, np.concatenate([w.ravel(), b]))
         x = np.array([[2.0, 3.0]])
         assert np.allclose(forward(params, x), x @ w + b)
 
@@ -111,7 +110,7 @@ class TestLossValue:
     def test_huge_logits_stay_finite(self):
         w = np.array([[1e4, -1e4], [1e4, -1e4]])
         b = np.zeros(2)
-        params = ParamVector(LOGREG, flatten_layers(LOGREG, [(w, b)]))
+        params = ParamVector(LOGREG, np.concatenate([w.ravel(), b]))
         x = np.array([[1.0, 1.0], [-1.0, -1.0]])
         value, grad = loss_and_grad(params, x, np.array([0, 1]))
         assert math.isfinite(value)
@@ -243,7 +242,7 @@ class TestEvaluate:
 
     def test_perfect_separation(self):
         w = np.array([[10.0, -10.0], [0.0, 0.0]])
-        params = ParamVector(LOGREG, flatten_layers(LOGREG, [(w, np.zeros(2))]))
+        params = ParamVector(LOGREG, np.concatenate([w.ravel(), np.zeros(2)]))
         ds = DomainDataset(
             domain_id="d",
             features=np.array([[1.0, 0.0], [-1.0, 0.0]]),

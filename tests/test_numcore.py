@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from fedalign.errors import DimensionMismatch, NonFiniteResult
 from fedalign.numcore import Rng, axpby, dot, shuffle, squared_distance, weighted_sum
 
+from _oracles import scalar_draws, scalar_shuffle
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -99,8 +101,41 @@ class TestRng:
         assert snapshot == [replay.integers(2**31) for _ in range(4)]
         assert len(set(snapshot)) > 1
 
+    def test_scalar_bounds_give_python_int(self):
+        assert type(Rng(0).integers(5)) is int
+        assert type(Rng(0).integers(0, 5)) is int
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 500, 2**31, 2**33])
+    def test_sized_draw_matches_scalar_calls(self, n):
+        for count in (1, 7, 100):
+            fast, ref = Rng(5, n), Rng(5, n)
+            out = fast.integers(0, n, size=count)
+            assert out.dtype == np.int64
+            assert out.tolist() == scalar_draws(ref, n, count).tolist()
+            assert fast.integers(2**62) == ref.integers(2**62)
+
+
+SHUFFLE_KEYS = [(0,), (0, 1, 0, 0), (7, 1, 3, 11), (123456789, 2, 5)]
+SHUFFLE_SIZES = [*range(301), 499, 500, 1500, 5000]
+
 
 class TestShuffle:
+    @pytest.mark.parametrize("key", SHUFFLE_KEYS)
+    def test_matches_scalar_fisher_yates(self, key):
+        # Same permutation and same generator state afterwards as one
+        # scalar draw per swap.
+        for n in SHUFFLE_SIZES:
+            fast, ref = Rng(*key), Rng(*key)
+            perm = shuffle(fast, n)
+            assert perm.dtype == np.int64
+            assert perm.tolist() == scalar_shuffle(ref, n).tolist(), n
+            assert fast.integers(2**62) == ref.integers(2**62), n
+
+    def test_pinned_permutations(self):
+        # Rng(0, 1, 0, 0) is client 0's round-0 key under seed 0.
+        assert shuffle(Rng(0, 1, 0, 0), 10).tolist() == [7, 9, 0, 8, 2, 6, 3, 4, 5, 1]
+        assert shuffle(Rng(0, 1, 0, 0), 500)[:4].tolist() == [105, 416, 106, 30]
+
     def test_is_permutation(self):
         perm = shuffle(Rng(3), 50)
         assert sorted(perm.tolist()) == list(range(50))
