@@ -39,10 +39,19 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, save_csv
-from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, is_int, is_real
+from .errors import (
+    ConfigError,
+    FedAlignError,
+    InvalidLambda,
+    InvalidSpec,
+    ParseError,
+    is_finite_real,
+    is_int,
+    is_real,
+)
 from .federation import FedConfig, run_experiment
 from .models import ModelSpec
-from .sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep
+from .sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_gen_data"]
 
@@ -112,8 +121,8 @@ def _synthetic_from_dict(d: dict) -> SyntheticSpec:
     kwargs = dict(d)
     if "rotation_degrees" in kwargs:
         degrees = kwargs["rotation_degrees"]
-        if not isinstance(degrees, list) or not all(is_real(x) for x in degrees):
-            raise ConfigError("data.synthetic.rotation_degrees", "must be a list of numbers")
+        if not isinstance(degrees, list) or not all(is_finite_real(x) for x in degrees):
+            raise ConfigError("data.synthetic.rotation_degrees", "must be a list of finite numbers")
         kwargs["rotation_degrees"] = tuple(float(x) for x in degrees)
     try:
         return SyntheticSpec(**kwargs)
@@ -160,7 +169,9 @@ def _suite_from_config(data: dict) -> tuple[DomainSuite, dict]:
 
 
 def _model_from_config(block: dict | None, suite: DomainSuite) -> ModelSpec:
-    block = dict(block or {})
+    block = block or {}
+    if not isinstance(block, dict):
+        raise ConfigError("model", "must be a JSON object")
     known = {"hidden_dim", "activation"}
     for key in block:
         if key not in known:
@@ -276,11 +287,21 @@ def cmd_sweep(args) -> int:
             targets=spec.targets,
             overrides=spec.overrides,
         )
-    base = dict(doc.get("federation") or {})
+    base = doc.get("federation") or {}
+    if not isinstance(base, dict):
+        raise ConfigError("federation", "must be a JSON object")
+    base = dict(base)
     base.pop("strategy", None)
     base.pop("seed", None)
-    # Validate the base early so a bad shared field fails before any cell runs.
-    FedConfig.from_dict({**base, "strategy": spec.strategies[0], "seed": spec.seeds[0]})
+    for key in ("lambda", "mu"):
+        if key in base:
+            raise ConfigError(
+                f"federation.{key}", "belongs to one strategy; set it in sweep.overrides for that strategy"
+            )
+    # Build every strategy's cell config now, so a bad shared field or
+    # override fails before any cell runs.
+    for strategy in spec.strategies:
+        cell_config(base, spec, strategy, spec.seeds[0])
     for tgt in spec.targets:
         if tgt not in suite.domain_ids:
             raise ConfigError("sweep.targets", f"unknown domain {tgt!r}")

@@ -138,6 +138,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(is_finite_real(r) for r in self.rotation_degrees):
+            raise InvalidSpec("rotation_degrees must be finite real numbers")
         object.__setattr__(self, "rotation_degrees", tuple(float(r) for r in self.rotation_degrees))
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}; expected one of {FAMILIES}")
@@ -175,6 +177,8 @@ _QUARTER_TURNS = {0: (1.0, 0.0), 90: (0.0, 1.0), 180: (-1.0, 0.0), 270: (0.0, -1
 
 def rotation_matrix(degrees: float) -> np.ndarray:
     """2x2 counterclockwise rotation by ``degrees`` about the origin."""
+    if not is_finite_real(degrees):
+        raise InvalidSpec(f"rotation angle must be a finite real, got {degrees!r}")
     d = degrees % 360.0
     if d in _QUARTER_TURNS:
         c, s = _QUARTER_TURNS[d]

@@ -84,12 +84,15 @@ class ConfigError(FedAlignError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"config field {field!r}: {message}")
 
 
 def is_int(value) -> bool:
-    """True for an integer config value; a JSON boolean is not a number."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for an integer config value that fits in int64, as every count,
+    size and seed must; a JSON boolean is not a number, and JSON integers
+    have no size limit."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
 def is_real(value) -> bool:

@@ -12,6 +12,12 @@ row-major with shape (fan_in, fan_out).  Concretely:
 
 * logistic regression: ``[W (input_dim x num_classes), b]``
 * MLP: ``[W1 (input_dim x hidden), b1, W2 (hidden x num_classes), b2]``
+
+Each (rows x hidden) intermediate is written once and then updated in
+place: a freed temporary of that size goes back to the operating system
+and is faulted in again on the next call, which cost more than the
+arithmetic, while every element still goes through the same IEEE
+operation on the same operands, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -163,24 +169,29 @@ def _check_batch(spec: ModelSpec, x: RealMat) -> np.ndarray:
     return x
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
-
-
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return (z > 0).astype(np.float64) if name == "relu" else 1.0 - a * a
+def _forward(spec: ModelSpec, layers, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Hidden activations (None for logistic regression) and logits."""
+    if spec.hidden_dim == 0:
+        (w, b), = layers
+        logits = x @ w
+        logits += b
+        return None, logits
+    (w1, b1), (w2, b2) = layers
+    h = x @ w1
+    h += b1
+    if spec.activation == "relu":
+        np.maximum(h, 0.0, out=h)
+    else:
+        np.tanh(h, out=h)
+    logits = h @ w2
+    logits += b2
+    return h, logits
 
 
 def forward(params: ParamVector, x: RealMat) -> RealMat:
     """Per-sample class logits, shape (rows, num_classes)."""
     x = _check_batch(params.spec, x)
-    layers = params.layers()
-    if params.spec.hidden_dim == 0:
-        (w, b), = layers
-        return x @ w + b
-    (w1, b1), (w2, b2) = layers
-    h = _activate(params.spec.activation, x @ w1 + b1)
-    return h @ w2 + b2
+    return _forward(params.spec, params.layers(), x)[1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -212,15 +223,8 @@ def loss_and_grad(
 
     weights = loss.sample_weights(labels, spec.num_classes)
 
-    if spec.hidden_dim == 0:
-        (w, b), = params.layers()
-        pre1 = h = None
-        logits = x @ w + b
-    else:
-        (w1, b1), (w2, b2) = params.layers()
-        pre1 = x @ w1 + b1
-        h = _activate(spec.activation, pre1)
-        logits = h @ w2 + b2
+    layers = params.layers()
+    h, logits = _forward(spec, layers, x)
 
     logp = _log_softmax(logits)
     total = float(np.sum(weights * -logp[np.arange(n), labels]) / n)
@@ -230,13 +234,21 @@ def loss_and_grad(
     dz[np.arange(n), labels] -= 1.0
     dz *= (weights / n)[:, None]
 
-    if spec.hidden_dim == 0:
+    if h is None:
         grad = np.concatenate([(x.T @ dz).reshape(-1), dz.sum(axis=0)])
     else:
+        _, (w2, _) = layers
         dw2 = h.T @ dz
         db2 = dz.sum(axis=0)
-        dh = dz @ w2.T
-        da = dh * _activate_grad(spec.activation, pre1, h)
+        da = dz @ w2.T
+        # Activation derivative: relu's mask h > 0 equals preactivation > 0;
+        # tanh's 1 - h*h overwrites h, which dw2 no longer needs.
+        if spec.activation == "relu":
+            da *= h > 0
+        else:
+            np.multiply(h, h, out=h)
+            np.subtract(1.0, h, out=h)
+            da *= h
         dw1 = x.T @ da
         db1 = da.sum(axis=0)
         grad = np.concatenate([dw1.reshape(-1), db1, dw2.reshape(-1), db2])

@@ -27,6 +27,7 @@ __all__ = [
     "CellResult",
     "SweepResult",
     "RESULT_CSV_COLUMNS",
+    "cell_config",
     "run_sweep",
 ]
 
@@ -68,9 +69,14 @@ class SweepSpec:
             if not is_int(seed) or seed < 0:
                 raise ConfigError("sweep.seeds", f"must be nonnegative integers, got {seed!r}")
         if self.overrides:
-            for s in self.overrides:
+            for s, patch in self.overrides.items():
                 if s not in self.strategies:
                     raise ConfigError("sweep.overrides", f"override for strategy {s!r} not in the sweep")
+                if not isinstance(patch, Mapping):
+                    raise ConfigError(f"sweep.overrides.{s}", "must be a JSON object")
+                for key in ("strategy", "seed"):
+                    if key in patch:
+                        raise ConfigError(f"sweep.overrides.{s}.{key}", "is set by the sweep grid")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SweepSpec":
@@ -177,7 +183,9 @@ class SweepResult:
         }
 
 
-def _cell_config(base: Mapping, spec: SweepSpec, strategy: str, seed: int) -> FedConfig:
+def cell_config(base: Mapping, spec: SweepSpec, strategy: str, seed: int) -> FedConfig:
+    """One cell's config; an error in a strategy's override names it as
+    ``sweep.overrides.<strategy>.<field>``."""
     d = dict(base)
     # A strategy-specific field left over from the base config would be
     # rejected for other strategies, so drop and re-patch per cell.
@@ -185,15 +193,19 @@ def _cell_config(base: Mapping, spec: SweepSpec, strategy: str, seed: int) -> Fe
     d.pop("mu", None)
     d["strategy"] = strategy
     d["seed"] = seed
-    if spec.overrides and strategy in spec.overrides:
-        d.update(spec.overrides[strategy])
-    return FedConfig.from_dict(d)
+    patch = (spec.overrides or {}).get(strategy, {})
+    try:
+        return FedConfig.from_dict({**d, **patch})
+    except ConfigError as exc:
+        if exc.field.split(".")[0] in patch:
+            raise ConfigError(f"sweep.overrides.{strategy}.{exc.field}", exc.message) from exc
+        raise
 
 
 def _run_cell(args) -> CellResult:
     suite, model, loss, base, spec, strategy, target, seed = args
     try:
-        cfg = _cell_config(base, spec, strategy, seed)
+        cfg = cell_config(base, spec, strategy, seed)
         result = run_experiment(suite, target, model, cfg, loss)
         vb, va = result.variance_means_on_conflict_rounds()
         return CellResult(

@@ -7,6 +7,10 @@ one-call forms, which must read the Philox stream identically.
 Scalar fixed-point rounding on Python integers, the reference for the
 cipher codec's elementwise int64 arithmetic.
 
+The model's forward pass and loss gradient written with a fresh temporary
+per expression: the references for the in-place forms, which must agree
+byte for byte.
+
 Central finite differences over the flat parameter vector, with the usual
 gradient-check hygiene: a symmetric relative-error metric with an absolute
 floor (difference quotients bottom out around 1e-9 at h=1e-6, so demanding
@@ -47,6 +51,51 @@ def div_round(n: int, d: int) -> int:
     if 2 * r >= d:
         q += 1
     return q if n >= 0 else -q
+
+
+def _reference_hidden(params: ParamVector, x):
+    (w1, b1), (w2, b2) = params.layers()
+    pre1 = x @ w1 + b1
+    h = np.maximum(pre1, 0.0) if params.spec.activation == "relu" else np.tanh(pre1)
+    return pre1, h, w2, b2
+
+
+def reference_forward(params: ParamVector, x) -> np.ndarray:
+    """Logits as ``x @ w1 + b1``, activation, ``h @ w2 + b2``."""
+    x = np.asarray(x, dtype=np.float64)
+    if params.spec.hidden_dim == 0:
+        (w, b), = params.layers()
+        return x @ w + b
+    _, h, w2, b2 = _reference_hidden(params, x)
+    return h @ w2 + b2
+
+
+def reference_loss_and_grad(params: ParamVector, x, labels, loss: LossKind = LossKind()):
+    """Mean (weighted) cross-entropy and its gradient, one temporary per step."""
+    spec = params.spec
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = x.shape[0]
+    weights = loss.sample_weights(labels, spec.num_classes)
+    if spec.hidden_dim == 0:
+        (w, b), = params.layers()
+        logits = x @ w + b
+    else:
+        pre1, h, w2, b2 = _reference_hidden(params, x)
+        logits = h @ w2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    total = float(np.sum(weights * -logp[np.arange(n), labels]) / n)
+    dz = np.exp(logp)
+    dz[np.arange(n), labels] -= 1.0
+    dz *= (weights / n)[:, None]
+    if spec.hidden_dim == 0:
+        return total, np.concatenate([(x.T @ dz).reshape(-1), dz.sum(axis=0)])
+    dh = dz @ w2.T
+    act_grad = (pre1 > 0).astype(np.float64) if spec.activation == "relu" else 1.0 - h * h
+    da = dh * act_grad
+    parts = [(x.T @ da).reshape(-1), da.sum(axis=0), (h.T @ dz).reshape(-1), dz.sum(axis=0)]
+    return total, np.concatenate(parts)
 
 
 def fd_gradient(params: ParamVector, x, y, loss: LossKind = LossKind(), h: float = 1e-6) -> np.ndarray:

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedalign.cli import main
 
@@ -192,6 +197,31 @@ BAD_VALUES = [
         "data.synthetic.seed",
         id="synthetic-seed-bool",
     ),
+    pytest.param(
+        {"data": {"synthetic": {**SMALL_DATA["synthetic"], "rotation_degrees": [0, 20, float("inf")]}}},
+        "data.synthetic.rotation_degrees",
+        id="rotation_degrees-inf",
+    ),
+    pytest.param(
+        {"data": {"synthetic": {**SMALL_DATA["synthetic"], "rotation_degrees": [0, 20, 10**400]}}},
+        "data.synthetic.rotation_degrees",
+        id="rotation_degrees-huge-int",
+    ),
+    pytest.param({"model": "x"}, "model", id="model-str"),
+    pytest.param({"model": {"hidden_dim": 10**400}}, "model.hidden_dim", id="hidden_dim-huge-int"),
+    pytest.param(_with_fed(rounds=10**400), "rounds", id="rounds-huge-int"),
+    pytest.param(_with_fed(local_steps=10**400), "local_steps", id="local_steps-huge-int"),
+    pytest.param(_with_fed(batch_size=10**400), "batch_size", id="batch_size-huge-int"),
+    pytest.param(
+        {"data": {"synthetic": {**SMALL_DATA["synthetic"], "samples_per_domain": 10**400}}},
+        "data.synthetic.samples_per_domain",
+        id="samples_per_domain-huge-int",
+    ),
+    pytest.param(
+        {"sweep": {"strategies": ["fedavg"], "seeds": [0], "targets": ["dom0"]}, "federation": True},
+        "federation",
+        id="sweep-federation-bool",
+    ),
 ]
 
 
@@ -289,6 +319,35 @@ class TestSweep:
         assert "config field 'sweep.seeds'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_strategy_checked_before_running(self, tmp_path, capsys):
+        cfg = self.sweep_config(
+            tmp_path,
+            sweep={
+                "strategies": ["fedavg", "aligned"],
+                "seeds": [0],
+                "targets": ["dom0"],
+                "overrides": {"aligned": {"lr": -1}},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "config field 'sweep.overrides.aligned.lr'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lambda", "mu"])
+    @pytest.mark.parametrize("strategies", [["fedavg", "aligned"], ["aligned", "fedprox"], ["fedprox", "aligned"]])
+    def test_base_strategy_field_rejected(self, tmp_path, capsys, key, strategies):
+        cfg = self.sweep_config(
+            tmp_path,
+            sweep={"strategies": strategies, "seeds": [0], "targets": ["dom0"]},
+            federation={**SMALL_FED, key: 0.2},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config field 'federation.{key}'" in err and "sweep.overrides" in err
+        assert not out.exists()
+
     def test_seed_flag_restricts_grid(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         out = tmp_path / "out"
@@ -345,6 +404,106 @@ class TestGenData:
         spec = write_config(tmp_path, "moons.json", SMALL_DATA["synthetic"])
         assert main(["gen-data", "--spec", spec, "--quiet"]) == 0
         assert (tmp_path / "root" / "moons.csv").exists()
+
+
+# Tiny valid configs that set every field; the contract test swaps one of
+# their fields (or a whole section) for a hostile JSON value.
+CONTRACT_RUN = {
+    "target": "dom3",
+    "model": {"hidden_dim": 4, "activation": "relu"},
+    "data": {
+        "synthetic": {
+            "family": "rotated_two_moons",
+            "num_domains": 4,
+            "samples_per_domain": 20,
+            "rotation_degrees": [0.0, 15.0, 30.0, 45.0],
+            "noise_sigma": 0.3,
+            "seed": 0,
+        }
+    },
+    "federation": {
+        "strategy": "aligned",
+        "rounds": 2,
+        "local_steps": 1,
+        "batch_size": 2,
+        "lr": 0.2,
+        "lr_decay": {"every_n_rounds": 1, "factor": 10.0},
+        "lambda": 0.1,
+        "weighting": "uniform",
+        "seed": 0,
+        "encrypt": True,
+        "scale": 1024,
+        "accumulate": True,
+        "align_target": "original",
+        "order_mode": "random",
+    },
+}
+CONTRACT_CONFIGS = {
+    "run": CONTRACT_RUN,
+    "sweep": {
+        "sweep": {
+            "strategies": ["fedavg", "aligned"],
+            "seeds": [0],
+            "targets": ["dom0"],
+            "overrides": {"aligned": {"lambda": 0.2}},
+        },
+        "model": CONTRACT_RUN["model"],
+        "data": CONTRACT_RUN["data"],
+        "federation": {
+            k: v for k, v in CONTRACT_RUN["federation"].items() if k not in ("strategy", "lambda", "seed")
+        },
+    },
+    "gen-data": CONTRACT_RUN["data"]["synthetic"],
+}
+# JSON has no infinity literal, but Python's parser reads 1e400 as inf; the
+# test writes this placeholder's place in the document as a bare 1e400.
+JSON_1E400 = "@1e400@"
+HOSTILE_VALUES = [True, "x", -1, 0, JSON_1E400, 10**400, None, [], {}]
+
+
+def _field_paths(node, prefix=()):
+    """Every path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestContract:
+    """Any single-field change to a valid run, sweep or gen-data config
+    exits 0, 1 or 2, and never with a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(command, path) for command, doc in CONTRACT_CONFIGS.items() for path in _field_paths(doc)]
+        ),
+        value=st.sampled_from(HOSTILE_VALUES),
+    )
+    def test_one_hostile_field(self, case, value):
+        command, path = case
+        doc = _replaced(CONTRACT_CONFIGS[command], path, value)
+        text = json.dumps(doc).replace(json.dumps(JSON_1E400), "1e400")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            flag = "--config" if command == "run" else "--spec"
+            out = os.path.join(tmp, "out.csv" if command == "gen-data" else "out")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, flag, config, "--out", out, "--quiet"])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestEntryPoint:

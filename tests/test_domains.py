@@ -46,6 +46,13 @@ class TestRotationMatrix:
     def test_wraparound(self):
         assert np.array_equal(rotation_matrix(540.0), rotation_matrix(180.0))
 
+    @pytest.mark.parametrize(
+        "degrees", [float("inf"), float("-inf"), float("nan"), pytest.param(10**400, id="huge-int")]
+    )
+    def test_non_finite_rejected(self, degrees):
+        with pytest.raises(InvalidSpec):
+            rotation_matrix(degrees)
+
     @given(st.floats(-720, 720, allow_nan=False))
     @settings(max_examples=50)
     def test_orthonormal(self, degrees):
@@ -74,6 +81,10 @@ class TestSyntheticSpec:
             dict(num_domains=4.0),
             dict(seed=-1),
             dict(noise_sigma=float("inf")),
+            dict(rotation_degrees=(0.0, 15.0, 30.0, float("inf"))),
+            dict(rotation_degrees=(0.0, 15.0, 30.0, float("nan"))),
+            dict(rotation_degrees=(0.0, 15.0, 30.0, 10**400)),
+            dict(rotation_degrees=(0.0, 15.0, 30.0, "45")),
         ],
     )
     def test_invalid(self, kwargs):

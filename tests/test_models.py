@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from fedalign.models import (
 )
 from fedalign.numcore import Rng
 
-from _oracles import fd_gradient, max_rel_error, random_case
+from _oracles import (
+    fd_gradient,
+    max_rel_error,
+    random_case,
+    reference_forward,
+    reference_loss_and_grad,
+)
 
 LOGREG = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
 MLP = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2)
@@ -255,3 +262,87 @@ class TestEvaluate:
         ds = DomainDataset(domain_id="d", features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(EmptyDataset):
             evaluate(params, ds)
+
+
+def _model_case(hidden: int, activation: str, rows: int, classes: int = 3):
+    """Perturbed parameters and a batch whose first row is zero, so that
+    relu preactivations sit exactly on the kink where biases are zeroed."""
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=classes, activation=activation)
+    rng = np.random.default_rng([hidden, rows, len(activation)])
+    values = init_params(spec, Rng(hidden + rows)).values + 0.3 * rng.standard_normal(spec.param_count)
+    params = ParamVector(spec, values)
+    if hidden:
+        (_, b1), _ = params.layers()
+        b1[::2] = 0.0  # a view into params.values
+    x = 2.0 * rng.standard_normal((rows, spec.input_dim))
+    if rows > 1:
+        x[0] = 0.0
+    y = rng.integers(0, classes, size=rows)
+    return params, x, y
+
+
+LOSSES = [
+    pytest.param(LossKind(), id="plain"),
+    pytest.param(LossKind("weighted_cross_entropy", (0.5, 2.0, 3.0)), id="weighted"),
+]
+
+
+class TestInPlaceMatchesReference:
+    """The in-place forward and backward passes agree byte for byte with the
+    one-temporary-per-expression reference in ``_oracles``."""
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("rows", [1, 2, 10, 500])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [0, 8, 128, 400])
+    def test_bit_identical(self, hidden, activation, rows, loss):
+        params, x, y = _model_case(hidden, activation, rows)
+        expected_logits = reference_forward(params, x)
+        logits = forward(params, x)
+        assert logits.tobytes() == expected_logits.tobytes()
+
+        ds = DomainDataset(domain_id="d", features=x, labels=y)
+        shifted = expected_logits - expected_logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        weights = loss.sample_weights(y, params.spec.num_classes)
+        expected_loss = float(np.sum(weights * -logp[np.arange(rows), y]) / rows)
+        expected_acc = float(np.mean(np.argmax(expected_logits, axis=1) == y))
+        m = evaluate(params, ds, loss)
+        assert (m.accuracy, m.loss) == (expected_acc, expected_loss)
+
+        value, grad = loss_and_grad(params, x, y, loss)
+        ref_value, ref_grad = reference_loss_and_grad(params, x, y, loss)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes traced while ``fn`` runs, above what was live before it
+    (numpy reports its data buffers to tracemalloc)."""
+    fn()  # warm up lazily built numpy state outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestModelMemory:
+    """Peak memory in units of one (rows x hidden) float64 buffer: each such
+    intermediate is written once and updated in place."""
+
+    ROWS, HIDDEN = 500, 128
+    BUFFER = ROWS * HIDDEN * 8
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_peak(self, activation):
+        params, x, _ = _model_case(self.HIDDEN, activation, self.ROWS, classes=2)
+        assert _peak_bytes(lambda: forward(params, x)) < 1.5 * self.BUFFER
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_loss_and_grad_peak(self, activation):
+        params, x, y = _model_case(self.HIDDEN, activation, self.ROWS, classes=2)
+        assert _peak_bytes(lambda: loss_and_grad(params, x, y)) < 3 * self.BUFFER

@@ -5,7 +5,7 @@ import pytest
 from fedalign.domains import SyntheticSpec, generate
 from fedalign.errors import ConfigError
 from fedalign.models import ModelSpec
-from fedalign.sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep
+from fedalign.sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 BASE = {"rounds": 4, "batch_size": 8, "lr": 0.1, "lr_decay": None}
@@ -43,6 +43,9 @@ class TestSweepSpec:
             {"targets": []},
             {"strategies": ["fedsgd"]},
             {"overrides": {"fedprox": {}}},  # strategy not in the sweep
+            {"overrides": {"fedavg": 0.1}},
+            {"overrides": {"fedavg": {"strategy": "aligned"}}},
+            {"overrides": {"fedavg": {"seed": 3}}},
         ],
     )
     def test_validation(self, patch):
@@ -60,6 +63,18 @@ class TestSweepSpec:
     def test_missing_key(self):
         with pytest.raises(ConfigError):
             SweepSpec.from_dict({"strategies": ["fedavg"], "seeds": [0]})
+
+    def test_override_error_names_strategy(self):
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned"),
+            seeds=(0,),
+            targets=("dom0",),
+            overrides={"aligned": {"lambda": 0.9}},
+        )
+        assert cell_config(BASE, spec, "fedavg", 0).strategy == "fedavg"
+        with pytest.raises(ConfigError) as err:
+            cell_config(BASE, spec, "aligned", 0)
+        assert err.value.field == "sweep.overrides.aligned.lambda"
 
     def test_deepall_is_a_valid_strategy(self):
         spec = SweepSpec(strategies=("deepall",), seeds=(0,), targets=("dom0",))
