@@ -35,20 +35,12 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, save_csv
-from .errors import (
-    ConfigError,
-    FedAlignError,
-    InvalidLambda,
-    InvalidSpec,
-    ParseError,
-    is_finite_real,
-    is_int,
-    is_real,
-)
+from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, from_json, to_json
 from .federation import FedConfig, run_experiment
 from .models import ModelSpec
 from .sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
@@ -103,31 +95,14 @@ def _out_dir(args, suffix: str) -> str:
     return os.path.join(root, f"{stem}-{suffix}")
 
 
-def _synthetic_from_dict(d: dict) -> SyntheticSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("data.synthetic", "must be a JSON object")
-    known = {"family", "num_domains", "samples_per_domain", "rotation_degrees", "noise_sigma", "seed"}
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"data.synthetic.{key}", "unknown field")
-    for key, ok, what in (
-        ("num_domains", is_int, "an integer"),
-        ("samples_per_domain", is_int, "an integer"),
-        ("seed", is_int, "an integer"),
-        ("noise_sigma", is_real, "a number"),
-    ):
-        if key in d and not ok(d[key]):
-            raise ConfigError(f"data.synthetic.{key}", f"must be {what}")
-    kwargs = dict(d)
-    if "rotation_degrees" in kwargs:
-        degrees = kwargs["rotation_degrees"]
-        if not isinstance(degrees, list) or not all(is_finite_real(x) for x in degrees):
-            raise ConfigError("data.synthetic.rotation_degrees", "must be a list of finite numbers")
-        kwargs["rotation_degrees"] = tuple(float(x) for x in degrees)
-    try:
-        return SyntheticSpec(**kwargs)
-    except (InvalidSpec, TypeError) as exc:
-        raise ConfigError("data.synthetic", str(exc)) from exc
+def _section(doc: dict, key: str) -> dict:
+    """A config section; only a missing section or null means defaults."""
+    block = doc.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigError(key, "must be a JSON object")
+    return block
 
 
 def _suite_from_config(data: dict) -> tuple[DomainSuite, dict]:
@@ -136,58 +111,28 @@ def _suite_from_config(data: dict) -> tuple[DomainSuite, dict]:
     if not isinstance(data, dict) or len(data) != 1 or next(iter(data)) not in ("synthetic", "csv"):
         raise ConfigError("data", 'must contain exactly one of "synthetic" or "csv"')
     if "synthetic" in data:
-        spec = _synthetic_from_dict(data["synthetic"])
-        suite = generate(spec)
-        normalized = {
-            "synthetic": {
-                "family": spec.family,
-                "num_domains": spec.num_domains,
-                "samples_per_domain": spec.samples_per_domain,
-                "rotation_degrees": list(spec.rotation_degrees),
-                "noise_sigma": spec.noise_sigma,
-                "seed": spec.seed,
-            }
-        }
-        return suite, normalized
+        spec = from_json(SyntheticSpec, data["synthetic"], "data.synthetic")
+        return generate(spec), {"synthetic": to_json(spec)}
     block = data["csv"]
     if not isinstance(block, dict):
         raise ConfigError("data.csv", "must be a JSON object")
-    required = {"path", "feature_cols", "label_col", "domain_col"}
-    missing = required - set(block)
-    if missing:
-        raise ConfigError("data.csv", f"missing fields: {sorted(missing)}")
-    cols = block["feature_cols"]
-    if not isinstance(cols, list) or not all(isinstance(c, str) for c in cols):
-        raise ConfigError("data.csv.feature_cols", "must be a list of column names")
-    schema = CsvSchema(
-        feature_cols=tuple(cols),
-        label_col=block["label_col"],
-        domain_col=block["domain_col"],
-    )
-    suite = load_csv(block["path"], schema)
+    schema_doc = dict(block)
+    path = schema_doc.pop("path", None)
+    if not isinstance(path, str):
+        raise ConfigError("data.csv.path", "must be a file path string")
+    suite = load_csv(path, from_json(CsvSchema, schema_doc, "data.csv"))
     return suite, {"csv": dict(block)}
 
 
-def _model_from_config(block: dict | None, suite: DomainSuite) -> ModelSpec:
-    block = block or {}
-    if not isinstance(block, dict):
-        raise ConfigError("model", "must be a JSON object")
-    known = {"hidden_dim", "activation"}
-    for key in block:
-        if key not in known:
-            raise ConfigError(f"model.{key}", "unknown field")
-    hidden_dim = block.get("hidden_dim", 8)
-    if not is_int(hidden_dim):
-        raise ConfigError("model.hidden_dim", "must be an integer")
-    try:
-        return ModelSpec(
-            input_dim=suite.num_features,
-            hidden_dim=hidden_dim,
-            num_classes=suite.num_classes,
-            activation=block.get("activation", "relu"),
-        )
-    except InvalidSpec as exc:
-        raise ConfigError("model", str(exc)) from exc
+def _model_from_config(block: dict, suite: DomainSuite) -> ModelSpec:
+    """The model section; ``input_dim`` and ``num_classes`` come from the data."""
+    return from_json(
+        ModelSpec,
+        {"hidden_dim": 8, **block},
+        "model",
+        input_dim=suite.num_features,
+        num_classes=suite.num_classes,
+    )
 
 
 def _model_dict(model: ModelSpec) -> dict:
@@ -224,10 +169,10 @@ def cmd_run(args) -> int:
         raise ConfigError("config", '"target" and "data" are required')
 
     suite, data_block = _suite_from_config(doc["data"])
-    model = _model_from_config(doc.get("model"), suite)
-    cfg = FedConfig.from_dict(doc.get("federation") or {})
+    model = _model_from_config(_section(doc, "model"), suite)
+    cfg = FedConfig.from_dict(_section(doc, "federation"))
     if args.seed is not None:
-        cfg = FedConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     target = doc["target"]
     if target not in suite.domain_ids:
         raise ConfigError("target", f"unknown domain {target!r}")
@@ -278,19 +223,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("config", '"sweep" and "data" are required')
 
     suite, data_block = _suite_from_config(doc["data"])
-    model = _model_from_config(doc.get("model"), suite)
+    model = _model_from_config(_section(doc, "model"), suite)
     spec = SweepSpec.from_dict(doc["sweep"])
     if args.seed is not None:
-        spec = SweepSpec(
-            strategies=spec.strategies,
-            seeds=(args.seed,),
-            targets=spec.targets,
-            overrides=spec.overrides,
-        )
-    base = doc.get("federation") or {}
-    if not isinstance(base, dict):
-        raise ConfigError("federation", "must be a JSON object")
-    base = dict(base)
+        spec = replace(spec, seeds=(args.seed,))
+    base = dict(_section(doc, "federation"))
     base.pop("strategy", None)
     base.pop("seed", None)
     for key in ("lambda", "mu"):
@@ -324,12 +261,7 @@ def cmd_sweep(args) -> int:
         "summary": os.path.join(outdir, "summary.json"),
     }
     normalized = {
-        "sweep": {
-            "strategies": list(spec.strategies),
-            "seeds": list(spec.seeds),
-            "targets": list(spec.targets),
-            "overrides": dict(spec.overrides or {}),
-        },
+        "sweep": to_json(spec),
         "model": _model_dict(model),
         "data": data_block,
         "federation": base,
@@ -356,9 +288,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen_data(args) -> int:
     doc = _unwrap_manifest(_load_json(args.config_path))
-    spec = _synthetic_from_dict(doc)
+    spec = from_json(SyntheticSpec, doc, "data.synthetic")
     if args.seed is not None:
-        spec = _synthetic_from_dict({**doc, "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     suite = generate(spec)
     out = args.out
     if not out:
@@ -411,6 +343,9 @@ def main(argv=None) -> int:
         return 2
     except (FedAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -56,6 +56,9 @@ _GAUSS_MEANS = np.array([[2.0, 0.0], [-2.0, 0.0]])
 _GAUSS_BASE_SIGMA = 0.6
 _MOON_SCALE = 2.0
 
+# The most int64 row indices whose byte size numpy can express.
+_MAX_INDEX_ROWS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
 
 @dataclass(frozen=True)
 class DomainDataset:
@@ -244,6 +247,10 @@ def minibatch(dataset: DomainDataset, batch_size: int, rng: Rng) -> tuple[RealMa
     if batch_size < n:
         idx = shuffle(rng, n)[:batch_size]
     else:
+        if batch_size > _MAX_INDEX_ROWS:
+            # numpy refuses such a size with a ValueError; it is a request
+            # for more memory than any address space holds.
+            raise MemoryError(f"cannot draw {batch_size} row indices")
         idx = rng.integers(0, n, size=batch_size)
     return dataset.features[idx], dataset.labels[idx]
 

@@ -1,14 +1,24 @@
-"""Exception types shared across the fedalign package.
+"""Exception types shared across the fedalign package, and the rules for
+JSON config values.
 
 Every error raised by the library derives from :class:`FedAlignError`, so
 callers can catch one base class at the CLI boundary and map it to an exit
 code.
+
+Config documents become dataclasses through :func:`from_json`, which reads
+the fields and type hints of the class itself, so no parser lists a field a
+second time; :func:`to_json` writes one back.  A bad value raises
+:class:`ConfigError` naming its dotted path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import numbers
+import types
+import typing
 
 
 class FedAlignError(Exception):
@@ -109,3 +119,89 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+_CHECKS = {
+    int: (is_int, "an integer"),
+    float: (is_finite_real, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    dict: (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type hint, required) per field of a dataclass; resolving
+    the hints costs far more than the parse that uses them."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _value(hint, value, path: str):
+    """Check one JSON value against a field's type hint; returns it as the
+    field takes it (a list becomes a tuple, an object a nested dataclass)."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType or origin is typing.Union:  # X | None
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return _value(hint, value, path)
+    if dataclasses.is_dataclass(hint):
+        return from_json(hint, value, path)
+    if origin is tuple:  # tuple[T, ...]
+        ok, what = _CHECKS[typing.get_args(hint)[0]]
+        if not isinstance(value, list) or not all(ok(v) for v in value):
+            raise ConfigError(path, f"must be a list, each item {what}")
+        return tuple(value)
+    ok, what = _CHECKS[origin or hint]
+    if not ok(value):
+        raise ConfigError(path, f"must be {what}")
+    return value
+
+
+def from_json(cls, doc, path: str, rename: dict = {}, **fixed):
+    """Build dataclass ``cls`` from the JSON object ``doc``.
+
+    Each key is a field name, or its JSON name under ``rename``; an unknown
+    key, a missing field without a default, or a value that does not fit
+    the field's type hint raises :class:`ConfigError` naming
+    ``<path>.<key>`` (just ``<key>`` when ``path`` is empty).  ``fixed``
+    supplies fields the document may not set.  The class's own
+    ``__post_init__`` makes the range checks; an :class:`InvalidSpec` it
+    raises is reported against ``path``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(path or "config", "must be a JSON object")
+    prefix = f"{path}." if path else ""
+    names = {rename.get(f[0], f[0]): f for f in _fields(cls) if f[0] not in fixed}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(prefix + key, "unknown field")
+    kwargs = dict(fixed)
+    for key, (name, hint, required) in names.items():
+        if key in doc:
+            kwargs[name] = _value(hint, doc[key], prefix + key)
+        elif required:
+            raise ConfigError(prefix + key, "required")
+    try:
+        return cls(**kwargs)
+    except InvalidSpec as exc:
+        raise ConfigError(path or "config", str(exc)) from exc
+
+
+def to_json(obj, rename: dict = {}) -> dict:
+    """The JSON object :func:`from_json` reads back into ``obj``: fields in
+    declaration order, nested dataclasses as objects, tuples as lists."""
+    out = {}
+    for name, _, _ in _fields(type(obj)):
+        value = getattr(obj, name)
+        if dataclasses.is_dataclass(value):
+            value = to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[rename.get(name, name)] = value
+    return out

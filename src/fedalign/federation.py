@@ -39,7 +39,17 @@ from .aggregation import (
     aggregate_fedavg,
 )
 from .domains import DomainDataset, DomainSuite, leave_one_out, minibatch
-from .errors import ConfigError, EmptyDataset, is_finite_real, is_int, is_real
+from .errors import (
+    ConfigError,
+    EmptyDataset,
+    NonFiniteResult,
+    OverflowAtScale,
+    from_json,
+    is_finite_real,
+    is_int,
+    is_real,
+    to_json,
+)
 from .hekit import (
     DEFAULT_SCALE,
     aligned_aggregate_encrypted,
@@ -83,6 +93,10 @@ class LrDecay:
             raise ConfigError("lr_decay.every_n_rounds", "must be a positive integer")
         if not (is_finite_real(self.factor) and self.factor > 0):
             raise ConfigError("lr_decay.factor", "must be a positive real")
+
+
+# JSON names of the FedConfig fields whose Python name differs.
+_JSON_NAMES = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -159,63 +173,13 @@ class FedConfig:
         return "uniform" if self.strategy == "aligned" else "sample_weighted"
 
     def to_dict(self) -> dict:
-        d = {
-            "strategy": self.strategy,
-            "rounds": self.rounds,
-            "local_steps": self.local_steps,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "lr_decay": None
-            if self.lr_decay is None
-            else {"every_n_rounds": self.lr_decay.every_n_rounds, "factor": self.lr_decay.factor},
-            "lambda": self.lam,
-            "mu": self.mu,
-            "weighting": self.weighting,
-            "seed": self.seed,
-            "encrypt": self.encrypt,
-            "scale": self.scale,
-            "accumulate": self.accumulate,
-            "align_target": self.align_target,
-            "order_mode": self.order_mode,
-        }
-        return d
+        return to_json(self, rename=_JSON_NAMES)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FedConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("federation", "must be a JSON object")
-        known = {
-            "strategy",
-            "rounds",
-            "local_steps",
-            "batch_size",
-            "lr",
-            "lr_decay",
-            "lambda",
-            "mu",
-            "weighting",
-            "seed",
-            "encrypt",
-            "scale",
-            "accumulate",
-            "align_target",
-            "order_mode",
-        }
-        for key in d:
-            if key not in known:
-                raise ConfigError(key, "unknown federation field")
-        kwargs = {k: v for k, v in d.items() if k not in ("lambda", "lr_decay")}
-        if "lambda" in d:
-            kwargs["lam"] = d["lambda"]
-        decay = d.get("lr_decay")
-        if decay is not None:
-            if not isinstance(decay, dict) or set(decay) != {"every_n_rounds", "factor"}:
-                raise ConfigError("lr_decay", "must be {\"every_n_rounds\": int, \"factor\": real} or null")
-            kwargs["lr_decay"] = LrDecay(every_n_rounds=decay["every_n_rounds"], factor=decay["factor"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError("federation", str(exc)) from exc
+        """Fields are named bare (``lr``, ``lr_decay.factor``) in errors, as
+        the class's own checks name them."""
+        return from_json(cls, d, "", rename=_JSON_NAMES)
 
 
 def default_config(strategy: str = "aligned", seed: int = 0) -> FedConfig:
@@ -351,12 +315,7 @@ class ExperimentResult:
     def to_dict(self, include_rounds: bool = True) -> dict:
         d = {
             "config": self.config.to_dict(),
-            "model": {
-                "input_dim": self.model.input_dim,
-                "hidden_dim": self.model.hidden_dim,
-                "num_classes": self.model.num_classes,
-                "activation": self.model.activation,
-            },
+            "model": to_json(self.model),
             "summary": self.summary(),
         }
         if include_rounds:
@@ -484,18 +443,23 @@ def run_round(
     """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
-    updates = [
-        client_local_step(state, server.params, cfg, Rng(cfg.seed, 1, k, t), lr=lr, loss=loss)
-        for k, state in enumerate(clients)
-    ]
+    updates = []
+    try:
+        for k, state in enumerate(clients):
+            rng = Rng(cfg.seed, 1, k, t)
+            updates.append(client_local_step(state, server.params, cfg, rng, lr=lr, loss=loss))
+    except (NonFiniteResult, OverflowAtScale) as exc:
+        raise type(exc)(f"round {t}, client {state.client_id}: {exc}") from exc
 
-    report = _aggregate(updates, cfg, t)
-    audit_dict = None
-    if cfg.encrypt:
-        decrypted, audit_dict = _encrypted_replay(updates, report, cfg)
-        report = replace(report, aggregated=decrypted)
-
-    server.params = sgd_step(server.params, report.aggregated, lr)
+    try:
+        report = _aggregate(updates, cfg, t)
+        audit_dict = None
+        if cfg.encrypt:
+            decrypted, audit_dict = _encrypted_replay(updates, report, cfg)
+            report = replace(report, aggregated=decrypted)
+        server.params = sgd_step(server.params, report.aggregated, lr)
+    except (NonFiniteResult, OverflowAtScale) as exc:
+        raise type(exc)(f"round {t}: {exc}") from exc
     server.round_index = t + 1
 
     per_client = tuple(

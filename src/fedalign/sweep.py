@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .domains import DomainSuite
-from .errors import ConfigError, is_int
+from .errors import ConfigError, from_json, is_int
 from .federation import STRATEGIES, FedConfig, run_experiment
 from .models import LossKind, ModelSpec
 
@@ -53,9 +53,10 @@ class SweepSpec:
     strategies: tuple[str, ...]
     seeds: tuple[int, ...]
     targets: tuple[str, ...]
-    overrides: Mapping[str, Mapping] | None = None
+    overrides: dict[str, dict] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "overrides", dict(self.overrides or {}))
         if len(self.strategies) == 0:
             raise ConfigError("sweep.strategies", "must be nonempty")
         if len(self.seeds) == 0:
@@ -68,39 +69,18 @@ class SweepSpec:
         for seed in self.seeds:
             if not is_int(seed) or seed < 0:
                 raise ConfigError("sweep.seeds", f"must be nonnegative integers, got {seed!r}")
-        if self.overrides:
-            for s, patch in self.overrides.items():
-                if s not in self.strategies:
-                    raise ConfigError("sweep.overrides", f"override for strategy {s!r} not in the sweep")
-                if not isinstance(patch, Mapping):
-                    raise ConfigError(f"sweep.overrides.{s}", "must be a JSON object")
-                for key in ("strategy", "seed"):
-                    if key in patch:
-                        raise ConfigError(f"sweep.overrides.{s}.{key}", "is set by the sweep grid")
+        for s, patch in self.overrides.items():
+            if s not in self.strategies:
+                raise ConfigError("sweep.overrides", f"override for strategy {s!r} not in the sweep")
+            if not isinstance(patch, Mapping):
+                raise ConfigError(f"sweep.overrides.{s}", "must be a JSON object")
+            for key in ("strategy", "seed"):
+                if key in patch:
+                    raise ConfigError(f"sweep.overrides.{s}.{key}", "is set by the sweep grid")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SweepSpec":
-        if not isinstance(d, Mapping):
-            raise ConfigError("sweep", "must be a JSON object")
-        known = {"strategies", "seeds", "targets", "overrides"}
-        for key in d:
-            if key not in known:
-                raise ConfigError(f"sweep.{key}", "unknown sweep field")
-        lists = {}
-        for req, ok, what in (
-            ("strategies", lambda v: isinstance(v, str), "names"),
-            ("seeds", is_int, "integers"),
-            ("targets", lambda v: isinstance(v, str), "domain ids"),
-        ):
-            if req not in d:
-                raise ConfigError(f"sweep.{req}", "required")
-            if not isinstance(d[req], list) or not all(ok(v) for v in d[req]):
-                raise ConfigError(f"sweep.{req}", f"must be a list of {what}")
-            lists[req] = tuple(d[req])
-        overrides = d.get("overrides") or {}
-        if not isinstance(overrides, Mapping):
-            raise ConfigError("sweep.overrides", "must be a JSON object")
-        return cls(**lists, overrides=dict(overrides))
+        return from_json(cls, d, "sweep")
 
 
 @dataclass(frozen=True)
@@ -193,7 +173,7 @@ def cell_config(base: Mapping, spec: SweepSpec, strategy: str, seed: int) -> Fed
     d.pop("mu", None)
     d["strategy"] = strategy
     d["seed"] = seed
-    patch = (spec.overrides or {}).get(strategy, {})
+    patch = spec.overrides.get(strategy, {})
     try:
         return FedConfig.from_dict({**d, **patch})
     except ConfigError as exc:

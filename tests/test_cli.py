@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedalign.cli import main
+from fedalign.domains import SyntheticSpec, generate, save_csv
 
 SMALL_DATA = {
     "synthetic": {
@@ -154,6 +156,9 @@ class TestRun:
         assert json.loads((out / "summary.json").read_text())["target"] == "dom1"
 
 
+CSV_BLOCK = {"path": "suite.csv", "feature_cols": ["x0", "x1"], "label_col": "label", "domain_col": "domain"}
+
+
 def _with_fed(**fields):
     return {"federation": {**SMALL_FED, **fields}}
 
@@ -222,12 +227,32 @@ BAD_VALUES = [
         "federation",
         id="sweep-federation-bool",
     ),
+    pytest.param({"federation": False}, "federation", id="federation-false"),
+    pytest.param({"federation": []}, "federation", id="federation-empty-list"),
+    pytest.param({"model": False}, "model", id="model-false"),
+    pytest.param(
+        {"sweep": {"strategies": ["fedavg"], "seeds": [0], "targets": ["dom0"]}, "federation": False},
+        "federation",
+        id="sweep-federation-false",
+    ),
+    pytest.param(
+        {"sweep": {"strategies": ["fedavg"], "seeds": [0], "targets": ["dom0"]}, "model": []},
+        "model",
+        id="sweep-model-empty-list",
+    ),
+    pytest.param({"data": {"csv": {**CSV_BLOCK, "path": None}}}, "data.csv.path", id="csv-path-null"),
+    pytest.param({"data": {"csv": {**CSV_BLOCK, "path": []}}}, "data.csv.path", id="csv-path-list"),
+    pytest.param({"data": {"csv": {**CSV_BLOCK, "path": True}}}, "data.csv.path", id="csv-path-bool"),
+    pytest.param({"data": {"csv": {**CSV_BLOCK, "sep": ";"}}}, "data.csv.sep", id="csv-unknown-field"),
+    pytest.param({"data": {"csv": {**CSV_BLOCK, "label_col": None}}}, "data.csv.label_col", id="csv-label_col-null"),
 ]
 
 
 class TestBadValues:
     @pytest.mark.parametrize("patch, field", BAD_VALUES)
-    def test_exit_2_names_field(self, tmp_path, capsys, patch, field):
+    def test_exit_2_names_field(self, tmp_path, capsys, monkeypatch, patch, field):
+        monkeypatch.chdir(tmp_path)  # a data.csv case reads a valid ./suite.csv
+        save_csv(generate(SyntheticSpec(**SMALL_DATA["synthetic"])), "suite.csv")
         doc = {"model": {"hidden_dim": 4}, "data": SMALL_DATA, "federation": dict(SMALL_FED), **patch}
         if "sweep" in doc:
             command = ["sweep", "--spec"]
@@ -438,23 +463,37 @@ CONTRACT_RUN = {
         "order_mode": "random",
     },
 }
-CONTRACT_CONFIGS = {
-    "run": CONTRACT_RUN,
-    "sweep": {
-        "sweep": {
-            "strategies": ["fedavg", "aligned"],
-            "seeds": [0],
-            "targets": ["dom0"],
-            "overrides": {"aligned": {"lambda": 0.2}},
+# The test writes CONTRACT_RUN's data as a CSV in its temp directory and
+# puts the file's path in place of this placeholder.
+CONTRACT_CSV_PATH = "@suite.csv@"
+CONTRACT_CONFIGS = [
+    ("run", CONTRACT_RUN),
+    (
+        "run",
+        {
+            **CONTRACT_RUN,
+            "data": {"csv": {**CSV_BLOCK, "path": CONTRACT_CSV_PATH}},
+            "federation": {**CONTRACT_RUN["federation"], "strategy": "fedprox", "lambda": None, "mu": 0.01},
         },
-        "model": CONTRACT_RUN["model"],
-        "data": CONTRACT_RUN["data"],
-        "federation": {
-            k: v for k, v in CONTRACT_RUN["federation"].items() if k not in ("strategy", "lambda", "seed")
+    ),
+    (
+        "sweep",
+        {
+            "sweep": {
+                "strategies": ["fedavg", "aligned"],
+                "seeds": [0],
+                "targets": ["dom0"],
+                "overrides": {"aligned": {"lambda": 0.2}},
+            },
+            "model": CONTRACT_RUN["model"],
+            "data": CONTRACT_RUN["data"],
+            "federation": {
+                k: v for k, v in CONTRACT_RUN["federation"].items() if k not in ("strategy", "lambda", "seed")
+            },
         },
-    },
-    "gen-data": CONTRACT_RUN["data"]["synthetic"],
-}
+    ),
+    ("gen-data", CONTRACT_RUN["data"]["synthetic"]),
+]
 # JSON has no infinity literal, but Python's parser reads 1e400 as inf; the
 # test writes this placeholder's place in the document as a bare 1e400.
 JSON_1E400 = "@1e400@"
@@ -485,16 +524,19 @@ class TestContract:
     @settings(max_examples=300, deadline=None)
     @given(
         case=st.sampled_from(
-            [(command, path) for command, doc in CONTRACT_CONFIGS.items() for path in _field_paths(doc)]
+            [(command, doc, path) for command, doc in CONTRACT_CONFIGS for path in _field_paths(doc)]
         ),
         value=st.sampled_from(HOSTILE_VALUES),
     )
     def test_one_hostile_field(self, case, value):
-        command, path = case
-        doc = _replaced(CONTRACT_CONFIGS[command], path, value)
+        command, doc, path = case
+        doc = _replaced(doc, path, value)
         text = json.dumps(doc).replace(json.dumps(JSON_1E400), "1e400")
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
+            data_csv = os.path.join(tmp, "suite.csv")
+            save_csv(generate(SyntheticSpec(**CONTRACT_RUN["data"]["synthetic"])), data_csv)
+            text = text.replace(json.dumps(CONTRACT_CSV_PATH), json.dumps(data_csv))
             config = os.path.join(tmp, "config.json")
             with open(config, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -504,6 +546,36 @@ class TestContract:
                 code = main([command, flag, config, "--out", out, "--quiet"])
         assert code in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+class TestMemoryLimit:
+    """A count no memory can hold exits 1 with an error line, not a
+    traceback, whatever the host's memory: the run gets a 2 GiB address
+    space."""
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            pytest.param({"model": {"hidden_dim": 2**40}}, id="hidden_dim"),
+            pytest.param(_with_fed(batch_size=2**62), id="batch_size"),
+        ],
+    )
+    def test_exit_1_without_traceback(self, tmp_path, patch):
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        doc = {"target": "dom2", "model": {"hidden_dim": 4}, "data": SMALL_DATA, "federation": SMALL_FED, **patch}
+        config = write_config(tmp_path, "big.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedalign.cli", "run", "--config", config, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "error: out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

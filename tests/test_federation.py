@@ -12,7 +12,7 @@ from fedalign.domains import (
     leave_one_out,
     minibatch,
 )
-from fedalign.errors import ConfigError
+from fedalign.errors import ConfigError, NonFiniteResult, OverflowAtScale, from_json, to_json
 from fedalign.federation import (
     ROUND_CSV_COLUMNS,
     ClientState,
@@ -27,6 +27,7 @@ from fedalign.federation import (
 )
 from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng
+from fedalign.sweep import SweepSpec
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 LOGREG = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2, activation="relu")
@@ -102,6 +103,12 @@ class TestFedConfig:
             encrypt=True,
         )
         assert FedConfig.from_dict(cfg.to_dict()) == cfg
+        for obj, path, rename in [
+            (FedConfig(strategy="fedprox", mu=0.2, lr_decay=None), "", {"lam": "lambda"}),
+            (SyntheticSpec(num_domains=2, rotation_degrees=(5, 10.5), seed=3), "data.synthetic", {}),
+            (SweepSpec(("fedavg", "aligned"), (0, 2), ("dom1",), {"aligned": {"lambda": 0.2}}), "sweep", {}),
+        ]:
+            assert from_json(type(obj), to_json(obj, rename), path, rename) == obj
 
     def test_from_dict_maps_lambda_key(self):
         cfg = FedConfig.from_dict({"strategy": "aligned", "lambda": 0.3})
@@ -213,6 +220,18 @@ class TestRunRound:
         assert set(record.source_metrics) == {"dom0", "dom1"}
         assert 0.0 <= record.target_metrics.accuracy <= 1.0
         assert record.trace_audit is None
+
+    def test_errors_name_round_and_client(self):
+        suite = small_suite()
+        diverging = FedConfig(strategy="fedavg", rounds=30, batch_size=8, lr=1e30, lr_decay=None)
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            pytest.raises(NonFiniteResult, match=r"^round \d+, client dom\d: gradient contains NaN or Inf"),
+        ):
+            run_experiment(suite, "dom2", MODEL, diverging)
+        too_fine = FedConfig(strategy="aligned", rounds=1, batch_size=8, encrypt=True, scale=2**62)
+        with pytest.raises(OverflowAtScale, match=r"^round 0: encoded magnitude"):
+            run_experiment(suite, "dom2", MODEL, too_fine)
 
 
 class TestRunExperiment:
