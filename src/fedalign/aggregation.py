@@ -21,14 +21,26 @@ two choices open:
   client's *original* gradient (default, mirroring how gradient-surgery
   methods project against originals) or its *current* working copy.
 
-The report records which semantics ran, every tested pair, the visiting
-order, and the sum of pairwise squared gradient distances (the
-domain-variance diagnostic) before and after alignment.
+Each aggregation stacks the round's client gradients once into a
+C-contiguous K×P float64 matrix, one row per client; the aligned strategy
+corrects its rows in place and reads the originals from the updates.  The
+report records which semantics ran, every tested pair, the visiting order,
+the final K×P matrix (``aligned``), and the sum of pairwise squared
+gradient distances (the domain-variance diagnostic) before and after
+alignment.
+
+The pair diagnostics (``domain_variance`` and fedavg's pairwise inner
+products) are batched: for each row *i* one numpy call forms the
+differences or products against every later row, and each row is then
+summed.  Each such row sum is numpy's pairwise summation over the same
+elementwise values that ``np.sum(a * b)`` reduces, and the pair values are
+accumulated in (i, j) order, so the batched diagnostics are bit-for-bit
+equal to the per-pair loops.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,7 +52,7 @@ from .errors import (
     InvalidLambda,
     InvalidSpec,
 )
-from .numcore import RealVec, Rng, axpby, dot, shuffle, squared_distance, weighted_sum
+from .numcore import RealMat, RealVec, Rng, axpby, dot, shuffle, weighted_sum
 
 __all__ = [
     "GradientVector",
@@ -61,6 +73,10 @@ GradientVector = np.ndarray
 WEIGHTINGS = ("uniform", "sample_weighted")
 TARGETS = ("original", "current")
 ORDER_MODES = ("random", "fixed")
+
+# The scratch buffer of the pair diagnostics holds at most this many bytes
+# (at least one row), so at large P it stays in cache instead of streaming.
+_SCRATCH_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -111,11 +127,16 @@ class AlignConfig:
 
 @dataclass(frozen=True)
 class AggregationReport:
-    """Everything one aggregation did, serializable for run logs."""
+    """Everything one aggregation did.
+
+    ``aligned`` is the K×P matrix of final client gradients, row k for
+    ``client_ids[k]``: the aligned working copy, or the stacked originals
+    for fedavg.
+    """
 
     strategy: str
     aggregated: GradientVector
-    aligned: tuple[GradientVector, ...]
+    aligned: RealMat
     client_ids: tuple[str, ...]
     weights: tuple[float, ...]
     tested_pairs: tuple[tuple[str, str, float], ...]
@@ -128,24 +149,6 @@ class AggregationReport:
     @property
     def num_conflicts(self) -> int:
         return len(self.conflict_pairs)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "aggregated": self.aggregated.tolist(),
-            "aligned": {cid: g.tolist() for cid, g in zip(self.client_ids, self.aligned)},
-            "client_ids": list(self.client_ids),
-            "weights": list(self.weights),
-            "tested_pairs": [list(p) for p in self.tested_pairs],
-            "conflict_pairs": [list(p) for p in self.conflict_pairs],
-            "variance_before": self.variance_before,
-            "variance_after": self.variance_after,
-            "order_used": self.order_used,
-            "semantics": dict(self.semantics),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _check_lambda(lam: float) -> None:
@@ -168,18 +171,67 @@ def align_pair(g_i: RealVec, g_j: RealVec, lam: float) -> RealVec:
     return axpby(1.0 - 2.0 * lam, g_i, 2.0 * lam, g_j)
 
 
-def domain_variance(grads: Sequence[RealVec]) -> float:
-    """Sum of squared distances over unordered gradient pairs (each once)."""
+def _scratch(k: int, p: int) -> RealMat:
+    """Row buffer for the pair diagnostics of a K×P matrix, at most
+    ``_SCRATCH_BYTES`` (but one row at least)."""
+    rows = max(1, min(k - 1, _SCRATCH_BYTES // (8 * max(p, 1))))
+    return np.empty((rows, p))
+
+
+def _pair_sums(x: RealMat, buf: RealMat, square: bool):
+    """Yield ``sum((x[i] - x[j])**2)`` if ``square``, else ``sum(x[i] * x[j])``,
+    for every pair i < j in (i, j) order.
+
+    Row i is combined with the later rows a chunk of ``len(buf)`` rows at a
+    time, and every row of the chunk summed; each value equals the per-pair
+    ``np.sum`` bit for bit.
+    """
+    k = x.shape[0]
+    step = buf.shape[0]
+    for i in range(k - 1):
+        for lo in range(i + 1, k, step):
+            hi = min(lo + step, k)
+            d = buf[: hi - lo]
+            if square:
+                np.subtract(x[i], x[lo:hi], out=d)
+                d *= d
+            else:
+                np.multiply(x[i], x[lo:hi], out=d)
+            yield from d.sum(axis=1).tolist()
+
+
+def _stack(grads: Sequence[RealVec] | RealMat) -> RealMat:
+    """Gradients as one K×P matrix: a 2-D array as it is, equal-length
+    vectors stacked into a new C-contiguous float64 one."""
     if len(grads) == 0:
         raise EmptyUpdateSet("domain_variance needs at least one gradient")
+    if isinstance(grads, np.ndarray) and grads.ndim == 2:
+        return grads
+    rows = [np.asarray(g, dtype=np.float64) for g in grads]
+    for g in rows:
+        if g.ndim != 1 or g.shape != rows[0].shape:
+            raise DimensionMismatch(f"gradient shapes differ or are not flat: {g.shape} vs {rows[0].shape}")
+    return np.array(rows)
+
+
+def domain_variance(grads: Sequence[RealVec] | RealMat, buf: RealMat | None = None) -> float:
+    """Sum of squared distances over unordered gradient pairs (each once).
+
+    ``grads`` is a K×P matrix or a sequence of K equal-length vectors.
+    ``buf``, a scratch buffer with P columns, lets one aggregation share its
+    buffer across calls.
+    """
+    x = _stack(grads)
+    if buf is None:
+        buf = _scratch(*x.shape)
     total = 0.0
-    for i in range(len(grads)):
-        for j in range(i + 1, len(grads)):
-            total += squared_distance(grads[i], grads[j])
+    for value in _pair_sums(x, buf, square=True):
+        total += value
     return total
 
 
-def _check_updates(updates: Sequence[ClientUpdate]) -> None:
+def _gradient_matrix(updates: Sequence[ClientUpdate]) -> RealMat:
+    """The updates' gradients stacked as a K×P matrix, row k for update k."""
     if len(updates) == 0:
         raise EmptyUpdateSet("no client updates to aggregate")
     length = updates[0].gradient.shape[0]
@@ -188,6 +240,7 @@ def _check_updates(updates: Sequence[ClientUpdate]) -> None:
             raise DimensionMismatch(
                 f"client {u.client_id!r} gradient length {u.gradient.shape[0]} != {length}"
             )
+    return np.array([u.gradient for u in updates])
 
 
 def _weights(updates: Sequence[ClientUpdate], weighting: str) -> tuple[float, ...]:
@@ -213,12 +266,17 @@ def aggregate_aligned(
     product is recorded.  ``cfg.order_mode == "fixed"`` keeps plain list
     order instead, for literal replay of the pair loop.
     """
-    _check_updates(updates)
+    # The stacked matrix is the working copy; the originals stay readable in
+    # the updates, so the round holds one K×P copy beyond the clients' own.
+    working = _gradient_matrix(updates)
+    buf = _scratch(*working.shape)
+    variance_before = domain_variance(working, buf)
     if rng is None:
         rng = Rng(cfg.order_seed)
     k = len(updates)
-    originals = [u.gradient for u in updates]
-    working = [g.copy() for g in originals]
+    orig_rows = [u.gradient for u in updates]
+    # Row views, made once: the pair loop indexes them thousands of times.
+    work_rows = list(working)
     ids = tuple(u.client_id for u in updates)
 
     if cfg.order_mode == "random":
@@ -234,27 +292,26 @@ def aggregate_aligned(
             others = [others[int(p)] for p in shuffle(rng, len(others))]
         inner_orders[i] = others
         for j in others:
-            target_vec = originals[j] if cfg.target == "original" else working[j]
-            probe = working[i] if cfg.accumulate else originals[i]
+            target_vec = orig_rows[j] if cfg.target == "original" else work_rows[j]
+            probe = work_rows[i] if cfg.accumulate else orig_rows[i]
             is_conflict, value = detect_conflict(probe, target_vec)
             tested.append((ids[i], ids[j], value))
             if is_conflict:
                 conflicts.append((ids[i], ids[j], value))
-                base = working[i] if cfg.accumulate else originals[i]
-                working[i] = align_pair(base, target_vec, cfg.lam)
+                work_rows[i][:] = align_pair(probe, target_vec, cfg.lam)
 
     weights = _weights(updates, cfg.weighting)
-    aggregated = weighted_sum(working, weights)
+    aggregated = weighted_sum(work_rows, weights)
     return AggregationReport(
         strategy="aligned",
         aggregated=aggregated,
-        aligned=tuple(working),
+        aligned=working,
         client_ids=ids,
         weights=weights,
         tested_pairs=tuple(tested),
         conflict_pairs=tuple(conflicts),
-        variance_before=domain_variance(originals),
-        variance_after=domain_variance(working),
+        variance_before=variance_before,
+        variance_after=domain_variance(working, buf),
         order_used={"outer": outer, "inner": {str(i): js for i, js in inner_orders.items()}},
         semantics={
             "lambda": cfg.lam,
@@ -275,25 +332,24 @@ def aggregate_fedavg(
     Pairwise inner products are still recorded as a conflict diagnostic but
     do not influence the result.
     """
-    _check_updates(updates)
+    originals = _gradient_matrix(updates)
     ids = tuple(u.client_id for u in updates)
-    originals = [u.gradient for u in updates]
+    buf = _scratch(*originals.shape)
     tested = []
     conflicts = []
-    for i in range(len(updates)):
-        for j in range(i + 1, len(updates)):
-            is_conflict, value = detect_conflict(originals[i], originals[j])
-            tested.append((ids[i], ids[j], value))
-            if is_conflict:
-                conflicts.append((ids[i], ids[j], value))
+    pairs = itertools.combinations(range(len(updates)), 2)
+    for (i, j), value in zip(pairs, _pair_sums(originals, buf, square=False)):
+        tested.append((ids[i], ids[j], value))
+        if value < 0.0:
+            conflicts.append((ids[i], ids[j], value))
 
     weights = _weights(updates, weighting)
-    aggregated = weighted_sum(originals, weights)
-    variance = domain_variance(originals)
+    aggregated = weighted_sum([u.gradient for u in updates], weights)
+    variance = domain_variance(originals, buf)
     return AggregationReport(
         strategy="fedavg",
         aggregated=aggregated,
-        aligned=tuple(originals),
+        aligned=originals,
         client_ids=ids,
         weights=weights,
         tested_pairs=tuple(tested),

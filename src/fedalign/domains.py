@@ -56,8 +56,10 @@ _GAUSS_MEANS = np.array([[2.0, 0.0], [-2.0, 0.0]])
 _GAUSS_BASE_SIGMA = 0.6
 _MOON_SCALE = 2.0
 
-# The most int64 row indices whose byte size numpy can express.
+# The most int64 row indices, and two-feature float64 rows, whose byte size
+# numpy can express.
 _MAX_INDEX_ROWS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+_MAX_SAMPLE_ROWS = np.iinfo(np.intp).max // (2 * np.dtype(np.float64).itemsize)
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,10 @@ def _base_sample(family: str, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]
 
 def generate(spec: SyntheticSpec) -> DomainSuite:
     """Materialize a :class:`DomainSuite` from a spec; pure in ``spec``."""
+    if spec.samples_per_domain > _MAX_SAMPLE_ROWS:
+        # numpy refuses such a size with a ValueError; it is a request for
+        # more memory than any address space holds.
+        raise MemoryError(f"cannot hold {spec.samples_per_domain} samples per domain")
     domains = []
     for d in range(spec.num_domains):
         rng = Rng(spec.seed, d)

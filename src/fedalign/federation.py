@@ -226,19 +226,6 @@ class RoundRecord:
     source_metrics: dict
     trace_audit: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "lr": self.lr,
-            "per_client": [dict(c) for c in self.per_client],
-            "aggregation": self.aggregation.to_dict(),
-            "target_metrics": {"accuracy": self.target_metrics.accuracy, "loss": self.target_metrics.loss},
-            "source_metrics": {
-                k: {"accuracy": m.accuracy, "loss": m.loss} for k, m in self.source_metrics.items()
-            },
-            "trace_audit": self.trace_audit,
-        }
-
 
 ROUND_CSV_COLUMNS = (
     "round",
@@ -311,16 +298,6 @@ class ExperimentResult:
             "mean_variance_after_on_conflict_rounds": va,
             "final_params_sha256": self.params_digest(),
         }
-
-    def to_dict(self, include_rounds: bool = True) -> dict:
-        d = {
-            "config": self.config.to_dict(),
-            "model": to_json(self.model),
-            "summary": self.summary(),
-        }
-        if include_rounds:
-            d["rounds"] = [r.to_dict() for r in self.records]
-        return d
 
     def csv_rows(self) -> list[dict]:
         """Per-round scalar metrics, one dict per round, keys ROUND_CSV_COLUMNS."""
@@ -496,9 +473,13 @@ def _run_protocol(
     server = ServerState(params=initial)
     clients = [ClientState(client_id=ds.domain_id, dataset=ds) for ds in sources]
     records = []
-    for _ in range(cfg.rounds):
-        records.append(run_round(server, clients, cfg, target_dataset, loss))
-    final_metrics = evaluate(server.params, target_dataset, loss)
+    # A diverging run overflows inside the model math long before a check
+    # sees it; NonFiniteResult reports it, so numpy's warnings would only be
+    # noise.  Set once per run: the model layer is called thousands of times.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.rounds):
+            records.append(run_round(server, clients, cfg, target_dataset, loss))
+        final_metrics = evaluate(server.params, target_dataset, loss)
     return ExperimentResult(
         config=reported_config,
         model=model,

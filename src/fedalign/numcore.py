@@ -5,11 +5,10 @@ play the role of parameter/gradient vectors and 2-D arrays hold row-major
 feature matrices.  The helpers here pin down two things the rest of the
 package relies on:
 
-* **Accumulation order.**  Reductions (``dot``, ``squared_distance``) go
-  through ``numpy``'s pairwise-tree summation, so results are reproducible
-  run to run and symmetric in their arguments (the elementwise product is
-  commutative bit-for-bit, and the reduction over identical values is
-  identical).
+* **Accumulation order.**  ``dot`` reduces through ``numpy``'s
+  pairwise-tree summation, so results are reproducible run to run and
+  symmetric in their arguments (the elementwise product is commutative
+  bit-for-bit, and the reduction over identical values is identical).
 * **The random generator.**  :class:`Rng` wraps the Philox 4x32-10 counter
   based bit generator seeded through ``numpy.random.SeedSequence``.  The
   algorithm is fully specified, so a seed produces the same stream on every
@@ -31,7 +30,6 @@ __all__ = [
     "Rng",
     "ensure_finite",
     "dot",
-    "squared_distance",
     "axpby",
     "shuffle",
     "weighted_sum",
@@ -64,15 +62,6 @@ def dot(a: RealVec, b: RealVec) -> float:
     b = np.asarray(b, dtype=np.float64)
     _check_same_length(a, b)
     return float(np.sum(a * b))
-
-
-def squared_distance(a: RealVec, b: RealVec) -> float:
-    """Squared Euclidean distance ``||a - b||^2``; exactly 0 when a == b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_length(a, b)
-    d = a - b
-    return float(np.sum(d * d))
 
 
 def axpby(alpha: float, a: RealVec, beta: float, b: RealVec) -> RealVec:

@@ -7,6 +7,10 @@ one-call forms, which must read the Philox stream identically.
 Scalar fixed-point rounding on Python integers, the reference for the
 cipher codec's elementwise int64 arithmetic.
 
+The pair diagnostics of aggregation as the per-pair loops they replaced:
+one ``np.sum`` per pair, accumulated in (i, j) order.  The batched forms
+must agree with them exactly.
+
 The model's forward pass and loss gradient written with a fresh temporary
 per expression: the references for the in-place forms, which must agree
 byte for byte.
@@ -23,6 +27,7 @@ import math
 
 import numpy as np
 
+from fedalign.errors import DimensionMismatch
 from fedalign.models import LossKind, ParamVector, loss_and_grad
 
 
@@ -51,6 +56,34 @@ def div_round(n: int, d: int) -> int:
     if 2 * r >= d:
         q += 1
     return q if n >= 0 else -q
+
+
+def squared_distance(a, b) -> float:
+    """Squared Euclidean distance ``||a - b||^2`` as ``np.sum(d * d)``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"vector lengths differ: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.sum(d * d))
+
+
+def reference_domain_variance(grads) -> float:
+    """Sum of ``squared_distance`` over pairs i < j, added in (i, j) order."""
+    total = 0.0
+    for i in range(len(grads)):
+        for j in range(i + 1, len(grads)):
+            total += squared_distance(grads[i], grads[j])
+    return total
+
+
+def reference_pair_dots(grads) -> list[tuple[int, int, float]]:
+    """``(i, j, np.sum(g_i * g_j))`` for pairs i < j in (i, j) order."""
+    return [
+        (i, j, float(np.sum(grads[i] * grads[j])))
+        for i in range(len(grads))
+        for j in range(i + 1, len(grads))
+    ]
 
 
 def _reference_hidden(params: ParamVector, x):

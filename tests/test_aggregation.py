@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedalign import aggregation
 from fedalign.aggregation import (
     AlignConfig,
     ClientUpdate,
@@ -21,6 +22,8 @@ from fedalign.errors import (
     InvalidSpec,
 )
 from fedalign.numcore import Rng
+
+from _oracles import reference_domain_variance, reference_pair_dots
 
 
 def updates_from(grads, ids=None, samples=None):
@@ -149,6 +152,80 @@ class TestDomainVariance:
     def test_empty_rejected(self):
         with pytest.raises(EmptyUpdateSet):
             domain_variance([])
+
+    def test_ragged_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            domain_variance([np.ones(3), np.ones(3), np.ones(2)])
+
+
+def bits(values):
+    """Exact bit patterns of floats, so -0.0 and 0.0 count as different."""
+    return [float(v).hex() for v in values]
+
+
+def gradient_rows(k, p, seed, magnitudes=(0.0, 0.0)):
+    """k rows of length p, each row scaled by 10**u with u uniform in
+    ``magnitudes``."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(*magnitudes, size=(k, 1))
+    return list(rng.standard_normal((k, p)) * scales)
+
+
+class TestBatchedDiagnostics:
+    """The batched pair diagnostics against the per-pair loops, exactly."""
+
+    def assert_match(self, grads):
+        expected = reference_domain_variance(grads)
+        assert bits([domain_variance(grads)]) == bits([expected])
+        assert bits([domain_variance(np.stack(grads))]) == bits([expected])
+
+        ids = [f"c{i}" for i in range(len(grads))]
+        rep = aggregate_fedavg(updates_from(grads, ids=ids))
+        dots = reference_pair_dots(grads)
+        assert [(a, b) for a, b, _ in rep.tested_pairs] == [(ids[i], ids[j]) for i, j, _ in dots]
+        assert bits(v for _, _, v in rep.tested_pairs) == bits(v for _, _, v in dots)
+        assert [(a, b) for a, b, v in rep.tested_pairs if v < 0.0] == [(a, b) for a, b, _ in rep.conflict_pairs]
+        assert bits([rep.variance_before, rep.variance_after]) == bits([expected, expected])
+
+        al = aggregate_aligned(updates_from(grads, ids=ids), AlignConfig(lam=0.3))
+        assert bits([al.variance_before]) == bits([expected])
+        assert bits([al.variance_after]) == bits([reference_domain_variance(list(al.aligned))])
+
+    @pytest.mark.parametrize("p", [1, 42, 2002, 10000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 32, 33])
+    def test_random_rows(self, k, p):
+        self.assert_match(gradient_rows(k, p, seed=k * 100003 + p))
+
+    @pytest.mark.parametrize("p", [1, 42, 2002])
+    def test_magnitudes_1e_minus150_to_1e150(self, p):
+        self.assert_match(gradient_rows(33, p, seed=p, magnitudes=(-150.0, 150.0)))
+
+    @pytest.mark.parametrize("p", [1, 42, 10000])
+    def test_identical_rows_exactly_zero(self, p):
+        row = gradient_rows(1, p, seed=p)[0]
+        grads = [row.copy() for _ in range(33)]
+        assert bits([domain_variance(grads)]) == bits([0.0])
+        self.assert_match(grads)
+
+    @pytest.mark.parametrize("p", [1, 2002])
+    def test_zero_rows(self, p):
+        grads = [np.zeros(p) for _ in range(8)]
+        grads[3] = -np.ones(p)
+        self.assert_match(grads)
+
+    @pytest.mark.parametrize("k,p", [(8, 10000), (33, 2002), (33, 10000)])
+    def test_rows_spanning_several_buffer_chunks(self, k, p):
+        assert aggregation._scratch(k, p).shape[0] < k - 1
+        self.assert_match(gradient_rows(k, p, seed=7))
+
+    @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
+    def test_aligned_is_one_contiguous_matrix(self, strategy):
+        grads = gradient_rows(5, 42, seed=3)
+        rep = strategy(updates_from(grads))
+        assert isinstance(rep.aligned, np.ndarray)
+        assert rep.aligned.shape == (5, 42)
+        assert rep.aligned.dtype == np.float64
+        assert rep.aligned.flags.c_contiguous
 
 
 class TestAlignConfig:
@@ -310,12 +387,6 @@ class TestAggregateAligned:
             "order_mode": "random",
             "weighting": "uniform",
         }
-
-    def test_report_round_trips_to_json(self):
-        rep = aggregate_aligned(updates_from([np.ones(2), -np.ones(2)]))
-        parsed = __import__("json").loads(rep.to_json())
-        assert parsed["strategy"] == "aligned"
-        assert len(parsed["aligned"]) == 2
 
     def test_empty_updates_rejected(self):
         with pytest.raises(EmptyUpdateSet):

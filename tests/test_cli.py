@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -122,6 +123,18 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "line 2" in err
+
+    def test_diverging_run_reports_error_without_numpy_warnings(self, tmp_path):
+        cfg = run_config(tmp_path, federation={**SMALL_FED, "rounds": 30, "lr": 1e30})
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedalign.cli", "run", "--config", cfg, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"^error: round \d+, client dom\d: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         cfg = run_config(tmp_path)
@@ -558,6 +571,10 @@ class TestMemoryLimit:
         [
             pytest.param({"model": {"hidden_dim": 2**40}}, id="hidden_dim"),
             pytest.param(_with_fed(batch_size=2**62), id="batch_size"),
+            pytest.param(
+                {"data": {"synthetic": {**SMALL_DATA["synthetic"], "samples_per_domain": 2**62}}},
+                id="samples_per_domain",
+            ),
         ],
     )
     def test_exit_1_without_traceback(self, tmp_path, patch):

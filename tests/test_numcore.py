@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedalign.errors import DimensionMismatch, NonFiniteResult
-from fedalign.numcore import Rng, axpby, dot, shuffle, squared_distance, weighted_sum
+from fedalign.numcore import Rng, axpby, dot, shuffle, weighted_sum
 
-from _oracles import scalar_draws, scalar_shuffle
+from _oracles import scalar_draws, scalar_shuffle, squared_distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
