@@ -277,6 +277,7 @@ def aggregate_aligned(
     orig_rows = [u.gradient for u in updates]
     # Row views, made once: the pair loop indexes them thousands of times.
     work_rows = list(working)
+    product = buf[0]
     ids = tuple(u.client_id for u in updates)
 
     if cfg.order_mode == "random":
@@ -294,9 +295,11 @@ def aggregate_aligned(
         for j in others:
             target_vec = orig_rows[j] if cfg.target == "original" else work_rows[j]
             probe = work_rows[i] if cfg.accumulate else orig_rows[i]
-            is_conflict, value = detect_conflict(probe, target_vec)
+            # detect_conflict's np.sum(probe * target_vec), into one buffer.
+            np.multiply(probe, target_vec, out=product)
+            value = float(np.add.reduce(product))
             tested.append((ids[i], ids[j], value))
-            if is_conflict:
+            if value < 0.0:
                 conflicts.append((ids[i], ids[j], value))
                 work_rows[i][:] = align_pair(probe, target_vec, cfg.lam)
 

@@ -135,6 +135,17 @@ def _model_from_config(block: dict, suite: DomainSuite) -> ModelSpec:
     )
 
 
+def _warn_duplicate_of_fedavg(cfg: FedConfig) -> None:
+    """fedprox's proximal pull acts between local steps, so with one step a
+    fedprox run repeats fedavg's exactly; say so on stderr."""
+    if cfg.strategy == "fedprox" and cfg.local_steps == 1:
+        print(
+            "warning: strategy fedprox with local_steps 1 computes the same run as fedavg; "
+            "its proximal term needs local_steps > 1",
+            file=sys.stderr,
+        )
+
+
 def _model_dict(model: ModelSpec) -> dict:
     return {"hidden_dim": model.hidden_dim, "activation": model.activation}
 
@@ -176,6 +187,7 @@ def cmd_run(args) -> int:
     target = doc["target"]
     if target not in suite.domain_ids:
         raise ConfigError("target", f"unknown domain {target!r}")
+    _warn_duplicate_of_fedavg(cfg)
 
     result = run_experiment(suite, target, model, cfg)
 
@@ -237,11 +249,12 @@ def cmd_sweep(args) -> int:
             )
     # Build every strategy's cell config now, so a bad shared field or
     # override fails before any cell runs.
-    for strategy in spec.strategies:
-        cell_config(base, spec, strategy, spec.seeds[0])
+    cell_configs = [cell_config(base, spec, strategy, spec.seeds[0]) for strategy in spec.strategies]
     for tgt in spec.targets:
         if tgt not in suite.domain_ids:
             raise ConfigError("sweep.targets", f"unknown domain {tgt!r}")
+    for cfg in cell_configs:
+        _warn_duplicate_of_fedavg(cfg)
 
     result = run_sweep(
         suite,

@@ -2,9 +2,12 @@
 
 A central server holds the global parameters; one client per source domain
 draws minibatches locally, returns a gradient-shaped update, and the server
-aggregates with the configured strategy and applies a single SGD step.  The
-held-out target domain is evaluated every round, which is cheap at this
-scale and lets tests reason about whole trajectories instead of endpoints.
+aggregates with the configured strategy and applies a single SGD step.
+Each round evaluates the held-out target domain, so tests can reason about
+whole trajectories, and by default every source domain too.  At this scale
+evaluation is a large share of a round, so a sweep cell, which reads only
+the target, passes ``_evaluate_sources=False`` and its records carry an
+empty ``source_metrics``.
 
 All randomness is derived from the run seed through fixed key paths —
 ``(seed, 0)`` for initialization, ``(seed, 1, client_index, round)`` for
@@ -416,8 +419,14 @@ def run_round(
     cfg: FedConfig,
     target_dataset: DomainDataset,
     loss: LossKind = LossKind(),
+    *,
+    _evaluate_sources: bool = True,
 ) -> RoundRecord:
-    """Advance the federation by one round, mutating ``server`` in place."""
+    """Advance the federation by one round, mutating ``server`` in place.
+
+    With ``_evaluate_sources=False`` the record's ``source_metrics`` is
+    ``{}``; the target is evaluated either way.
+    """
     t = server.round_index
     lr = effective_lr(cfg, t)
     updates = []
@@ -448,7 +457,9 @@ def run_round(
         for u in updates
     )
     target_metrics = evaluate(server.params, target_dataset, loss)
-    source_metrics = {s.dataset.domain_id: evaluate(server.params, s.dataset, loss) for s in clients}
+    source_metrics = {}
+    if _evaluate_sources:
+        source_metrics = {s.dataset.domain_id: evaluate(server.params, s.dataset, loss) for s in clients}
     return RoundRecord(
         round=t,
         lr=lr,
@@ -468,6 +479,7 @@ def _run_protocol(
     cfg: FedConfig,
     loss: LossKind,
     reported_config: FedConfig,
+    evaluate_sources: bool,
 ) -> ExperimentResult:
     initial = init_params(model, Rng(cfg.seed, 0))
     server = ServerState(params=initial)
@@ -478,7 +490,9 @@ def _run_protocol(
     # noise.  Set once per run: the model layer is called thousands of times.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.rounds):
-            records.append(run_round(server, clients, cfg, target_dataset, loss))
+            records.append(
+                run_round(server, clients, cfg, target_dataset, loss, _evaluate_sources=evaluate_sources)
+            )
         final_metrics = evaluate(server.params, target_dataset, loss)
     return ExperimentResult(
         config=reported_config,
@@ -498,13 +512,23 @@ def run_experiment(
     model: ModelSpec,
     cfg: FedConfig,
     loss: LossKind = LossKind(),
+    *,
+    _evaluate_sources: bool = True,
 ) -> ExperimentResult:
     """Leave-one-domain-out: train on every domain except ``target``, then
-    judge the final model on the held-out one."""
+    judge the final model on the held-out one.
+
+    ``_evaluate_sources=False`` skips the per-round source-domain
+    evaluation, leaving each record's ``source_metrics`` empty, for callers
+    that never read it (sweep cells); ``csv_rows`` needs it.
+    """
     if cfg.strategy == "deepall":
-        return run_deepall(suite, target, model, cfg, loss)
+        return run_deepall(suite, target, model, cfg, loss, _evaluate_sources=_evaluate_sources)
     sources, target_dataset = leave_one_out(suite, target)
-    return _run_protocol(sources, target_dataset, target, model, cfg, loss, reported_config=cfg)
+    return _run_protocol(
+        sources, target_dataset, target, model, cfg, loss, reported_config=cfg,
+        evaluate_sources=_evaluate_sources,
+    )
 
 
 def run_deepall(
@@ -513,6 +537,8 @@ def run_deepall(
     model: ModelSpec,
     cfg: FedConfig,
     loss: LossKind = LossKind(),
+    *,
+    _evaluate_sources: bool = True,
 ) -> ExperimentResult:
     """Centralized baseline: all source domains pooled into one dataset,
     trained as a single-client federation with the same schedule."""
@@ -523,4 +549,7 @@ def run_deepall(
         labels=np.concatenate([s.labels for s in sources]),
     )
     inner = replace(cfg, strategy="fedavg", lam=None, mu=None)
-    return _run_protocol([pooled], target_dataset, target, model, inner, loss, reported_config=cfg)
+    return _run_protocol(
+        [pooled], target_dataset, target, model, inner, loss, reported_config=cfg,
+        evaluate_sources=_evaluate_sources,
+    )

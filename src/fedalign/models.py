@@ -269,14 +269,30 @@ def sgd_step(params: ParamVector, grad: RealVec, lr: float) -> ParamVector:
 
 
 def evaluate(params: ParamVector, dataset: DomainDataset, loss: LossKind = LossKind()) -> Metrics:
-    """Accuracy (argmax, ties broken toward the lowest class index) and mean loss."""
-    if dataset.num_rows == 0:
-        raise EmptyDataset(f"domain {dataset.domain_id!r} has no rows")
-    logits = forward(params, dataset.features)
-    preds = np.argmax(logits, axis=1)  # np.argmax returns the first maximum
-    accuracy = float(np.mean(preds == dataset.labels))
-    weights = loss.sample_weights(dataset.labels, params.spec.num_classes)
-    logp = _log_softmax(logits)
+    """Accuracy (argmax, ties broken toward the lowest class index) and mean loss.
+
+    The loss is ``_log_softmax`` read only at the label entries: the row
+    max is a running maximum over the class columns (a max is exact in any
+    order), the fresh logits are shifted and exponentiated in place, and
+    the row sums are the same ``sum(axis=1)``, so it is bit-identical to
+    the full log-softmax matrix.  A running column sum would not be: numpy
+    adds a row of eight or more entries in eight partial sums.
+    """
     n = dataset.num_rows
-    mean_loss = float(np.sum(weights * -logp[np.arange(n), dataset.labels]) / n)
-    return Metrics(accuracy=accuracy, loss=mean_loss)
+    if n == 0:
+        raise EmptyDataset(f"domain {dataset.domain_id!r} has no rows")
+    labels = dataset.labels
+    logits = forward(params, dataset.features)
+    # np.argmax returns the first maximum.
+    accuracy = float(np.count_nonzero(np.argmax(logits, axis=1) == labels) / n)
+    top = np.maximum(logits[:, 0], logits[:, 1])
+    for j in range(2, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    logits -= top[:, None]
+    picked = logits[np.arange(n), labels]
+    np.exp(logits, out=logits)
+    picked -= np.log(logits.sum(axis=1))
+    np.negative(picked, out=picked)
+    if loss.kind != "cross_entropy":  # plain weights are all ones: 1.0 * x == x
+        picked *= loss.sample_weights(labels, params.spec.num_classes)
+    return Metrics(accuracy=accuracy, loss=float(np.sum(picked) / n))

@@ -186,7 +186,9 @@ def _run_cell(args) -> CellResult:
     suite, model, loss, base, spec, strategy, target, seed = args
     try:
         cfg = cell_config(base, spec, strategy, seed)
-        result = run_experiment(suite, target, model, cfg, loss)
+        # A cell reports only target and aggregation figures; nothing reads
+        # the per-round source-domain metrics.
+        result = run_experiment(suite, target, model, cfg, loss, _evaluate_sources=False)
         vb, va = result.variance_means_on_conflict_rounds()
         return CellResult(
             strategy=strategy,

@@ -9,11 +9,13 @@ cipher codec's elementwise int64 arithmetic.
 
 The pair diagnostics of aggregation as the per-pair loops they replaced:
 one ``np.sum`` per pair, accumulated in (i, j) order.  The batched forms
-must agree with them exactly.
+must agree with them exactly.  The aligned pair loop likewise, with one
+``numcore.dot`` per tested pair, replayed in a recorded visiting order.
 
-The model's forward pass and loss gradient written with a fresh temporary
-per expression: the references for the in-place forms, which must agree
-byte for byte.
+The model's forward pass, loss gradient and evaluation written with a
+fresh temporary per expression: the references for the in-place forms,
+which must agree byte for byte.  The evaluation reference takes the whole
+log-softmax matrix and indexes the label entries out of it.
 
 Central finite differences over the flat parameter vector, with the usual
 gradient-check hygiene: a symmetric relative-error metric with an absolute
@@ -27,8 +29,10 @@ import math
 
 import numpy as np
 
+from fedalign.aggregation import align_pair
 from fedalign.errors import DimensionMismatch
-from fedalign.models import LossKind, ParamVector, loss_and_grad
+from fedalign.models import LossKind, Metrics, ParamVector, loss_and_grad
+from fedalign.numcore import dot
 
 
 def scalar_shuffle(rng, n: int) -> np.ndarray:
@@ -86,6 +90,23 @@ def reference_pair_dots(grads) -> list[tuple[int, int, float]]:
     ]
 
 
+def reference_aligned_pairs(grads, lam, outer, inner, accumulate=True, target="original"):
+    """The aligned pair loop with ``numcore.dot`` as the conflict test:
+    ``[(i, j, inner product), ...]`` in visiting order, and the final rows."""
+    originals = [np.asarray(g, dtype=np.float64) for g in grads]
+    working = [g.copy() for g in originals]
+    tested = []
+    for i in outer:
+        for j in inner[i]:
+            other = originals[j] if target == "original" else working[j]
+            probe = working[i] if accumulate else originals[i]
+            value = dot(probe, other)
+            tested.append((i, j, value))
+            if value < 0.0:
+                working[i] = align_pair(probe, other, lam)
+    return tested, np.array(working)
+
+
 def _reference_hidden(params: ParamVector, x):
     (w1, b1), (w2, b2) = params.layers()
     pre1 = x @ w1 + b1
@@ -129,6 +150,19 @@ def reference_loss_and_grad(params: ParamVector, x, labels, loss: LossKind = Los
     da = dh * act_grad
     parts = [(x.T @ da).reshape(-1), da.sum(axis=0), (h.T @ dz).reshape(-1), dz.sum(axis=0)]
     return total, np.concatenate(parts)
+
+
+def reference_evaluate(params: ParamVector, dataset, loss: LossKind = LossKind()) -> Metrics:
+    """Accuracy as the mean of ``argmax == label`` and the mean (weighted)
+    loss read out of the full log-softmax matrix."""
+    logits = reference_forward(params, dataset.features)
+    labels = dataset.labels
+    n = labels.shape[0]
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    weights = loss.sample_weights(labels, params.spec.num_classes)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return Metrics(accuracy=accuracy, loss=float(np.sum(weights * -logp[np.arange(n), labels]) / n))
 
 
 def fd_gradient(params: ParamVector, x, y, loss: LossKind = LossKind(), h: float = 1e-6) -> np.ndarray:

@@ -23,7 +23,7 @@ from fedalign.errors import (
 )
 from fedalign.numcore import Rng
 
-from _oracles import reference_domain_variance, reference_pair_dots
+from _oracles import reference_aligned_pairs, reference_domain_variance, reference_pair_dots
 
 
 def updates_from(grads, ids=None, samples=None):
@@ -190,6 +190,19 @@ class TestBatchedDiagnostics:
         al = aggregate_aligned(updates_from(grads, ids=ids), AlignConfig(lam=0.3))
         assert bits([al.variance_before]) == bits([expected])
         assert bits([al.variance_after]) == bits([reference_domain_variance(list(al.aligned))])
+        self.assert_aligned_replays(grads, al, AlignConfig(lam=0.3))
+
+    @staticmethod
+    def assert_aligned_replays(grads, rep, cfg):
+        """The aligned pair loop's inner products, in its recorded order,
+        against one ``numcore.dot`` per pair; and its final rows."""
+        outer = rep.order_used["outer"]
+        inner = {i: rep.order_used["inner"][str(i)] for i in outer}
+        tested, working = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.target)
+        ids = rep.client_ids
+        assert [(a, b) for a, b, _ in rep.tested_pairs] == [(ids[i], ids[j]) for i, j, _ in tested]
+        assert bits(v for _, _, v in rep.tested_pairs) == bits(v for _, _, v in tested)
+        assert rep.aligned.tobytes() == working.tobytes()
 
     @pytest.mark.parametrize("p", [1, 42, 2002, 10000])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 32, 33])
@@ -217,6 +230,14 @@ class TestBatchedDiagnostics:
     def test_rows_spanning_several_buffer_chunks(self, k, p):
         assert aggregation._scratch(k, p).shape[0] < k - 1
         self.assert_match(gradient_rows(k, p, seed=7))
+
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    @pytest.mark.parametrize("k,p", [(8, 2002), (33, 42)])
+    def test_aligned_semantics_replay(self, k, p, accumulate, target):
+        grads = gradient_rows(k, p, seed=k + p)
+        cfg = AlignConfig(lam=0.2, accumulate=accumulate, target=target)
+        self.assert_aligned_replays(grads, aggregate_aligned(updates_from(grads), cfg), cfg)
 
     @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
     def test_aligned_is_one_contiguous_matrix(self, strategy):

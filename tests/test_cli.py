@@ -395,6 +395,71 @@ class TestSweep:
         assert {r["seed"] for r in rows} == {"7"}
 
 
+class TestFedproxDuplicateWarning:
+    """fedprox with one local step repeats fedavg's run exactly: the CLI
+    says so once on stderr, and changes nothing else."""
+
+    FEDPROX = {**{k: v for k, v in SMALL_FED.items() if k != "strategy"}, "strategy": "fedprox"}
+
+    @staticmethod
+    def warnings(err):
+        return [line for line in err.splitlines() if line.startswith("warning:")]
+
+    def test_run_warns_and_matches_fedavg(self, tmp_path, capsys):
+        digests = {}
+        for strategy in ("fedavg", "fedprox"):
+            cfg = run_config(tmp_path, federation={**self.FEDPROX, "strategy": strategy})
+            out = tmp_path / strategy
+            assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            digests[strategy] = json.loads((out / "summary.json").read_text())["final_params_sha256"]
+            lines = self.warnings(capsys.readouterr().err)
+            if strategy == "fedavg":
+                assert lines == []
+            else:
+                assert len(lines) == 1
+                assert "strategy fedprox" in lines[0] and "local_steps 1" in lines[0]
+        assert digests["fedprox"] == digests["fedavg"]
+
+    def test_run_with_local_steps_is_silent(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, federation={**self.FEDPROX, "local_steps": 2})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "overrides,expected",
+        [({}, 1), ({"fedprox": {"local_steps": 2}}, 0), ({"fedprox": {"mu": 0.5}}, 1)],
+    )
+    def test_sweep_warns_once(self, tmp_path, capsys, overrides, expected):
+        doc = {
+            "sweep": {
+                "strategies": ["fedavg", "fedprox"],
+                "seeds": [0, 1],
+                "targets": ["dom0", "dom2"],
+                "overrides": overrides,
+            },
+            "model": {"hidden_dim": 4},
+            "data": SMALL_DATA,
+            "federation": {k: v for k, v in SMALL_FED.items() if k != "strategy"},
+        }
+        cfg = write_config(tmp_path, "grid.json", doc)
+        assert main(["sweep", "--spec", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        lines = self.warnings(capsys.readouterr().err)
+        assert len(lines) == expected
+        assert all("strategy fedprox" in line and "local_steps 1" in line for line in lines)
+
+    def test_library_stays_silent(self, capsys):
+        from fedalign.federation import FedConfig, run_experiment
+        from fedalign.models import ModelSpec
+        from fedalign.sweep import SweepSpec, run_sweep
+
+        suite = generate(SyntheticSpec(**SMALL_DATA["synthetic"]))
+        model = ModelSpec(input_dim=2, hidden_dim=4)
+        run_experiment(suite, "dom0", model, FedConfig.from_dict(self.FEDPROX))
+        spec = SweepSpec(strategies=("fedprox",), seeds=(0,), targets=("dom0",))
+        run_sweep(suite, model, {k: v for k, v in SMALL_FED.items() if k != "strategy"}, spec)
+        assert capsys.readouterr().err == ""
+
+
 class TestGenData:
     def test_default_benchmark_row_count(self, tmp_path):
         spec = write_config(tmp_path, "bench.json", {})  # all defaults

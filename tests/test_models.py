@@ -22,6 +22,7 @@ from _oracles import (
     fd_gradient,
     max_rel_error,
     random_case,
+    reference_evaluate,
     reference_forward,
     reference_loss_and_grad,
 )
@@ -263,6 +264,15 @@ class TestEvaluate:
         with pytest.raises(EmptyDataset):
             evaluate(params, ds)
 
+    @pytest.mark.parametrize("label", [2, 7])
+    def test_label_outside_classes_rejected(self, label):
+        # The label entry is read per row, so a label past the last class
+        # raises instead of reading the next row's logits.
+        params = init_params(LOGREG, Rng(0))
+        ds = DomainDataset(domain_id="d", features=np.ones((3, 2)), labels=np.array([label, 0, 1]))
+        with pytest.raises(IndexError):
+            evaluate(params, ds)
+
 
 def _model_case(hidden: int, activation: str, rows: int, classes: int = 3):
     """Perturbed parameters and a batch whose first row is zero, so that
@@ -287,6 +297,17 @@ LOSSES = [
 ]
 
 
+def metric_bits(m):
+    """Exact bit patterns of a Metrics pair, so -0.0 and 0.0 differ."""
+    return (float(m.accuracy).hex(), float(m.loss).hex())
+
+
+def _loss_for(weighted: bool, classes: int) -> LossKind:
+    if not weighted:
+        return LossKind()
+    return LossKind("weighted_cross_entropy", tuple(0.5 + 0.75 * c for c in range(classes)))
+
+
 class TestInPlaceMatchesReference:
     """The in-place forward and backward passes agree byte for byte with the
     one-temporary-per-expression reference in ``_oracles``."""
@@ -302,18 +323,67 @@ class TestInPlaceMatchesReference:
         assert logits.tobytes() == expected_logits.tobytes()
 
         ds = DomainDataset(domain_id="d", features=x, labels=y)
-        shifted = expected_logits - expected_logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        weights = loss.sample_weights(y, params.spec.num_classes)
-        expected_loss = float(np.sum(weights * -logp[np.arange(rows), y]) / rows)
-        expected_acc = float(np.mean(np.argmax(expected_logits, axis=1) == y))
-        m = evaluate(params, ds, loss)
-        assert (m.accuracy, m.loss) == (expected_acc, expected_loss)
+        assert metric_bits(evaluate(params, ds, loss)) == metric_bits(reference_evaluate(params, ds, loss))
 
         value, grad = loss_and_grad(params, x, y, loss)
         ref_value, ref_grad = reference_loss_and_grad(params, x, y, loss)
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+class TestEvaluateMatchesReference:
+    """``evaluate`` reads the label entries of the log-softmax without
+    forming it; accuracy and loss agree bit for bit with the full matrix.
+    Eight or more classes are where a running column sum would part from
+    numpy's pairwise row sum."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("rows", [1, 2, 10, 500])
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("hidden", [0, 8, 128, 400])
+    def test_bit_identical(self, hidden, classes, rows, weighted):
+        params, x, y = _model_case(hidden, "relu", rows, classes=classes)
+        ds = DomainDataset(domain_id="d", features=x, labels=y)
+        loss = _loss_for(weighted, classes)
+        assert metric_bits(evaluate(params, ds, loss)) == metric_bits(reference_evaluate(params, ds, loss))
+
+    @pytest.mark.parametrize("classes", [2, 8, 9, 20])
+    def test_single_rows(self, classes):
+        # One row's loss is its own log-sum-exp, so a last-bit difference in
+        # a row sum is not averaged away.
+        spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=classes)
+        rng = np.random.default_rng(classes)
+        for _ in range(100):
+            params = ParamVector(spec, 2.0 * rng.standard_normal(spec.param_count))
+            ds = DomainDataset("d", rng.standard_normal((1, 4)), rng.integers(0, classes, size=1))
+            assert metric_bits(evaluate(params, ds)) == metric_bits(reference_evaluate(params, ds))
+
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_exact_ties(self, hidden, classes):
+        spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=classes)
+        params = ParamVector(spec, np.zeros(spec.param_count))
+        _, x, y = _model_case(hidden, "relu", 10, classes=classes)
+        ds = DomainDataset(domain_id="d", features=x, labels=y)
+        m = evaluate(params, ds)
+        assert metric_bits(m) == metric_bits(reference_evaluate(params, ds))
+        assert m.accuracy == np.mean(y == 0)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("classes", [2, 8, 9])
+    @pytest.mark.parametrize("hidden", [0, 8, 128])
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_huge_params(self, scale, hidden, classes, weighted):
+        # At 1e150 the losses reach 1e300; at 1e160 hidden logits overflow
+        # to inf and shift to NaN.  The run's errstate, as _run_protocol
+        # sets it, silences the warnings for both forms.
+        params, x, y = _model_case(hidden, "relu", 500, classes=classes)
+        params = ParamVector(params.spec, params.values * scale)
+        ds = DomainDataset(domain_id="d", features=x, labels=y)
+        loss = _loss_for(weighted, classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, expected = evaluate(params, ds, loss), reference_evaluate(params, ds, loss)
+        assert metric_bits(got) == metric_bits(expected)
 
 
 def _peak_bytes(fn) -> int:

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from fedalign import federation, sweep
 from fedalign.domains import SyntheticSpec, generate
 from fedalign.errors import ConfigError
+from fedalign.federation import run_experiment
 from fedalign.models import ModelSpec
 from fedalign.sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
 
@@ -162,3 +164,56 @@ class TestRunSweep:
         spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom0",))
         result = run_sweep(suite, MODEL, base, spec)
         assert all(c.error is None for c in result.cells)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """The number of ``evaluate`` calls the federation has made so far."""
+    calls = []
+    original = federation.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].domain_id)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "evaluate", counting)
+    return calls
+
+
+class TestEvaluationCount:
+    """A default run evaluates the target and every source each round; a
+    sweep cell, whose reader takes only target figures, the target alone."""
+
+    ROUNDS = 4
+
+    @pytest.mark.parametrize("strategy,clients", [("aligned", 2), ("fedavg", 2), ("deepall", 1)])
+    def test_run_experiment_evaluates_every_domain(self, suite, evaluate_calls, strategy, clients):
+        cfg = cell_config(BASE, SweepSpec((strategy,), (0,), ("dom0",)), strategy, 0)
+        result = run_experiment(suite, "dom0", MODEL, cfg)
+        assert len(evaluate_calls) == self.ROUNDS * (clients + 1) + 1
+        assert all(len(r.source_metrics) == clients for r in result.records)
+
+    @pytest.mark.parametrize("strategy", ["aligned", "fedavg", "deepall"])
+    def test_sweep_cell_evaluates_only_the_target(self, suite, evaluate_calls, monkeypatch, strategy):
+        results = []
+
+        def capturing(*args, **kwargs):
+            results.append(run_experiment(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(sweep, "run_experiment", capturing)
+        spec = SweepSpec(strategies=(strategy,), seeds=(0,), targets=("dom0",))
+        cell = run_sweep(suite, MODEL, BASE, spec, jobs=1).cells[0]
+        assert cell.error is None
+        assert evaluate_calls == ["dom0"] * (self.ROUNDS + 1)
+        (result,) = results
+        assert len(result.records) == self.ROUNDS
+        for r in result.records:
+            assert r.source_metrics == {}
+            assert math.isfinite(r.target_metrics.loss) and 0.0 <= r.target_metrics.accuracy <= 1.0
+            assert r.per_client
+
+        full = run_experiment(suite, "dom0", MODEL, result.config)
+        assert result.params_digest() == full.params_digest()
+        assert result.summary() == full.summary()
+        assert [r.target_metrics for r in result.records] == [r.target_metrics for r in full.records]
