@@ -70,7 +70,6 @@ from .federation import (
     client_local_step,
     default_config,
     effective_lr,
-    run_deepall,
     run_experiment,
     run_round,
 )
@@ -175,7 +174,6 @@ __all__ = [
     "client_local_step",
     "run_round",
     "run_experiment",
-    "run_deepall",
     # sweep
     "SweepSpec",
     "CellResult",

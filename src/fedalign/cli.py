@@ -41,7 +41,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, save_csv
 from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, from_json, to_json
-from .federation import FedConfig, run_experiment
+from .federation import ROUND_CSV_COLUMNS, FedConfig, run_experiment
 from .models import ModelSpec
 from .sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
 
@@ -204,15 +204,13 @@ def cmd_run(args) -> int:
         "data": data_block,
         "federation": cfg.to_dict(),
     }
-    from .federation import ROUND_CSV_COLUMNS
-
+    s = result.summary()
     _write_csv(paths["rounds"], ROUND_CSV_COLUMNS, result.csv_rows())
-    _write_json(paths["summary"], result.summary())
+    _write_json(paths["summary"], s)
     _write_json(
         paths["manifest"],
         _manifest("run", normalized, [cfg.seed], {k: os.path.basename(v) for k, v in paths.items()}),
     )
-    s = result.summary()
     _say(
         args.quiet,
         f"{cfg.strategy} target={target} seed={cfg.seed} rounds={s['rounds']}: "

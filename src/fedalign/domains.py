@@ -77,6 +77,8 @@ class DomainDataset:
             raise InvalidSpec("features must be a 2-D matrix")
         if labs.shape != (feats.shape[0],):
             raise InvalidSpec("labels length must equal the number of feature rows")
+        if labs.size and labs.min() < 0:
+            raise InvalidSpec("labels must be nonnegative")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -113,7 +115,7 @@ class DomainSuite:
         if len(dims) != 1:
             raise InconsistentDimension(f"domains disagree on feature dimension: {sorted(dims)}")
         for d in self.domains:
-            if d.num_rows and (d.labels.min() < 0 or d.labels.max() >= self.num_classes):
+            if d.num_rows and d.labels.max() >= self.num_classes:
                 raise InvalidSpec(f"domain {d.domain_id!r} has labels outside [0, {self.num_classes})")
 
     @property

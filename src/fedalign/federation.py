@@ -4,10 +4,9 @@ A central server holds the global parameters; one client per source domain
 draws minibatches locally, returns a gradient-shaped update, and the server
 aggregates with the configured strategy and applies a single SGD step.
 Each round evaluates the held-out target domain, so tests can reason about
-whole trajectories, and by default every source domain too.  At this scale
-evaluation is a large share of a round, so a sweep cell, which reads only
-the target, passes ``_evaluate_sources=False`` and its records carry an
-empty ``source_metrics``.
+whole trajectories.  The source domains are not evaluated while training:
+``ExperimentResult.csv_rows`` replays the recorded steps and evaluates them
+only when a reader asks for the per-round table.
 
 All randomness is derived from the run seed through fixed key paths —
 ``(seed, 0)`` for initialization, ``(seed, 1, client_index, round)`` for
@@ -27,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -78,7 +76,6 @@ __all__ = [
     "client_local_step",
     "run_round",
     "run_experiment",
-    "run_deepall",
 ]
 
 STRATEGIES = ("fedavg", "fedprox", "aligned", "deepall")
@@ -226,7 +223,6 @@ class RoundRecord:
     per_client: tuple[dict, ...]
     aggregation: AggregationReport
     target_metrics: Metrics
-    source_metrics: dict
     trace_audit: dict | None = None
 
 
@@ -247,16 +243,26 @@ ROUND_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Full trajectory of one leave-one-domain-out run."""
+    """Full trajectory of one leave-one-domain-out run.
+
+    ``sources`` are the training clients' datasets in client order (the one
+    pooled dataset for deepall) and ``loss`` the training loss; together
+    with the records they let ``csv_rows`` recompute the source figures.
+    """
 
     config: FedConfig
     model: ModelSpec
     target: str
-    source_ids: tuple[str, ...]
+    sources: tuple[DomainDataset, ...] = field(repr=False)
     records: tuple[RoundRecord, ...]
     initial_params: ParamVector = field(repr=False)
     final_params: ParamVector = field(repr=False)
     final_target: Metrics
+    loss: LossKind = field(repr=False)
+
+    @property
+    def source_ids(self) -> tuple[str, ...]:
+        return tuple(ds.domain_id for ds in self.sources)
 
     @property
     def final_target_accuracy(self) -> float:
@@ -303,26 +309,37 @@ class ExperimentResult:
         }
 
     def csv_rows(self) -> list[dict]:
-        """Per-round scalar metrics, one dict per round, keys ROUND_CSV_COLUMNS."""
+        """Per-round scalar metrics, one dict per round, keys ROUND_CSV_COLUMNS.
+
+        Training records no source-domain figures, so the mean source
+        accuracy and loss are computed here: the recorded steps are replayed
+        from ``initial_params`` with the operands ``sgd_step`` applied (each
+        round's decayed ``lr`` and applied aggregate), and after each step
+        every source is evaluated in client order, as at the end of that
+        round.
+        """
         rows = []
-        for r in self.records:
-            src_acc = [m.accuracy for m in r.source_metrics.values()]
-            src_loss = [m.loss for m in r.source_metrics.values()]
-            rows.append(
-                {
-                    "round": r.round,
-                    "lr": r.lr,
-                    "target_accuracy": r.target_metrics.accuracy,
-                    "target_loss": r.target_metrics.loss,
-                    "mean_source_accuracy": float(np.mean(src_acc)),
-                    "mean_source_loss": float(np.mean(src_loss)),
-                    "mean_local_loss": float(np.mean([c["local_loss"] for c in r.per_client])),
-                    "mean_grad_norm": float(np.mean([c["grad_norm"] for c in r.per_client])),
-                    "num_conflicts": r.aggregation.num_conflicts,
-                    "variance_before": r.aggregation.variance_before,
-                    "variance_after": r.aggregation.variance_after,
-                }
-            )
+        values = self.initial_params.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in self.records:
+                values = values - r.lr * r.aggregation.aggregated
+                params = replace(self.initial_params, values=values)
+                src = [evaluate(params, ds, self.loss) for ds in self.sources]
+                rows.append(
+                    {
+                        "round": r.round,
+                        "lr": r.lr,
+                        "target_accuracy": r.target_metrics.accuracy,
+                        "target_loss": r.target_metrics.loss,
+                        "mean_source_accuracy": float(np.mean([m.accuracy for m in src])),
+                        "mean_source_loss": float(np.mean([m.loss for m in src])),
+                        "mean_local_loss": float(np.mean([c["local_loss"] for c in r.per_client])),
+                        "mean_grad_norm": float(np.mean([c["grad_norm"] for c in r.per_client])),
+                        "num_conflicts": r.aggregation.num_conflicts,
+                        "variance_before": r.aggregation.variance_before,
+                        "variance_after": r.aggregation.variance_after,
+                    }
+                )
         return rows
 
 
@@ -419,14 +436,8 @@ def run_round(
     cfg: FedConfig,
     target_dataset: DomainDataset,
     loss: LossKind = LossKind(),
-    *,
-    _evaluate_sources: bool = True,
 ) -> RoundRecord:
-    """Advance the federation by one round, mutating ``server`` in place.
-
-    With ``_evaluate_sources=False`` the record's ``source_metrics`` is
-    ``{}``; the target is evaluated either way.
-    """
+    """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
     updates = []
@@ -456,53 +467,13 @@ def run_round(
         }
         for u in updates
     )
-    target_metrics = evaluate(server.params, target_dataset, loss)
-    source_metrics = {}
-    if _evaluate_sources:
-        source_metrics = {s.dataset.domain_id: evaluate(server.params, s.dataset, loss) for s in clients}
     return RoundRecord(
         round=t,
         lr=lr,
         per_client=per_client,
         aggregation=report,
-        target_metrics=target_metrics,
-        source_metrics=source_metrics,
+        target_metrics=evaluate(server.params, target_dataset, loss),
         trace_audit=audit_dict,
-    )
-
-
-def _run_protocol(
-    sources: Sequence[DomainDataset],
-    target_dataset: DomainDataset,
-    target_id: str,
-    model: ModelSpec,
-    cfg: FedConfig,
-    loss: LossKind,
-    reported_config: FedConfig,
-    evaluate_sources: bool,
-) -> ExperimentResult:
-    initial = init_params(model, Rng(cfg.seed, 0))
-    server = ServerState(params=initial)
-    clients = [ClientState(client_id=ds.domain_id, dataset=ds) for ds in sources]
-    records = []
-    # A diverging run overflows inside the model math long before a check
-    # sees it; NonFiniteResult reports it, so numpy's warnings would only be
-    # noise.  Set once per run: the model layer is called thousands of times.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.rounds):
-            records.append(
-                run_round(server, clients, cfg, target_dataset, loss, _evaluate_sources=evaluate_sources)
-            )
-        final_metrics = evaluate(server.params, target_dataset, loss)
-    return ExperimentResult(
-        config=reported_config,
-        model=model,
-        target=target_id,
-        source_ids=tuple(ds.domain_id for ds in sources),
-        records=tuple(records),
-        initial_params=initial,
-        final_params=server.params,
-        final_target=final_metrics,
     )
 
 
@@ -512,44 +483,41 @@ def run_experiment(
     model: ModelSpec,
     cfg: FedConfig,
     loss: LossKind = LossKind(),
-    *,
-    _evaluate_sources: bool = True,
 ) -> ExperimentResult:
     """Leave-one-domain-out: train on every domain except ``target``, then
     judge the final model on the held-out one.
 
-    ``_evaluate_sources=False`` skips the per-round source-domain
-    evaluation, leaving each record's ``source_metrics`` empty, for callers
-    that never read it (sweep cells); ``csv_rows`` needs it.
+    The deepall baseline pools the source domains into one dataset and
+    trains it as a single-client fedavg federation with the same schedule.
     """
+    sources, target_dataset = leave_one_out(suite, target)
+    train_cfg = cfg
     if cfg.strategy == "deepall":
-        return run_deepall(suite, target, model, cfg, loss, _evaluate_sources=_evaluate_sources)
-    sources, target_dataset = leave_one_out(suite, target)
-    return _run_protocol(
-        sources, target_dataset, target, model, cfg, loss, reported_config=cfg,
-        evaluate_sources=_evaluate_sources,
-    )
-
-
-def run_deepall(
-    suite: DomainSuite,
-    target: str,
-    model: ModelSpec,
-    cfg: FedConfig,
-    loss: LossKind = LossKind(),
-    *,
-    _evaluate_sources: bool = True,
-) -> ExperimentResult:
-    """Centralized baseline: all source domains pooled into one dataset,
-    trained as a single-client federation with the same schedule."""
-    sources, target_dataset = leave_one_out(suite, target)
-    pooled = DomainDataset(
-        domain_id="pooled",
-        features=np.vstack([s.features for s in sources]),
-        labels=np.concatenate([s.labels for s in sources]),
-    )
-    inner = replace(cfg, strategy="fedavg", lam=None, mu=None)
-    return _run_protocol(
-        [pooled], target_dataset, target, model, inner, loss, reported_config=cfg,
-        evaluate_sources=_evaluate_sources,
+        sources = [
+            DomainDataset(
+                domain_id="pooled",
+                features=np.vstack([s.features for s in sources]),
+                labels=np.concatenate([s.labels for s in sources]),
+            )
+        ]
+        train_cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
+    initial = init_params(model, Rng(cfg.seed, 0))
+    server = ServerState(params=initial)
+    clients = [ClientState(client_id=ds.domain_id, dataset=ds) for ds in sources]
+    # A diverging run overflows inside the model math long before a check
+    # sees it; NonFiniteResult reports it, so numpy's warnings would only be
+    # noise.  Set once per run: the model layer is called thousands of times.
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = [run_round(server, clients, train_cfg, target_dataset, loss) for _ in range(cfg.rounds)]
+        final_metrics = evaluate(server.params, target_dataset, loss)
+    return ExperimentResult(
+        config=cfg,
+        model=model,
+        target=target,
+        sources=tuple(sources),
+        records=tuple(records),
+        initial_params=initial,
+        final_params=server.params,
+        final_target=final_metrics,
+        loss=loss,
     )

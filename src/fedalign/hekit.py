@@ -48,7 +48,6 @@ __all__ = [
     "ALLOWED_TAGS",
     "CipherHandle",
     "FixedPointCodec",
-    "Cipher",
     "TransparentCipher",
     "TraceAudit",
     "transparent_cipher",
@@ -134,34 +133,14 @@ class FixedPointCodec:
         return i
 
 
-class Cipher:
-    """Interface of an encrypted-arithmetic backend.
+class TransparentCipher:
+    """Reference scheme: fixed-point payloads, exact operator semantics,
+    zero secrecy.
 
     Handles pack a whole vector (or one constant); add/sub/mul act slot by
-    slot, broadcasting a constant against a vector.  Implementations must
-    keep add/sub/mul closed over handles — plaintext never appears between
-    :meth:`enc` and :meth:`dec`.
+    slot, broadcasting a constant against a vector, and stay closed over
+    handles — plaintext never appears between :meth:`enc` and :meth:`dec`.
     """
-
-    def enc(self, x) -> CipherHandle:
-        raise NotImplementedError
-
-    def dec(self, h: CipherHandle) -> np.ndarray:
-        raise NotImplementedError
-
-    def add(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
-        raise NotImplementedError
-
-    def sub(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
-        raise NotImplementedError
-
-    def mul(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
-        raise NotImplementedError
-
-
-class TransparentCipher(Cipher):
-    """Reference scheme: fixed-point payloads, exact operator semantics,
-    zero secrecy."""
 
     def __init__(self, codec: FixedPointCodec | None = None):
         self.codec = codec or FixedPointCodec()
@@ -191,12 +170,12 @@ def transparent_cipher(scale: int = DEFAULT_SCALE) -> TransparentCipher:
     return TransparentCipher(FixedPointCodec(scale=scale))
 
 
-def enc_vec(cipher: Cipher, v: RealVec) -> CipherHandle:
+def enc_vec(cipher: TransparentCipher, v: RealVec) -> CipherHandle:
     """Encrypt a vector into one handle whose trace is exactly [ENC]."""
     return cipher.enc(v)
 
 
-def dec_vec(cipher: Cipher, handle: CipherHandle) -> RealVec:
+def dec_vec(cipher: TransparentCipher, handle: CipherHandle) -> RealVec:
     return cipher.dec(handle)
 
 
@@ -254,7 +233,7 @@ def _check_enc_updates(enc_updates: Sequence[CipherHandle]) -> None:
 def weighted_sum_encrypted(
     enc_updates: Sequence[CipherHandle],
     weights: Sequence[float],
-    cipher: Cipher,
+    cipher: TransparentCipher,
 ) -> tuple[CipherHandle, TraceAudit]:
     """Encrypted ``sum_k E(w_k) (x) E(g_k)`` — the averaging step of any
     strategy, in operator algebra."""
@@ -272,7 +251,7 @@ def aligned_aggregate_encrypted(
     enc_updates: Sequence[CipherHandle],
     lam: float,
     order: Mapping,
-    cipher: Cipher,
+    cipher: TransparentCipher,
     conflicts: Collection[tuple[int, int]],
     weights: Sequence[float] | None = None,
     accumulate: bool = True,

@@ -12,6 +12,7 @@ rest of the grid.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -186,9 +187,7 @@ def _run_cell(args) -> CellResult:
     suite, model, loss, base, spec, strategy, target, seed = args
     try:
         cfg = cell_config(base, spec, strategy, seed)
-        # A cell reports only target and aggregation figures; nothing reads
-        # the per-round source-domain metrics.
-        result = run_experiment(suite, target, model, cfg, loss, _evaluate_sources=False)
+        result = run_experiment(suite, target, model, cfg, loss)
         vb, va = result.variance_means_on_conflict_rounds()
         return CellResult(
             strategy=strategy,
@@ -225,7 +224,8 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full grid.  ``base_config`` is the shared federation config
     as a plain dict (strategy and seed are filled per cell).  ``jobs`` > 1
-    runs cells in worker processes; output order is grid order either way.
+    runs cells in worker processes; results and ``progress`` lines come in
+    grid order either way.
     """
     grid = [
         (suite, model, loss, dict(base_config), spec, strategy, target, seed)
@@ -233,13 +233,11 @@ def run_sweep(
         for target in spec.targets
         for seed in spec.seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, grid))
-    else:
-        cells = []
-        for args in grid:
-            cell = _run_cell(args)
+    cells = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # _run_cell is looked up here, not bound at import, so a replacement
+        # installed on the module is the one that runs.
+        for cell in (pool.map if jobs > 1 else map)(_run_cell, grid):
             cells.append(cell)
             if progress is not None:
                 status = "failed" if cell.error else f"acc={cell.final_target_accuracy:.4f}"

@@ -17,6 +17,11 @@ fresh temporary per expression: the references for the in-place forms,
 which must agree byte for byte.  The evaluation reference takes the whole
 log-softmax matrix and indexes the label entries out of it.
 
+The per-round mean source-domain figures as training once recorded them:
+each source evaluated on the server parameters right after each round.
+``ExperimentResult.csv_rows`` recomputes them by replaying the recorded
+steps and must agree bit for bit.
+
 Central finite differences over the flat parameter vector, with the usual
 gradient-check hygiene: a symmetric relative-error metric with an absolute
 floor (difference quotients bottom out around 1e-9 at h=1e-6, so demanding
@@ -26,13 +31,16 @@ within a step of the non-differentiable point.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from fedalign.aggregation import align_pair
+from fedalign.domains import DomainDataset, leave_one_out
 from fedalign.errors import DimensionMismatch
-from fedalign.models import LossKind, Metrics, ParamVector, loss_and_grad
-from fedalign.numcore import dot
+from fedalign.federation import ClientState, ServerState, run_round
+from fedalign.models import LossKind, Metrics, ParamVector, evaluate, init_params, loss_and_grad
+from fedalign.numcore import Rng, dot
 
 
 def scalar_shuffle(rng, n: int) -> np.ndarray:
@@ -163,6 +171,28 @@ def reference_evaluate(params: ParamVector, dataset, loss: LossKind = LossKind()
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return Metrics(accuracy=accuracy, loss=float(np.sum(weights * -logp[np.arange(n), labels]) / n))
+
+
+def reference_source_means(suite, target, model, cfg, loss: LossKind = LossKind()):
+    """``[(mean source accuracy, mean source loss), ...]`` per round, each
+    source evaluated on ``server.params`` after that round's ``run_round``
+    (deepall: the pooled sources, trained as fedavg), and the final params."""
+    sources, target_ds = leave_one_out(suite, target)
+    if cfg.strategy == "deepall":
+        features = np.vstack([s.features for s in sources])
+        sources = [DomainDataset("pooled", features, np.concatenate([s.labels for s in sources]))]
+        cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
+    server = ServerState(params=init_params(model, Rng(cfg.seed, 0)))
+    clients = [ClientState(ds.domain_id, ds) for ds in sources]
+    means = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.rounds):
+            run_round(server, clients, cfg, target_ds, loss)
+            metrics = [evaluate(server.params, ds, loss) for ds in sources]
+            means.append(
+                (float(np.mean([m.accuracy for m in metrics])), float(np.mean([m.loss for m in metrics])))
+            )
+    return means, server.params
 
 
 def fd_gradient(params: ParamVector, x, y, loss: LossKind = LossKind(), h: float = 1e-6) -> np.ndarray:

@@ -246,6 +246,13 @@ class TestSuiteValidation:
         with pytest.raises(InvalidSpec):
             DomainSuite((d1, d2), num_classes=2)
 
+    def test_negative_labels_rejected(self):
+        # A negative label would index another class's log-probability from
+        # the end; an empty label vector has no minimum and stays valid.
+        with pytest.raises(InvalidSpec, match="nonnegative"):
+            DomainDataset("a", np.ones((3, 2)), np.array([-1, 0, 1]))
+        assert DomainDataset("a", np.zeros((0, 2)), np.zeros(0, dtype=int)).num_rows == 0
+
     def test_by_id_unknown(self):
         suite = generate(default_benchmark_spec())
         with pytest.raises(UnknownDomain):

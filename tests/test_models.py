@@ -375,7 +375,7 @@ class TestEvaluateMatchesReference:
     @pytest.mark.parametrize("scale", [1e150, 1e160])
     def test_huge_params(self, scale, hidden, classes, weighted):
         # At 1e150 the losses reach 1e300; at 1e160 hidden logits overflow
-        # to inf and shift to NaN.  The run's errstate, as _run_protocol
+        # to inf and shift to NaN.  The run's errstate, as run_experiment
         # sets it, silences the warnings for both forms.
         params, x, y = _model_case(hidden, "relu", 500, classes=classes)
         params = ParamVector(params.spec, params.values * scale)

@@ -152,6 +152,15 @@ class TestRunSweep:
         assert len(lines) == 2
         assert lines[0].startswith("[1/2]")
 
+    def test_progress_same_for_parallel(self, suite):
+        # Worker processes report through the same loop, in grid order.
+        spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0, 1), targets=("dom0", "ghost"))
+        serial, parallel = [], []
+        run_sweep(suite, MODEL, BASE, spec, jobs=1, progress=serial.append)
+        run_sweep(suite, MODEL, BASE, spec, jobs=2, progress=parallel.append)
+        assert len(serial) == 8 and serial[-1].startswith("[8/8]")
+        assert parallel == serial
+
     def test_to_dict_json_safe(self, suite):
         spec = SweepSpec(strategies=("fedavg",), seeds=(0,), targets=("dom0", "ghost"))
         result = run_sweep(suite, MODEL, BASE, spec)
@@ -181,17 +190,28 @@ def evaluate_calls(monkeypatch):
 
 
 class TestEvaluationCount:
-    """A default run evaluates the target and every source each round; a
-    sweep cell, whose reader takes only target figures, the target alone."""
+    """Training evaluates the target alone, each round and once at the end;
+    ``csv_rows`` evaluates every source once per round, in client order."""
 
     ROUNDS = 4
 
-    @pytest.mark.parametrize("strategy,clients", [("aligned", 2), ("fedavg", 2), ("deepall", 1)])
-    def test_run_experiment_evaluates_every_domain(self, suite, evaluate_calls, strategy, clients):
+    @pytest.mark.parametrize(
+        "strategy,sources",
+        [
+            pytest.param("aligned", ["dom1", "dom2"], id="aligned"),
+            pytest.param("fedavg", ["dom1", "dom2"], id="fedavg"),
+            pytest.param("deepall", ["pooled"], id="deepall"),
+        ],
+    )
+    def test_run_experiment_evaluates_only_the_target(self, suite, evaluate_calls, strategy, sources):
         cfg = cell_config(BASE, SweepSpec((strategy,), (0,), ("dom0",)), strategy, 0)
         result = run_experiment(suite, "dom0", MODEL, cfg)
-        assert len(evaluate_calls) == self.ROUNDS * (clients + 1) + 1
-        assert all(len(r.source_metrics) == clients for r in result.records)
+        assert evaluate_calls == ["dom0"] * (self.ROUNDS + 1)
+        rows = result.csv_rows()
+        assert evaluate_calls[self.ROUNDS + 1 :] == sources * self.ROUNDS
+        assert len(rows) == self.ROUNDS
+        assert all(0.0 <= row["mean_source_accuracy"] <= 1.0 for row in rows)
+        assert all(math.isfinite(row["mean_source_loss"]) for row in rows)
 
     @pytest.mark.parametrize("strategy", ["aligned", "fedavg", "deepall"])
     def test_sweep_cell_evaluates_only_the_target(self, suite, evaluate_calls, monkeypatch, strategy):
@@ -209,7 +229,6 @@ class TestEvaluationCount:
         (result,) = results
         assert len(result.records) == self.ROUNDS
         for r in result.records:
-            assert r.source_metrics == {}
             assert math.isfinite(r.target_metrics.loss) and 0.0 <= r.target_metrics.accuracy <= 1.0
             assert r.per_client
 
