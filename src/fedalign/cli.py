@@ -7,7 +7,8 @@ to ``run --config`` reproduces ``summary.json`` byte for byte — the
 manifest plus the package is the whole experiment.
 
 Exit codes: 0 success, 1 runtime failure (I/O, numerical), 2 configuration
-error (the diagnostic names the offending field or file position).
+error (the diagnostic names the offending field or file position, or the
+``--jobs`` flag when it is below 1).
 
 Output goes under ``--out``; when omitted, under ``$FEDALIGN_OUT`` (or the
 current directory) in a folder named after the config file.
@@ -317,6 +318,16 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedalign",
@@ -331,7 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="run a strategy x target x seed grid")
     sweep_p.add_argument("--spec", dest="config_path", required=True, help="sweep config or manifest JSON")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1: sequential)")
+    sweep_p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes, at most one per cell (default 1: sequential)"
+    )
     sweep_p.set_defaults(func=cmd_sweep)
 
     gen_p = sub.add_parser("gen-data", help="generate a synthetic multi-domain CSV")

@@ -64,7 +64,8 @@ _MAX_SAMPLE_ROWS = np.iinfo(np.intp).max // (2 * np.dtype(np.float64).itemsize)
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """Labeled feature matrix tagged with the domain it came from."""
+    """Labeled matrix of finite features, tagged with the domain it came
+    from."""
 
     domain_id: str
     features: RealMat
@@ -79,6 +80,8 @@ class DomainDataset:
             raise InvalidSpec("labels length must equal the number of feature rows")
         if labs.size and labs.min() < 0:
             raise InvalidSpec("labels must be nonnegative")
+        if not np.isfinite(feats).all():
+            raise InvalidSpec("features must be finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -241,7 +244,8 @@ def leave_one_out(suite: DomainSuite, target: str) -> tuple[list[DomainDataset],
 
 def minibatch(dataset: DomainDataset, batch_size: int, rng: Rng) -> tuple[RealMat, np.ndarray]:
     """Sample a batch of rows: without replacement when the dataset is large
-    enough, with replacement otherwise.  Rows are exact copies, never
+    enough (the first ``batch_size`` entries of a Fisher-Yates permutation
+    of the rows), with replacement otherwise.  Rows are exact copies, never
     interpolated."""
     if dataset.num_rows == 0:
         raise EmptyDataset(f"domain {dataset.domain_id!r} has no rows")
@@ -253,7 +257,7 @@ def minibatch(dataset: DomainDataset, batch_size: int, rng: Rng) -> tuple[RealMa
         # round reduces exactly to one centralized GD step.
         return dataset.features, dataset.labels
     if batch_size < n:
-        idx = shuffle(rng, n)[:batch_size]
+        idx = shuffle(rng, n, batch_size)
     else:
         if batch_size > _MAX_INDEX_ROWS:
             # numpy refuses such a size with a ValueError; it is a request
@@ -282,7 +286,9 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
 
     Rows are grouped by the domain column (domains ordered by first
     appearance); raw label values map to dense class ids by first
-    appearance, recorded in ``suite.label_names``.
+    appearance, recorded in ``suite.label_names``.  A feature cell that is
+    not a finite number raises :class:`ParseError` naming its line and
+    column.
     """
     by_domain: dict[str, list[list[float]]] = {}
     by_domain_labels: dict[str, list[int]] = {}
@@ -301,9 +307,12 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
                 if cell is None:
                     raise InconsistentDimension(f"line {lineno}: row is shorter than the header")
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(lineno, col, f"not a number: {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(lineno, col, f"not a finite number: {cell!r}")
+                feats.append(value)
             raw_label = row[schema.label_col]
             if raw_label not in label_ids:
                 label_ids[raw_label] = len(label_ids)

@@ -8,6 +8,13 @@ whole trajectories.  The source domains are not evaluated while training:
 ``ExperimentResult.csv_rows`` replays the recorded steps and evaluates them
 only when a reader asks for the per-round table.
 
+The client phase is one batched step: each local step stacks the K
+clients' minibatches and takes one ``loss_and_grad`` over the stack, so a
+round makes ``local_steps`` model passes rather than K times that, with
+every update byte-identical to the client's own pass.  A failure in the
+stacked phase is replayed one client at a time, so the error raised names
+the first failing client in client order, as ``round <t>, client <id>: ``.
+
 All randomness is derived from the run seed through fixed key paths —
 ``(seed, 0)`` for initialization, ``(seed, 1, client_index, round)`` for
 each client's batch stream and ``(seed, 2, round)`` for the aggregation
@@ -43,6 +50,7 @@ from .domains import DomainDataset, DomainSuite, leave_one_out, minibatch
 from .errors import (
     ConfigError,
     EmptyDataset,
+    FedAlignError,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -73,6 +81,7 @@ __all__ = [
     "RoundRecord",
     "ExperimentResult",
     "ROUND_CSV_COLUMNS",
+    "client_phase",
     "client_local_step",
     "run_round",
     "run_experiment",
@@ -136,6 +145,17 @@ class FedConfig:
             raise ConfigError("batch_size", "must be a positive integer")
         if not (is_finite_real(self.lr) and self.lr > 0):
             raise ConfigError("lr", "must be a positive real")
+        if self.lr_decay is not None and self.rounds > 0:
+            # The decayed lr is monotone in the round, so the last round's
+            # is the one that can leave (0, inf) first.
+            try:
+                last = effective_lr(self, self.rounds - 1)
+            except (OverflowError, ZeroDivisionError):
+                last = 0.0
+            if not 0.0 < last < math.inf:
+                raise ConfigError(
+                    "lr_decay", f"the decayed lr leaves (0, inf) within {self.rounds} rounds (lr {self.lr})"
+                )
         if self.strategy == "aligned":
             if self.lam is None:
                 object.__setattr__(self, "lam", 0.1)
@@ -343,6 +363,61 @@ class ExperimentResult:
         return rows
 
 
+def client_phase(
+    clients: list[ClientState],
+    global_params: ParamVector,
+    cfg: FedConfig,
+    rngs: list[Rng],
+    lr: float | None = None,
+    loss: LossKind = LossKind(),
+) -> list[ClientUpdate]:
+    """Every client's contribution for the round, client ``k`` drawing its
+    minibatches from ``rngs[k]``.
+
+    With ``local_steps == 1`` each update is exactly the client's minibatch
+    gradient at the global parameters.  With more local steps each client
+    walks ``local_steps`` SGD steps (fedprox adds its proximal pull
+    mu*(w - w_global) to each step's gradient) and reports the total
+    displacement divided by lr, so that one server-side application of lr
+    lands on the local endpoint.
+
+    The clients move together: each step stacks their K batches and takes
+    one ``loss_and_grad`` over the stack, at a (K, P) stack of per-client
+    parameters that starts as K views of the global ones.  Clients never
+    mix, so every update is byte-identical to the client's walk alone.
+    """
+    for state in clients:
+        if state.dataset.num_rows == 0:
+            raise EmptyDataset(f"client {state.client_id} has no data")
+    if lr is None:
+        lr = cfg.lr
+    shape = (len(clients), global_params.values.shape[0])
+    w = replace(global_params, values=np.broadcast_to(global_params.values, shape))
+    losses = []
+    for _ in range(cfg.local_steps):
+        xs, ys = zip(*(minibatch(state.dataset, cfg.batch_size, rng) for state, rng in zip(clients, rngs)))
+        values, grads = loss_and_grad(w, np.array(xs), np.array(ys), loss)
+        if cfg.local_steps > 1:
+            losses.append(values)
+            if cfg.strategy == "fedprox":
+                grads = grads + cfg.mu * (w.values - global_params.values)
+            w = sgd_step(w, grads, lr)
+    if cfg.local_steps > 1:
+        grads = (global_params.values - w.values) / lr
+        # Row k holds client k's losses, so each mean reduces a contiguous
+        # row as the mean of that client's own list would.
+        values = np.mean(np.stack(losses, axis=1), axis=1)
+    return [
+        ClientUpdate(
+            client_id=state.client_id,
+            gradient=grad,
+            num_samples=state.dataset.num_rows,
+            local_loss=float(value),
+        )
+        for state, grad, value in zip(clients, grads, values)
+    ]
+
+
 def client_local_step(
     state: ClientState,
     global_params: ParamVector,
@@ -351,44 +426,9 @@ def client_local_step(
     lr: float | None = None,
     loss: LossKind = LossKind(),
 ) -> ClientUpdate:
-    """One client's contribution for the round, drawing its minibatches
-    from ``rng``.
-
-    With ``local_steps == 1`` this is exactly the minibatch gradient at the
-    global parameters.  With more local steps the client walks ``local_steps``
-    SGD steps (fedprox adds its proximal pull mu*(w - w_global) to each
-    step's gradient) and reports the total displacement divided by lr, so
-    that one server-side application of lr lands on the local endpoint.
-    """
-    if state.dataset.num_rows == 0:
-        raise EmptyDataset(f"client {state.client_id} has no data")
-    if lr is None:
-        lr = cfg.lr
-    if cfg.local_steps == 1:
-        x, y = minibatch(state.dataset, cfg.batch_size, rng)
-        value, grad = loss_and_grad(global_params, x, y, loss)
-        return ClientUpdate(
-            client_id=state.client_id,
-            gradient=grad,
-            num_samples=state.dataset.num_rows,
-            local_loss=value,
-        )
-    w = global_params
-    losses = []
-    for _ in range(cfg.local_steps):
-        x, y = minibatch(state.dataset, cfg.batch_size, rng)
-        value, grad = loss_and_grad(w, x, y, loss)
-        if cfg.strategy == "fedprox":
-            grad = grad + cfg.mu * (w.values - global_params.values)
-        losses.append(value)
-        w = sgd_step(w, grad, lr)
-    effective = (global_params.values - w.values) / lr
-    return ClientUpdate(
-        client_id=state.client_id,
-        gradient=effective,
-        num_samples=state.dataset.num_rows,
-        local_loss=float(np.mean(losses)),
-    )
+    """One client's contribution for the round: the one-client case of
+    :func:`client_phase`."""
+    return client_phase([state], global_params, cfg, [rng], lr, loss)[0]
 
 
 def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) -> AggregationReport:
@@ -440,13 +480,20 @@ def run_round(
     """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
-    updates = []
+    rngs = [Rng(cfg.seed, 1, k, t) for k in range(len(clients))]
     try:
+        updates = client_phase(clients, server.params, cfg, rngs, lr, loss)
+    except (FedAlignError, ValueError):
+        # The clients stepped together, so the error is the first one any of
+        # them hit (a ValueError: their batches did not stack).  Replay them
+        # one at a time, in order, so the error raised is the first failing
+        # client's own.
         for k, state in enumerate(clients):
-            rng = Rng(cfg.seed, 1, k, t)
-            updates.append(client_local_step(state, server.params, cfg, rng, lr=lr, loss=loss))
-    except (NonFiniteResult, OverflowAtScale) as exc:
-        raise type(exc)(f"round {t}, client {state.client_id}: {exc}") from exc
+            try:
+                client_local_step(state, server.params, cfg, Rng(cfg.seed, 1, k, t), lr, loss)
+            except (NonFiniteResult, OverflowAtScale) as exc:
+                raise type(exc)(f"round {t}, client {state.client_id}: {exc}") from exc
+        raise
 
     try:
         report = _aggregate(updates, cfg, t)

@@ -13,6 +13,11 @@ row-major with shape (fan_in, fan_out).  Concretely:
 * logistic regression: ``[W (input_dim x num_classes), b]``
 * MLP: ``[W1 (input_dim x hidden), b1, W2 (hidden x num_classes), b2]``
 
+``loss_and_grad`` takes one batch or a stack of K batches, at shared or
+per-batch parameters (a ``ParamVector`` may hold a (K, P) stack); one batch
+is the K = 1 case of the same pass, and every row of a stack is
+byte-identical to its one-batch result.
+
 Each (rows x hidden) intermediate is written once and then updated in
 place: a freed temporary of that size goes back to the operating system
 and is faulted in again on the next call, which cost more than the
@@ -48,6 +53,10 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "tanh")
+
+# A stacked ``loss_and_grad`` holds at most this many bytes of each
+# (batches x rows x width) intermediate at a time (but one batch at least).
+_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -86,27 +95,30 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """A model's parameters as one flat float64 vector in canonical order."""
+    """A model's parameters as one flat float64 vector in canonical order,
+    or a (K, P) stack of K such vectors, one per row."""
 
     spec: ModelSpec
     values: RealVec
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != self.spec.param_count:
+        if v.ndim not in (1, 2) or v.shape[-1] != self.spec.param_count:
             raise DimensionMismatch(
                 f"parameter vector has length {v.shape}, spec wants {self.spec.param_count}"
             )
         object.__setattr__(self, "values", v)
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Unflatten into [(W, b), ...] views in canonical order."""
+        """Unflatten into [(W, b), ...] views in canonical order; a stack
+        gives (K, fan_in, fan_out) weights and (K, fan_out) biases."""
+        lead = self.values.shape[:-1]
         out = []
         off = 0
         for fi, fo in self.spec.layer_shapes:
-            w = self.values[off : off + fi * fo].reshape(fi, fo)
+            w = self.values[..., off : off + fi * fo].reshape(lead + (fi, fo))
             off += fi * fo
-            b = self.values[off : off + fo]
+            b = self.values[..., off : off + fo]
             off += fo
             out.append((w, b))
         return out
@@ -138,7 +150,7 @@ class LossKind:
 
     def sample_weights(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
         if self.kind == "cross_entropy":
-            return np.ones(labels.shape[0])
+            return np.ones(labels.shape)
         if len(self.class_weights) != num_classes:
             raise DimensionMismatch(
                 f"{len(self.class_weights)} class weights for {num_classes} classes"
@@ -170,21 +182,23 @@ def _check_batch(spec: ModelSpec, x: RealMat) -> np.ndarray:
 
 
 def _forward(spec: ModelSpec, layers, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Hidden activations (None for logistic regression) and logits."""
+    """Hidden activations (None for logistic regression) and logits, for
+    one batch or a stack of batches (leading axis K on ``x`` and, for
+    per-batch parameters, on every layer)."""
     if spec.hidden_dim == 0:
         (w, b), = layers
         logits = x @ w
-        logits += b
+        logits += b[..., None, :]
         return None, logits
     (w1, b1), (w2, b2) = layers
     h = x @ w1
-    h += b1
+    h += b1[..., None, :]
     if spec.activation == "relu":
         np.maximum(h, 0.0, out=h)
     else:
         np.tanh(h, out=h)
     logits = h @ w2
-    logits += b2
+    logits += b2[..., None, :]
     return h, logits
 
 
@@ -195,52 +209,32 @@ def forward(params: ParamVector, x: RealMat) -> RealMat:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_grad(
-    params: ParamVector,
-    x: RealMat,
-    labels: np.ndarray,
-    loss: LossKind = LossKind(),
-) -> tuple[float, RealVec]:
-    """Mean (weighted) cross-entropy over the batch and its gradient.
-
-    The gradient comes back flattened in canonical parameter order, ready
-    for exchange with the aggregation layer.
-    """
-    spec = params.spec
-    x = _check_batch(spec, x)
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyBatch("loss_and_grad needs at least one sample")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise DimensionMismatch(f"labels shape {labels.shape} does not match batch rows {n}")
-    if labels.min() < 0 or labels.max() >= spec.num_classes:
-        raise InvalidSpec(f"labels outside [0, {spec.num_classes})")
-
-    weights = loss.sample_weights(labels, spec.num_classes)
-
-    layers = params.layers()
+def _stack_pass(spec: ModelSpec, layers, x, labels, weights, losses, grads) -> None:
+    """Losses and gradients of a (K, rows, input_dim) stack, written into
+    ``losses`` (K,) and ``grads`` (K, P)."""
+    k, n = labels.shape
     h, logits = _forward(spec, layers, x)
 
     logp = _log_softmax(logits)
-    total = float(np.sum(weights * -logp[np.arange(n), labels]) / n)
+    batch, rows = np.arange(k)[:, None], np.arange(n)
+    np.divide(np.sum(weights * -logp[batch, rows, labels], axis=1), n, out=losses)
 
     # d(loss)/d(logits): softmax minus one-hot, row-scaled by weight / n.
     dz = np.exp(logp)
-    dz[np.arange(n), labels] -= 1.0
-    dz *= (weights / n)[:, None]
+    dz[batch, rows, labels] -= 1.0
+    dz *= (weights / n)[..., None]
 
     if h is None:
-        grad = np.concatenate([(x.T @ dz).reshape(-1), dz.sum(axis=0)])
+        parts = [np.swapaxes(x, 1, 2) @ dz, dz.sum(axis=1)]
     else:
         _, (w2, _) = layers
-        dw2 = h.T @ dz
-        db2 = dz.sum(axis=0)
-        da = dz @ w2.T
+        dw2 = np.swapaxes(h, 1, 2) @ dz
+        db2 = dz.sum(axis=1)
+        da = dz @ np.swapaxes(w2, -1, -2)
         # Activation derivative: relu's mask h > 0 equals preactivation > 0;
         # tanh's 1 - h*h overwrites h, which dw2 no longer needs.
         if spec.activation == "relu":
@@ -249,12 +243,66 @@ def loss_and_grad(
             np.multiply(h, h, out=h)
             np.subtract(1.0, h, out=h)
             da *= h
-        dw1 = x.T @ da
-        db1 = da.sum(axis=0)
-        grad = np.concatenate([dw1.reshape(-1), db1, dw2.reshape(-1), db2])
+        parts = [np.swapaxes(x, 1, 2) @ da, da.sum(axis=1), dw2, db2]
+    np.concatenate([p.reshape(k, -1) for p in parts], axis=1, out=grads)
 
-    ensure_finite(grad, "gradient")
-    return total, grad
+
+def loss_and_grad(
+    params: ParamVector,
+    x: RealMat,
+    labels: np.ndarray,
+    loss: LossKind = LossKind(),
+) -> tuple[float, RealVec] | tuple[RealVec, RealMat]:
+    """Mean (weighted) cross-entropy over a batch and its gradient.
+
+    One batch: ``x`` is (rows, input_dim) and ``labels`` (rows,); the loss
+    comes back as a float and the gradient flattened in canonical parameter
+    order, ready for exchange with the aggregation layer.
+
+    A stack of K batches: ``x`` is (K, rows, input_dim) and ``labels``
+    (K, rows), and ``params`` is one parameter vector shared by every batch
+    or a (K, P) stack, row k for batch k.  Returns the K losses and the K×P
+    gradient matrix, row k for batch k.  One batch is the K = 1 case, and
+    each row is byte-identical to the one-batch call on its batch alone:
+    numpy's stacked matmul runs one 2-D product per batch, of the one-batch
+    shapes, and every sum runs over the same values along the same axis.
+    The stack is worked through ``_STACK_BYTES`` of (rows x width)
+    intermediates at a time.
+    """
+    spec = params.spec
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
+        shape = x.shape[1:] if x.ndim == 3 else x.shape
+        raise DimensionMismatch(f"batch shape {shape} does not match input_dim={spec.input_dim}")
+    if x.size == 0:
+        raise EmptyBatch("loss_and_grad needs at least one sample")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != x.shape[:-1]:
+        raise DimensionMismatch(f"labels shape {labels.shape} does not match batch rows {x.shape[-2]}")
+    single = x.ndim == 2
+    stacked = params.values.ndim == 2
+    if stacked and (single or params.values.shape[0] != x.shape[0]):
+        raise DimensionMismatch(f"{params.values.shape[0]} parameter vectors for batches of shape {x.shape}")
+    if labels.min() < 0 or labels.max() >= spec.num_classes:
+        raise InvalidSpec(f"labels outside [0, {spec.num_classes})")
+    if single:
+        x, labels = x[None], labels[None]
+
+    weights = loss.sample_weights(labels, spec.num_classes)
+    k, n = labels.shape
+    losses = np.empty(k)
+    grads = np.empty((k, spec.param_count))
+    layers = params.layers()
+    step = max(1, _STACK_BYTES // (8 * n * max(spec.hidden_dim, spec.num_classes)))
+    for lo in range(0, k, step):
+        part = slice(lo, lo + step)
+        chunk = [(w[part], b[part]) for w, b in layers] if stacked else layers
+        _stack_pass(spec, chunk, x[part], labels[part], weights[part], losses[part], grads[part])
+
+    ensure_finite(grads, "gradient")
+    if single:
+        return float(losses[0]), grads[0]
+    return losses, grads
 
 
 def sgd_step(params: ParamVector, grad: RealVec, lr: float) -> ParamVector:

@@ -14,6 +14,10 @@ package relies on:
   algorithm is fully specified, so a seed produces the same stream on every
   platform, and child generators derive from an entropy tuple rather than
   from consumed state.
+* **The shuffle.**  ``shuffle(rng, n, k)`` returns the first ``k`` entries
+  of one pinned Fisher-Yates permutation and consumes the stream exactly as
+  the full shuffle does, so a minibatch of k rows costs the draw and O(k)
+  Python work, not a permutation of all n rows.
 """
 
 from __future__ import annotations
@@ -120,22 +124,51 @@ class Rng:
         return f"Rng(key={self.key})"
 
 
-def shuffle(rng: Rng, n: int) -> np.ndarray:
-    """Uniform random permutation of ``0..n-1`` via Fisher-Yates.
+def shuffle(rng: Rng, n: int, k: int | None = None) -> np.ndarray:
+    """The first ``k`` entries (all ``n`` by default) of a uniform random
+    permutation of ``0..n-1`` via Fisher-Yates.
 
     The swap loop is written out here (rather than delegated to numpy's
     ``permutation``) so the exact algorithm consuming the stream is pinned
     in this repository: for ``i = n-1 .. 1``, swap slot ``i`` with a slot
-    ``j`` drawn uniformly from ``[0, i]``.  All ``n - 1`` swap indices come
+    ``j_i`` drawn uniformly from ``[0, i]``.  All ``n - 1`` swap indices come
     from one generator call with the bounds ``n, n-1, .., 2``, which draws
-    the same values and leaves the same state as one scalar call per swap.
-    Deterministic per rng state.
+    the same values and leaves the same state as one scalar call per swap,
+    whatever ``k`` is.  Deterministic per rng state.
+
+    Only the prefix is built.  A swap ``i >= k`` never touches slot ``i``
+    again and moves the value it holds into slot ``j_i``, so at the end of
+    those swaps a prefix slot holds the value of a chain of writers: slot
+    ``m`` keeps ``m`` unless some step ``i > m`` has ``j_i == m``, and then
+    holds what slot ``i`` held at its first (smallest) such writer ``i``.
+    The chains of all ``k`` slots are followed with array operations, then
+    the last ``k - 1`` swaps, which stay inside the prefix, run in Python.
+    With ``k == n`` there are no chains, only the swap loop.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    perm = list(range(n))
-    swaps = rng.integers(0, np.arange(n, 1, -1)).tolist()
-    for i, j in zip(range(n - 1, 0, -1), swaps):
+    k = n if k is None else k
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
+    swaps = rng.integers(0, np.arange(n, 1, -1))
+    head = len(swaps) - max(k - 1, 0)  # the swaps i = n-1 .. max(k, 1)
+    if head:
+        # The first writer of each slot, n marking "none".  A slot that a
+        # chain enters was written by its own step elsewhere, so a swap of a
+        # slot with itself never lands on a chain.
+        first = np.full(n, n)
+        np.minimum.at(first, swaps[:head], np.arange(n - 1, n - 1 - head, -1))
+        source = np.arange(n)
+        np.copyto(source, first, where=first < n)
+        prefix = source[:k]
+        # Each hop moves to a later writer; a chain ends at a slot that
+        # still holds its own index.  (Comparing bytes is the cheap test.)
+        while (chained := source[prefix]).tobytes() != prefix.tobytes():
+            prefix = chained
+        perm = prefix.tolist()
+    else:
+        perm = list(range(k))
+    for i, j in zip(range(k - 1, 0, -1), swaps[head:].tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
 

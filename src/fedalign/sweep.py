@@ -224,8 +224,9 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full grid.  ``base_config`` is the shared federation config
     as a plain dict (strategy and seed are filled per cell).  ``jobs`` > 1
-    runs cells in worker processes; results and ``progress`` lines come in
-    grid order either way.
+    runs cells in ``min(jobs, cells)`` worker processes (the pool starts
+    every worker at once, so never more than there are cells); results and
+    ``progress`` lines come in grid order either way.
     """
     grid = [
         (suite, model, loss, dict(base_config), spec, strategy, target, seed)
@@ -234,10 +235,11 @@ def run_sweep(
         for seed in spec.seeds
     ]
     cells = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(grid))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # _run_cell is looked up here, not bound at import, so a replacement
         # installed on the module is the one that runs.
-        for cell in (pool.map if jobs > 1 else map)(_run_cell, grid):
+        for cell in (pool.map if workers > 1 else map)(_run_cell, grid):
             cells.append(cell)
             if progress is not None:
                 status = "failed" if cell.error else f"acc={cell.final_target_accuracy:.4f}"

@@ -29,6 +29,20 @@ SMALL_DATA = {
 SMALL_FED = {"strategy": "aligned", "rounds": 4, "batch_size": 8, "lr": 0.1, "lr_decay": None}
 
 
+def write_nan_csv(synthetic: dict, domain: str, path: str) -> None:
+    """The suite as CSV, with the first feature of ``domain``'s first row
+    replaced by ``nan``."""
+    save_csv(generate(SyntheticSpec(**synthetic)), path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(domain + ","))
+    cells = lines[row].split(",")
+    cells[1] = "nan"
+    lines[row] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -253,6 +267,17 @@ BAD_VALUES = [
         "model",
         id="sweep-model-empty-list",
     ),
+    pytest.param(
+        _with_fed(rounds=330, lr_decay={"every_n_rounds": 1, "factor": 10}), "lr_decay", id="lr_decay-overflows"
+    ),
+    pytest.param(
+        _with_fed(rounds=400, lr_decay={"every_n_rounds": 1, "factor": 0.1}), "lr_decay", id="lr_decay-grows-to-inf"
+    ),
+    pytest.param(
+        _with_fed(rounds=40, lr=1e-300, lr_decay={"every_n_rounds": 1, "factor": 10}),
+        "lr_decay",
+        id="lr_decay-underflows",
+    ),
     pytest.param({"data": {"csv": {**CSV_BLOCK, "path": None}}}, "data.csv.path", id="csv-path-null"),
     pytest.param({"data": {"csv": {**CSV_BLOCK, "path": []}}}, "data.csv.path", id="csv-path-list"),
     pytest.param({"data": {"csv": {**CSV_BLOCK, "path": True}}}, "data.csv.path", id="csv-path-bool"),
@@ -275,6 +300,36 @@ class TestBadValues:
         path = write_config(tmp_path, "bad.json", doc)
         assert main([*command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert f"config field {field!r}" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell_exit_2_names_cell(self, tmp_path, capsys):
+        # A nan in the target domain used to train, then fail writing the
+        # nan target losses to summary.json.
+        data_csv = tmp_path / "suite.csv"
+        write_nan_csv(SMALL_DATA["synthetic"], "dom2", str(data_csv))
+        doc = {
+            "target": "dom2",
+            "model": {"hidden_dim": 4},
+            "data": {"csv": {**CSV_BLOCK, "path": str(data_csv)}},
+            "federation": dict(SMALL_FED),
+        }
+        path = write_config(tmp_path, "nan.json", doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "column 'x0': not a finite number: 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        doc = {
+            "sweep": {"strategies": ["fedavg"], "seeds": [0], "targets": ["dom0"]},
+            "data": SMALL_DATA,
+            "federation": dict(SMALL_FED),
+        }
+        path = write_config(tmp_path, "grid.json", doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spec", path, "--out", str(tmp_path / "out"), "--quiet", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -542,8 +597,10 @@ CONTRACT_RUN = {
     },
 }
 # The test writes CONTRACT_RUN's data as a CSV in its temp directory and
-# puts the file's path in place of this placeholder.
+# puts the file's path in place of this placeholder; the second file has a
+# nan feature in the target domain.
 CONTRACT_CSV_PATH = "@suite.csv@"
+CONTRACT_NAN_CSV_PATH = "@nan_suite.csv@"
 CONTRACT_CONFIGS = [
     ("run", CONTRACT_RUN),
     (
@@ -554,6 +611,7 @@ CONTRACT_CONFIGS = [
             "federation": {**CONTRACT_RUN["federation"], "strategy": "fedprox", "lambda": None, "mu": 0.01},
         },
     ),
+    ("run", {**CONTRACT_RUN, "data": {"csv": {**CSV_BLOCK, "path": CONTRACT_NAN_CSV_PATH}}}),
     (
         "sweep",
         {
@@ -615,6 +673,9 @@ class TestContract:
             data_csv = os.path.join(tmp, "suite.csv")
             save_csv(generate(SyntheticSpec(**CONTRACT_RUN["data"]["synthetic"])), data_csv)
             text = text.replace(json.dumps(CONTRACT_CSV_PATH), json.dumps(data_csv))
+            nan_csv = os.path.join(tmp, "nan_suite.csv")
+            write_nan_csv(CONTRACT_RUN["data"]["synthetic"], CONTRACT_RUN["target"], nan_csv)
+            text = text.replace(json.dumps(CONTRACT_NAN_CSV_PATH), json.dumps(nan_csv))
             config = os.path.join(tmp, "config.json")
             with open(config, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -253,6 +253,13 @@ class TestSuiteValidation:
             DomainDataset("a", np.ones((3, 2)), np.array([-1, 0, 1]))
         assert DomainDataset("a", np.zeros((0, 2)), np.zeros(0, dtype=int)).num_rows == 0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        features = np.ones((3, 2))
+        features[1, 0] = value
+        with pytest.raises(InvalidSpec, match="finite"):
+            DomainDataset("a", features, np.array([0, 1, 0]))
+
     def test_by_id_unknown(self):
         suite = generate(default_benchmark_spec())
         with pytest.raises(UnknownDomain):
@@ -319,6 +326,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, self.SCHEMA)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = self.write(
+            tmp_path,
+            f"domain,x0,x1,label\na,1.0,2.0,0\nb,3.0,4.0,1\nb,5.0,{cell},0\n",
+        )
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            load_csv(path, self.SCHEMA)
+        assert (err.value.line, err.value.column) == (4, "x1")
 
     def test_single_domain_rejected(self, tmp_path):
         path = self.write(tmp_path, "domain,x0,x1,label\na,1.0,2.0,0\na,3.0,4.0,1\n")

@@ -12,7 +12,15 @@ from fedalign.domains import (
     leave_one_out,
     minibatch,
 )
-from fedalign.errors import ConfigError, NonFiniteResult, OverflowAtScale, from_json, to_json
+from fedalign.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyDataset,
+    NonFiniteResult,
+    OverflowAtScale,
+    from_json,
+    to_json,
+)
 from fedalign.federation import (
     ROUND_CSV_COLUMNS,
     ClientState,
@@ -20,6 +28,7 @@ from fedalign.federation import (
     LrDecay,
     ServerState,
     client_local_step,
+    client_phase,
     default_config,
     effective_lr,
     run_experiment,
@@ -75,6 +84,13 @@ class TestFedConfig:
             (dict(scale=1000), "scale"),
             (dict(align_target="latest"), "align_target"),
             (dict(order_mode="alphabetical"), "order_mode"),
+            # Decayed lrs that leave (0, inf): 0.2 / 10**329 underflows to
+            # 0.0, 10**330 overflows, 0.1**399 underflows (a zero divisor),
+            # and 1e-300 / 10**39 underflows.
+            (dict(rounds=330, lr_decay=LrDecay(1, 10.0)), "lr_decay"),
+            (dict(rounds=400, lr_decay=LrDecay(1, 0.1)), "lr_decay"),
+            (dict(rounds=40, lr=1e-300, lr_decay=LrDecay(1, 10.0)), "lr_decay"),
+            (dict(rounds=2**62, lr_decay=LrDecay(1, 1.5)), "lr_decay"),
         ],
     )
     def test_validation_names_field(self, kwargs, field):
@@ -134,6 +150,15 @@ class TestEffectiveLr:
     def test_no_decay(self):
         cfg = FedConfig(strategy="fedavg", lr=0.1, lr_decay=None)
         assert effective_lr(cfg, 0) == effective_lr(cfg, 999) == 0.1
+
+    @pytest.mark.parametrize(
+        "rounds, decay", [(309, LrDecay(1, 10.0)), (10**6, LrDecay(1, 1.0)), (600, LrDecay(400, 10.0))]
+    )
+    def test_accepted_schedules_stay_positive_and_finite(self, rounds, decay):
+        cfg = FedConfig(strategy="fedavg", rounds=rounds, lr_decay=decay)
+        for t in range(min(rounds, 1000)):
+            assert 0.0 < effective_lr(cfg, t) < math.inf
+        assert 0.0 < effective_lr(cfg, rounds - 1) < math.inf
 
     def test_step_schedule(self):
         cfg = FedConfig(strategy="fedavg", lr=0.8, lr_decay=LrDecay(10, 2.0))
@@ -197,6 +222,43 @@ class TestClientLocalStep:
         assert np.array_equal(u1.gradient, u2.gradient)
 
 
+class TestClientPhase:
+    """The batched client phase steps all clients together and equals each
+    client's own walk, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(strategy="fedavg", batch_size=2),
+            dict(strategy="aligned", batch_size=45),
+            dict(strategy="fedavg", batch_size=40),
+            dict(strategy="fedavg", local_steps=2, batch_size=4, lr=0.1),
+            dict(strategy="fedprox", local_steps=9, batch_size=3, lr=0.3, mu=0.5),
+        ],
+        ids=["batch2", "with-replacement", "full-batch", "two-steps", "fedprox-nine-steps"],
+    )
+    @pytest.mark.parametrize("model", [MODEL, LOGREG], ids=["mlp", "logreg"])
+    def test_matches_each_client_alone(self, kwargs, model):
+        clients = [ClientState(ds.domain_id, ds) for ds in small_suite(domains=4).domains]
+        params = init_params(model, Rng(1))
+        cfg = FedConfig(**kwargs)
+        loss = LossKind("weighted_cross_entropy", (0.5, 2.0))
+        updates = client_phase(clients, params, cfg, [Rng(5, 1, k, 0) for k in range(4)], loss=loss)
+        for k, (state, update) in enumerate(zip(clients, updates)):
+            alone = client_local_step(state, params, cfg, Rng(5, 1, k, 0), loss=loss)
+            assert update.client_id == state.client_id
+            assert update.gradient.tobytes() == alone.gradient.tobytes()
+            assert float(update.local_loss).hex() == float(alone.local_loss).hex()
+            assert update.num_samples == alone.num_samples
+
+    def test_empty_client_named(self):
+        ds = small_suite().domains[0]
+        empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
+        clients = [ClientState("a", ds), ClientState("void", empty)]
+        with pytest.raises(EmptyDataset, match="client void has no data"):
+            client_phase(clients, init_params(MODEL, Rng(1)), FedConfig(), [Rng(0), Rng(1)])
+
+
 class TestRunRound:
     def test_applies_lr_times_aggregate(self):
         suite = small_suite()
@@ -222,11 +284,29 @@ class TestRunRound:
         assert 0.0 <= record.target_metrics.accuracy <= 1.0
         assert record.trace_audit is None
 
+    def test_mismatched_client_batches_raise_dimension_mismatch(self):
+        suite = small_suite()
+        wide = DomainDataset("wide", np.zeros((40, 3)), suite.domains[1].labels)
+        clients = [ClientState("dom0", suite.domains[0]), ClientState("wide", wide)]
+        server = ServerState(params=init_params(MODEL, Rng(0, 0)))
+        with pytest.raises(DimensionMismatch, match=r"batch shape \(8, 3\)"):
+            run_round(server, clients, FedConfig(strategy="fedavg", batch_size=8), suite.domains[2])
+
     def test_errors_name_round_and_client(self):
         suite = small_suite()
         diverging = FedConfig(strategy="fedavg", rounds=30, batch_size=8, lr=1e30, lr_decay=None)
         with pytest.raises(NonFiniteResult, match=r"^round \d+, client dom\d: gradient contains NaN or Inf"):
             run_experiment(suite, "dom2", MODEL, diverging)
+        # Client dom1's first local step overflows, while dom0 only diverges
+        # after a few; stepped one client at a time, dom0 fails first, so
+        # the error names it.
+        far = DomainDataset("dom1", np.full((40, 2), 1e300), suite.domains[1].labels)
+        suite_far = DomainSuite((suite.domains[0], far, suite.domains[2]), num_classes=2)
+        walking = FedConfig(strategy="fedavg", rounds=1, local_steps=12, batch_size=8, lr=1e30, lr_decay=None)
+        with pytest.raises(NonFiniteResult, match=r"^round 0, client dom0: gradient contains NaN or Inf$"):
+            run_experiment(suite_far, "dom2", MODEL, walking)
+        with pytest.raises(NonFiniteResult, match=r"^round 0, client dom1: updated parameters contains NaN or Inf$"):
+            run_experiment(suite_far, "dom2", MODEL, FedConfig.from_dict({**walking.to_dict(), "local_steps": 2}))
         too_fine = FedConfig(strategy="aligned", rounds=1, batch_size=8, encrypt=True, scale=2**62)
         with pytest.raises(OverflowAtScale, match=r"^round 0: encoded magnitude"):
             run_experiment(suite, "dom2", MODEL, too_fine)

@@ -331,6 +331,55 @@ class TestInPlaceMatchesReference:
         assert grad.tobytes() == ref_grad.tobytes()
 
 
+class TestStackedMatchesReference:
+    """A stack of K batches goes through one forward/backward pass; every
+    row agrees byte for byte with the one-batch reference on its batch, at
+    shared and at per-batch parameters, across the byte cap's chunking."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 32])
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("rows", [1, 2, 10, 500])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [0, 8, 128, 400])
+    def test_rows_bit_identical(self, hidden, activation, rows, loss, k):
+        params, _, _ = _model_case(hidden, activation, rows)
+        rng = np.random.default_rng([hidden, rows, k])
+        stack = params.values + 0.1 * rng.standard_normal((k, params.spec.param_count))
+        x = 2.0 * rng.standard_normal((k, rows, params.spec.input_dim))
+        y = rng.integers(0, params.spec.num_classes, size=(k, rows))
+        for values in (params.values, stack):
+            losses, grads = loss_and_grad(ParamVector(params.spec, values), x, y, loss)
+            assert losses.shape == (k,) and grads.shape == (k, params.spec.param_count)
+            for i in range(k):
+                own = ParamVector(params.spec, values if values.ndim == 1 else values[i])
+                ref_value, ref_grad = reference_loss_and_grad(own, x[i], y[i], loss)
+                assert float(losses[i]).hex() == ref_value.hex(), i
+                assert grads[i].tobytes() == ref_grad.tobytes(), i
+
+    def test_stack_errors(self):
+        params, x, y = _model_case(8, "relu", 10)
+        stack = ParamVector(params.spec, np.tile(params.values, (3, 1)))
+        with pytest.raises(DimensionMismatch, match="3 parameter vectors"):
+            loss_and_grad(stack, np.stack([x, x]), np.stack([y, y]))
+        with pytest.raises(DimensionMismatch, match="3 parameter vectors"):
+            loss_and_grad(stack, x, y)
+        with pytest.raises(DimensionMismatch, match="labels shape"):
+            loss_and_grad(params, np.stack([x, x]), y)
+        with pytest.raises(EmptyBatch):
+            loss_and_grad(params, np.zeros((0, 10, 4)), np.zeros((0, 10), dtype=int))
+        bad = np.stack([y, y])
+        bad[1, 3] = 3
+        with pytest.raises(InvalidSpec, match="labels outside"):
+            loss_and_grad(params, np.stack([x, x]), bad)
+
+    def test_stacked_params_unflatten_per_row(self):
+        params = init_params(MLP, Rng(2))
+        stack = ParamVector(MLP, np.stack([params.values, 2.0 * params.values]))
+        for (w, b), (w0, b0) in zip(stack.layers(), params.layers()):
+            assert np.array_equal(w[0], w0) and np.array_equal(b[0], b0)
+            assert np.array_equal(w[1], 2.0 * w0) and np.array_equal(b[1], 2.0 * b0)
+
+
 class TestEvaluateMatchesReference:
     """``evaluate`` reads the label entries of the log-softmax without
     forming it; accuracy and loss agree bit for bit with the full matrix.
@@ -416,3 +465,14 @@ class TestModelMemory:
     def test_loss_and_grad_peak(self, activation):
         params, x, y = _model_case(self.HIDDEN, activation, self.ROWS, classes=2)
         assert _peak_bytes(lambda: loss_and_grad(params, x, y)) < 3 * self.BUFFER
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_stacked_peak_is_one_batch_at_a_time(self, activation):
+        # Eight batches, each of whose intermediates exceeds the byte cap,
+        # are worked through one at a time: beyond the K×P output, the peak
+        # stays that of one batch.
+        params, x, y = _model_case(self.HIDDEN, activation, self.ROWS, classes=2)
+        k = 8
+        x, y = np.stack([x] * k), np.stack([y] * k)
+        output = k * params.spec.param_count * 8
+        assert _peak_bytes(lambda: loss_and_grad(params, x, y)) < 3 * self.BUFFER + output

@@ -151,6 +151,11 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle(Rng(0), -1)
 
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_prefix_length_outside_range_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be in"):
+            shuffle(Rng(0), 5, k)
+
     @settings(max_examples=20)
     @given(st.integers(0, 10**6), st.integers(2, 30))
     def test_permutation_property(self, seed, n):
@@ -165,6 +170,30 @@ class TestShuffle:
         for s in range(500):
             counts[shuffle(Rng(s), n)[0]] += 1
         assert counts.min() > 50
+
+
+class TestShufflePrefix:
+    """``shuffle(rng, n, k)`` is the first k entries of the full
+    Fisher-Yates permutation and leaves the generator where the full
+    shuffle does, for every k <= n."""
+
+    @pytest.mark.parametrize("key", SHUFFLE_KEYS)
+    @pytest.mark.parametrize(
+        "sizes", [range(0, 151), range(151, 231), range(231, 301), (499, 500, 1500), (5000,)], ids=str
+    )
+    def test_every_prefix_matches_scalar_fisher_yates(self, key, sizes):
+        for n in sizes:
+            ref = Rng(*key)
+            expected = scalar_shuffle(ref, n).tolist()
+            after = ref.integers(2**62)
+            for k in range(n + 1):
+                rng = Rng(*key)
+                perm = shuffle(rng, n, k)
+                assert perm.dtype == np.int64 and perm.tolist() == expected[:k], (n, k)
+                assert rng.integers(2**62) == after, (n, k)
+
+    def test_full_length_is_the_default(self):
+        assert shuffle(Rng(5), 40, 40).tolist() == shuffle(Rng(5), 40).tolist()
 
 
 class TestWeightedSum:

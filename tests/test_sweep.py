@@ -83,7 +83,35 @@ class TestSweepSpec:
         assert spec.strategies == ("deepall",)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestRunSweep:
+    @pytest.mark.parametrize("jobs, cells, workers", [(5000, 2, [2]), (2, 4, [2]), (3, 1, []), (1, 4, [])])
+    def test_workers_at_most_one_per_cell(self, suite, monkeypatch, jobs, cells, workers):
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+        spec = SweepSpec(strategies=("fedavg",), seeds=tuple(range(cells)), targets=("dom0",))
+        result = run_sweep(suite, MODEL, BASE, spec, jobs=jobs)
+        assert _RecordingPool.started == workers
+        assert len(result.cells) == cells and all(c.error is None for c in result.cells)
+
     def test_grid_order_and_shape(self, suite):
         spec = SweepSpec(
             strategies=("fedavg", "aligned"), seeds=(0, 1, 2), targets=("dom0", "dom2")
