@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -69,10 +70,25 @@ def _write_csv(path: str, columns, rows) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _finite_or_null(v):
+    """``v`` with every non-finite float (a diverged or overflowed metric)
+    replaced by None, which JSON writes as null."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _write_json(path: str, obj) -> None:
+    """Write ``obj`` as indented JSON, non-finite floats as null.  The
+    document is serialized before the file is opened, so a failure leaves
+    no partial file behind."""
+    text = json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_json(path: str):

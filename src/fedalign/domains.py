@@ -41,6 +41,7 @@ __all__ = [
     "leave_one_out",
     "load_csv",
     "save_csv",
+    "batch_rows",
     "minibatch",
     "rotation_matrix",
     "default_benchmark_spec",
@@ -242,28 +243,39 @@ def leave_one_out(suite: DomainSuite, target: str) -> tuple[list[DomainDataset],
     return sources, target_ds
 
 
-def minibatch(dataset: DomainDataset, batch_size: int, rng: Rng) -> tuple[RealMat, np.ndarray]:
-    """Sample a batch of rows: without replacement when the dataset is large
+def batch_rows(num_rows: int, batch_size: int, rng: Rng) -> np.ndarray | slice:
+    """The rows of one minibatch of a dataset of ``num_rows`` rows, as a
+    read-only index array: without replacement when the dataset is large
     enough (the first ``batch_size`` entries of a Fisher-Yates permutation
-    of the rows), with replacement otherwise.  Rows are exact copies, never
-    interpolated."""
-    if dataset.num_rows == 0:
-        raise EmptyDataset(f"domain {dataset.domain_id!r} has no rows")
+    of the rows), with replacement otherwise.  A full batch is the slice of
+    every row in natural order, so a full-batch round reduces exactly to one
+    centralized GD step; it draws nothing and holds no index per row.  The
+    rows depend only on the sizes and the stream."""
+    if num_rows == 0:
+        raise EmptyDataset("cannot draw a batch from no rows")
     if batch_size < 1:
         raise InvalidSpec("batch_size must be >= 1")
-    n = dataset.num_rows
-    if batch_size == n:
-        # Full batch: the whole dataset in natural order, so a full-batch
-        # round reduces exactly to one centralized GD step.
-        return dataset.features, dataset.labels
-    if batch_size < n:
-        idx = shuffle(rng, n, batch_size)
+    if batch_size == num_rows:
+        return slice(None)
+    if batch_size < num_rows:
+        idx = shuffle(rng, num_rows, batch_size)
     else:
         if batch_size > _MAX_INDEX_ROWS:
             # numpy refuses such a size with a ValueError; it is a request
             # for more memory than any address space holds.
             raise MemoryError(f"cannot draw {batch_size} row indices")
-        idx = rng.integers(0, n, size=batch_size)
+        idx = rng.integers(0, num_rows, size=batch_size)
+    idx.flags.writeable = False
+    return idx
+
+
+def minibatch(dataset: DomainDataset, batch_size: int, rng: Rng) -> tuple[RealMat, np.ndarray]:
+    """Sample a batch: the rows (and their labels) that :func:`batch_rows`
+    picks, exact and never interpolated; a full batch is views of the whole
+    dataset, any other batch copies."""
+    if dataset.num_rows == 0:
+        raise EmptyDataset(f"domain {dataset.domain_id!r} has no rows")
+    idx = batch_rows(dataset.num_rows, batch_size, rng)
     return dataset.features[idx], dataset.labels[idx]
 
 

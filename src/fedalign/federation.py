@@ -22,6 +22,17 @@ visiting order — so a run replays bit-for-bit regardless of client
 execution order, and every strategy sees the same batch stream under the
 same seed.
 
+A client's batch rows are therefore a pure function of their key: the run
+seed, the client index, the round, the client's row count, the batch size
+and the number of local steps.  :func:`client_rows` memoizes them per
+process in one ``functools.lru_cache`` of ``ROWS_CACHE_SIZE`` = 2**15
+entries, so the cells of a sweep that share a seed (every strategy and
+every held-out target) draw each client-round's rows once per worker and
+reuse them.  At the shipped batch size of 2 and one local step an entry
+takes about 430 bytes, so a full cache holds about 14 MB; each further
+index adds 8 bytes (a full batch holds none).  A hit returns the same rows
+a fresh draw would, so the cache never changes a result.
+
 With ``encrypt=True`` each round's aggregation arithmetic is re-executed in
 the homomorphic operator algebra (encrypt, align/average on handles,
 decrypt) and the decrypted result, audited for operator-trace purity, is
@@ -30,6 +41,7 @@ what the server applies.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -46,7 +58,10 @@ from .aggregation import (
     aggregate_aligned,
     aggregate_fedavg,
 )
-from .domains import DomainDataset, DomainSuite, leave_one_out, minibatch
+# ``minibatch`` is not called here (the client phase gathers the memoized
+# rows itself); it stays a module attribute for callers that look it up on
+# this module, such as the benchmark's tracer.
+from .domains import DomainDataset, DomainSuite, batch_rows, leave_one_out, minibatch  # noqa: F401
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -81,6 +96,8 @@ __all__ = [
     "RoundRecord",
     "ExperimentResult",
     "ROUND_CSV_COLUMNS",
+    "ROWS_CACHE_SIZE",
+    "client_rows",
     "client_phase",
     "client_local_step",
     "run_round",
@@ -363,16 +380,45 @@ class ExperimentResult:
         return rows
 
 
+# Entries of the client_rows memo: one criterion-7 worker's working set
+# (10 seeds x 3 clients x 600 rounds = 18,000 client-rounds) with room.
+ROWS_CACHE_SIZE = 2**15
+
+
+def _draw_rows(num_rows: int, batch_size: int, local_steps: int, rng: Rng) -> tuple[np.ndarray | slice, ...]:
+    """One client's rows for a round: one read-only ``batch_rows`` selection
+    per local step, drawn in step order from ``rng``."""
+    return tuple(batch_rows(num_rows, batch_size, rng) for _ in range(local_steps))
+
+
+@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
+def client_rows(
+    seed: int, client_index: int, round_index: int, num_rows: int, batch_size: int, local_steps: int
+) -> tuple[np.ndarray | slice, ...]:
+    """Client ``client_index``'s batch rows in round ``round_index``, one
+    read-only selection per local step, drawn from its stream
+    ``Rng(seed, 1, client_index, round_index)`` and memoized per process
+    (see the module docstring)."""
+    return _draw_rows(num_rows, batch_size, local_steps, Rng(seed, 1, client_index, round_index))
+
+
+def _require_data(clients: list[ClientState]) -> None:
+    for state in clients:
+        if state.dataset.num_rows == 0:
+            raise EmptyDataset(f"client {state.client_id} has no data")
+
+
 def client_phase(
     clients: list[ClientState],
     global_params: ParamVector,
     cfg: FedConfig,
-    rngs: list[Rng],
+    rows: list[tuple[np.ndarray | slice, ...]],
     lr: float | None = None,
     loss: LossKind = LossKind(),
 ) -> list[ClientUpdate]:
-    """Every client's contribution for the round, client ``k`` drawing its
-    minibatches from ``rngs[k]``.
+    """Every client's contribution for the round, client ``k`` training at
+    local step ``s`` on the rows ``rows[k][s]`` of its dataset (as
+    :func:`client_rows` draws them).
 
     With ``local_steps == 1`` each update is exactly the client's minibatch
     gradient at the global parameters.  With more local steps each client
@@ -386,17 +432,17 @@ def client_phase(
     parameters that starts as K views of the global ones.  Clients never
     mix, so every update is byte-identical to the client's walk alone.
     """
-    for state in clients:
-        if state.dataset.num_rows == 0:
-            raise EmptyDataset(f"client {state.client_id} has no data")
+    _require_data(clients)
     if lr is None:
         lr = cfg.lr
     shape = (len(clients), global_params.values.shape[0])
     w = replace(global_params, values=np.broadcast_to(global_params.values, shape))
+    datasets = [state.dataset for state in clients]
     losses = []
-    for _ in range(cfg.local_steps):
-        xs, ys = zip(*(minibatch(state.dataset, cfg.batch_size, rng) for state, rng in zip(clients, rngs)))
-        values, grads = loss_and_grad(w, np.array(xs), np.array(ys), loss)
+    for step in range(cfg.local_steps):
+        xs = np.array([ds.features[sel[step]] for ds, sel in zip(datasets, rows)])
+        ys = np.array([ds.labels[sel[step]] for ds, sel in zip(datasets, rows)])
+        values, grads = loss_and_grad(w, xs, ys, loss)
         if cfg.local_steps > 1:
             losses.append(values)
             if cfg.strategy == "fedprox":
@@ -426,9 +472,11 @@ def client_local_step(
     lr: float | None = None,
     loss: LossKind = LossKind(),
 ) -> ClientUpdate:
-    """One client's contribution for the round: the one-client case of
-    :func:`client_phase`."""
-    return client_phase([state], global_params, cfg, [rng], lr, loss)[0]
+    """One client's contribution for the round, its batch rows drawn from
+    ``rng``: the one-client case of :func:`client_phase`."""
+    _require_data([state])
+    rows = _draw_rows(state.dataset.num_rows, cfg.batch_size, cfg.local_steps, rng)
+    return client_phase([state], global_params, cfg, [rows], lr, loss)[0]
 
 
 def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) -> AggregationReport:
@@ -480,14 +528,18 @@ def run_round(
     """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
-    rngs = [Rng(cfg.seed, 1, k, t) for k in range(len(clients))]
     try:
-        updates = client_phase(clients, server.params, cfg, rngs, lr, loss)
+        rows = [
+            client_rows(cfg.seed, k, t, state.dataset.num_rows, cfg.batch_size, cfg.local_steps)
+            for k, state in enumerate(clients)
+        ]
+        updates = client_phase(clients, server.params, cfg, rows, lr, loss)
     except (FedAlignError, ValueError):
         # The clients stepped together, so the error is the first one any of
-        # them hit (a ValueError: their batches did not stack).  Replay them
-        # one at a time, in order, so the error raised is the first failing
-        # client's own.
+        # them hit (a ValueError: their batches did not stack; an
+        # EmptyDataset: a client had no rows to draw).  Replay them one at a
+        # time, in order, so the error raised is the first failing client's
+        # own.
         for k, state in enumerate(clients):
             try:
                 client_local_step(state, server.params, cfg, Rng(cfg.seed, 1, k, t), lr, loss)

@@ -9,7 +9,7 @@ package relies on:
   pairwise-tree summation, so results are reproducible run to run and
   symmetric in their arguments (the elementwise product is commutative
   bit-for-bit, and the reduction over identical values is identical).
-* **The random generator.**  :class:`Rng` wraps the Philox 4x32-10 counter
+* **The random generator.**  :class:`Rng` wraps the Philox 4x64-10 counter
   based bit generator seeded through ``numpy.random.SeedSequence``.  The
   algorithm is fully specified, so a seed produces the same stream on every
   platform, and child generators derive from an entropy tuple rather than
@@ -82,7 +82,7 @@ def axpby(alpha: float, a: RealVec, beta: float, b: RealVec) -> RealVec:
 
 
 class Rng:
-    """Reproducible random source based on the Philox 4x32-10 generator.
+    """Reproducible random source based on the Philox 4x64-10 generator.
 
     The generator is identified by an entropy ``key`` (a tuple of integers).
     ``Rng(seed)`` uses ``(seed,)``; :meth:`child` extends the tuple, so

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from fedalign.domains import SyntheticSpec, generate
-from fedalign.federation import FedConfig, run_experiment
+from fedalign.federation import FedConfig, client_rows, run_experiment
 from fedalign.models import ModelSpec
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -49,14 +49,28 @@ def test_traced_run_records_each_layer(instrument):
     model = ModelSpec(input_dim=2, hidden_dim=4)
     cfg = FedConfig(strategy="aligned", rounds=2, batch_size=2)
     tracer = instrument.Tracer()
+    # Start from no memoized batch rows, so every client stream is drawn.
+    client_rows.cache_clear()
     with instrument.installed(tracer):
         run_experiment(suite, "dom2", model, cfg)
     calls = Counter(span[3] for span in tracer.spans)
     assert calls["federation.run_round"] == 2
-    # One stacked loss_and_grad per round, one minibatch per client.
+    # One stacked loss_and_grad per round.  The client phase gathers the
+    # memoized rows itself and never calls minibatch.
     assert calls["models.loss_and_grad"] == 2
-    assert calls["domains.minibatch"] == 2 * 2
+    assert calls["domains.minibatch"] == 0
+    # One Rng at init, then per round two client streams and the
+    # aggregation order's stream.
+    assert calls["numcore.rng_init"] == 1 + 2 * (2 + 1)
     # Two minibatch shuffles of 30 rows and three aggregation-order
     # shuffles (of 2, 1 and 1 clients) a round.
     assert calls["numcore.shuffle"] == 2 * (2 + 3)
     assert tracer.counts["numcore.shuffle.draws"] == 2 * (2 * 29 + 1)
+    # Run again: the client streams are memoized, so only the aggregation
+    # order is drawn.
+    tracer.reset()
+    with instrument.installed(tracer):
+        run_experiment(suite, "dom2", model, cfg)
+    calls = Counter(span[3] for span in tracer.spans)
+    assert calls["numcore.rng_init"] == 1 + 2
+    assert calls["numcore.shuffle"] == 2 * 3

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import re
 import resource
 import subprocess
@@ -13,8 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedalign import cli
 from fedalign.cli import main
 from fedalign.domains import SyntheticSpec, generate, save_csv
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env(**extra) -> dict:
+    """The environment for a ``python -m fedalign.cli`` subprocess: this
+    checkout's sources first on its path, as the tests' own imports have."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
 
 SMALL_DATA = {
     "synthetic": {
@@ -39,6 +52,21 @@ def write_nan_csv(synthetic: dict, domain: str, path: str) -> None:
     cells = lines[row].split(",")
     cells[1] = "nan"
     lines[row] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_edge_csv(synthetic: dict, domain: str, path: str) -> None:
+    """The suite as CSV, with every feature of ``domain`` at the edge of the
+    float range (+-1.7e308): finite, so it loads, but its logits overflow."""
+    save_csv(generate(SyntheticSpec(**synthetic)), path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(domain + ","):
+            cells = line.split(",")
+            cells[1:-1] = ["1.7e308" if (i + c) % 2 else "-1.7e308" for c in range(len(cells) - 2)]
+            lines[i] = ",".join(cells)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -144,6 +172,7 @@ class TestRun:
             [sys.executable, "-m", "fedalign.cli", "run", "--config", cfg, "--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 1, proc.stderr
         assert re.search(r"^error: round \d+, client dom\d: ", proc.stderr, re.MULTILINE), proc.stderr
@@ -330,6 +359,51 @@ class TestBadValues:
         assert exc.value.code == 2
         assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteMetrics:
+    """A target domain at the edge of the float range trains, but its loss
+    overflows to nan; summary.json records it as null, and no command
+    ends in a traceback."""
+
+    @pytest.fixture
+    def edge_csv(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        write_edge_csv(SMALL_DATA["synthetic"], "dom2", str(path))
+        return {"csv": {**CSV_BLOCK, "path": str(path)}}
+
+    def test_run_writes_null_target_loss(self, tmp_path, edge_csv):
+        doc = {"target": "dom2", "data": edge_csv, "federation": {**SMALL_FED, "rounds": 2}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, "edge.json", doc), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_target_loss"] is None
+        assert summary["rounds"] == 2
+
+    def test_sweep_writes_null_target_loss(self, tmp_path, edge_csv):
+        doc = {
+            "sweep": {"strategies": ["fedavg", "aligned"], "seeds": [0], "targets": ["dom2"]},
+            "data": edge_csv,
+            "federation": {**SMALL_FED, "rounds": 2},
+        }
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", write_config(tmp_path, "edge.json", doc), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [cell["error"] for cell in summary["cells"]] == ["", ""]
+        assert [cell["final_target_loss"] for cell in summary["cells"]] == [None, None]
+
+
+class TestWriteJson:
+    def test_failure_leaves_no_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), {"ok": 1.0, "bad": object()})
+        assert not path.exists()
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        path = tmp_path / "doc.json"
+        cli._write_json(str(path), {"a": [1.5, float("inf"), (float("nan"),)], "b": {"c": -float("inf")}})
+        assert json.loads(path.read_text()) == {"a": [1.5, None, [None]], "b": {"c": None}}
 
 
 class TestSweep:
@@ -714,7 +788,7 @@ class TestMemoryLimit:
             capture_output=True,
             text=True,
             preexec_fn=limit_address_space,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            env=cli_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         )
         assert proc.returncode == 1, proc.stderr
         assert "error: out of memory" in proc.stderr
@@ -727,6 +801,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fedalign.cli", "--version"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "fedalign" in proc.stdout

@@ -12,6 +12,7 @@ from fedalign.domains import (
     generate,
     leave_one_out,
     load_csv,
+    batch_rows,
     minibatch,
     rotation_matrix,
     save_csv,
@@ -220,6 +221,27 @@ class TestMinibatch:
     def test_bad_batch_size(self, ds):
         with pytest.raises(InvalidSpec):
             minibatch(ds, 0, Rng(0))
+
+    @pytest.mark.parametrize("batch", [1, 8, 499, 500, 501, 1200])
+    def test_is_batch_rows_then_gather(self, ds, batch):
+        a, b = Rng(6, batch), Rng(6, batch)
+        x, y = minibatch(ds, batch, a)
+        rows = batch_rows(ds.num_rows, batch, b)
+        assert np.array_equal(x, ds.features[rows]) and np.array_equal(y, ds.labels[rows])
+        assert a.integers(2**62) == b.integers(2**62)
+
+    def test_batch_rows_are_read_only(self, ds):
+        for batch in (8, 1200):
+            rows = batch_rows(ds.num_rows, batch, Rng(0))
+            with pytest.raises(ValueError):
+                rows[0] = 1
+        assert batch_rows(ds.num_rows, ds.num_rows, Rng(0)) == slice(None)
+
+    def test_batch_rows_errors(self):
+        with pytest.raises(EmptyDataset):
+            batch_rows(0, 4, Rng(0))
+        with pytest.raises(InvalidSpec):
+            batch_rows(10, 0, Rng(0))
 
 
 class TestSuiteValidation:

@@ -21,14 +21,17 @@ from fedalign.errors import (
     from_json,
     to_json,
 )
+from fedalign import federation
 from fedalign.federation import (
     ROUND_CSV_COLUMNS,
+    ROWS_CACHE_SIZE,
     ClientState,
     FedConfig,
     LrDecay,
     ServerState,
     client_local_step,
     client_phase,
+    client_rows,
     default_config,
     effective_lr,
     run_experiment,
@@ -36,7 +39,7 @@ from fedalign.federation import (
 )
 from fedalign.models import LossKind, ModelSpec, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng
-from fedalign.sweep import SweepSpec
+from fedalign.sweep import SweepSpec, run_sweep
 
 from _oracles import reference_source_means
 
@@ -243,7 +246,11 @@ class TestClientPhase:
         params = init_params(model, Rng(1))
         cfg = FedConfig(**kwargs)
         loss = LossKind("weighted_cross_entropy", (0.5, 2.0))
-        updates = client_phase(clients, params, cfg, [Rng(5, 1, k, 0) for k in range(4)], loss=loss)
+        rows = [
+            client_rows(5, k, 0, state.dataset.num_rows, cfg.batch_size, cfg.local_steps)
+            for k, state in enumerate(clients)
+        ]
+        updates = client_phase(clients, params, cfg, rows, loss=loss)
         for k, (state, update) in enumerate(zip(clients, updates)):
             alone = client_local_step(state, params, cfg, Rng(5, 1, k, 0), loss=loss)
             assert update.client_id == state.client_id
@@ -256,7 +263,87 @@ class TestClientPhase:
         empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
         clients = [ClientState("a", ds), ClientState("void", empty)]
         with pytest.raises(EmptyDataset, match="client void has no data"):
-            client_phase(clients, init_params(MODEL, Rng(1)), FedConfig(), [Rng(0), Rng(1)])
+            client_phase(clients, init_params(MODEL, Rng(1)), FedConfig(), [(slice(None),)] * 2)
+
+
+class TestClientRows:
+    """Batch rows are a pure function of their key, memoized per process:
+    a cache hit must give the same rows, so the same run, as a fresh draw."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(dict(strategy="aligned"), id="aligned"),
+            pytest.param(dict(strategy="fedavg"), id="fedavg"),
+            pytest.param(dict(strategy="fedprox", local_steps=3, lr=0.1), id="fedprox-local3"),
+            pytest.param(dict(strategy="deepall"), id="deepall"),
+            pytest.param(dict(strategy="fedavg", batch_size=40), id="full-batch"),
+            pytest.param(dict(strategy="aligned", batch_size=45), id="with-replacement"),
+        ],
+    )
+    def test_cold_and_warm_cache_give_same_bits(self, extra):
+        suite = small_suite()
+        cfg = FedConfig(**{"rounds": 6, "batch_size": 4, "seed": 3, **extra})
+        client_rows.cache_clear()
+        cold = run_experiment(suite, "dom2", MODEL, cfg)
+        misses = client_rows.cache_info().misses
+        warm = run_experiment(suite, "dom2", MODEL, cfg)
+        assert client_rows.cache_info().misses == misses > 0
+        assert warm.final_params.values.tobytes() == cold.final_params.values.tobytes()
+        for a, b in zip(cold.records, warm.records):
+            assert a.aggregation.aggregated.tobytes() == b.aggregation.aggregated.tobytes()
+
+    def test_rows_are_the_client_streams_draws(self):
+        # Same stream key, two row counts: each gets its own rows.
+        full = small_suite().domains[0]
+        for ds in (full, DomainDataset("short", full.features[:25], full.labels[:25])):
+            for batch, steps in [(4, 1), (4, 3), (40, 2), (45, 2)]:
+                rng = Rng(7, 1, 2, 9)
+                rows = client_rows(7, 2, 9, ds.num_rows, batch, steps)
+                assert len(rows) == steps
+                for sel in rows:
+                    x, y = minibatch(ds, batch, rng)
+                    assert np.array_equal(ds.features[sel], x) and np.array_equal(ds.labels[sel], y)
+
+    def test_cached_rows_are_read_only(self):
+        rows = client_rows(0, 0, 0, 40, 4, 2)
+        assert client_rows(0, 0, 0, 40, 4, 2) is rows
+        for sel in rows:
+            with pytest.raises(ValueError):
+                sel[0] = 1
+        # with replacement, too
+        (sel,) = client_rows(0, 0, 0, 40, 45, 1)
+        with pytest.raises(ValueError):
+            sel[0] = 1
+
+    def test_bound_is_the_module_constant(self):
+        assert ROWS_CACHE_SIZE == 2**15
+        assert client_rows.cache_info().maxsize == ROWS_CACHE_SIZE
+
+    def test_sweep_cells_at_one_seed_share_client_streams(self, monkeypatch):
+        # Two strategies at one seed and target: the second cell reuses the
+        # first cell's rows, so K * R client streams are built, not 2 * K * R.
+        built = []
+
+        def counting_rng(*key):
+            built.append(key)
+            return Rng(*key)
+
+        monkeypatch.setattr(federation, "Rng", counting_rng)
+        client_rows.cache_clear()
+        spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom2",))
+        result = run_sweep(small_suite(), MODEL, {"rounds": 5, "batch_size": 4}, spec, jobs=1)
+        assert all(c.error is None for c in result.cells)
+        client_streams = [key for key in built if key[1:2] == (1,)]
+        assert sorted(client_streams) == sorted((0, 1, k, t) for k in range(2) for t in range(5))
+
+    def test_empty_client_named_by_run_round(self):
+        suite = small_suite()
+        empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
+        clients = [ClientState("a", suite.domains[0]), ClientState("void", empty)]
+        server = ServerState(params=init_params(MODEL, Rng(0, 0)))
+        with pytest.raises(EmptyDataset, match="^client void has no data$"):
+            run_round(server, clients, FedConfig(), suite.domains[2])
 
 
 class TestRunRound:
