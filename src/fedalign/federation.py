@@ -24,14 +24,15 @@ same seed.
 
 A client's batch rows are therefore a pure function of their key: the run
 seed, the client index, the round, the client's row count, the batch size
-and the number of local steps.  :func:`client_rows` memoizes them per
-process in one ``functools.lru_cache`` of ``ROWS_CACHE_SIZE`` = 2**15
-entries, so the cells of a sweep that share a seed (every strategy and
-every held-out target) draw each client-round's rows once per worker and
-reuse them.  At the shipped batch size of 2 and one local step an entry
-takes about 430 bytes, so a full cache holds about 14 MB; each further
-index adds 8 bytes (a full batch holds none).  A hit returns the same rows
-a fresh draw would, so the cache never changes a result.
+and the number of local steps.  :func:`client_rows` (a :class:`RowsMemo`)
+memoizes them per process, so the cells of a sweep that share a seed
+(every strategy and every held-out target) draw each client-round's rows
+once per worker and reuse them.  The memo holds one seed at a time, which
+is why a sweep runs its cells seed by seed; and it stores entries only up
+to ``ROWS_MEMO_BYTES`` = 4 MiB, charging each about 350 bytes plus 8 per
+index at one local step (a full batch holds no index).  A run with no
+reuse keeps at most that much.  A hit returns the same rows a fresh draw
+would, so the memo never changes a result.
 
 With ``encrypt=True`` each round's aggregation arithmetic is re-executed in
 the homomorphic operator algebra (encrypt, align/average on handles,
@@ -41,7 +42,6 @@ what the server applies.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -96,7 +96,8 @@ __all__ = [
     "RoundRecord",
     "ExperimentResult",
     "ROUND_CSV_COLUMNS",
-    "ROWS_CACHE_SIZE",
+    "ROWS_MEMO_BYTES",
+    "RowsMemo",
     "client_rows",
     "client_phase",
     "client_local_step",
@@ -380,9 +381,15 @@ class ExperimentResult:
         return rows
 
 
-# Entries of the client_rows memo: one criterion-7 worker's working set
-# (10 seeds x 3 clients x 600 rounds = 18,000 client-rounds) with room.
-ROWS_CACHE_SIZE = 2**15
+# The client_rows memo's budget: what its entries may take in one process.
+# One cell's draws fit many times over at the shipped sizes (the README
+# config's 3 clients x 600 rounds at batch 2 take about 0.8 MB).
+ROWS_MEMO_BYTES = 2**22
+# What an entry takes beside its indices, rounded up from tracemalloc over
+# 10,000 entries (220-365 bytes at one local step, 566 at three): the key,
+# the tuple and the dict slot, then each selection's array header.
+_ENTRY_BYTES = 200
+_SELECTION_BYTES = 150
 
 
 def _draw_rows(num_rows: int, batch_size: int, local_steps: int, rng: Rng) -> tuple[np.ndarray | slice, ...]:
@@ -391,15 +398,50 @@ def _draw_rows(num_rows: int, batch_size: int, local_steps: int, rng: Rng) -> tu
     return tuple(batch_rows(num_rows, batch_size, rng) for _ in range(local_steps))
 
 
-@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
-def client_rows(
-    seed: int, client_index: int, round_index: int, num_rows: int, batch_size: int, local_steps: int
-) -> tuple[np.ndarray | slice, ...]:
-    """Client ``client_index``'s batch rows in round ``round_index``, one
-    read-only selection per local step, drawn from its stream
-    ``Rng(seed, 1, client_index, round_index)`` and memoized per process
-    (see the module docstring)."""
-    return _draw_rows(num_rows, batch_size, local_steps, Rng(seed, 1, client_index, round_index))
+class RowsMemo:
+    """Client batch rows memoized per process (see the module docstring).
+
+    It holds the rows of one seed at a time: a lookup at another seed
+    empties it first.  It stores a drawn entry only while the entries fit in
+    ``budget`` bytes, and never evicts one, so traffic larger than the
+    budget still hits on what was stored first.  ``misses`` counts the
+    draws since the memo was last emptied.
+    """
+
+    def __init__(self, budget: int = ROWS_MEMO_BYTES):
+        self.budget = budget
+        self.clear()
+
+    def clear(self) -> None:
+        self.seed: int | None = None
+        self.entries: dict[tuple[int, ...], tuple[np.ndarray | slice, ...]] = {}
+        self.nbytes = 0
+        self.misses = 0
+
+    def __call__(
+        self, seed: int, client_index: int, round_index: int, num_rows: int, batch_size: int, local_steps: int
+    ) -> tuple[np.ndarray | slice, ...]:
+        """Client ``client_index``'s batch rows in round ``round_index``, one
+        read-only selection per local step, drawn from its stream
+        ``Rng(seed, 1, client_index, round_index)``."""
+        if seed != self.seed:
+            self.clear()
+            self.seed = seed
+        key = (client_index, round_index, num_rows, batch_size, local_steps)
+        rows = self.entries.get(key)
+        if rows is None:
+            self.misses += 1
+            rows = _draw_rows(num_rows, batch_size, local_steps, Rng(seed, 1, client_index, round_index))
+            size = _ENTRY_BYTES + sum(
+                _SELECTION_BYTES + (sel.nbytes if isinstance(sel, np.ndarray) else 0) for sel in rows
+            )
+            if self.nbytes + size <= self.budget:
+                self.entries[key] = rows
+                self.nbytes += size
+        return rows
+
+
+client_rows = RowsMemo()
 
 
 def _require_data(clients: list[ClientState]) -> None:

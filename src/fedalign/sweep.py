@@ -4,7 +4,9 @@ A sweep is the cross product of aggregation strategies, leave-one-out
 target domains and seeds, each cell one full experiment.  Cells are
 independent — every cell derives all of its randomness from its own seed —
 so they may run in parallel; results are always reported in grid order
-(strategy-major, then target, then seed) regardless of completion order.
+(strategy-major, then target, then seed) regardless of run order.  Cells
+run seed by seed: a process memoizes the batch rows of one seed at a time
+(``federation.client_rows``), and every cell at a seed draws the same rows.
 A failing cell is recorded with its error message and does not stop the
 rest of the grid.
 """
@@ -225,8 +227,10 @@ def run_sweep(
     """Run the full grid.  ``base_config`` is the shared federation config
     as a plain dict (strategy and seed are filled per cell).  ``jobs`` > 1
     runs cells in ``min(jobs, cells)`` worker processes (the pool starts
-    every worker at once, so never more than there are cells); results and
-    ``progress`` lines come in grid order either way.
+    every worker at once, so never more than there are cells).  Cells run
+    seed by seed, in grid order within a seed, so each process's batch-row
+    memo serves every cell at a seed it runs; ``progress`` lines come in
+    that run order and results in grid order, with any ``jobs``.
     """
     grid = [
         (suite, model, loss, dict(base_config), spec, strategy, target, seed)
@@ -234,17 +238,19 @@ def run_sweep(
         for target in spec.targets
         for seed in spec.seeds
     ]
-    cells = []
+    run_order = sorted(range(len(grid)), key=lambda i: spec.seeds.index(grid[i][-1]))
+    cells: list[CellResult | None] = [None] * len(grid)
     workers = min(jobs, len(grid))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # _run_cell is looked up here, not bound at import, so a replacement
         # installed on the module is the one that runs.
-        for cell in (pool.map if workers > 1 else map)(_run_cell, grid):
-            cells.append(cell)
+        ran = (pool.map if workers > 1 else map)(_run_cell, [grid[i] for i in run_order])
+        for done, (i, cell) in enumerate(zip(run_order, ran), 1):
+            cells[i] = cell
             if progress is not None:
                 status = "failed" if cell.error else f"acc={cell.final_target_accuracy:.4f}"
                 progress(
-                    f"[{len(cells)}/{len(grid)}] {cell.strategy} target={cell.target} "
+                    f"[{done}/{len(grid)}] {cell.strategy} target={cell.target} "
                     f"seed={cell.seed} {status}"
                 )
     return SweepResult(spec=spec, cells=tuple(cells))

@@ -28,9 +28,14 @@ floor (difference quotients bottom out around 1e-9 at h=1e-6, so demanding
 relative accuracy of coordinates that are essentially zero would only test
 roundoff), and a relu kink guard so no hidden-unit preactivation sits
 within a step of the non-differentiable point.
+
+And one piece of plumbing: the environment for a child Python process that
+must import this checkout's sources, as the tests' own imports do.
 """
 
 import math
+import os
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +46,17 @@ from fedalign.errors import DimensionMismatch
 from fedalign.federation import ClientState, ServerState, run_round
 from fedalign.models import LossKind, Metrics, ParamVector, evaluate, init_params, loss_and_grad
 from fedalign.numcore import Rng, dot
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env(**extra) -> dict:
+    """``os.environ`` plus ``extra``, with this checkout's ``src`` first on
+    ``PYTHONPATH``."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def scalar_shuffle(rng, n: int) -> np.ndarray:

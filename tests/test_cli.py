@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import os
-import pathlib
 import re
 import resource
 import subprocess
@@ -18,16 +17,7 @@ from fedalign import cli
 from fedalign.cli import main
 from fedalign.domains import SyntheticSpec, generate, save_csv
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-
-def cli_env(**extra) -> dict:
-    """The environment for a ``python -m fedalign.cli`` subprocess: this
-    checkout's sources first on its path, as the tests' own imports have."""
-    env = {**os.environ, **extra}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
-
+from _oracles import checkout_env
 
 SMALL_DATA = {
     "synthetic": {
@@ -172,7 +162,7 @@ class TestRun:
             [sys.executable, "-m", "fedalign.cli", "run", "--config", cfg, "--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,
-            env=cli_env(),
+            env=checkout_env(),
         )
         assert proc.returncode == 1, proc.stderr
         assert re.search(r"^error: round \d+, client dom\d: ", proc.stderr, re.MULTILINE), proc.stderr
@@ -788,7 +778,7 @@ class TestMemoryLimit:
             capture_output=True,
             text=True,
             preexec_fn=limit_address_space,
-            env=cli_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+            env=checkout_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         )
         assert proc.returncode == 1, proc.stderr
         assert "error: out of memory" in proc.stderr
@@ -801,7 +791,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fedalign.cli", "--version"],
             capture_output=True,
             text=True,
-            env=cli_env(),
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert "fedalign" in proc.stdout

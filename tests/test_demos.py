@@ -6,12 +6,13 @@ its temporary directory inside it, so any file it writes lands there.
 at about 15 s on a 2-core host.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from _oracles import checkout_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
@@ -23,9 +24,7 @@ def test_demo_set():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)
+    env = checkout_env(TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path,

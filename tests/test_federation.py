@@ -24,7 +24,8 @@ from fedalign.errors import (
 from fedalign import federation
 from fedalign.federation import (
     ROUND_CSV_COLUMNS,
-    ROWS_CACHE_SIZE,
+    ROWS_MEMO_BYTES,
+    RowsMemo,
     ClientState,
     FedConfig,
     LrDecay,
@@ -284,11 +285,11 @@ class TestClientRows:
     def test_cold_and_warm_cache_give_same_bits(self, extra):
         suite = small_suite()
         cfg = FedConfig(**{"rounds": 6, "batch_size": 4, "seed": 3, **extra})
-        client_rows.cache_clear()
+        client_rows.clear()
         cold = run_experiment(suite, "dom2", MODEL, cfg)
-        misses = client_rows.cache_info().misses
+        misses = client_rows.misses
         warm = run_experiment(suite, "dom2", MODEL, cfg)
-        assert client_rows.cache_info().misses == misses > 0
+        assert client_rows.misses == misses > 0
         assert warm.final_params.values.tobytes() == cold.final_params.values.tobytes()
         for a, b in zip(cold.records, warm.records):
             assert a.aggregation.aggregated.tobytes() == b.aggregation.aggregated.tobytes()
@@ -317,8 +318,26 @@ class TestClientRows:
             sel[0] = 1
 
     def test_bound_is_the_module_constant(self):
-        assert ROWS_CACHE_SIZE == 2**15
-        assert client_rows.cache_info().maxsize == ROWS_CACHE_SIZE
+        assert ROWS_MEMO_BYTES == 2**22
+        assert client_rows.budget == ROWS_MEMO_BYTES
+
+    def test_stores_nothing_past_the_budget(self):
+        # Room for two entries of one batch-4 selection: the third is drawn
+        # exactly as a fresh draw but not stored, and the first two still hit.
+        memo = RowsMemo(budget=2 * (200 + 150 + 4 * 8))
+        first = [memo(0, 0, t, 40, 4, 1) for t in range(3)]
+        assert len(memo.entries) == 2 and memo.nbytes <= memo.budget
+        again = [memo(0, 0, t, 40, 4, 1) for t in range(3)]
+        assert [a is b for a, b in zip(first, again)] == [True, True, False]
+        assert np.array_equal(first[2][0], again[2][0]) and memo.misses == 4
+
+    def test_holds_one_seed_at_a_time(self):
+        memo = RowsMemo()
+        rows = memo(0, 0, 0, 40, 4, 1)
+        memo(1, 0, 0, 40, 4, 1)
+        assert memo.seed == 1 and len(memo.entries) == 1
+        again = memo(0, 0, 0, 40, 4, 1)
+        assert again is not rows and np.array_equal(again[0], rows[0])
 
     def test_sweep_cells_at_one_seed_share_client_streams(self, monkeypatch):
         # Two strategies at one seed and target: the second cell reuses the
@@ -330,12 +349,40 @@ class TestClientRows:
             return Rng(*key)
 
         monkeypatch.setattr(federation, "Rng", counting_rng)
-        client_rows.cache_clear()
+        client_rows.clear()
         spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom2",))
         result = run_sweep(small_suite(), MODEL, {"rounds": 5, "batch_size": 4}, spec, jobs=1)
         assert all(c.error is None for c in result.cells)
         client_streams = [key for key in built if key[1:2] == (1,)]
         assert sorted(client_streams) == sorted((0, 1, k, t) for k in range(2) for t in range(5))
+
+    def test_sweep_runs_seed_by_seed(self, monkeypatch):
+        # The memo holds one seed, so the cells must run seed by seed for
+        # every seed's K * R client streams to be built once, however many
+        # seeds there are; results stay in grid order.
+        built = []
+
+        def counting_rng(*key):
+            built.append(key)
+            return Rng(*key)
+
+        monkeypatch.setattr(federation, "Rng", counting_rng)
+        client_rows.clear()
+        spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(4, 2, 9), targets=("dom2",))
+        lines = []
+        result = run_sweep(
+            small_suite(), MODEL, {"rounds": 3, "batch_size": 4}, spec, jobs=1, progress=lines.append
+        )
+        assert [(c.strategy, c.seed) for c in result.cells] == [
+            (s, seed) for s in spec.strategies for seed in spec.seeds
+        ]
+        assert [line.split()[1:4:2] for line in lines] == [
+            [s, f"seed={seed}"] for seed in spec.seeds for s in spec.strategies
+        ]
+        client_streams = [key for key in built if key[1:2] == (1,)]
+        assert sorted(client_streams) == sorted(
+            (seed, 1, k, t) for seed in spec.seeds for k in range(2) for t in range(3)
+        )
 
     def test_empty_client_named_by_run_round(self):
         suite = small_suite()

@@ -181,7 +181,7 @@ class TestRunSweep:
         assert lines[0].startswith("[1/2]")
 
     def test_progress_same_for_parallel(self, suite):
-        # Worker processes report through the same loop, in grid order.
+        # Worker processes report through the same loop, in run order.
         spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0, 1), targets=("dom0", "ghost"))
         serial, parallel = [], []
         run_sweep(suite, MODEL, BASE, spec, jobs=1, progress=serial.append)
