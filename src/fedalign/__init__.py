@@ -61,14 +61,12 @@ from .errors import (
     UnknownDomain,
 )
 from .federation import (
-    ClientState,
     ExperimentResult,
     FedConfig,
     LrDecay,
     RoundRecord,
     ServerState,
     client_local_step,
-    default_config,
     effective_lr,
     run_experiment,
     run_round,
@@ -86,7 +84,6 @@ from .hekit import (
     weighted_sum_encrypted,
 )
 from .models import (
-    LossKind,
     Metrics,
     ModelSpec,
     ParamVector,
@@ -135,7 +132,6 @@ __all__ = [
     # models
     "ModelSpec",
     "ParamVector",
-    "LossKind",
     "Metrics",
     "init_params",
     "forward",
@@ -165,11 +161,9 @@ __all__ = [
     # federation
     "FedConfig",
     "LrDecay",
-    "ClientState",
     "ServerState",
     "RoundRecord",
     "ExperimentResult",
-    "default_config",
     "effective_lr",
     "client_local_step",
     "run_round",

@@ -185,19 +185,26 @@ def _unwrap_manifest(doc: dict) -> dict:
     return doc
 
 
-def cmd_run(args) -> int:
-    doc = _unwrap_manifest(_load_json(args.config_path))
+def _load_config(path: str, head: str) -> tuple[dict, DomainSuite, dict, ModelSpec]:
+    """A run or sweep config (or its manifest) whose own section is
+    ``head``: the document, the domain suite, the normalized data block and
+    the model."""
+    doc = _unwrap_manifest(_load_json(path))
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    known = {"target", "model", "data", "federation"}
+    known = {head, "model", "data", "federation"}
     for key in doc:
         if key not in known:
             raise ConfigError(key, "unknown config section")
-    if "target" not in doc or "data" not in doc:
-        raise ConfigError("config", '"target" and "data" are required')
+    if head not in doc or "data" not in doc:
+        raise ConfigError("config", f'"{head}" and "data" are required')
 
     suite, data_block = _suite_from_config(doc["data"])
-    model = _model_from_config(_section(doc, "model"), suite)
+    return doc, suite, data_block, _model_from_config(_section(doc, "model"), suite)
+
+
+def cmd_run(args) -> int:
+    doc, suite, data_block, model = _load_config(args.config_path, "target")
     cfg = FedConfig.from_dict(_section(doc, "federation"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -239,18 +246,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _unwrap_manifest(_load_json(args.config_path))
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    known = {"sweep", "model", "data", "federation"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown config section")
-    if "sweep" not in doc or "data" not in doc:
-        raise ConfigError("config", '"sweep" and "data" are required')
-
-    suite, data_block = _suite_from_config(doc["data"])
-    model = _model_from_config(_section(doc, "model"), suite)
+    doc, suite, data_block, model = _load_config(args.config_path, "sweep")
     spec = SweepSpec.from_dict(doc["sweep"])
     if args.seed is not None:
         spec = replace(spec, seeds=(args.seed,))

@@ -82,16 +82,14 @@ from .hekit import (
     transparent_cipher,
     weighted_sum_encrypted,
 )
-from .models import LossKind, Metrics, ModelSpec, ParamVector, evaluate, init_params, loss_and_grad, sgd_step
+from .models import Metrics, ModelSpec, ParamVector, evaluate, init_params, loss_and_grad, sgd_step
 from .numcore import Rng, dot
 
 __all__ = [
     "STRATEGIES",
     "LrDecay",
     "FedConfig",
-    "default_config",
     "effective_lr",
-    "ClientState",
     "ServerState",
     "RoundRecord",
     "ExperimentResult",
@@ -134,6 +132,12 @@ class FedConfig:
     setting either for a strategy that does not use it is a configuration
     error.  Left unset, they take the shipped defaults (0.1 and 0.01) when
     their strategy is selected.
+
+    The other defaults are the rotated-domain benchmark schedule.  Small
+    noisy batches (size 2) keep client gradients disagreeing, so the
+    alignment step has conflicts to resolve.  The late lr drop (/10 at
+    round 400) settles the endpoint, so final accuracies are comparable
+    across strategies rather than snapshots of SGD noise.
     """
 
     strategy: str = "aligned"
@@ -220,30 +224,11 @@ class FedConfig:
         return from_json(cls, d, "", rename=_JSON_NAMES)
 
 
-def default_config(strategy: str = "aligned", seed: int = 0) -> FedConfig:
-    """The shipped defaults: the rotated-domain benchmark schedule.
-
-    Small noisy batches (size 2) keep client gradients disagreeing so the
-    alignment step has conflicts to resolve; the late lr drop (/10 at round
-    400) settles the endpoint so final accuracies are comparable across
-    strategies rather than snapshots of SGD noise.
-    """
-    return FedConfig(strategy=strategy, seed=seed)
-
-
 def effective_lr(cfg: FedConfig, round_index: int) -> float:
     """Learning rate at a given round under the step-decay schedule."""
     if cfg.lr_decay is None:
         return cfg.lr
     return cfg.lr / cfg.lr_decay.factor ** (round_index // cfg.lr_decay.every_n_rounds)
-
-
-@dataclass
-class ClientState:
-    """One data-holding participant: a domain and its dataset."""
-
-    client_id: str
-    dataset: DomainDataset
 
 
 @dataclass
@@ -284,8 +269,8 @@ class ExperimentResult:
     """Full trajectory of one leave-one-domain-out run.
 
     ``sources`` are the training clients' datasets in client order (the one
-    pooled dataset for deepall) and ``loss`` the training loss; together
-    with the records they let ``csv_rows`` recompute the source figures.
+    pooled dataset for deepall); with the records they let ``csv_rows``
+    recompute the source figures.
     """
 
     config: FedConfig
@@ -296,7 +281,6 @@ class ExperimentResult:
     initial_params: ParamVector = field(repr=False)
     final_params: ParamVector = field(repr=False)
     final_target: Metrics
-    loss: LossKind = field(repr=False)
 
     @property
     def source_ids(self) -> tuple[str, ...]:
@@ -362,7 +346,7 @@ class ExperimentResult:
             for r in self.records:
                 values = values - r.lr * r.aggregation.aggregated
                 params = replace(self.initial_params, values=values)
-                src = [evaluate(params, ds, self.loss) for ds in self.sources]
+                src = [evaluate(params, ds) for ds in self.sources]
                 rows.append(
                     {
                         "round": r.round,
@@ -444,23 +428,22 @@ class RowsMemo:
 client_rows = RowsMemo()
 
 
-def _require_data(clients: list[ClientState]) -> None:
-    for state in clients:
-        if state.dataset.num_rows == 0:
-            raise EmptyDataset(f"client {state.client_id} has no data")
+def _require_data(clients: list[DomainDataset]) -> None:
+    for ds in clients:
+        if ds.num_rows == 0:
+            raise EmptyDataset(f"client {ds.domain_id} has no data")
 
 
 def client_phase(
-    clients: list[ClientState],
+    clients: list[DomainDataset],
     global_params: ParamVector,
     cfg: FedConfig,
     rows: list[tuple[np.ndarray | slice, ...]],
     lr: float | None = None,
-    loss: LossKind = LossKind(),
 ) -> list[ClientUpdate]:
-    """Every client's contribution for the round, client ``k`` training at
-    local step ``s`` on the rows ``rows[k][s]`` of its dataset (as
-    :func:`client_rows` draws them).
+    """Every client's contribution for the round, client ``k`` (its
+    dataset, named by its ``domain_id``) training at local step ``s`` on the
+    rows ``rows[k][s]`` of its dataset (as :func:`client_rows` draws them).
 
     With ``local_steps == 1`` each update is exactly the client's minibatch
     gradient at the global parameters.  With more local steps each client
@@ -479,12 +462,11 @@ def client_phase(
         lr = cfg.lr
     shape = (len(clients), global_params.values.shape[0])
     w = replace(global_params, values=np.broadcast_to(global_params.values, shape))
-    datasets = [state.dataset for state in clients]
     losses = []
     for step in range(cfg.local_steps):
-        xs = np.array([ds.features[sel[step]] for ds, sel in zip(datasets, rows)])
-        ys = np.array([ds.labels[sel[step]] for ds, sel in zip(datasets, rows)])
-        values, grads = loss_and_grad(w, xs, ys, loss)
+        xs = np.array([ds.features[sel[step]] for ds, sel in zip(clients, rows)])
+        ys = np.array([ds.labels[sel[step]] for ds, sel in zip(clients, rows)])
+        values, grads = loss_and_grad(w, xs, ys)
         if cfg.local_steps > 1:
             losses.append(values)
             if cfg.strategy == "fedprox":
@@ -497,28 +479,27 @@ def client_phase(
         values = np.mean(np.stack(losses, axis=1), axis=1)
     return [
         ClientUpdate(
-            client_id=state.client_id,
+            client_id=ds.domain_id,
             gradient=grad,
-            num_samples=state.dataset.num_rows,
+            num_samples=ds.num_rows,
             local_loss=float(value),
         )
-        for state, grad, value in zip(clients, grads, values)
+        for ds, grad, value in zip(clients, grads, values)
     ]
 
 
 def client_local_step(
-    state: ClientState,
+    dataset: DomainDataset,
     global_params: ParamVector,
     cfg: FedConfig,
     rng: Rng,
     lr: float | None = None,
-    loss: LossKind = LossKind(),
 ) -> ClientUpdate:
     """One client's contribution for the round, its batch rows drawn from
     ``rng``: the one-client case of :func:`client_phase`."""
-    _require_data([state])
-    rows = _draw_rows(state.dataset.num_rows, cfg.batch_size, cfg.local_steps, rng)
-    return client_phase([state], global_params, cfg, [rows], lr, loss)[0]
+    _require_data([dataset])
+    rows = _draw_rows(dataset.num_rows, cfg.batch_size, cfg.local_steps, rng)
+    return client_phase([dataset], global_params, cfg, [rows], lr)[0]
 
 
 def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) -> AggregationReport:
@@ -562,31 +543,30 @@ def _encrypted_replay(
 
 def run_round(
     server: ServerState,
-    clients: list[ClientState],
+    clients: list[DomainDataset],
     cfg: FedConfig,
     target_dataset: DomainDataset,
-    loss: LossKind = LossKind(),
 ) -> RoundRecord:
     """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
     try:
         rows = [
-            client_rows(cfg.seed, k, t, state.dataset.num_rows, cfg.batch_size, cfg.local_steps)
-            for k, state in enumerate(clients)
+            client_rows(cfg.seed, k, t, ds.num_rows, cfg.batch_size, cfg.local_steps)
+            for k, ds in enumerate(clients)
         ]
-        updates = client_phase(clients, server.params, cfg, rows, lr, loss)
+        updates = client_phase(clients, server.params, cfg, rows, lr)
     except (FedAlignError, ValueError):
         # The clients stepped together, so the error is the first one any of
         # them hit (a ValueError: their batches did not stack; an
         # EmptyDataset: a client had no rows to draw).  Replay them one at a
         # time, in order, so the error raised is the first failing client's
         # own.
-        for k, state in enumerate(clients):
+        for k, ds in enumerate(clients):
             try:
-                client_local_step(state, server.params, cfg, Rng(cfg.seed, 1, k, t), lr, loss)
+                client_local_step(ds, server.params, cfg, Rng(cfg.seed, 1, k, t), lr)
             except (NonFiniteResult, OverflowAtScale) as exc:
-                raise type(exc)(f"round {t}, client {state.client_id}: {exc}") from exc
+                raise type(exc)(f"round {t}, client {ds.domain_id}: {exc}") from exc
         raise
 
     try:
@@ -613,7 +593,7 @@ def run_round(
         lr=lr,
         per_client=per_client,
         aggregation=report,
-        target_metrics=evaluate(server.params, target_dataset, loss),
+        target_metrics=evaluate(server.params, target_dataset),
         trace_audit=audit_dict,
     )
 
@@ -623,7 +603,6 @@ def run_experiment(
     target: str,
     model: ModelSpec,
     cfg: FedConfig,
-    loss: LossKind = LossKind(),
 ) -> ExperimentResult:
     """Leave-one-domain-out: train on every domain except ``target``, then
     judge the final model on the held-out one.
@@ -644,13 +623,12 @@ def run_experiment(
         train_cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
     initial = init_params(model, Rng(cfg.seed, 0))
     server = ServerState(params=initial)
-    clients = [ClientState(client_id=ds.domain_id, dataset=ds) for ds in sources]
     # A diverging run overflows inside the model math long before a check
     # sees it; NonFiniteResult reports it, so numpy's warnings would only be
     # noise.  Set once per run: the model layer is called thousands of times.
     with np.errstate(over="ignore", invalid="ignore"):
-        records = [run_round(server, clients, train_cfg, target_dataset, loss) for _ in range(cfg.rounds)]
-        final_metrics = evaluate(server.params, target_dataset, loss)
+        records = [run_round(server, sources, train_cfg, target_dataset) for _ in range(cfg.rounds)]
+        final_metrics = evaluate(server.params, target_dataset)
     return ExperimentResult(
         config=cfg,
         model=model,
@@ -660,5 +638,4 @@ def run_experiment(
         initial_params=initial,
         final_params=server.params,
         final_target=final_metrics,
-        loss=loss,
     )

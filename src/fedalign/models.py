@@ -43,7 +43,6 @@ from .numcore import RealMat, RealVec, Rng, ensure_finite
 __all__ = [
     "ModelSpec",
     "ParamVector",
-    "LossKind",
     "Metrics",
     "init_params",
     "forward",
@@ -57,6 +56,8 @@ ACTIVATIONS = ("relu", "tanh")
 # A stacked ``loss_and_grad`` holds at most this many bytes of each
 # (batches x rows x width) intermediate at a time (but one batch at least).
 _STACK_BYTES = 256 * 1024
+# The most float64 parameters whose byte size numpy can express.
+_MAX_PARAMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -125,40 +126,6 @@ class ParamVector:
 
 
 @dataclass(frozen=True)
-class LossKind:
-    """Cross-entropy, optionally with per-class positive weights.
-
-    ``weighted_cross_entropy`` scales each sample's loss by the weight of
-    its true class before taking the batch mean; all-ones weights reproduce
-    plain cross-entropy exactly.
-    """
-
-    kind: str = "cross_entropy"
-    class_weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("cross_entropy", "weighted_cross_entropy"):
-            raise InvalidSpec(f"unknown loss kind {self.kind!r}")
-        if self.kind == "weighted_cross_entropy":
-            if not self.class_weights:
-                raise InvalidSpec("weighted_cross_entropy requires class_weights")
-            object.__setattr__(self, "class_weights", tuple(float(w) for w in self.class_weights))
-            if any(w <= 0 for w in self.class_weights):
-                raise InvalidSpec("class weights must all be positive")
-        elif self.class_weights is not None:
-            raise InvalidSpec("cross_entropy takes no class_weights")
-
-    def sample_weights(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
-        if self.kind == "cross_entropy":
-            return np.ones(labels.shape)
-        if len(self.class_weights) != num_classes:
-            raise DimensionMismatch(
-                f"{len(self.class_weights)} class weights for {num_classes} classes"
-            )
-        return np.asarray(self.class_weights)[labels]
-
-
-@dataclass(frozen=True)
 class Metrics:
     accuracy: float
     loss: float
@@ -166,6 +133,10 @@ class Metrics:
 
 def init_params(spec: ModelSpec, rng: Rng) -> ParamVector:
     """Glorot-uniform weights (scale sqrt(6/(fan_in+fan_out))), zero biases."""
+    if spec.param_count > _MAX_PARAMS:
+        # numpy refuses such a size with a ValueError; it is a request for
+        # more memory than any address space holds.
+        raise MemoryError(f"cannot hold {spec.param_count} parameters")
     parts = []
     for fi, fo in spec.layer_shapes:
         s = np.sqrt(6.0 / (fi + fo))
@@ -213,7 +184,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _stack_pass(spec: ModelSpec, layers, x, labels, weights, losses, grads) -> None:
+def _stack_pass(spec: ModelSpec, layers, x, labels, losses, grads) -> None:
     """Losses and gradients of a (K, rows, input_dim) stack, written into
     ``losses`` (K,) and ``grads`` (K, P)."""
     k, n = labels.shape
@@ -221,12 +192,13 @@ def _stack_pass(spec: ModelSpec, layers, x, labels, weights, losses, grads) -> N
 
     logp = _log_softmax(logits)
     batch, rows = np.arange(k)[:, None], np.arange(n)
-    np.divide(np.sum(weights * -logp[batch, rows, labels], axis=1), n, out=losses)
+    np.divide(np.sum(-logp[batch, rows, labels], axis=1), n, out=losses)
 
-    # d(loss)/d(logits): softmax minus one-hot, row-scaled by weight / n.
+    # d(loss)/d(logits): softmax minus one-hot, scaled by 1/n.  Multiplying
+    # by the reciprocal, not dividing by n, is what the pinned digests hold.
     dz = np.exp(logp)
     dz[batch, rows, labels] -= 1.0
-    dz *= (weights / n)[..., None]
+    dz *= 1.0 / n
 
     if h is None:
         parts = [np.swapaxes(x, 1, 2) @ dz, dz.sum(axis=1)]
@@ -251,9 +223,8 @@ def loss_and_grad(
     params: ParamVector,
     x: RealMat,
     labels: np.ndarray,
-    loss: LossKind = LossKind(),
 ) -> tuple[float, RealVec] | tuple[RealVec, RealMat]:
-    """Mean (weighted) cross-entropy over a batch and its gradient.
+    """Mean cross-entropy over a batch and its gradient.
 
     One batch: ``x`` is (rows, input_dim) and ``labels`` (rows,); the loss
     comes back as a float and the gradient flattened in canonical parameter
@@ -288,7 +259,6 @@ def loss_and_grad(
     if single:
         x, labels = x[None], labels[None]
 
-    weights = loss.sample_weights(labels, spec.num_classes)
     k, n = labels.shape
     losses = np.empty(k)
     grads = np.empty((k, spec.param_count))
@@ -297,7 +267,7 @@ def loss_and_grad(
     for lo in range(0, k, step):
         part = slice(lo, lo + step)
         chunk = [(w[part], b[part]) for w, b in layers] if stacked else layers
-        _stack_pass(spec, chunk, x[part], labels[part], weights[part], losses[part], grads[part])
+        _stack_pass(spec, chunk, x[part], labels[part], losses[part], grads[part])
 
     ensure_finite(grads, "gradient")
     if single:
@@ -316,7 +286,7 @@ def sgd_step(params: ParamVector, grad: RealVec, lr: float) -> ParamVector:
     return replace(params, values=new_values)
 
 
-def evaluate(params: ParamVector, dataset: DomainDataset, loss: LossKind = LossKind()) -> Metrics:
+def evaluate(params: ParamVector, dataset: DomainDataset) -> Metrics:
     """Accuracy (argmax, ties broken toward the lowest class index) and mean loss.
 
     The loss is ``_log_softmax`` read only at the label entries: the row
@@ -341,6 +311,4 @@ def evaluate(params: ParamVector, dataset: DomainDataset, loss: LossKind = LossK
     np.exp(logits, out=logits)
     picked -= np.log(logits.sum(axis=1))
     np.negative(picked, out=picked)
-    if loss.kind != "cross_entropy":  # plain weights are all ones: 1.0 * x == x
-        picked *= loss.sample_weights(labels, params.spec.num_classes)
     return Metrics(accuracy=accuracy, loss=float(np.sum(picked) / n))

@@ -12,8 +12,8 @@ package relies on:
 * **The random generator.**  :class:`Rng` wraps the Philox 4x64-10 counter
   based bit generator seeded through ``numpy.random.SeedSequence``.  The
   algorithm is fully specified, so a seed produces the same stream on every
-  platform, and child generators derive from an entropy tuple rather than
-  from consumed state.
+  platform, and a derived generator is keyed by an extended entropy tuple
+  rather than by consumed state.
 * **The shuffle.**  ``shuffle(rng, n, k)`` returns the first ``k`` entries
   of one pinned Fisher-Yates permutation and consumes the stream exactly as
   the full shuffle does, so a minibatch of k rows costs the draw and O(k)
@@ -85,10 +85,11 @@ class Rng:
     """Reproducible random source based on the Philox 4x64-10 generator.
 
     The generator is identified by an entropy ``key`` (a tuple of integers).
-    ``Rng(seed)`` uses ``(seed,)``; :meth:`child` extends the tuple, so
-    derived streams depend only on the key, never on how much of the parent
-    stream was consumed.  An ``Rng`` is single-owner state: do not share one
-    instance across threads, derive children instead.
+    ``Rng(seed)`` uses ``(seed,)`` and ``Rng(seed, *subkeys)`` extends it, so
+    a stream derived as ``Rng(*rng.key, *subkeys)`` depends only on the key,
+    never on how much of ``rng``'s stream was consumed.  An ``Rng`` is
+    single-owner state: do not share one instance across threads, derive a
+    generator per owner instead.
     """
 
     def __init__(self, seed: int, *subkeys: int):
@@ -98,10 +99,6 @@ class Rng:
     @property
     def seed(self) -> int:
         return self.key[0]
-
-    def child(self, *subkeys: int) -> "Rng":
-        """Derive an independent generator keyed by ``key + subkeys``."""
-        return Rng(*self.key, *subkeys)
 
     def integers(self, low, high=None, size=None) -> np.ndarray | int:
         """Integers from ``[low, high)`` (or ``[0, low)`` when high is None).

@@ -23,7 +23,7 @@ import numpy as np
 from .domains import DomainSuite
 from .errors import ConfigError, from_json, is_int
 from .federation import STRATEGIES, FedConfig, run_experiment
-from .models import LossKind, ModelSpec
+from .models import ModelSpec
 
 __all__ = [
     "SweepSpec",
@@ -72,6 +72,13 @@ class SweepSpec:
         for seed in self.seeds:
             if not is_int(seed) or seed < 0:
                 raise ConfigError("sweep.seeds", f"must be nonnegative integers, got {seed!r}")
+        # A repeated entry would run its cells twice and count them twice
+        # in every mean.
+        for name in ("strategies", "seeds", "targets"):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ConfigError(f"sweep.{name}", f"repeats {v!r}")
         for s, patch in self.overrides.items():
             if s not in self.strategies:
                 raise ConfigError("sweep.overrides", f"override for strategy {s!r} not in the sweep")
@@ -186,10 +193,10 @@ def cell_config(base: Mapping, spec: SweepSpec, strategy: str, seed: int) -> Fed
 
 
 def _run_cell(args) -> CellResult:
-    suite, model, loss, base, spec, strategy, target, seed = args
+    suite, model, base, spec, strategy, target, seed = args
     try:
         cfg = cell_config(base, spec, strategy, seed)
-        result = run_experiment(suite, target, model, cfg, loss)
+        result = run_experiment(suite, target, model, cfg)
         vb, va = result.variance_means_on_conflict_rounds()
         return CellResult(
             strategy=strategy,
@@ -220,7 +227,6 @@ def run_sweep(
     model: ModelSpec,
     base_config: Mapping,
     spec: SweepSpec,
-    loss: LossKind = LossKind(),
     jobs: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
@@ -233,7 +239,7 @@ def run_sweep(
     that run order and results in grid order, with any ``jobs``.
     """
     grid = [
-        (suite, model, loss, dict(base_config), spec, strategy, target, seed)
+        (suite, model, dict(base_config), spec, strategy, target, seed)
         for strategy in spec.strategies
         for target in spec.targets
         for seed in spec.seeds

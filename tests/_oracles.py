@@ -15,10 +15,14 @@ must agree with them exactly.  The aligned pair loop likewise, with one
 The model's forward pass, loss gradient and evaluation written with a
 fresh temporary per expression: the references for the in-place forms,
 which must agree byte for byte.  The evaluation reference takes the whole
-log-softmax matrix and indexes the label entries out of it.
+log-softmax matrix and indexes the label entries out of it.  Both can also
+take the loss the way the class-weighted loss once did, at weights of one:
+each sample's term times 1.0, and the gradient rows times the array
+``weights / n``.  The plain pass must keep those bits.
 
 The per-round mean source-domain figures as training once recorded them:
-each source evaluated on the server parameters right after each round.
+each source evaluated, by the evaluation reference, on the server
+parameters right after each round.
 ``ExperimentResult.csv_rows`` recomputes them by replaying the recorded
 steps and must agree bit for bit.
 
@@ -43,8 +47,8 @@ import numpy as np
 from fedalign.aggregation import align_pair
 from fedalign.domains import DomainDataset, leave_one_out
 from fedalign.errors import DimensionMismatch
-from fedalign.federation import ClientState, ServerState, run_round
-from fedalign.models import LossKind, Metrics, ParamVector, evaluate, init_params, loss_and_grad
+from fedalign.federation import ServerState, run_round
+from fedalign.models import Metrics, ParamVector, init_params, loss_and_grad
 from fedalign.numcore import Rng, dot
 
 
@@ -148,13 +152,22 @@ def reference_forward(params: ParamVector, x) -> np.ndarray:
     return h @ w2 + b2
 
 
-def reference_loss_and_grad(params: ParamVector, x, labels, loss: LossKind = LossKind()):
-    """Mean (weighted) cross-entropy and its gradient, one temporary per step."""
+def _unit_weighted_mean(terms, unit_weights: bool):
+    """``terms`` summed and divided by their count, and the factor the
+    gradient rows take: plainly, or through a weight vector of ones."""
+    n = terms.shape[0]
+    if unit_weights:
+        weights = np.ones(n)
+        return float(np.sum(weights * terms) / n), (weights / n)[:, None]
+    return float(np.sum(terms) / n), 1.0 / n
+
+
+def reference_loss_and_grad(params: ParamVector, x, labels, unit_weights: bool = False):
+    """Mean cross-entropy and its gradient, one temporary per step."""
     spec = params.spec
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
-    weights = loss.sample_weights(labels, spec.num_classes)
     if spec.hidden_dim == 0:
         (w, b), = params.layers()
         logits = x @ w + b
@@ -163,10 +176,10 @@ def reference_loss_and_grad(params: ParamVector, x, labels, loss: LossKind = Los
         logits = h @ w2 + b2
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    total = float(np.sum(weights * -logp[np.arange(n), labels]) / n)
+    total, row_scale = _unit_weighted_mean(-logp[np.arange(n), labels], unit_weights)
     dz = np.exp(logp)
     dz[np.arange(n), labels] -= 1.0
-    dz *= (weights / n)[:, None]
+    dz *= row_scale
     if spec.hidden_dim == 0:
         return total, np.concatenate([(x.T @ dz).reshape(-1), dz.sum(axis=0)])
     dh = dz @ w2.T
@@ -176,20 +189,20 @@ def reference_loss_and_grad(params: ParamVector, x, labels, loss: LossKind = Los
     return total, np.concatenate(parts)
 
 
-def reference_evaluate(params: ParamVector, dataset, loss: LossKind = LossKind()) -> Metrics:
-    """Accuracy as the mean of ``argmax == label`` and the mean (weighted)
-    loss read out of the full log-softmax matrix."""
+def reference_evaluate(params: ParamVector, dataset, unit_weights: bool = False) -> Metrics:
+    """Accuracy as the mean of ``argmax == label`` and the mean loss read
+    out of the full log-softmax matrix."""
     logits = reference_forward(params, dataset.features)
     labels = dataset.labels
     n = labels.shape[0]
     accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
-    weights = loss.sample_weights(labels, params.spec.num_classes)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return Metrics(accuracy=accuracy, loss=float(np.sum(weights * -logp[np.arange(n), labels]) / n))
+    loss, _ = _unit_weighted_mean(-logp[np.arange(n), labels], unit_weights)
+    return Metrics(accuracy=accuracy, loss=loss)
 
 
-def reference_source_means(suite, target, model, cfg, loss: LossKind = LossKind()):
+def reference_source_means(suite, target, model, cfg, unit_weights: bool = False):
     """``[(mean source accuracy, mean source loss), ...]`` per round, each
     source evaluated on ``server.params`` after that round's ``run_round``
     (deepall: the pooled sources, trained as fedavg), and the final params."""
@@ -199,19 +212,18 @@ def reference_source_means(suite, target, model, cfg, loss: LossKind = LossKind(
         sources = [DomainDataset("pooled", features, np.concatenate([s.labels for s in sources]))]
         cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
     server = ServerState(params=init_params(model, Rng(cfg.seed, 0)))
-    clients = [ClientState(ds.domain_id, ds) for ds in sources]
     means = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.rounds):
-            run_round(server, clients, cfg, target_ds, loss)
-            metrics = [evaluate(server.params, ds, loss) for ds in sources]
+            run_round(server, sources, cfg, target_ds)
+            metrics = [reference_evaluate(server.params, ds, unit_weights) for ds in sources]
             means.append(
                 (float(np.mean([m.accuracy for m in metrics])), float(np.mean([m.loss for m in metrics])))
             )
     return means, server.params
 
 
-def fd_gradient(params: ParamVector, x, y, loss: LossKind = LossKind(), h: float = 1e-6) -> np.ndarray:
+def fd_gradient(params: ParamVector, x, y, h: float = 1e-6) -> np.ndarray:
     """Central finite-difference gradient of the batch loss, coordinatewise."""
     base = params.values
     out = np.zeros_like(base)
@@ -220,8 +232,8 @@ def fd_gradient(params: ParamVector, x, y, loss: LossKind = LossKind(), h: float
         up[i] += h
         dn = base.copy()
         dn[i] -= h
-        lu, _ = loss_and_grad(ParamVector(params.spec, up), x, y, loss)
-        ld, _ = loss_and_grad(ParamVector(params.spec, dn), x, y, loss)
+        lu, _ = loss_and_grad(ParamVector(params.spec, up), x, y)
+        ld, _ = loss_and_grad(ParamVector(params.spec, dn), x, y)
         out[i] = (lu - ld) / (2.0 * h)
     return out
 
@@ -244,7 +256,7 @@ def relu_kink_too_close(params: ParamVector, x, margin: float = 1e-4) -> bool:
 
 
 def random_case(rng: np.random.Generator, force_hidden: bool | None = None):
-    """One random (params, x, y, loss) gradient-check case, kink-safe."""
+    """One random (params, x, y) gradient-check case, kink-safe."""
     from fedalign.models import ModelSpec, init_params
     from fedalign.numcore import Rng
 
@@ -263,14 +275,9 @@ def random_case(rng: np.random.Generator, force_hidden: bool | None = None):
     params = ParamVector(spec, params.values + 0.3 * rng.standard_normal(params.values.shape))
 
     batch = int(rng.integers(1, 9))
-    if rng.random() < 0.3:
-        weights = tuple(float(w) for w in rng.uniform(0.5, 3.0, size=classes))
-        loss = LossKind(kind="weighted_cross_entropy", class_weights=weights)
-    else:
-        loss = LossKind()
     for _ in range(100):
         x = rng.standard_normal((batch, input_dim)) * 2.0
         if not relu_kink_too_close(params, x):
             break
     y = rng.integers(0, classes, size=batch)
-    return params, x, y, loss
+    return params, x, y

@@ -20,7 +20,7 @@ from fedalign.aggregation import (
 )
 from fedalign.cli import main
 from fedalign.domains import SyntheticSpec, default_benchmark_spec, generate
-from fedalign.federation import FedConfig, default_config, run_experiment
+from fedalign.federation import FedConfig, run_experiment
 from fedalign.hekit import (
     ALLOWED_TAGS,
     aligned_aggregate_encrypted,
@@ -42,9 +42,9 @@ def test_1_gradients_match_finite_differences(acceptance_report):
     t0 = time.time()
     worst = 0.0
     for _ in range(100):
-        params, x, y, loss = random_case(rng)
-        _, grad = loss_and_grad(params, x, y, loss)
-        numeric = fd_gradient(params, x, y, loss, h=1e-6)
+        params, x, y = random_case(rng)
+        _, grad = loss_and_grad(params, x, y)
+        numeric = fd_gradient(params, x, y, h=1e-6)
         worst = max(worst, max_rel_error(grad, numeric))
     elapsed = time.time() - t0
     acceptance_report(
@@ -320,10 +320,10 @@ def test_9_shipped_defaults_snapshot(acceptance_report):
         "align_target": "original",
         "order_mode": "random",
     }
-    d = default_config().to_dict()
+    d = FedConfig().to_dict()
     ok = d == snapshot and d["lambda"] == 0.1 and d["local_steps"] == 1
     ok &= FedConfig(strategy="aligned").lam == 0.1
-    ok &= default_config("fedprox").mu == 0.01
+    ok &= FedConfig(strategy="fedprox").mu == 0.01
     acceptance_report(
         9,
         "shipped defaults snapshot",

@@ -58,8 +58,9 @@ def test_traced_run_records_each_layer(instrument):
     # One stacked loss_and_grad per round.  The client phase gathers the
     # memoized rows itself and never calls minibatch, so the tracer's
     # domains.minibatch span reads 0 until the benchmark wraps
-    # domains.batch_rows instead (ROADMAP, "For the next change to the
-    # benchmark"); then count its calls on memo misses here.
+    # domains.batch_rows instead (ROADMAP item 1, "Record every speed
+    # claim in BENCH_*.json and repair the tracer"); then count its calls
+    # on memo misses here.
     assert calls["models.loss_and_grad"] == 2
     assert calls["domains.minibatch"] == 0
     # One Rng at init, then per round two client streams and the

@@ -458,6 +458,16 @@ class TestSweep:
         assert main(["sweep", "--spec", cfg]) == 2
         assert "seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("strategies", ["fedavg", "fedavg"]), ("seeds", [0, 0]), ("targets", ["dom0", "dom0"])]
+    )
+    def test_repeated_entry_rejected(self, tmp_path, capsys, field, value):
+        grid = {"strategies": ["fedavg"], "seeds": [0], "targets": ["dom0"], field: value}
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", self.sweep_config(tmp_path, sweep=grid), "--out", str(out)]) == 2
+        assert f"config field 'sweep.{field}': repeats {value[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_target_rejected_before_running(self, tmp_path, capsys):
         cfg = self.sweep_config(
             tmp_path,
@@ -760,6 +770,8 @@ class TestMemoryLimit:
         "patch",
         [
             pytest.param({"model": {"hidden_dim": 2**40}}, id="hidden_dim"),
+            # A layer whose byte size numpy cannot express at all.
+            pytest.param({"model": {"hidden_dim": 2**62}}, id="hidden_dim-inexpressible"),
             pytest.param(_with_fed(batch_size=2**62), id="batch_size"),
             pytest.param(
                 {"data": {"synthetic": {**SMALL_DATA["synthetic"], "samples_per_domain": 2**62}}},

@@ -26,19 +26,17 @@ from fedalign.federation import (
     ROUND_CSV_COLUMNS,
     ROWS_MEMO_BYTES,
     RowsMemo,
-    ClientState,
     FedConfig,
     LrDecay,
     ServerState,
     client_local_step,
     client_phase,
     client_rows,
-    default_config,
     effective_lr,
     run_experiment,
     run_round,
 )
-from fedalign.models import LossKind, ModelSpec, init_params, loss_and_grad, sgd_step
+from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng
 from fedalign.sweep import SweepSpec, run_sweep
 
@@ -147,7 +145,10 @@ class TestFedConfig:
 
     def test_default_config_strategies(self):
         for s in ("fedavg", "fedprox", "aligned", "deepall"):
-            assert default_config(s).strategy == s
+            cfg = FedConfig(strategy=s)
+            assert cfg.strategy == s
+            assert cfg.lam == (0.1 if s == "aligned" else None)
+            assert cfg.mu == (0.01 if s == "fedprox" else None)
 
 
 class TestEffectiveLr:
@@ -179,8 +180,7 @@ class TestClientLocalStep:
 
     def test_single_step_is_raw_minibatch_gradient(self):
         cfg = FedConfig(strategy="fedavg", batch_size=8, lr=0.1)
-        state = ClientState("c", self.ds)
-        update = client_local_step(state, self.params, cfg, Rng(7))
+        update = client_local_step(self.ds, self.params, cfg, Rng(7))
         x, y = minibatch(self.ds, 8, Rng(7))
         value, grad = loss_and_grad(self.params, x, y)
         assert np.array_equal(update.gradient, grad)
@@ -189,8 +189,7 @@ class TestClientLocalStep:
 
     def test_two_local_steps_compose(self):
         cfg = FedConfig(strategy="fedavg", local_steps=2, batch_size=4, lr=0.1)
-        state = ClientState("c", self.ds)
-        update = client_local_step(state, self.params, cfg, Rng(9))
+        update = client_local_step(self.ds, self.params, cfg, Rng(9))
 
         rng = Rng(9)
         w = self.params
@@ -203,8 +202,7 @@ class TestClientLocalStep:
 
     def test_fedprox_proximal_pull(self):
         cfg = FedConfig(strategy="fedprox", local_steps=2, batch_size=4, lr=0.1, mu=0.5)
-        state = ClientState("c", self.ds)
-        update = client_local_step(state, self.params, cfg, Rng(9))
+        update = client_local_step(self.ds, self.params, cfg, Rng(9))
 
         rng = Rng(9)
         w = self.params
@@ -221,8 +219,8 @@ class TestClientLocalStep:
         # and vanishes, so fedprox and fedavg send identical updates.
         prox = FedConfig(strategy="fedprox", batch_size=8, mu=10.0)
         avg = FedConfig(strategy="fedavg", batch_size=8)
-        u1 = client_local_step(ClientState("c", self.ds), self.params, prox, Rng(3))
-        u2 = client_local_step(ClientState("c", self.ds), self.params, avg, Rng(3))
+        u1 = client_local_step(self.ds, self.params, prox, Rng(3))
+        u2 = client_local_step(self.ds, self.params, avg, Rng(3))
         assert np.array_equal(u1.gradient, u2.gradient)
 
 
@@ -243,18 +241,14 @@ class TestClientPhase:
     )
     @pytest.mark.parametrize("model", [MODEL, LOGREG], ids=["mlp", "logreg"])
     def test_matches_each_client_alone(self, kwargs, model):
-        clients = [ClientState(ds.domain_id, ds) for ds in small_suite(domains=4).domains]
+        clients = small_suite(domains=4).domains
         params = init_params(model, Rng(1))
         cfg = FedConfig(**kwargs)
-        loss = LossKind("weighted_cross_entropy", (0.5, 2.0))
-        rows = [
-            client_rows(5, k, 0, state.dataset.num_rows, cfg.batch_size, cfg.local_steps)
-            for k, state in enumerate(clients)
-        ]
-        updates = client_phase(clients, params, cfg, rows, loss=loss)
-        for k, (state, update) in enumerate(zip(clients, updates)):
-            alone = client_local_step(state, params, cfg, Rng(5, 1, k, 0), loss=loss)
-            assert update.client_id == state.client_id
+        rows = [client_rows(5, k, 0, ds.num_rows, cfg.batch_size, cfg.local_steps) for k, ds in enumerate(clients)]
+        updates = client_phase(clients, params, cfg, rows)
+        for k, (ds, update) in enumerate(zip(clients, updates)):
+            alone = client_local_step(ds, params, cfg, Rng(5, 1, k, 0))
+            assert update.client_id == ds.domain_id
             assert update.gradient.tobytes() == alone.gradient.tobytes()
             assert float(update.local_loss).hex() == float(alone.local_loss).hex()
             assert update.num_samples == alone.num_samples
@@ -262,7 +256,7 @@ class TestClientPhase:
     def test_empty_client_named(self):
         ds = small_suite().domains[0]
         empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
-        clients = [ClientState("a", ds), ClientState("void", empty)]
+        clients = [ds, empty]
         with pytest.raises(EmptyDataset, match="client void has no data"):
             client_phase(clients, init_params(MODEL, Rng(1)), FedConfig(), [(slice(None),)] * 2)
 
@@ -387,7 +381,7 @@ class TestClientRows:
     def test_empty_client_named_by_run_round(self):
         suite = small_suite()
         empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
-        clients = [ClientState("a", suite.domains[0]), ClientState("void", empty)]
+        clients = [suite.domains[0], empty]
         server = ServerState(params=init_params(MODEL, Rng(0, 0)))
         with pytest.raises(EmptyDataset, match="^client void has no data$"):
             run_round(server, clients, FedConfig(), suite.domains[2])
@@ -400,8 +394,7 @@ class TestRunRound:
         cfg = FedConfig(strategy="fedavg", batch_size=8, lr=0.05)
         params = init_params(MODEL, Rng(cfg.seed, 0))
         server = ServerState(params=params)
-        clients = [ClientState(s.domain_id, s) for s in sources]
-        record = run_round(server, clients, cfg, target)
+        record = run_round(server, sources, cfg, target)
         expected = sgd_step(params, record.aggregation.aggregated, 0.05)
         assert np.array_equal(server.params.values, expected.values)
         assert server.round_index == 1
@@ -412,8 +405,7 @@ class TestRunRound:
         sources, target = leave_one_out(suite, "dom2")
         cfg = FedConfig(strategy="aligned", batch_size=8)
         server = ServerState(params=init_params(MODEL, Rng(cfg.seed, 0)))
-        clients = [ClientState(s.domain_id, s) for s in sources]
-        record = run_round(server, clients, cfg, target)
+        record = run_round(server, sources, cfg, target)
         assert {c["client_id"] for c in record.per_client} == {"dom0", "dom1"}
         assert 0.0 <= record.target_metrics.accuracy <= 1.0
         assert record.trace_audit is None
@@ -421,7 +413,7 @@ class TestRunRound:
     def test_mismatched_client_batches_raise_dimension_mismatch(self):
         suite = small_suite()
         wide = DomainDataset("wide", np.zeros((40, 3)), suite.domains[1].labels)
-        clients = [ClientState("dom0", suite.domains[0]), ClientState("wide", wide)]
+        clients = [suite.domains[0], wide]
         server = ServerState(params=init_params(MODEL, Rng(0, 0)))
         with pytest.raises(DimensionMismatch, match=r"batch shape \(8, 3\)"):
             run_round(server, clients, FedConfig(strategy="fedavg", batch_size=8), suite.domains[2])
@@ -597,18 +589,16 @@ class TestCsvRowsReplay:
             pytest.param("aligned", {"encrypt": True}, id="aligned-encrypted"),
         ],
     )
-    @pytest.mark.parametrize(
-        "loss",
-        [LossKind(), LossKind("weighted_cross_entropy", (0.6, 2.5))],
-        ids=["plain", "weighted"],
-    )
-    def test_matches_reference(self, strategy, extra, loss):
+    # "weighted" evaluates the sources as the removed class-weighted loss
+    # did at weights of one (see ``_oracles``).
+    @pytest.mark.parametrize("unit_weights", [False, True], ids=["plain", "weighted"])
+    def test_matches_reference(self, strategy, extra, unit_weights):
         suite = small_suite()
         cfg = FedConfig(
             strategy=strategy, rounds=8, batch_size=4, lr=0.5, lr_decay=LrDecay(3, 4.0), seed=5, **extra
         )
-        res = run_experiment(suite, "dom2", MODEL, cfg, loss)
-        means, final = reference_source_means(suite, "dom2", MODEL, cfg, loss)
+        res = run_experiment(suite, "dom2", MODEL, cfg)
+        means, final = reference_source_means(suite, "dom2", MODEL, cfg, unit_weights)
         rows = res.csv_rows()
         got = [(r["mean_source_accuracy"].hex(), r["mean_source_loss"].hex()) for r in rows]
         assert got == [(acc.hex(), value.hex()) for acc, value in means]

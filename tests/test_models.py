@@ -7,7 +7,6 @@ import pytest
 from fedalign.domains import DomainDataset
 from fedalign.errors import DimensionMismatch, EmptyBatch, EmptyDataset, InvalidSpec
 from fedalign.models import (
-    LossKind,
     ModelSpec,
     ParamVector,
     evaluate,
@@ -125,55 +124,24 @@ class TestLossValue:
         assert np.all(np.isfinite(grad))
 
     def test_all_ones_weights_equal_plain(self):
+        # The loss as the removed class-weighted form computed it at weights
+        # of one: the plain pass keeps its bits.
         params = init_params(MLP, Rng(5))
         x = np.random.default_rng(1).normal(size=(5, 2))
         y = np.array([0, 1, 0, 1, 1])
         plain = loss_and_grad(params, x, y)
-        weighted = loss_and_grad(
-            params, x, y, LossKind(kind="weighted_cross_entropy", class_weights=(1.0, 1.0))
-        )
+        weighted = reference_loss_and_grad(params, x, y, unit_weights=True)
         assert plain[0] == weighted[0]
         assert np.array_equal(plain[1], weighted[1])
-
-    def test_weighted_scales_per_sample(self):
-        # One sample per class: weighted mean loss must equal
-        # (w0 * l0 + w1 * l1) / 2 where l_k is the per-sample CE.
-        params = init_params(LOGREG, Rng(9))
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        l0, _ = loss_and_grad(params, x[:1], np.array([0]))
-        l1, _ = loss_and_grad(params, x[1:], np.array([1]))
-        lw, _ = loss_and_grad(
-            params, x, np.array([0, 1]), LossKind("weighted_cross_entropy", (2.0, 5.0))
-        )
-        assert abs(lw - (2.0 * l0 + 5.0 * l1) / 2.0) < 1e-12
-
-
-class TestLossKind:
-    def test_weighted_requires_weights(self):
-        with pytest.raises(InvalidSpec):
-            LossKind(kind="weighted_cross_entropy")
-
-    def test_plain_takes_no_weights(self):
-        with pytest.raises(InvalidSpec):
-            LossKind(kind="cross_entropy", class_weights=(1.0, 2.0))
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(InvalidSpec):
-            LossKind(kind="weighted_cross_entropy", class_weights=(1.0, 0.0))
-
-    def test_wrong_weight_count(self):
-        loss = LossKind(kind="weighted_cross_entropy", class_weights=(1.0, 2.0, 3.0))
-        with pytest.raises(DimensionMismatch):
-            loss.sample_weights(np.array([0, 1]), num_classes=2)
 
 
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
-            params, x, y, loss = random_case(rng)
-            _, grad = loss_and_grad(params, x, y, loss)
-            fd = fd_gradient(params, x, y, loss)
+            params, x, y = random_case(rng)
+            _, grad = loss_and_grad(params, x, y)
+            fd = fd_gradient(params, x, y)
             assert max_rel_error(grad, fd) < 1e-5
 
     def test_tanh_hidden_layer(self):
@@ -291,10 +259,9 @@ def _model_case(hidden: int, activation: str, rows: int, classes: int = 3):
     return params, x, y
 
 
-LOSSES = [
-    pytest.param(LossKind(), id="plain"),
-    pytest.param(LossKind("weighted_cross_entropy", (0.5, 2.0, 3.0)), id="weighted"),
-]
+# The reference loss taken plainly, or as the removed class-weighted loss
+# took it at weights of one (see ``_oracles``).
+LOSSES = [pytest.param(False, id="plain"), pytest.param(True, id="weighted")]
 
 
 def metric_bits(m):
@@ -302,31 +269,25 @@ def metric_bits(m):
     return (float(m.accuracy).hex(), float(m.loss).hex())
 
 
-def _loss_for(weighted: bool, classes: int) -> LossKind:
-    if not weighted:
-        return LossKind()
-    return LossKind("weighted_cross_entropy", tuple(0.5 + 0.75 * c for c in range(classes)))
-
-
 class TestInPlaceMatchesReference:
     """The in-place forward and backward passes agree byte for byte with the
     one-temporary-per-expression reference in ``_oracles``."""
 
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("unit_weights", LOSSES)
     @pytest.mark.parametrize("rows", [1, 2, 10, 500])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("hidden", [0, 8, 128, 400])
-    def test_bit_identical(self, hidden, activation, rows, loss):
+    def test_bit_identical(self, hidden, activation, rows, unit_weights):
         params, x, y = _model_case(hidden, activation, rows)
         expected_logits = reference_forward(params, x)
         logits = forward(params, x)
         assert logits.tobytes() == expected_logits.tobytes()
 
         ds = DomainDataset(domain_id="d", features=x, labels=y)
-        assert metric_bits(evaluate(params, ds, loss)) == metric_bits(reference_evaluate(params, ds, loss))
+        assert metric_bits(evaluate(params, ds)) == metric_bits(reference_evaluate(params, ds, unit_weights))
 
-        value, grad = loss_and_grad(params, x, y, loss)
-        ref_value, ref_grad = reference_loss_and_grad(params, x, y, loss)
+        value, grad = loss_and_grad(params, x, y)
+        ref_value, ref_grad = reference_loss_and_grad(params, x, y, unit_weights)
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
 
@@ -337,22 +298,22 @@ class TestStackedMatchesReference:
     shared and at per-batch parameters, across the byte cap's chunking."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 32])
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("unit_weights", LOSSES)
     @pytest.mark.parametrize("rows", [1, 2, 10, 500])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("hidden", [0, 8, 128, 400])
-    def test_rows_bit_identical(self, hidden, activation, rows, loss, k):
+    def test_rows_bit_identical(self, hidden, activation, rows, unit_weights, k):
         params, _, _ = _model_case(hidden, activation, rows)
         rng = np.random.default_rng([hidden, rows, k])
         stack = params.values + 0.1 * rng.standard_normal((k, params.spec.param_count))
         x = 2.0 * rng.standard_normal((k, rows, params.spec.input_dim))
         y = rng.integers(0, params.spec.num_classes, size=(k, rows))
         for values in (params.values, stack):
-            losses, grads = loss_and_grad(ParamVector(params.spec, values), x, y, loss)
+            losses, grads = loss_and_grad(ParamVector(params.spec, values), x, y)
             assert losses.shape == (k,) and grads.shape == (k, params.spec.param_count)
             for i in range(k):
                 own = ParamVector(params.spec, values if values.ndim == 1 else values[i])
-                ref_value, ref_grad = reference_loss_and_grad(own, x[i], y[i], loss)
+                ref_value, ref_grad = reference_loss_and_grad(own, x[i], y[i], unit_weights)
                 assert float(losses[i]).hex() == ref_value.hex(), i
                 assert grads[i].tobytes() == ref_grad.tobytes(), i
 
@@ -386,15 +347,14 @@ class TestEvaluateMatchesReference:
     Eight or more classes are where a running column sum would part from
     numpy's pairwise row sum."""
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("unit_weights", LOSSES)
     @pytest.mark.parametrize("rows", [1, 2, 10, 500])
     @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9])
     @pytest.mark.parametrize("hidden", [0, 8, 128, 400])
-    def test_bit_identical(self, hidden, classes, rows, weighted):
+    def test_bit_identical(self, hidden, classes, rows, unit_weights):
         params, x, y = _model_case(hidden, "relu", rows, classes=classes)
         ds = DomainDataset(domain_id="d", features=x, labels=y)
-        loss = _loss_for(weighted, classes)
-        assert metric_bits(evaluate(params, ds, loss)) == metric_bits(reference_evaluate(params, ds, loss))
+        assert metric_bits(evaluate(params, ds)) == metric_bits(reference_evaluate(params, ds, unit_weights))
 
     @pytest.mark.parametrize("classes", [2, 8, 9, 20])
     def test_single_rows(self, classes):
@@ -418,20 +378,19 @@ class TestEvaluateMatchesReference:
         assert metric_bits(m) == metric_bits(reference_evaluate(params, ds))
         assert m.accuracy == np.mean(y == 0)
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("unit_weights", LOSSES)
     @pytest.mark.parametrize("classes", [2, 8, 9])
     @pytest.mark.parametrize("hidden", [0, 8, 128])
     @pytest.mark.parametrize("scale", [1e150, 1e160])
-    def test_huge_params(self, scale, hidden, classes, weighted):
+    def test_huge_params(self, scale, hidden, classes, unit_weights):
         # At 1e150 the losses reach 1e300; at 1e160 hidden logits overflow
         # to inf and shift to NaN.  The run's errstate, as run_experiment
         # sets it, silences the warnings for both forms.
         params, x, y = _model_case(hidden, "relu", 500, classes=classes)
         params = ParamVector(params.spec, params.values * scale)
         ds = DomainDataset(domain_id="d", features=x, labels=y)
-        loss = _loss_for(weighted, classes)
         with np.errstate(over="ignore", invalid="ignore"):
-            got, expected = evaluate(params, ds, loss), reference_evaluate(params, ds, loss)
+            got, expected = evaluate(params, ds), reference_evaluate(params, ds, unit_weights)
         assert metric_bits(got) == metric_bits(expected)
 
 

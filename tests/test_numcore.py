@@ -81,7 +81,7 @@ class TestRng:
         assert [a.integers(10**9) for _ in range(8)] != [b.integers(10**9) for _ in range(8)]
 
     def test_child_equivalent_to_direct_key(self):
-        via_child = Rng(7).child(3, 4)
+        via_child = Rng(*Rng(7).key, 3, 4)
         direct = Rng(7, 3, 4)
         assert via_child.key == direct.key == (7, 3, 4)
         assert via_child.normal(size=5).tolist() == direct.normal(size=5).tolist()
@@ -90,7 +90,7 @@ class TestRng:
         a = Rng(9)
         a.normal(size=100)  # consume a chunk of the parent stream
         b = Rng(9)
-        assert a.child(1).integers(10**9) == b.child(1).integers(10**9)
+        assert Rng(*a.key, 1).integers(10**9) == Rng(*b.key, 1).integers(10**9)
 
     def test_known_stream_snapshot(self):
         # Philox is fully specified; freeze a few draws to catch accidental
