@@ -23,9 +23,20 @@ two choices open:
 
 Each aggregation stacks the round's client gradients once into a
 C-contiguous K×P float64 matrix, one row per client; the aligned strategy
-corrects its rows in place and reads the originals from the updates.  The
-report records which semantics ran, every tested pair, the visiting order,
-the final K×P matrix (``aligned``), and the sum of pairwise squared
+corrects its rows in place and reads the originals from the updates.
+
+The aligned pair loop pays for little beyond its arithmetic.  A round's
+K+1 visiting orders (the outer order, then each client's inner order) come
+from one ``numcore.shuffles`` draw, the same orders and the same stream as
+K+1 ``shuffle`` calls.  Each tested pair's inner product is formed in one
+scratch row and reduced, as ``np.sum(probe * target)``.  A conflict writes
+``align_pair``'s ``(1-2*lam)*g_i + 2*lam*g_j`` into the working row with
+three in-place ufuncs, the same bits as ``align_pair``; the finite check
+``align_pair`` makes per call runs once, over the finished working
+matrix, and raises :class:`NonFiniteResult`.
+
+The report records which semantics ran, every tested pair, the visiting
+order, the final K×P matrix (``aligned``), and the sum of pairwise squared
 gradient distances (the domain-variance diagnostic) before and after
 alignment.
 
@@ -52,7 +63,12 @@ from .errors import (
     InvalidLambda,
     InvalidSpec,
 )
-from .numcore import RealMat, RealVec, Rng, axpby, dot, shuffle, weighted_sum
+from .numcore import RealMat, RealVec, Rng, axpby, dot, ensure_finite, shuffles, weighted_sum
+
+# ``shuffle`` is not called here (a round's visiting orders come from one
+# ``shuffles`` draw); it stays a module attribute for callers that look it up
+# on this module, such as the benchmark's tracer.
+from .numcore import shuffle  # noqa: F401
 
 __all__ = [
     "GradientVector",
@@ -274,34 +290,42 @@ def aggregate_aligned(
     if rng is None:
         rng = Rng(cfg.order_seed)
     k = len(updates)
-    orig_rows = [u.gradient for u in updates]
-    # Row views, made once: the pair loop indexes them thousands of times.
-    work_rows = list(working)
-    product = buf[0]
     ids = tuple(u.client_id for u in updates)
 
+    # The visiting orders: the outer one, then each client's inner one over
+    # its k - 1 others, in outer order.  Inner position p is other client
+    # p, or p + 1 from client i on.
     if cfg.order_mode == "random":
-        outer = [int(v) for v in shuffle(rng, k)]
+        outer, *inner = shuffles(rng, [k] + [k - 1] * k)
     else:
-        outer = list(range(k))
-    inner_orders: dict[int, list[int]] = {}
+        outer, inner = list(range(k)), [list(range(k - 1))] * k
+    inner_orders = {i: [p + (p >= i) for p in perm] for i, perm in zip(outer, inner)}
+
+    # Row views, made once: the pair loop indexes them thousands of times.
+    work_rows = list(working)
+    orig_rows = [u.gradient for u in updates]
+    probes = work_rows if cfg.accumulate else orig_rows
+    targets = orig_rows if cfg.target == "original" else work_rows
+    alpha, beta = 1.0 - 2.0 * cfg.lam, 2.0 * cfg.lam
+    product = buf[0]
     tested = []
     conflicts = []
     for i in outer:
-        others = [j for j in range(k) if j != i]
-        if cfg.order_mode == "random":
-            others = [others[int(p)] for p in shuffle(rng, len(others))]
-        inner_orders[i] = others
-        for j in others:
-            target_vec = orig_rows[j] if cfg.target == "original" else work_rows[j]
-            probe = work_rows[i] if cfg.accumulate else orig_rows[i]
+        probe, row = probes[i], work_rows[i]
+        for j in inner_orders[i]:
+            target_vec = targets[j]
             # detect_conflict's np.sum(probe * target_vec), into one buffer.
             np.multiply(probe, target_vec, out=product)
             value = float(np.add.reduce(product))
             tested.append((ids[i], ids[j], value))
             if value < 0.0:
                 conflicts.append((ids[i], ids[j], value))
-                work_rows[i][:] = align_pair(probe, target_vec, cfg.lam)
+                # align_pair's alpha*probe + beta*target_vec, written into
+                # the row (j != i, so the target is never the row).
+                np.multiply(target_vec, beta, out=product)
+                np.multiply(probe, alpha, out=row)
+                np.add(row, product, out=row)
+    ensure_finite(working, "aligned gradients")
 
     weights = _weights(updates, cfg.weighting)
     aggregated = weighted_sum(work_rows, weights)

@@ -4,7 +4,11 @@ Configuration is a single JSON document per invocation.  Every run
 directory is self-describing: ``manifest.json`` snapshots the normalized
 config (with any ``--seed`` override applied), and feeding a manifest back
 to ``run --config`` reproduces ``summary.json`` byte for byte — the
-manifest plus the package is the whole experiment.
+manifest plus the package is the whole experiment.  The manifest's
+``environment`` block records the Python, numpy and platform that wrote
+it; since every random stream rests on numpy's Philox and bounded-integer
+algorithms, a manifest fed back under another numpy version prints a
+one-line warning on stderr (the exit code does not change).
 
 Exit codes: 0 success, 1 runtime failure (I/O, numerical), 2 configuration
 error (the diagnostic names the offending field or file position, or the
@@ -36,9 +40,12 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, save_csv
@@ -167,10 +174,17 @@ def _model_dict(model: ModelSpec) -> dict:
     return {"hidden_dim": model.hidden_dim, "activation": model.activation}
 
 
+def _environment() -> dict:
+    # Not platform.platform(): it forks a ``uname -p`` child of this process.
+    host = f"{platform.system()}-{platform.release()}-{platform.machine()}"
+    return {"python": platform.python_version(), "numpy": np.__version__, "platform": host}
+
+
 def _manifest(command: str, config: dict, seed_list: list, outputs: dict) -> dict:
     return {
         "tool_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
+        "environment": _environment(),
         "command": command,
         "seed_list": seed_list,
         "config": config,
@@ -179,8 +193,17 @@ def _manifest(command: str, config: dict, seed_list: list, outputs: dict) -> dic
 
 
 def _unwrap_manifest(doc: dict) -> dict:
-    """Accept either a bare config or a previously written manifest."""
+    """Accept either a bare config or a previously written manifest, and warn
+    when the manifest was written under another numpy version."""
     if isinstance(doc, dict) and "config" in doc and "tool_version" in doc:
+        env = doc.get("environment")
+        written = env.get("numpy") if isinstance(env, dict) else None
+        if written is not None and written != np.__version__:
+            print(
+                f"warning: manifest written with numpy {written}, running numpy {np.__version__}; "
+                "its random streams, and so its results, may differ",
+                file=sys.stderr,
+            )
         return doc["config"]
     return doc
 

@@ -83,7 +83,7 @@ from .hekit import (
     weighted_sum_encrypted,
 )
 from .models import Metrics, ModelSpec, ParamVector, evaluate, init_params, loss_and_grad, sgd_step
-from .numcore import Rng, dot
+from .numcore import RealMat, Rng
 
 __all__ = [
     "STRATEGIES",
@@ -457,6 +457,19 @@ def client_phase(
     parameters that starts as K views of the global ones.  Clients never
     mix, so every update is byte-identical to the client's walk alone.
     """
+    values, grads = _client_steps(clients, global_params, cfg, rows, lr)
+    return _updates(clients, values, grads)
+
+
+def _client_steps(
+    clients: list[DomainDataset],
+    global_params: ParamVector,
+    cfg: FedConfig,
+    rows: list[tuple[np.ndarray | slice, ...]],
+    lr: float | None,
+) -> tuple[np.ndarray, RealMat]:
+    """:func:`client_phase`'s K local losses and its C-contiguous K×P matrix
+    of updates, row k for client k."""
     _require_data(clients)
     if lr is None:
         lr = cfg.lr
@@ -477,6 +490,10 @@ def client_phase(
         # Row k holds client k's losses, so each mean reduces a contiguous
         # row as the mean of that client's own list would.
         values = np.mean(np.stack(losses, axis=1), axis=1)
+    return values, grads
+
+
+def _updates(clients: list[DomainDataset], values: np.ndarray, grads: RealMat) -> list[ClientUpdate]:
     return [
         ClientUpdate(
             client_id=ds.domain_id,
@@ -555,7 +572,8 @@ def run_round(
             client_rows(cfg.seed, k, t, ds.num_rows, cfg.batch_size, cfg.local_steps)
             for k, ds in enumerate(clients)
         ]
-        updates = client_phase(clients, server.params, cfg, rows, lr)
+        values, grads = _client_steps(clients, server.params, cfg, rows, lr)
+        updates = _updates(clients, values, grads)
     except (FedAlignError, ValueError):
         # The clients stepped together, so the error is the first one any of
         # them hit (a ValueError: their batches did not stack; an
@@ -580,13 +598,15 @@ def run_round(
         raise type(exc)(f"round {t}: {exc}") from exc
     server.round_index = t + 1
 
+    # The updates' gradients are the rows of ``grads``, and nothing reads
+    # them once the round is aggregated: square it in place and reduce each
+    # row, which sums every row as np.sum(g * g) does, so each norm is
+    # sqrt(dot(g, g)) bit for bit, without a K×P temporary.
+    np.multiply(grads, grads, out=grads)
+    norms = np.sqrt(np.add.reduce(grads, axis=1)).tolist()
     per_client = tuple(
-        {
-            "client_id": u.client_id,
-            "local_loss": u.local_loss,
-            "grad_norm": float(math.sqrt(dot(u.gradient, u.gradient))),
-        }
-        for u in updates
+        {"client_id": u.client_id, "local_loss": u.local_loss, "grad_norm": norm}
+        for u, norm in zip(updates, norms)
     )
     return RoundRecord(
         round=t,

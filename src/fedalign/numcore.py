@@ -17,7 +17,9 @@ package relies on:
 * **The shuffle.**  ``shuffle(rng, n, k)`` returns the first ``k`` entries
   of one pinned Fisher-Yates permutation and consumes the stream exactly as
   the full shuffle does, so a minibatch of k rows costs the draw and O(k)
-  Python work, not a permutation of all n rows.
+  Python work, not a permutation of all n rows.  ``shuffles(rng, sizes)``
+  draws several full permutations, one after another, from one generator
+  call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "dot",
     "axpby",
     "shuffle",
+    "shuffles",
     "weighted_sum",
 ]
 
@@ -168,6 +171,34 @@ def shuffle(rng: Rng, n: int, k: int | None = None) -> np.ndarray:
     for i, j in zip(range(k - 1, 0, -1), swaps[head:].tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
+
+
+def shuffles(rng: Rng, sizes: Sequence[int]) -> list[list[int]]:
+    """One full Fisher-Yates permutation of ``0..n-1`` per ``n`` in
+    ``sizes``, as Python lists: the permutations ``shuffle(rng, n)`` returns
+    when called once per size, in order.
+
+    The swap indices of every permutation come from one generator call
+    over the concatenated bounds (``n, n-1, .., 2`` for each size in turn),
+    and the swaps run in Python.  That call draws the same values and
+    leaves the same state as the calls in turn, because Philox keeps a
+    half-used 64-bit word across calls, so the stream after it is the
+    stream after the separate shuffles.  A round's aggregation orders, K+1
+    short permutations, cost one call this way instead of K+1.
+    """
+    if any(n < 0 for n in sizes):
+        raise ValueError("sizes must be nonnegative")
+    bounds = np.array([b for n in sizes for b in range(n, 1, -1)], dtype=np.int64)
+    swaps = iter(rng.integers(0, bounds).tolist())
+    perms = []
+    for n in sizes:
+        perm = list(range(n))
+        # zip reads the range first, so it stops without taking an index
+        # that belongs to the next permutation.
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            perm[i], perm[j] = perm[j], perm[i]
+        perms.append(perm)
+    return perms
 
 
 def weighted_sum(vectors: Sequence[RealVec], weights: Sequence[float]) -> RealVec:

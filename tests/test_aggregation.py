@@ -20,10 +20,11 @@ from fedalign.errors import (
     EmptyUpdateSet,
     InvalidLambda,
     InvalidSpec,
+    NonFiniteResult,
 )
 from fedalign.numcore import Rng
 
-from _oracles import reference_aligned_pairs, reference_domain_variance, reference_pair_dots
+from _oracles import reference_aligned_pairs, reference_domain_variance, reference_pair_dots, scalar_shuffle
 
 
 def updates_from(grads, ids=None, samples=None):
@@ -249,6 +250,46 @@ class TestBatchedDiagnostics:
         assert rep.aligned.flags.c_contiguous
 
 
+class TestPairLoopExactness:
+    """The aligned pair loop's one-draw visiting orders and in-place
+    conflict step against their one-call-each references."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
+    def test_orders_are_scalar_shuffles_in_turn(self, k):
+        grads = gradient_rows(k, 3, seed=k)
+        for seed, t in [(0, 0), (7, 5), (123, 39)]:
+            rng, ref = Rng(seed, 2, t), Rng(seed, 2, t)
+            rep = aggregate_aligned(updates_from(grads), AlignConfig(order_mode="random"), rng=rng)
+            # The outer order, then one inner order per client in outer order.
+            outer = scalar_shuffle(ref, k).tolist()
+            inner = {}
+            for i in outer:
+                others = [j for j in range(k) if j != i]
+                inner[str(i)] = [others[p] for p in scalar_shuffle(ref, k - 1).tolist()]
+            assert rep.order_used["outer"] == outer
+            assert list(rep.order_used["inner"].items()) == list(inner.items())
+            assert rng.integers(2**62) == ref.integers(2**62)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_in_place_conflicts_match_align_pair(self, accumulate, target, lam):
+        # K=32, P=2002: the benchmark's many-clients shape.
+        grads = gradient_rows(32, 2002, seed=int(lam * 100) + 2 * accumulate + (target == "current"))
+        cfg = AlignConfig(lam=lam, accumulate=accumulate, target=target)
+        rep = aggregate_aligned(updates_from(grads), cfg, rng=Rng(3, 2, 0))
+        assert rep.num_conflicts > 0
+        TestBatchedDiagnostics.assert_aligned_replays(grads, rep, cfg)
+        # The last conflict of each row, redone by align_pair alone: with
+        # accumulate off it is the whole final row.
+        if not accumulate and target == "original":
+            last = {a: b for a, b, _ in rep.conflict_pairs}
+            index = {cid: n for n, cid in enumerate(rep.client_ids)}
+            for a, b in last.items():
+                expected = align_pair(grads[index[a]], grads[index[b]], lam)
+                assert rep.aligned[index[a]].tobytes() == expected.tobytes()
+
+
 class TestAlignConfig:
     @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.6])
     def test_lambda_validated(self, lam):
@@ -420,6 +461,14 @@ class TestAggregateAligned:
         ]
         with pytest.raises(DimensionMismatch):
             aggregate_aligned(ups)
+
+    def test_non_finite_working_matrix_raises(self):
+        # Set past ClientUpdate's own check: the pair loop's one finite
+        # check, over the finished working matrix, names it.
+        updates = updates_from([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
+        updates[0].gradient[0] = np.inf
+        with pytest.raises(NonFiniteResult, match="^aligned gradients contains NaN or Inf$"):
+            aggregate_aligned(updates, AlignConfig(order_mode="fixed"))
 
     def test_single_client_passthrough(self):
         g = np.array([0.1, -0.2, 0.3])

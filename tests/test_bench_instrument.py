@@ -66,15 +66,15 @@ def test_traced_run_records_each_layer(instrument):
     # One Rng at init, then per round two client streams and the
     # aggregation order's stream.
     assert calls["numcore.rng_init"] == 1 + 2 * (2 + 1)
-    # Two minibatch shuffles of 30 rows and three aggregation-order
-    # shuffles (of 2, 1 and 1 clients) a round.
-    assert calls["numcore.shuffle"] == 2 * (2 + 3)
-    assert tracer.counts["numcore.shuffle.draws"] == 2 * (2 * 29 + 1)
+    # Two minibatch shuffles of 30 rows a round.  The aggregation orders
+    # come from one numcore.shuffles draw, which does not go through shuffle.
+    assert calls["numcore.shuffle"] == 2 * 2
+    assert tracer.counts["numcore.shuffle.draws"] == 2 * (2 * 29)
     # Run again: the client streams are memoized, so only the aggregation
-    # order is drawn.
+    # order is drawn, and no shuffle runs.
     tracer.reset()
     with instrument.installed(tracer):
         run_experiment(suite, "dom2", model, cfg)
     calls = Counter(span[3] for span in tracer.spans)
     assert calls["numcore.rng_init"] == 1 + 2
-    assert calls["numcore.shuffle"] == 2 * 3
+    assert calls["numcore.shuffle"] == 0

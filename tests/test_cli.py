@@ -3,12 +3,14 @@ import csv
 import io
 import json
 import os
+import platform
 import re
 import resource
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,21 @@ def run_config(tmp_path, **overrides):
     return write_config(tmp_path, "exp.json", doc)
 
 
+def sweep_config(tmp_path, **overrides):
+    doc = {
+        "sweep": {
+            "strategies": ["fedavg", "aligned", "deepall"],
+            "seeds": [0, 1],
+            "targets": ["dom0", "dom2"],
+        },
+        "model": {"hidden_dim": 4},
+        "data": SMALL_DATA,
+        "federation": dict(SMALL_FED),
+    }
+    doc.update(overrides)
+    return write_config(tmp_path, "grid.json", doc)
+
+
 class TestRun:
     def test_writes_run_directory(self, tmp_path, capsys):
         cfg = run_config(tmp_path)
@@ -116,6 +133,51 @@ class TestRun:
         assert main(["run", "--config", manifest_path, "--out", str(second), "--quiet"]) == 0
         assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
         assert (first / "rounds.csv").read_bytes() == (second / "rounds.csv").read_bytes()
+
+    def test_manifest_records_environment(self, tmp_path):
+        cfg = run_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        }
+
+    def test_environment_starts_no_process(self, monkeypatch):
+        # A child forked from the run's process would count toward its peak
+        # memory (platform.platform() forks one for ``uname -p``).
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        # Drop platform's caches, which an earlier call may have filled.
+        monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
+        monkeypatch.setattr(platform, "_platform_cache", {}, raising=False)
+        assert set(cli._environment()) == {"python", "numpy", "platform"}
+
+    @pytest.mark.parametrize(
+        "command,flag,make",
+        [("run", "--config", run_config), ("sweep", "--spec", sweep_config)],
+        ids=["run", "sweep"],
+    )
+    def test_replay_under_other_numpy_warns(self, tmp_path, capsys, command, flag, make):
+        cfg = make(tmp_path)
+        first, second, third = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert main([command, flag, cfg, "--out", str(first), "--quiet"]) == 0
+        # The same numpy: no warning.
+        assert main([command, flag, str(first / "manifest.json"), "--out", str(second), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["environment"]["numpy"] = "0.0.1"
+        other = write_config(tmp_path, "other.json", manifest)
+        assert main([command, flag, other, "--out", str(third), "--quiet"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"warning: manifest written with numpy 0.0.1, running numpy {np.__version__};")
+        assert (first / "summary.json").read_bytes() == (third / "summary.json").read_bytes()
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = run_config(tmp_path)
@@ -397,19 +459,7 @@ class TestWriteJson:
 
 
 class TestSweep:
-    def sweep_config(self, tmp_path, **overrides):
-        doc = {
-            "sweep": {
-                "strategies": ["fedavg", "aligned", "deepall"],
-                "seeds": [0, 1],
-                "targets": ["dom0", "dom2"],
-            },
-            "model": {"hidden_dim": 4},
-            "data": SMALL_DATA,
-            "federation": dict(SMALL_FED),
-        }
-        doc.update(overrides)
-        return write_config(tmp_path, "grid.json", doc)
+    sweep_config = staticmethod(sweep_config)
 
     def test_writes_sweep_directory(self, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from fedalign.federation import (
     run_round,
 )
 from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
-from fedalign.numcore import Rng
+from fedalign.numcore import Rng, dot
 from fedalign.sweep import SweepSpec, run_sweep
 
 from _oracles import reference_source_means
@@ -603,6 +604,36 @@ class TestCsvRowsReplay:
         got = [(r["mean_source_accuracy"].hex(), r["mean_source_loss"].hex()) for r in rows]
         assert got == [(acc.hex(), value.hex()) for acc, value in means]
         assert res.final_params.values.tobytes() == final.values.tobytes()
+
+
+class TestGradNorms:
+    """Each client's recorded ``grad_norm`` is ``sqrt(dot(g, g))`` of its
+    update, and the ``mean_grad_norm`` column their mean, bit for bit.  The
+    updates are recomputed from the recorded steps with ``client_phase``."""
+
+    @pytest.mark.parametrize("hidden", [8, 128, 400], ids=["P42", "P642", "P2002"])
+    @pytest.mark.parametrize(
+        "strategy, extra", [("aligned", {}), ("fedprox", {"local_steps": 2})], ids=["aligned", "fedprox-local2"]
+    )
+    def test_norms_are_dot_products(self, hidden, strategy, extra):
+        model = ModelSpec(input_dim=2, hidden_dim=hidden, num_classes=2)
+        assert model.param_count == 5 * hidden + 2
+        cfg = FedConfig(
+            strategy=strategy, rounds=4, batch_size=4, lr=0.5, lr_decay=LrDecay(2, 4.0), seed=5, **extra
+        )
+        res = run_experiment(small_suite(), "dom2", model, cfg)
+        sources = list(res.sources)
+        params = res.initial_params
+        for record, row in zip(res.records, res.csv_rows()):
+            rows = [
+                client_rows(cfg.seed, k, record.round, ds.num_rows, cfg.batch_size, cfg.local_steps)
+                for k, ds in enumerate(sources)
+            ]
+            updates = client_phase(sources, params, cfg, rows, record.lr)
+            norms = [math.sqrt(dot(u.gradient, u.gradient)) for u in updates]
+            assert [c["grad_norm"].hex() for c in record.per_client] == [v.hex() for v in norms]
+            assert row["mean_grad_norm"].hex() == float(np.mean(norms)).hex()
+            params = replace(params, values=params.values - record.lr * record.aggregation.aggregated)
 
 
 class TestPlainGoldenDigests:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedalign.errors import DimensionMismatch, NonFiniteResult
-from fedalign.numcore import Rng, axpby, dot, shuffle, weighted_sum
+from fedalign.numcore import Rng, axpby, dot, shuffle, shuffles, weighted_sum
 
 from _oracles import scalar_draws, scalar_shuffle, squared_distance
 
@@ -194,6 +194,26 @@ class TestShufflePrefix:
 
     def test_full_length_is_the_default(self):
         assert shuffle(Rng(5), 40, 40).tolist() == shuffle(Rng(5), 40).tolist()
+
+
+class TestShuffles:
+    """``shuffles(rng, sizes)`` is ``shuffle(rng, n)`` for each size in turn,
+    from one draw, and leaves the generator where those calls do."""
+
+    @pytest.mark.parametrize("key", SHUFFLE_KEYS)
+    @pytest.mark.parametrize(
+        "sizes",
+        [[], [0], [1], [0, 1, 0], [2], [7, 1, 0, 2, 6], [4, 3, 3, 3, 3], [33] + [32] * 33, [500, 3]],
+        ids=["none", "zero", "one", "empties", "two", "mixed", "k4", "k33", "long"],
+    )
+    def test_matches_shuffle_in_turn(self, key, sizes):
+        fast, ref = Rng(*key), Rng(*key)
+        assert shuffles(fast, sizes) == [shuffle(ref, n).tolist() for n in sizes]
+        assert fast.integers(2**62) == ref.integers(2**62)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            shuffles(Rng(0), [3, -1])
 
 
 class TestWeightedSum:
