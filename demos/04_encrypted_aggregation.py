@@ -8,8 +8,9 @@ demonstrates is the operator discipline, which an audit of per-handle
 operation traces enforces.
 
 Each client's gradient is one handle: an int64 array with one fixed-point
-slot per coordinate and one operator trace shared by all slots.  The audit
-still reports per coordinate, so a tag in a 6-slot trace counts 6 times.
+slot per coordinate and one set of operator tag counts shared by all slots.
+The audit still reports per coordinate, so a tag counted on a 6-slot handle
+counts 6 times.
 """
 
 import numpy as np
@@ -28,18 +29,19 @@ rng = np.random.default_rng(0)
 grads = [rng.normal(size=6) for _ in range(4)]
 updates = [ClientUpdate(f"c{i}", g, 50, 0.0) for i, g in enumerate(grads)]
 
-# Plaintext pass: the report records conflicts and visiting order.
+# Plaintext pass: the report records the conflicts in visiting order.
 report = aggregate_aligned(updates, AlignConfig(lam=0.1, order_seed=7))
 print(f"plaintext aggregate: {np.round(report.aggregated, 4)}")
 print(f"conflicting pairs  : {[(a, b) for a, b, _ in report.conflict_pairs]}")
 
-# Encrypted replay: same order, same conflict decisions, cipher handles only.
+# Encrypted replay: the same conflict decisions in the same order, cipher
+# handles only.
 cipher = transparent_cipher()
 encrypted = [enc_vec(cipher, g) for g in grads]
 index_of = {cid: k for k, cid in enumerate(report.client_ids)}
 conflicts = [(index_of[a], index_of[b]) for a, b, _ in report.conflict_pairs]
 handles, audit = aligned_aggregate_encrypted(
-    encrypted, 0.1, report.order_used, cipher, conflicts, weights=list(report.weights)
+    encrypted, 0.1, cipher, conflicts, weights=list(report.weights)
 )
 decrypted = dec_vec(cipher, handles)
 

@@ -300,7 +300,8 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
     appearance); raw label values map to dense class ids by first
     appearance, recorded in ``suite.label_names``.  A feature cell that is
     not a finite number raises :class:`ParseError` naming its line and
-    column.
+    column; a row shorter than the header raises
+    :class:`InconsistentDimension` naming its line.
     """
     by_domain: dict[str, list[list[float]]] = {}
     by_domain_labels: dict[str, list[int]] = {}
@@ -325,10 +326,11 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
                 if not math.isfinite(value):
                     raise ParseError(lineno, col, f"not a finite number: {cell!r}")
                 feats.append(value)
-            raw_label = row[schema.label_col]
+            raw_label, dom = row[schema.label_col], row[schema.domain_col]
+            if raw_label is None or dom is None:
+                raise InconsistentDimension(f"line {lineno}: row is shorter than the header")
             if raw_label not in label_ids:
                 label_ids[raw_label] = len(label_ids)
-            dom = row[schema.domain_col]
             by_domain.setdefault(dom, []).append(feats)
             by_domain_labels.setdefault(dom, []).append(label_ids[raw_label])
 

@@ -542,11 +542,10 @@ def _encrypted_replay(
     enc = [enc_vec(cipher, u.gradient) for u in updates]
     if report.strategy == "aligned":
         index_of = {u.client_id: i for i, u in enumerate(updates)}
-        conflicts = {(index_of[a], index_of[b]) for a, b, _ in report.conflict_pairs}
+        conflicts = [(index_of[a], index_of[b]) for a, b, _ in report.conflict_pairs]
         handle, audit = aligned_aggregate_encrypted(
             enc,
             cfg.lam,
-            report.order_used,
             cipher,
             conflicts,
             weights=list(report.weights),

@@ -10,10 +10,10 @@ operator semantics exactly, which is what the equivalence tests need.
 
 One handle packs a whole vector, as the slot packing of CKKS/BFV does: its
 payload is an int64 array (0-d for a constant such as a weight, 1-D for a
-gradient) and every operator acts on all slots at once.  Every handle drags
-along one append-only trace of the operator tags that produced it, shared
-by all of its slots.  The audit still counts per coordinate, so a tag in
-the trace of a P-slot handle counts P times.
+gradient) and every operator acts on all slots at once.  Every handle
+carries the counts of the operator tags that produced it, shared by all of
+its slots, so a trace costs what the circuit does.  The audit still counts
+per coordinate, so a tag counted on a P-slot handle counts P times.
 
 The auditor accepts only {ENC, ADD, SUB, MUL}; any other tag (say, from a
 shortcut that decrypts, computes in plaintext and re-encrypts) raises
@@ -31,12 +31,12 @@ acting as a trusted comparator).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .aggregation import TARGETS
 from .errors import DimensionMismatch, InvalidSpec, NonFiniteResult, OverflowAtScale, TraceViolation
 from .numcore import RealVec
 
@@ -77,16 +77,15 @@ _INT_LIMIT = 2**31
 
 @dataclass(frozen=True)
 class CipherHandle:
-    """Opaque encrypted vector: int64 slot payloads plus the one operator
-    trace that every slot shares.
+    """Opaque encrypted vector: int64 slot payloads plus their shared tag counts.
 
     ``payload`` is 0-d for a constant (a weight, ``2``, ``lambda``) and 1-D
-    for a gradient.  Every slot goes through the same operator sequence, so
-    one trace describes them all.
+    for a gradient.  ``trace`` counts each tag's occurrences in the handle's
+    expression tree, keys in first-occurrence order.
     """
 
     payload: np.ndarray
-    trace: tuple[str, ...]
+    trace: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -146,23 +145,31 @@ class TransparentCipher:
         self.codec = codec or FixedPointCodec()
 
     def enc(self, x) -> CipherHandle:
-        return CipherHandle(payload=self.codec.encode(x), trace=(ENC,))
+        return CipherHandle(payload=self.codec.encode(x), trace={ENC: 1})
 
     def dec(self, h: CipherHandle) -> np.ndarray:
         return self.codec.decode(h.payload)
 
     def add(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
         payload = self.codec.check_range(a.payload + b.payload)
-        return CipherHandle(payload=payload, trace=a.trace + b.trace + (ADD,))
+        return CipherHandle(payload=payload, trace=_merged(a, b, ADD))
 
     def sub(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
         payload = self.codec.check_range(a.payload - b.payload)
-        return CipherHandle(payload=payload, trace=a.trace + b.trace + (SUB,))
+        return CipherHandle(payload=payload, trace=_merged(a, b, SUB))
 
     def mul(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
         # Both factors are below 2^31 in magnitude, so the int64 product is exact.
         payload = self.codec.rescale(a.payload * b.payload)
-        return CipherHandle(payload=payload, trace=a.trace + b.trace + (MUL,))
+        return CipherHandle(payload=payload, trace=_merged(a, b, MUL))
+
+
+def _merged(a: CipherHandle, b: CipherHandle, tag: str) -> dict[str, int]:
+    """The tag counts of ``tag(a, b)``: ``a``'s, plus ``b``'s, plus one ``tag``."""
+    counts = dict(a.trace)
+    for t, n in (*b.trace.items(), (tag, 1)):
+        counts[t] = counts.get(t, 0) + n
+    return counts
 
 
 def transparent_cipher(scale: int = DEFAULT_SCALE) -> TransparentCipher:
@@ -171,7 +178,7 @@ def transparent_cipher(scale: int = DEFAULT_SCALE) -> TransparentCipher:
 
 
 def enc_vec(cipher: TransparentCipher, v: RealVec) -> CipherHandle:
-    """Encrypt a vector into one handle whose trace is exactly [ENC]."""
+    """Encrypt a vector into one handle whose trace is exactly {ENC: 1}."""
     return cipher.enc(v)
 
 
@@ -182,8 +189,8 @@ def dec_vec(cipher: TransparentCipher, handle: CipherHandle) -> RealVec:
 @dataclass(frozen=True)
 class TraceAudit:
     """Summary of an operator-trace inspection (raised past, not returned,
-    on violation).  Counts are per coordinate: a tag in the trace of a
-    P-slot handle counts P times."""
+    on violation).  Counts are per coordinate: a tag counted on a P-slot
+    handle counts P times."""
 
     coordinates: int
     total_tags: int
@@ -201,23 +208,20 @@ class TraceAudit:
 def audit_trace(handles: Sequence[CipherHandle]) -> TraceAudit:
     """Verify every handle was produced purely by {ENC, ADD, SUB, MUL}.
 
-    Raises :class:`TraceViolation` on an empty trace, a trace not rooted in
-    an encryption, or any foreign operator tag.
+    Raises :class:`TraceViolation` on a trace with no ENC or a foreign tag.
     """
     counts: dict[str, int] = {}
     coordinates = total = 0
     for idx, h in enumerate(handles):
-        if len(h.trace) == 0:
-            raise TraceViolation(f"handle {idx}: empty trace")
-        if h.trace[0] != ENC:
-            raise TraceViolation(f"handle {idx}: trace does not start with ENC")
+        if ENC not in h.trace:
+            raise TraceViolation(f"handle {idx}: trace has no ENC root")
         slots = int(np.size(h.payload))
-        for tag, n in Counter(h.trace).items():
+        for tag, n in h.trace.items():
             if tag not in ALLOWED_TAGS:
                 raise TraceViolation(f"handle {idx}: forbidden operator tag {tag!r}")
             counts[tag] = counts.get(tag, 0) + n * slots
         coordinates += slots
-        total += len(h.trace) * slots
+        total += sum(h.trace.values()) * slots
     return TraceAudit(coordinates=coordinates, total_tags=total, tag_counts=counts)
 
 
@@ -250,20 +254,18 @@ def weighted_sum_encrypted(
 def aligned_aggregate_encrypted(
     enc_updates: Sequence[CipherHandle],
     lam: float,
-    order: Mapping,
     cipher: TransparentCipher,
-    conflicts: Collection[tuple[int, int]],
+    conflicts: Sequence[tuple[int, int]],
     weights: Sequence[float] | None = None,
     accumulate: bool = True,
     target: str = "original",
 ) -> tuple[CipherHandle, TraceAudit]:
     """Replay the alignment aggregation entirely in encrypted space.
 
-    ``order`` is the visiting-order record of a plaintext aggregation
-    (``{"outer": [...], "inner": {"i": [...]}}`` with integer client
-    indices) and ``conflicts`` the externally supplied per-pair decisions
-    as ordered ``(i, j)`` index pairs — the sign test itself is not
-    expressible in the operator algebra (see module docstring).
+    ``conflicts`` are the externally supplied decisions: the ordered
+    ``(i, j)`` client-index pairs that conflicted, in the visiting order the
+    plaintext loop met them (``conflict_pairs`` order).  The sign test is
+    not expressible in the operator algebra (see module docstring).
 
     The correction applied for each conflicting pair is
 
@@ -274,22 +276,20 @@ def aligned_aggregate_encrypted(
     """
     if not (0.0 < lam <= 0.5):
         raise InvalidSpec(f"lambda must be in (0, 0.5], got {lam}")
+    if target not in TARGETS:
+        raise InvalidSpec(f"target must be one of {TARGETS}")
     _check_enc_updates(enc_updates)
     k = len(enc_updates)
-    conflict_set = {(int(i), int(j)) for i, j in conflicts}
-
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
     working = list(enc_updates)
-    outer = [int(i) for i in order["outer"]]
-    inner = {int(i): [int(j) for j in js] for i, js in order["inner"].items()}
-
-    for i in outer:
-        for j in inner.get(i, []):
-            if (i, j) not in conflict_set:
-                continue
-            base = working[i] if accumulate else enc_updates[i]
-            tgt = enc_updates[j] if target == "original" else working[j]
-            working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
+    seen = set()
+    for i, j in conflicts:
+        if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:
+            raise InvalidSpec(f"conflict pair {(i, j)} is not a new pair of two of the {k} clients")
+        seen.add((i, j))
+        base = working[i] if accumulate else enc_updates[i]
+        tgt = enc_updates[j] if target == "original" else working[j]
+        working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
 
     if weights is None:
         weights = [1.0 / k] * k

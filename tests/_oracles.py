@@ -12,6 +12,13 @@ one ``np.sum`` per pair, accumulated in (i, j) order.  The batched forms
 must agree with them exactly.  The aligned pair loop likewise, with one
 ``numcore.dot`` per tested pair, replayed in a recorded visiting order.
 
+The cipher with flattened tuple traces, as it was before handles carried
+tag counts: each operation joins its operands' traces and appends its own
+tag, the audit counts the joined tuple, and the encrypted aligned replay
+walks the recorded visiting order, skipping the pairs that did not
+conflict.  The count traces and the conflict-driven replay must give the
+same payloads and the same audit dict, key order included.
+
 The model's forward pass, loss gradient and evaluation written with a
 fresh temporary per expression: the references for the in-place forms,
 which must agree byte for byte.  The evaluation reference takes the whole
@@ -46,7 +53,8 @@ import numpy as np
 
 from fedalign.aggregation import align_pair
 from fedalign.domains import DomainDataset, leave_one_out
-from fedalign.errors import DimensionMismatch
+from fedalign.errors import DimensionMismatch, TraceViolation
+from fedalign.hekit import ADD, ALLOWED_TAGS, ENC, MUL, SUB, CipherHandle, TraceAudit, TransparentCipher
 from fedalign.federation import ServerState, run_round
 from fedalign.models import Metrics, ParamVector, init_params, loss_and_grad
 from fedalign.numcore import Rng, dot
@@ -133,6 +141,60 @@ def reference_aligned_pairs(grads, lam, outer, inner, accumulate=True, target="o
             if value < 0.0:
                 working[i] = align_pair(probe, other, lam)
     return tested, np.array(working)
+
+
+class TupleTraceCipher(TransparentCipher):
+    """``TransparentCipher``'s arithmetic, with each trace the flattened
+    tuple of every tag in the handle's expression tree."""
+
+    def enc(self, x) -> CipherHandle:
+        return CipherHandle(self.codec.encode(x), (ENC,))
+
+    def add(self, a, b) -> CipherHandle:
+        return CipherHandle(self.codec.check_range(a.payload + b.payload), a.trace + b.trace + (ADD,))
+
+    def sub(self, a, b) -> CipherHandle:
+        return CipherHandle(self.codec.check_range(a.payload - b.payload), a.trace + b.trace + (SUB,))
+
+    def mul(self, a, b) -> CipherHandle:
+        return CipherHandle(self.codec.rescale(a.payload * b.payload), a.trace + b.trace + (MUL,))
+
+
+def reference_audit(handles) -> TraceAudit:
+    """The audit of tuple traces: rooted in ENC, allowed tags only, each
+    tag counted once per occurrence per slot, keys in first-occurrence
+    order."""
+    counts: dict[str, int] = {}
+    coordinates = total = 0
+    for idx, h in enumerate(handles):
+        if len(h.trace) == 0 or h.trace[0] != ENC:
+            raise TraceViolation(f"handle {idx}: trace does not start with ENC")
+        slots = int(np.size(h.payload))
+        for tag in h.trace:
+            if tag not in ALLOWED_TAGS:
+                raise TraceViolation(f"handle {idx}: forbidden operator tag {tag!r}")
+            counts[tag] = counts.get(tag, 0) + slots
+        coordinates += slots
+        total += len(h.trace) * slots
+    return TraceAudit(coordinates=coordinates, total_tags=total, tag_counts=counts)
+
+
+def reference_aligned_encrypted(enc_updates, lam, order, cipher, conflicts, weights, accumulate, target):
+    """The encrypted aligned replay over a recorded visiting order
+    (``order_used``), correcting the pairs in the set ``conflicts``, then
+    the encrypted weighted sum: (handle, ``reference_audit`` of it)."""
+    two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
+    working = list(enc_updates)
+    for i in order["outer"]:
+        for j in order["inner"][str(i)]:
+            if (i, j) in conflicts:
+                base = working[i] if accumulate else enc_updates[i]
+                tgt = enc_updates[j] if target == "original" else working[j]
+                working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
+    out = cipher.mul(cipher.enc(float(weights[0])), working[0])
+    for w, g in zip(weights[1:], working[1:]):
+        out = cipher.add(out, cipher.mul(cipher.enc(float(w)), g))
+    return out, reference_audit([out])
 
 
 def _reference_hidden(params: ParamVector, x):

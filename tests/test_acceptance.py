@@ -210,7 +210,7 @@ def test_6_encrypted_pipeline_fidelity(acceptance_report):
         index_of = {cid: i for i, cid in enumerate(rep.client_ids)}
         conflicts = [(index_of[a], index_of[b]) for a, b, _ in rep.conflict_pairs]
         handles, audit = aligned_aggregate_encrypted(
-            enc, 0.1, rep.order_used, cipher, conflicts, weights=list(rep.weights)
+            enc, 0.1, cipher, conflicts, weights=list(rep.weights)
         )
         got = dec_vec(cipher, handles)
         worst = max(worst, float(np.max(np.abs(got - rep.aggregated))))

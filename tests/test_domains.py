@@ -373,3 +373,17 @@ class TestLoadCsv:
         path = self.write(tmp_path, "domain,x0,x1,label\na,1.0,2.0,0\nb,3.0\n")
         with pytest.raises((InconsistentDimension, ParseError)):
             load_csv(path, self.SCHEMA)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x0,x1,label,domain\n0.1,0.2,a,d1\n0.3,0.4,b,d2\n0.7,0.8\n",
+            "x0,x1,label,domain\n0.1,0.2,a,d1\n0.3,0.4,b,d2\n0.7,0.8,a\n",
+            "domain,x0,x1,label\nd1,0.1,0.2,a\nd2,0.3,0.4,b\nd1,0.7,0.8\n",
+        ],
+        ids=["no-label-no-domain", "no-domain", "no-label"],
+    )
+    def test_row_missing_label_or_domain_cell_rejected(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(InconsistentDimension, match="line 4: row is shorter than the header"):
+            load_csv(path, self.SCHEMA)

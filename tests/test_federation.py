@@ -38,7 +38,7 @@ from fedalign.federation import (
     run_round,
 )
 from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
-from fedalign.numcore import Rng, dot
+from fedalign.numcore import Rng, dot, weighted_sum
 from fedalign.sweep import SweepSpec, run_sweep
 
 from _oracles import reference_source_means
@@ -526,6 +526,20 @@ class TestRunExperiment:
         cfg = FedConfig(strategy="fedavg", rounds=3, batch_size=8, encrypt=True)
         res = run_experiment(suite, "dom1", MODEL, cfg)
         assert all(r.trace_audit is not None for r in res.records)
+
+    def test_encrypted_many_clients_matches_plain_aggregate(self):
+        # The benchmark's many-clients shape: K=32 sources, P=2002.
+        k = 32
+        degrees = tuple(90.0 * d / k for d in range(k + 1))
+        suite = generate(SyntheticSpec(num_domains=k + 1, samples_per_domain=50, rotation_degrees=degrees))
+        cfg = FedConfig(strategy="aligned", rounds=2, batch_size=10, encrypt=True)
+        res = run_experiment(suite, f"dom{k}", ModelSpec(2, 400, 2), cfg)
+        for r in res.records:
+            rep = r.aggregation
+            assert rep.aligned.shape == (k, 2002)
+            plain = weighted_sum(list(rep.aligned), rep.weights)
+            assert np.max(np.abs(rep.aggregated - plain)) <= 1e-6
+            assert r.trace_audit["coordinates"] == 2002
 
     def test_trajectory_stays_finite(self):
         suite = small_suite()

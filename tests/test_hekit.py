@@ -1,3 +1,7 @@
+import json
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,8 +32,9 @@ from fedalign.hekit import (
     transparent_cipher,
     weighted_sum_encrypted,
 )
+from fedalign.numcore import Rng
 
-from _oracles import div_round, round_half_away
+from _oracles import TupleTraceCipher, div_round, reference_aligned_encrypted, round_half_away
 
 
 class LeakyCipher(TransparentCipher):
@@ -39,7 +44,8 @@ class LeakyCipher(TransparentCipher):
     def mul(self, a, b):
         value = self.dec(a) * self.dec(b)
         payload = self.codec.encode(value)
-        return CipherHandle(payload=payload, trace=a.trace + b.trace + ("PLAIN_MUL",))
+        trace = Counter(a.trace) + Counter(b.trace) + Counter({"PLAIN_MUL": 1})
+        return CipherHandle(payload=payload, trace=dict(trace))
 
 
 class TestCodec:
@@ -134,7 +140,7 @@ class TestTransparentCipher:
 
     def test_trace_concatenation(self):
         h = self.c.add(self.c.enc(1.0), self.c.mul(self.c.enc(2.0), self.c.enc(3.0)))
-        assert h.trace == (ENC, ENC, ENC, MUL, ADD)
+        assert h.trace == {ENC: 3, MUL: 1, ADD: 1}
 
     def test_addition_overflow_detected(self):
         big = self.c.enc(100.0)
@@ -166,7 +172,7 @@ class TestVectorHandles:
         h = c.mul(half, v)
         assert h.payload.tolist() == [-1, -2, -3, 1, 2]
         assert h.payload.dtype == np.int64
-        assert h.trace == (ENC, ENC, MUL)
+        assert h.trace == {ENC: 2, MUL: 1}
 
     @given(
         # Products of two values below 11 stay inside the 128 headroom.
@@ -204,11 +210,11 @@ class TestAudit:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceViolation):
-            audit_trace([CipherHandle(payload=0, trace=())])
+            audit_trace([CipherHandle(payload=0, trace={})])
 
     def test_must_start_with_enc(self):
         with pytest.raises(TraceViolation):
-            audit_trace([CipherHandle(payload=0, trace=(ADD,))])
+            audit_trace([CipherHandle(payload=0, trace={ADD: 1})])
 
     def test_foreign_tag_rejected(self):
         leaky = LeakyCipher()
@@ -259,7 +265,7 @@ class TestEncryptedAlignment:
         idx = {cid: i for i, cid in enumerate(rep.client_ids)}
         conflicts = [(idx[a], idx[b]) for a, b, _ in rep.conflict_pairs]
         out, audit = aligned_aggregate_encrypted(
-            enc, lam, rep.order_used, c, conflicts, weights=list(rep.weights)
+            enc, lam, c, conflicts, weights=list(rep.weights)
         )
         return dec_vec(c, out), audit
 
@@ -293,9 +299,8 @@ class TestEncryptedAlignment:
     def test_lambda_validated(self):
         c = transparent_cipher()
         enc = [enc_vec(c, np.ones(1)), enc_vec(c, np.ones(1))]
-        order = {"outer": [0, 1], "inner": {"0": [1], "1": [0]}}
         with pytest.raises(InvalidSpec):
-            aligned_aggregate_encrypted(enc, 0.9, order, c, [])
+            aligned_aggregate_encrypted(enc, 0.9, c, [])
 
     def test_audit_runs_inside_pipeline(self):
         # A leaky backend is caught by the audit the pipeline performs.
@@ -304,14 +309,79 @@ class TestEncryptedAlignment:
         leaky = LeakyCipher()
         enc = [enc_vec(leaky, g) for g in grads]
         with pytest.raises(TraceViolation):
-            aligned_aggregate_encrypted(
-                enc, 0.1, rep.order_used, leaky, [(0, 1), (1, 0)]
-            )
+            aligned_aggregate_encrypted(enc, 0.1, leaky, [(0, 1), (1, 0)])
 
     def test_default_weights_uniform(self):
         grads = [np.array([2.0]), np.array([4.0])]
         rep = self.plain_report(grads)
         c = transparent_cipher()
         enc = [enc_vec(c, g) for g in grads]
-        out, _ = aligned_aggregate_encrypted(enc, 0.1, rep.order_used, c, [])
+        out, _ = aligned_aggregate_encrypted(enc, 0.1, c, [])
         assert abs(dec_vec(c, out)[0] - 3.0) <= 1e-6
+
+    def test_target_validated(self):
+        c = transparent_cipher()
+        enc = [enc_vec(c, np.ones(1)), enc_vec(c, -np.ones(1))]
+        with pytest.raises(InvalidSpec, match="target"):
+            aligned_aggregate_encrypted(enc, 0.1, c, [(0, 1)], target="orignal")
+
+    @pytest.mark.parametrize(
+        "conflicts",
+        [[(0, 2)], [(2, 0)], [(-1, 0)], [(0, -1)], [(1, 1)], [(0, 1), (1, 0), (0, 1)]],
+        ids=["j-past-end", "i-past-end", "i-negative", "j-negative", "self-pair", "repeat"],
+    )
+    def test_bad_conflict_pair_rejected(self, conflicts):
+        c = transparent_cipher()
+        enc = [enc_vec(c, np.ones(1)), enc_vec(c, -np.ones(1))]
+        with pytest.raises(InvalidSpec, match="conflict pair"):
+            aligned_aggregate_encrypted(enc, 0.1, c, conflicts)
+
+
+class TestCountTraces:
+    """Tag-count traces and the conflict-list replay against the tuple
+    traces and the visiting-order walk they replaced."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    @pytest.mark.parametrize("target", ["original", "current"])
+    def test_replay_matches_tuple_trace_reference(self, k, accumulate, target):
+        rng = np.random.default_rng(k)
+        for seed, lam in enumerate([0.1, 0.25, 0.5, 0.1]):
+            dim = int(rng.integers(1, 8))
+            grads = [rng.normal(size=dim) for _ in range(k)]
+            updates = [ClientUpdate(f"c{i}", g, int(rng.integers(1, 50)), 0.0) for i, g in enumerate(grads)]
+            cfg = AlignConfig(
+                lam=lam, order_seed=seed, weighting="sample_weighted", accumulate=accumulate, target=target
+            )
+            rep = aggregate_aligned(updates, cfg)
+            idx = {cid: i for i, cid in enumerate(rep.client_ids)}
+            conflicts = [(idx[a], idx[b]) for a, b, _ in rep.conflict_pairs]
+            c, ref = transparent_cipher(), TupleTraceCipher()
+            out, audit = aligned_aggregate_encrypted(
+                [enc_vec(c, g) for g in grads], lam, c, conflicts, list(rep.weights), accumulate, target
+            )
+            ref_out, ref_audit = reference_aligned_encrypted(
+                [ref.enc(g) for g in grads], lam, rep.order_used, ref, set(conflicts),
+                list(rep.weights), accumulate, target,
+            )
+            assert np.array_equal(out.payload, ref_out.payload)
+            assert json.dumps(audit.to_dict()) == json.dumps(ref_audit.to_dict())
+
+    def test_k32_many_conflicts_in_milliseconds(self):
+        # 508 conflicts: a trace that spelled out the expression tree would
+        # double per conflict (2.7e9 tags); counts keep this to milliseconds.
+        rng = np.random.default_rng(32)
+        grads = [rng.standard_normal(50) for _ in range(32)]
+        updates = [ClientUpdate(f"c{k}", g, 10, 0.0) for k, g in enumerate(grads)]
+        rep = aggregate_aligned(updates, AlignConfig(lam=0.1), rng=Rng(0, 2, 0))
+        idx = {cid: i for i, cid in enumerate(rep.client_ids)}
+        conflicts = [(idx[a], idx[b]) for a, b, _ in rep.conflict_pairs]
+        assert len(conflicts) == 508
+        c = transparent_cipher()
+        enc = [enc_vec(c, g) for g in grads]
+        t0 = time.perf_counter()
+        out, audit = aligned_aggregate_encrypted(enc, 0.1, c, conflicts, weights=list(rep.weights))
+        elapsed = time.perf_counter() - t0
+        assert audit.total_tags == 2656659150
+        assert np.max(np.abs(dec_vec(c, out) - rep.aggregated)) <= 1e-6
+        assert elapsed < 5.0
