@@ -45,7 +45,9 @@ print(f"conflicting pairs        : {aligned.num_conflicts} of {len(aligned.teste
 print(f"pairwise spread (sum of squared gradient gaps):")
 print(f"  before alignment {aligned.variance_before:.4f}")
 print(f"  after  alignment {aligned.variance_after:.4f}")
-print("visit order:", aligned.order_used["outer"])
+# The report keeps the tested pairs as client indices, in visiting order.
+outer = dict.fromkeys(aligned.tested_pairs[:, 0].tolist())
+print("visit order:", [aligned.client_ids[i] for i in outer])
 
 grads = [u.gradient for u in updates]
 assert domain_variance(grads) == aligned.variance_before

@@ -36,5 +36,8 @@ r = result.records[10]
 print(f"\nround {r.round}: lr={r.lr}, conflicts={r.aggregation.num_conflicts}, "
       f"gradient spread {r.aggregation.variance_before:.3f} -> "
       f"{r.aggregation.variance_after:.3f}")
-print(f"tested pairs: {[(a, b, round(v, 3)) for a, b, v in r.aggregation.tested_pairs[:3]]} ...")
+agg = r.aggregation
+ids = agg.client_ids
+first = zip(agg.tested_pairs[:3].tolist(), agg.pair_dots[:3].tolist())
+print(f"tested pairs: {[(ids[i], ids[j], round(v, 3)) for (i, j), v in first]} ...")
 print(f"replay digest: {result.params_digest()[:16]}… (stable across reruns)")

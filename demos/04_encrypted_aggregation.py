@@ -32,16 +32,15 @@ updates = [ClientUpdate(f"c{i}", g, 50, 0.0) for i, g in enumerate(grads)]
 # Plaintext pass: the report records the conflicts in visiting order.
 report = aggregate_aligned(updates, AlignConfig(lam=0.1, order_seed=7))
 print(f"plaintext aggregate: {np.round(report.aggregated, 4)}")
-print(f"conflicting pairs  : {[(a, b) for a, b, _ in report.conflict_pairs]}")
+ids = report.client_ids
+print(f"conflicting pairs  : {[(ids[i], ids[j]) for i, j in report.conflict_pairs.tolist()]}")
 
-# Encrypted replay: the same conflict decisions in the same order, cipher
-# handles only.
+# Encrypted replay: the same conflict decisions (client index pairs) in the
+# same order, cipher handles only.
 cipher = transparent_cipher()
 encrypted = [enc_vec(cipher, g) for g in grads]
-index_of = {cid: k for k, cid in enumerate(report.client_ids)}
-conflicts = [(index_of[a], index_of[b]) for a, b, _ in report.conflict_pairs]
 handles, audit = aligned_aggregate_encrypted(
-    encrypted, 0.1, cipher, conflicts, weights=list(report.weights)
+    encrypted, 0.1, cipher, report.conflict_pairs, weights=list(report.weights)
 )
 decrypted = dec_vec(cipher, handles)
 

@@ -35,10 +35,14 @@ three in-place ufuncs, the same bits as ``align_pair``; the finite check
 ``align_pair`` makes per call runs once, over the finished working
 matrix, and raises :class:`NonFiniteResult`.
 
-The report records which semantics ran, every tested pair, the visiting
-order, the final K×P matrix (``aligned``), and the sum of pairwise squared
-gradient distances (the domain-variance diagnostic) before and after
-alignment.
+The report records which semantics ran, the final K×P matrix
+(``aligned``), and the sum of pairwise squared gradient distances (the
+domain-variance diagnostic) before and after alignment.  Its pair results
+are two read-only arrays: ``tested_pairs``, the (M, 2) client indices of
+every tested pair in the order tested, and ``pair_dots``, each pair's inner
+product.  For the aligned strategy that order is the visiting order: each
+outer client in turn, with its inner order.  The conflicts are the rows
+with a negative inner product, derived on demand.
 
 The pair diagnostics (``domain_variance`` and fedavg's pairwise inner
 products) are batched: for each row *i* one numpy call forms the
@@ -148,6 +152,12 @@ class AggregationReport:
     ``aligned`` is the K×P matrix of final client gradients, row k for
     ``client_ids[k]``: the aligned working copy, or the stacked originals
     for fedavg.
+
+    ``tested_pairs`` is a read-only (M, 2) int64 array of client indices,
+    one row per tested pair in the order tested: the visiting order for
+    the aligned strategy (each outer client, then its inner order), and
+    (i, j) with i < j for fedavg.  ``pair_dots`` is the read-only (M,)
+    float64 array of their inner products.
     """
 
     strategy: str
@@ -155,16 +165,21 @@ class AggregationReport:
     aligned: RealMat
     client_ids: tuple[str, ...]
     weights: tuple[float, ...]
-    tested_pairs: tuple[tuple[str, str, float], ...]
-    conflict_pairs: tuple[tuple[str, str, float], ...]
+    tested_pairs: np.ndarray
+    pair_dots: RealVec
     variance_before: float
     variance_after: float
-    order_used: dict
     semantics: dict = field(default_factory=dict)
 
     @property
+    def conflict_pairs(self) -> np.ndarray:
+        """The rows of ``tested_pairs`` whose inner product is negative, in
+        tested order."""
+        return self.tested_pairs[self.pair_dots < 0.0]
+
+    @property
     def num_conflicts(self) -> int:
-        return len(self.conflict_pairs)
+        return int(np.count_nonzero(self.pair_dots < 0.0))
 
 
 def _check_lambda(lam: float) -> None:
@@ -214,6 +229,11 @@ def _pair_sums(x: RealMat, buf: RealMat, square: bool):
             else:
                 np.multiply(x[i], x[lo:hi], out=d)
             yield from d.sum(axis=1).tolist()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _stack(grads: Sequence[RealVec] | RealMat) -> RealMat:
@@ -294,12 +314,17 @@ def aggregate_aligned(
 
     # The visiting orders: the outer one, then each client's inner one over
     # its k - 1 others, in outer order.  Inner position p is other client
-    # p, or p + 1 from client i on.
+    # p, or p + 1 from client i on.  They are the tested pairs: row n of
+    # ``pairs`` holds the n-th outer client against each of its others.
     if cfg.order_mode == "random":
         outer, *inner = shuffles(rng, [k] + [k - 1] * k)
     else:
         outer, inner = list(range(k)), [list(range(k - 1))] * k
-    inner_orders = {i: [p + (p >= i) for p in perm] for i, perm in zip(outer, inner)}
+    pairs = np.empty((k, k - 1, 2), dtype=np.int64)
+    firsts, others = pairs[..., 0], pairs[..., 1]
+    firsts[...] = np.array(outer)[:, None]
+    others[...] = inner
+    others += others >= firsts
 
     # Row views, made once: the pair loop indexes them thousands of times.
     work_rows = list(working)
@@ -308,18 +333,16 @@ def aggregate_aligned(
     targets = orig_rows if cfg.target == "original" else work_rows
     alpha, beta = 1.0 - 2.0 * cfg.lam, 2.0 * cfg.lam
     product = buf[0]
-    tested = []
-    conflicts = []
-    for i in outer:
+    dots = []
+    for i, js in zip(outer, others.tolist()):
         probe, row = probes[i], work_rows[i]
-        for j in inner_orders[i]:
+        for j in js:
             target_vec = targets[j]
             # detect_conflict's np.sum(probe * target_vec), into one buffer.
             np.multiply(probe, target_vec, out=product)
             value = float(np.add.reduce(product))
-            tested.append((ids[i], ids[j], value))
+            dots.append(value)
             if value < 0.0:
-                conflicts.append((ids[i], ids[j], value))
                 # align_pair's alpha*probe + beta*target_vec, written into
                 # the row (j != i, so the target is never the row).
                 np.multiply(target_vec, beta, out=product)
@@ -335,11 +358,10 @@ def aggregate_aligned(
         aligned=working,
         client_ids=ids,
         weights=weights,
-        tested_pairs=tuple(tested),
-        conflict_pairs=tuple(conflicts),
+        tested_pairs=_frozen(pairs).reshape(-1, 2),
+        pair_dots=_frozen(np.array(dots, dtype=np.float64)),
         variance_before=variance_before,
         variance_after=domain_variance(working, buf),
-        order_used={"outer": outer, "inner": {str(i): js for i, js in inner_orders.items()}},
         semantics={
             "lambda": cfg.lam,
             "accumulate": cfg.accumulate,
@@ -360,15 +382,12 @@ def aggregate_fedavg(
     do not influence the result.
     """
     originals = _gradient_matrix(updates)
-    ids = tuple(u.client_id for u in updates)
+    k = len(updates)
+    m = k * (k - 1) // 2
     buf = _scratch(*originals.shape)
-    tested = []
-    conflicts = []
-    pairs = itertools.combinations(range(len(updates)), 2)
-    for (i, j), value in zip(pairs, _pair_sums(originals, buf, square=False)):
-        tested.append((ids[i], ids[j], value))
-        if value < 0.0:
-            conflicts.append((ids[i], ids[j], value))
+    pairs = itertools.chain.from_iterable(itertools.combinations(range(k), 2))
+    tested = np.fromiter(pairs, dtype=np.int64, count=2 * m).reshape(m, 2)
+    dots = np.fromiter(_pair_sums(originals, buf, square=False), dtype=np.float64, count=m)
 
     weights = _weights(updates, weighting)
     aggregated = weighted_sum([u.gradient for u in updates], weights)
@@ -377,12 +396,11 @@ def aggregate_fedavg(
         strategy="fedavg",
         aggregated=aggregated,
         aligned=originals,
-        client_ids=ids,
+        client_ids=tuple(u.client_id for u in updates),
         weights=weights,
-        tested_pairs=tuple(tested),
-        conflict_pairs=tuple(conflicts),
+        tested_pairs=_frozen(tested),
+        pair_dots=_frozen(dots),
         variance_before=variance,
         variance_after=variance,
-        order_used={"outer": list(range(len(updates))), "inner": {}},
         semantics={"weighting": weighting},
     )

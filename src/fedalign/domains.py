@@ -300,7 +300,7 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
     appearance); raw label values map to dense class ids by first
     appearance, recorded in ``suite.label_names``.  A feature cell that is
     not a finite number raises :class:`ParseError` naming its line and
-    column; a row shorter than the header raises
+    column; a row shorter or longer than the header raises
     :class:`InconsistentDimension` naming its line.
     """
     by_domain: dict[str, list[list[float]]] = {}
@@ -314,6 +314,9 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
             if col not in header:
                 raise ParseError(1, col, "column missing from header")
         for lineno, row in enumerate(reader, start=2):
+            # DictReader files the cells past the header under the key None.
+            if None in row:
+                raise InconsistentDimension(f"line {lineno}: row is longer than the header")
             feats = []
             for col in schema.feature_cols:
                 cell = row.get(col)

@@ -299,11 +299,10 @@ class ExperimentResult:
     def variance_means_on_conflict_rounds(self) -> tuple[float, float]:
         """Mean domain variance (before, after) over rounds with >= 1 conflict;
         NaNs if no round conflicted."""
-        before = [r.aggregation.variance_before for r in self.records if r.aggregation.num_conflicts > 0]
-        after = [r.aggregation.variance_after for r in self.records if r.aggregation.num_conflicts > 0]
-        if not before:
+        hits = [r.aggregation for r in self.records if r.aggregation.num_conflicts > 0]
+        if not hits:
             return (float("nan"), float("nan"))
-        return (float(np.mean(before)), float(np.mean(after)))
+        return (float(np.mean([a.variance_before for a in hits])), float(np.mean([a.variance_after for a in hits])))
 
     def params_digest(self) -> str:
         text = ",".join(f"{v:.17g}" for v in self.final_params.values)
@@ -541,13 +540,11 @@ def _encrypted_replay(
     cipher = transparent_cipher(cfg.scale)
     enc = [enc_vec(cipher, u.gradient) for u in updates]
     if report.strategy == "aligned":
-        index_of = {u.client_id: i for i, u in enumerate(updates)}
-        conflicts = [(index_of[a], index_of[b]) for a, b, _ in report.conflict_pairs]
         handle, audit = aligned_aggregate_encrypted(
             enc,
             cfg.lam,
             cipher,
-            conflicts,
+            report.conflict_pairs,
             weights=list(report.weights),
             accumulate=cfg.accumulate,
             target=cfg.align_target,

@@ -31,6 +31,7 @@ acting as a trusted comparator).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +74,7 @@ DEFAULT_SCALE = 2**24
 # Encoded magnitudes must stay below 2^31 so that any single product of two
 # in-range values fits a signed 64-bit plaintext slot ((2^31)^2 = 2^62).
 _INT_LIMIT = 2**31
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,15 @@ class FixedPointCodec:
 
     def encode(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
+        # One pass serves both checks: the largest magnitude is NaN or inf
+        # exactly when some value is.
+        worst = float(np.max(np.abs(x), initial=0.0))
+        if not math.isfinite(worst):
             raise NonFiniteResult("cannot encode a non-finite value")
+        # A finite value this large would overflow the float64 product to
+        # inf; it is far out of range, so refuse it before scaling.
+        if worst > _FLOAT_MAX / self.scale:
+            raise self._overflow(f"{worst:g} x {self.scale}")
         scaled = x * self.scale
         # Round half away from zero, then range-check the float before the
         # int64 cast so an out-of-range value cannot wrap.
@@ -125,11 +134,14 @@ class FixedPointCodec:
         i = np.asarray(i)
         worst = np.max(np.abs(i), initial=0)
         if worst >= _INT_LIMIT:
-            raise OverflowAtScale(
-                f"encoded magnitude {int(worst)} exceeds the codec range "
-                f"(|value| must stay below {_INT_LIMIT / self.scale:g} at scale {self.scale})"
-            )
+            raise self._overflow(int(worst))
         return i
+
+    def _overflow(self, magnitude) -> OverflowAtScale:
+        return OverflowAtScale(
+            f"encoded magnitude {magnitude} exceeds the codec range "
+            f"(|value| must stay below {_INT_LIMIT / self.scale:g} at scale {self.scale})"
+        )
 
 
 class TransparentCipher:
@@ -264,7 +276,8 @@ def aligned_aggregate_encrypted(
 
     ``conflicts`` are the externally supplied decisions: the ordered
     ``(i, j)`` client-index pairs that conflicted, in the visiting order the
-    plaintext loop met them (``conflict_pairs`` order).  The sign test is
+    plaintext loop met them, as the plaintext report's ``conflict_pairs``
+    array holds them (or any sequence of index pairs).  The sign test is
     not expressible in the operator algebra (see module docstring).
 
     The correction applied for each conflicting pair is
@@ -283,7 +296,7 @@ def aligned_aggregate_encrypted(
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
     working = list(enc_updates)
     seen = set()
-    for i, j in conflicts:
+    for i, j in np.asarray(conflicts, dtype=np.int64).reshape(-1, 2).tolist():
         if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:
             raise InvalidSpec(f"conflict pair {(i, j)} is not a new pair of two of the {k} clients")
         seen.add((i, j))

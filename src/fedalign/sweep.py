@@ -13,7 +13,6 @@ rest of the grid.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -247,6 +246,10 @@ def run_sweep(
     run_order = sorted(range(len(grid)), key=lambda i: spec.seeds.index(grid[i][-1]))
     cells: list[CellResult | None] = [None] * len(grid)
     workers = min(jobs, len(grid))
+    if workers > 1:
+        # Imported here, not with the module: the pool loads multiprocessing,
+        # socket, subprocess and logging, which only a parallel sweep uses.
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # _run_cell is looked up here, not bound at import, so a replacement
         # installed on the module is the one that runs.

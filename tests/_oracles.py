@@ -10,7 +10,8 @@ cipher codec's elementwise int64 arithmetic.
 The pair diagnostics of aggregation as the per-pair loops they replaced:
 one ``np.sum`` per pair, accumulated in (i, j) order.  The batched forms
 must agree with them exactly.  The aligned pair loop likewise, with one
-``numcore.dot`` per tested pair, replayed in a recorded visiting order.
+``numcore.dot`` per tested pair, replayed in a recorded visiting order
+read back from a report's ``tested_pairs``.
 
 The cipher with flattened tuple traces, as it was before handles carried
 tag counts: each operation joins its operands' traces and appends its own
@@ -126,6 +127,18 @@ def reference_pair_dots(grads) -> list[tuple[int, int, float]]:
     ]
 
 
+def visiting_order(tested_pairs) -> tuple[list[int], dict[int, list[int]]]:
+    """The aligned pair loop's visiting order read back from a report's
+    ``tested_pairs``: (outer order, {client: its inner order})."""
+    outer, inner = [], {}
+    for i, j in tested_pairs.tolist():
+        if i not in inner:
+            outer.append(i)
+            inner[i] = []
+        inner[i].append(j)
+    return outer, inner
+
+
 def reference_aligned_pairs(grads, lam, outer, inner, accumulate=True, target="original"):
     """The aligned pair loop with ``numcore.dot`` as the conflict test:
     ``[(i, j, inner product), ...]`` in visiting order, and the final rows."""
@@ -179,18 +192,18 @@ def reference_audit(handles) -> TraceAudit:
     return TraceAudit(coordinates=coordinates, total_tags=total, tag_counts=counts)
 
 
-def reference_aligned_encrypted(enc_updates, lam, order, cipher, conflicts, weights, accumulate, target):
-    """The encrypted aligned replay over a recorded visiting order
-    (``order_used``), correcting the pairs in the set ``conflicts``, then
-    the encrypted weighted sum: (handle, ``reference_audit`` of it)."""
+def reference_aligned_encrypted(enc_updates, lam, tested_pairs, cipher, conflicts, weights, accumulate, target):
+    """The encrypted aligned replay over a recorded visiting order (the
+    report's ``tested_pairs``), correcting the pairs in the set
+    ``conflicts``, then the encrypted weighted sum: (handle,
+    ``reference_audit`` of it)."""
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
     working = list(enc_updates)
-    for i in order["outer"]:
-        for j in order["inner"][str(i)]:
-            if (i, j) in conflicts:
-                base = working[i] if accumulate else enc_updates[i]
-                tgt = enc_updates[j] if target == "original" else working[j]
-                working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
+    for i, j in tested_pairs.tolist():
+        if (i, j) in conflicts:
+            base = working[i] if accumulate else enc_updates[i]
+            tgt = enc_updates[j] if target == "original" else working[j]
+            working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
     out = cipher.mul(cipher.enc(float(weights[0])), working[0])
     for w, g in zip(weights[1:], working[1:]):
         out = cipher.add(out, cipher.mul(cipher.enc(float(w)), g))

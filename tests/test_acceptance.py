@@ -207,10 +207,8 @@ def test_6_encrypted_pipeline_fidelity(acceptance_report):
 
         cipher = transparent_cipher()
         enc = [enc_vec(cipher, g) for g in grads]
-        index_of = {cid: i for i, cid in enumerate(rep.client_ids)}
-        conflicts = [(index_of[a], index_of[b]) for a, b, _ in rep.conflict_pairs]
         handles, audit = aligned_aggregate_encrypted(
-            enc, 0.1, cipher, conflicts, weights=list(rep.weights)
+            enc, 0.1, cipher, rep.conflict_pairs, weights=list(rep.weights)
         )
         got = dec_vec(cipher, handles)
         worst = max(worst, float(np.max(np.abs(got - rep.aggregated))))

@@ -24,7 +24,13 @@ from fedalign.errors import (
 )
 from fedalign.numcore import Rng
 
-from _oracles import reference_aligned_pairs, reference_domain_variance, reference_pair_dots, scalar_shuffle
+from _oracles import (
+    reference_aligned_pairs,
+    reference_domain_variance,
+    reference_pair_dots,
+    scalar_shuffle,
+    visiting_order,
+)
 
 
 def updates_from(grads, ids=None, samples=None):
@@ -180,15 +186,14 @@ class TestBatchedDiagnostics:
         assert bits([domain_variance(grads)]) == bits([expected])
         assert bits([domain_variance(np.stack(grads))]) == bits([expected])
 
-        ids = [f"c{i}" for i in range(len(grads))]
-        rep = aggregate_fedavg(updates_from(grads, ids=ids))
+        rep = aggregate_fedavg(updates_from(grads))
         dots = reference_pair_dots(grads)
-        assert [(a, b) for a, b, _ in rep.tested_pairs] == [(ids[i], ids[j]) for i, j, _ in dots]
-        assert bits(v for _, _, v in rep.tested_pairs) == bits(v for _, _, v in dots)
-        assert [(a, b) for a, b, v in rep.tested_pairs if v < 0.0] == [(a, b) for a, b, _ in rep.conflict_pairs]
+        assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in dots]
+        assert bits(rep.pair_dots) == bits(v for _, _, v in dots)
+        assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in dots if v < 0.0]
         assert bits([rep.variance_before, rep.variance_after]) == bits([expected, expected])
 
-        al = aggregate_aligned(updates_from(grads, ids=ids), AlignConfig(lam=0.3))
+        al = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.3))
         assert bits([al.variance_before]) == bits([expected])
         assert bits([al.variance_after]) == bits([reference_domain_variance(list(al.aligned))])
         self.assert_aligned_replays(grads, al, AlignConfig(lam=0.3))
@@ -197,12 +202,11 @@ class TestBatchedDiagnostics:
     def assert_aligned_replays(grads, rep, cfg):
         """The aligned pair loop's inner products, in its recorded order,
         against one ``numcore.dot`` per pair; and its final rows."""
-        outer = rep.order_used["outer"]
-        inner = {i: rep.order_used["inner"][str(i)] for i in outer}
+        outer, inner = visiting_order(rep.tested_pairs)
         tested, working = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.target)
-        ids = rep.client_ids
-        assert [(a, b) for a, b, _ in rep.tested_pairs] == [(ids[i], ids[j]) for i, j, _ in tested]
-        assert bits(v for _, _, v in rep.tested_pairs) == bits(v for _, _, v in tested)
+        assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in tested]
+        assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
+        assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in tested if v < 0.0]
         assert rep.aligned.tobytes() == working.tobytes()
 
     @pytest.mark.parametrize("p", [1, 42, 2002, 10000])
@@ -261,13 +265,11 @@ class TestPairLoopExactness:
             rng, ref = Rng(seed, 2, t), Rng(seed, 2, t)
             rep = aggregate_aligned(updates_from(grads), AlignConfig(order_mode="random"), rng=rng)
             # The outer order, then one inner order per client in outer order.
-            outer = scalar_shuffle(ref, k).tolist()
-            inner = {}
-            for i in outer:
+            pairs = []
+            for i in scalar_shuffle(ref, k).tolist():
                 others = [j for j in range(k) if j != i]
-                inner[str(i)] = [others[p] for p in scalar_shuffle(ref, k - 1).tolist()]
-            assert rep.order_used["outer"] == outer
-            assert list(rep.order_used["inner"].items()) == list(inner.items())
+                pairs += [[i, others[p]] for p in scalar_shuffle(ref, k - 1).tolist()]
+            assert rep.tested_pairs.tolist() == pairs
             assert rng.integers(2**62) == ref.integers(2**62)
 
     @pytest.mark.parametrize("lam", [0.1, 0.25, 0.5])
@@ -283,11 +285,52 @@ class TestPairLoopExactness:
         # The last conflict of each row, redone by align_pair alone: with
         # accumulate off it is the whole final row.
         if not accumulate and target == "original":
-            last = {a: b for a, b, _ in rep.conflict_pairs}
-            index = {cid: n for n, cid in enumerate(rep.client_ids)}
+            last = dict(rep.conflict_pairs.tolist())
             for a, b in last.items():
-                expected = align_pair(grads[index[a]], grads[index[b]], lam)
-                assert rep.aligned[index[a]].tobytes() == expected.tobytes()
+                expected = align_pair(grads[a], grads[b], lam)
+                assert rep.aligned[a].tobytes() == expected.tobytes()
+
+
+class TestReportArrays:
+    """A report's pair results: two read-only arrays, conflicts derived."""
+
+    @pytest.mark.parametrize(
+        "strategy, pairs",
+        [(aggregate_aligned, lambda k: k * (k - 1)), (aggregate_fedavg, lambda k: k * (k - 1) // 2)],
+        ids=["aligned", "fedavg"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_dtypes_shapes_and_read_only(self, strategy, pairs, k):
+        rep = strategy(updates_from(gradient_rows(k, 5, seed=k)))
+        m = pairs(k)
+        assert rep.tested_pairs.dtype == np.int64 and rep.tested_pairs.shape == (m, 2)
+        assert rep.pair_dots.dtype == np.float64 and rep.pair_dots.shape == (m,)
+        for a in (rep.tested_pairs, rep.pair_dots):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
+    def test_single_client_arrays_empty(self, strategy):
+        rep = strategy(updates_from([np.array([0.1, -0.2])]))
+        assert rep.tested_pairs.shape == (0, 2) and rep.tested_pairs.dtype == np.int64
+        assert rep.pair_dots.shape == (0,) and rep.pair_dots.dtype == np.float64
+        assert rep.conflict_pairs.shape == (0, 2) and rep.num_conflicts == 0
+
+    @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
+    @pytest.mark.parametrize("k", [3, 5, 32])
+    def test_conflicts_are_the_negative_rows(self, strategy, k):
+        rep = strategy(updates_from(gradient_rows(k, 7, seed=k)))
+        negative = [pair for pair, v in zip(rep.tested_pairs.tolist(), rep.pair_dots.tolist()) if v < 0.0]
+        assert 0 < len(negative) < len(rep.tested_pairs), "the case must mix conflicts and agreements"
+        assert rep.conflict_pairs.tolist() == negative
+        assert rep.conflict_pairs.dtype == np.int64
+        assert rep.num_conflicts == len(negative) and type(rep.num_conflicts) is int
+
+    def test_zero_inner_product_is_not_a_conflict(self):
+        rep = aggregate_fedavg(updates_from([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]))
+        assert bits(rep.pair_dots) == bits([0.0, -1.0, 0.0])
+        assert rep.conflict_pairs.tolist() == [[0, 2]] and rep.num_conflicts == 1
 
 
 class TestAlignConfig:
@@ -329,8 +372,7 @@ class TestAggregateAligned:
             grads = [rng.normal(size=dim) for _ in range(k)]
             cfg = AlignConfig(lam=0.1, order_mode="fixed")
             rep = aggregate_aligned(updates_from(grads), cfg)
-            outer = rep.order_used["outer"]
-            inner = {i: rep.order_used["inner"][str(i)] for i in outer}
+            outer, inner = visiting_order(rep.tested_pairs)
             ref_working, _ = reference_aligned(grads, 0.1, outer, inner)
             for lib, ref in zip(rep.aligned, ref_working):
                 assert np.array_equal(lib, np.array(ref))
@@ -340,8 +382,7 @@ class TestAggregateAligned:
         for trial in range(20):
             grads = [rng.normal(size=3) for _ in range(4)]
             rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.2, order_seed=trial))
-            outer = rep.order_used["outer"]
-            inner = {i: rep.order_used["inner"][str(i)] for i in outer}
+            outer, inner = visiting_order(rep.tested_pairs)
             ref_working, _ = reference_aligned(grads, 0.2, outer, inner)
             for lib, ref in zip(rep.aligned, ref_working):
                 assert np.max(np.abs(lib - np.array(ref))) < 1e-12
@@ -385,13 +426,13 @@ class TestAggregateAligned:
         a = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=5))
         b = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=5))
         assert np.array_equal(a.aggregated, b.aggregated)
-        assert a.order_used == b.order_used
+        assert np.array_equal(a.tested_pairs, b.tested_pairs)
 
     def test_order_seed_changes_order(self):
         rng = np.random.default_rng(10)
         grads = [rng.normal(size=3) for _ in range(5)]
         orders = {
-            tuple(aggregate_aligned(updates_from(grads), AlignConfig(order_seed=s)).order_used["outer"])
+            tuple(visiting_order(aggregate_aligned(updates_from(grads), AlignConfig(order_seed=s)).tested_pairs)[0])
             for s in range(8)
         }
         assert len(orders) > 1
@@ -400,13 +441,13 @@ class TestAggregateAligned:
         grads = [np.ones(2) * s for s in (1.0, -1.0, 2.0)]
         rep_rng = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=999), rng=Rng(4))
         rep_seed = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=4))
-        assert rep_rng.order_used == rep_seed.order_used
+        assert np.array_equal(rep_rng.tested_pairs, rep_seed.tested_pairs)
 
     def test_every_unordered_pair_tested_twice(self):
         grads = [np.array([float(i), 1.0]) for i in range(4)]
         rep = aggregate_aligned(updates_from(grads))
         assert len(rep.tested_pairs) == 4 * 3  # ordered pairs i != j
-        seen = {(a, b) for a, b, _ in rep.tested_pairs}
+        seen = {(a, b) for a, b in rep.tested_pairs.tolist()}
         assert len(seen) == 12
 
     def test_uniform_weights_default(self):
@@ -474,7 +515,7 @@ class TestAggregateAligned:
         g = np.array([0.1, -0.2, 0.3])
         rep = aggregate_aligned(updates_from([g]))
         assert np.array_equal(rep.aggregated, g)
-        assert rep.tested_pairs == ()
+        assert rep.tested_pairs.shape == (0, 2) and rep.pair_dots.shape == (0,)
 
 
 class TestAggregateFedavg:

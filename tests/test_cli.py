@@ -829,6 +829,24 @@ class TestContract:
         assert f"error: line {lineno}: row is shorter than the header" in err
         assert "Traceback" not in err
 
+    def test_long_csv_row_exit_1_names_line(self, tmp_path, capsys):
+        data_csv = tmp_path / "suite.csv"
+        save_csv(generate(SyntheticSpec(**SMALL_DATA["synthetic"])), str(data_csv))
+        with open(data_csv, "a", encoding="utf-8") as fh:
+            fh.write("dom2,0.5,0.5,0,EXTRA\n")
+        lineno = len(data_csv.read_text(encoding="utf-8").splitlines())
+        doc = {
+            "target": "dom2",
+            "model": {"hidden_dim": 4},
+            "data": {"csv": {**CSV_BLOCK, "path": str(data_csv)}},
+            "federation": dict(SMALL_FED),
+        }
+        path = write_config(tmp_path, "long.json", doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: line {lineno}: row is longer than the header" in err
+        assert "Traceback" not in err
+
 
 class TestMemoryLimit:
     """A count no memory can hold exits 1 with an error line, not a

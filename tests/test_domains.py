@@ -387,3 +387,10 @@ class TestLoadCsv:
         path = self.write(tmp_path, text)
         with pytest.raises(InconsistentDimension, match="line 4: row is shorter than the header"):
             load_csv(path, self.SCHEMA)
+
+    def test_row_longer_than_header_rejected(self, tmp_path):
+        # csv.DictReader files the surplus cells under None; the row must
+        # not load as an ordinary d1 row.
+        path = self.write(tmp_path, "x0,x1,label,domain\n0.1,0.2,a,d1\n0.3,0.4,b,d2\n0.5,0.6,a,d1,EXTRA,7\n")
+        with pytest.raises(InconsistentDimension, match="^line 4: row is longer than the header$"):
+            load_csv(path, self.SCHEMA)

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -67,6 +68,15 @@ class TestCodec:
         codec = FixedPointCodec()
         with pytest.raises(OverflowAtScale):
             codec.encode(1e9)
+
+    @pytest.mark.parametrize("x", [1e305, -1.7e308, np.array([0.5, 1e305]), np.array([[1e302], [0.0]])],
+                             ids=["scalar", "negative-scalar", "vector", "matrix"])
+    def test_overflow_past_float64_scaling_raises_without_warning(self, x):
+        # x * scale overflows float64 itself; the range check comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowAtScale, match="exceeds the codec range"):
+                FixedPointCodec().encode(x)
 
     def test_overflow_message_names_bound(self):
         with pytest.raises(OverflowAtScale) as err:
@@ -141,6 +151,12 @@ class TestTransparentCipher:
     def test_trace_concatenation(self):
         h = self.c.add(self.c.enc(1.0), self.c.mul(self.c.enc(2.0), self.c.enc(3.0)))
         assert h.trace == {ENC: 3, MUL: 1, ADD: 1}
+
+    def test_enc_of_huge_finite_vector_raises_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowAtScale, match="below 128 at scale 16777216"):
+                self.c.enc(np.array([0.5, 1e305]))
 
     def test_addition_overflow_detected(self):
         big = self.c.enc(100.0)
@@ -262,10 +278,8 @@ class TestEncryptedAlignment:
     def replay(self, grads, rep, lam=0.1):
         c = transparent_cipher()
         enc = [enc_vec(c, g) for g in grads]
-        idx = {cid: i for i, cid in enumerate(rep.client_ids)}
-        conflicts = [(idx[a], idx[b]) for a, b, _ in rep.conflict_pairs]
         out, audit = aligned_aggregate_encrypted(
-            enc, lam, c, conflicts, weights=list(rep.weights)
+            enc, lam, c, rep.conflict_pairs, weights=list(rep.weights)
         )
         return dec_vec(c, out), audit
 
@@ -354,14 +368,12 @@ class TestCountTraces:
                 lam=lam, order_seed=seed, weighting="sample_weighted", accumulate=accumulate, target=target
             )
             rep = aggregate_aligned(updates, cfg)
-            idx = {cid: i for i, cid in enumerate(rep.client_ids)}
-            conflicts = [(idx[a], idx[b]) for a, b, _ in rep.conflict_pairs]
             c, ref = transparent_cipher(), TupleTraceCipher()
             out, audit = aligned_aggregate_encrypted(
-                [enc_vec(c, g) for g in grads], lam, c, conflicts, list(rep.weights), accumulate, target
+                [enc_vec(c, g) for g in grads], lam, c, rep.conflict_pairs, list(rep.weights), accumulate, target
             )
             ref_out, ref_audit = reference_aligned_encrypted(
-                [ref.enc(g) for g in grads], lam, rep.order_used, ref, set(conflicts),
+                [ref.enc(g) for g in grads], lam, rep.tested_pairs, ref, set(map(tuple, rep.conflict_pairs.tolist())),
                 list(rep.weights), accumulate, target,
             )
             assert np.array_equal(out.payload, ref_out.payload)
@@ -374,8 +386,7 @@ class TestCountTraces:
         grads = [rng.standard_normal(50) for _ in range(32)]
         updates = [ClientUpdate(f"c{k}", g, 10, 0.0) for k, g in enumerate(grads)]
         rep = aggregate_aligned(updates, AlignConfig(lam=0.1), rng=Rng(0, 2, 0))
-        idx = {cid: i for i, cid in enumerate(rep.client_ids)}
-        conflicts = [(idx[a], idx[b]) for a, b, _ in rep.conflict_pairs]
+        conflicts = rep.conflict_pairs
         assert len(conflicts) == 508
         c = transparent_cipher()
         enc = [enc_vec(c, g) for g in grads]

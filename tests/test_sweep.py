@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,8 @@ from fedalign.errors import ConfigError
 from fedalign.federation import run_experiment
 from fedalign.models import ModelSpec
 from fedalign.sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
+
+from _oracles import checkout_env
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 BASE = {"rounds": 4, "batch_size": 8, "lr": 0.1, "lr_decay": None}
@@ -106,7 +111,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("jobs, cells, workers", [(5000, 2, [2]), (2, 4, [2]), (3, 1, []), (1, 4, [])])
     def test_workers_at_most_one_per_cell(self, suite, monkeypatch, jobs, cells, workers):
         monkeypatch.setattr(_RecordingPool, "started", [])
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+        # run_sweep imports the pool from concurrent.futures when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         spec = SweepSpec(strategies=("fedavg",), seeds=tuple(range(cells)), targets=("dom0",))
         result = run_sweep(suite, MODEL, BASE, spec, jobs=jobs)
         assert _RecordingPool.started == workers
@@ -264,3 +270,18 @@ class TestEvaluationCount:
         assert result.params_digest() == full.params_digest()
         assert result.summary() == full.summary()
         assert [r.target_metrics for r in result.records] == [r.target_metrics for r in full.records]
+
+
+def test_import_loads_no_process_pool():
+    # Only a parallel sweep needs the process pool; importing the package
+    # and its CLI must not load it (or multiprocessing with it).
+    code = (
+        "import sys, fedalign, fedalign.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=checkout_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
