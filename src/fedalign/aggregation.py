@@ -44,6 +44,14 @@ product.  For the aligned strategy that order is the visiting order: each
 outer client in turn, with its inner order.  The conflicts are the rows
 with a negative inner product, derived on demand.
 
+The report stores only what the aggregation alone knows.  What it can
+derive from ``aligned`` is computed on first read and cached: the variance
+after alignment, and for fedavg (whose ``aligned`` holds the originals) the
+variance before and the pair inner products too.  An aggregation whose
+reader never looks at them pays nothing for them.  The aligned loop's own
+inner products and its variance before alignment are stored, because the
+originals they need are not kept.
+
 The pair diagnostics (``domain_variance`` and fedavg's pairwise inner
 products) are batched: for each row *i* one numpy call forms the
 differences or products against every later row, and each row is then
@@ -57,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -158,6 +167,11 @@ class AggregationReport:
     the aligned strategy (each outer client, then its inner order), and
     (i, j) with i < j for fedavg.  ``pair_dots`` is the read-only (M,)
     float64 array of their inner products.
+
+    ``variance_after``, and for fedavg ``variance_before`` and
+    ``pair_dots``, are computed from ``aligned`` on first read and cached.
+    ``loop_dots`` and ``loop_variance_before`` hold what the aligned loop
+    recorded in their place; they are None for fedavg.
     """
 
     strategy: str
@@ -166,10 +180,30 @@ class AggregationReport:
     client_ids: tuple[str, ...]
     weights: tuple[float, ...]
     tested_pairs: np.ndarray
-    pair_dots: RealVec
-    variance_before: float
-    variance_after: float
     semantics: dict = field(default_factory=dict)
+    loop_dots: RealVec | None = None
+    loop_variance_before: float | None = None
+
+    # The derived figures are read after the run, outside its numpy error
+    # state: a diagnostic that overflows reads inf, without a warning.
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def pair_dots(self) -> RealVec:
+        if self.loop_dots is not None:
+            return self.loop_dots
+        sums = _pair_sums(self.aligned, _scratch(*self.aligned.shape), square=False)
+        return _frozen(np.fromiter(sums, dtype=np.float64, count=len(self.tested_pairs)))
+
+    @property
+    def variance_before(self) -> float:
+        if self.loop_variance_before is not None:
+            return self.loop_variance_before
+        return self.variance_after
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def variance_after(self) -> float:
+        return domain_variance(self.aligned)
 
     @property
     def conflict_pairs(self) -> np.ndarray:
@@ -250,18 +284,14 @@ def _stack(grads: Sequence[RealVec] | RealMat) -> RealMat:
     return np.array(rows)
 
 
-def domain_variance(grads: Sequence[RealVec] | RealMat, buf: RealMat | None = None) -> float:
+def domain_variance(grads: Sequence[RealVec] | RealMat) -> float:
     """Sum of squared distances over unordered gradient pairs (each once).
 
     ``grads`` is a K×P matrix or a sequence of K equal-length vectors.
-    ``buf``, a scratch buffer with P columns, lets one aggregation share its
-    buffer across calls.
     """
     x = _stack(grads)
-    if buf is None:
-        buf = _scratch(*x.shape)
     total = 0.0
-    for value in _pair_sums(x, buf, square=True):
+    for value in _pair_sums(x, _scratch(*x.shape), square=True):
         total += value
     return total
 
@@ -305,8 +335,7 @@ def aggregate_aligned(
     # The stacked matrix is the working copy; the originals stay readable in
     # the updates, so the round holds one K×P copy beyond the clients' own.
     working = _gradient_matrix(updates)
-    buf = _scratch(*working.shape)
-    variance_before = domain_variance(working, buf)
+    variance_before = domain_variance(working)
     if rng is None:
         rng = Rng(cfg.order_seed)
     k = len(updates)
@@ -332,7 +361,7 @@ def aggregate_aligned(
     probes = work_rows if cfg.accumulate else orig_rows
     targets = orig_rows if cfg.target == "original" else work_rows
     alpha, beta = 1.0 - 2.0 * cfg.lam, 2.0 * cfg.lam
-    product = buf[0]
+    product = np.empty(working.shape[1])
     dots = []
     for i, js in zip(outer, others.tolist()):
         probe, row = probes[i], work_rows[i]
@@ -359,9 +388,6 @@ def aggregate_aligned(
         client_ids=ids,
         weights=weights,
         tested_pairs=_frozen(pairs).reshape(-1, 2),
-        pair_dots=_frozen(np.array(dots, dtype=np.float64)),
-        variance_before=variance_before,
-        variance_after=domain_variance(working, buf),
         semantics={
             "lambda": cfg.lam,
             "accumulate": cfg.accumulate,
@@ -369,6 +395,8 @@ def aggregate_aligned(
             "order_mode": cfg.order_mode,
             "weighting": cfg.weighting,
         },
+        loop_dots=_frozen(np.array(dots, dtype=np.float64)),
+        loop_variance_before=variance_before,
     )
 
 
@@ -378,29 +406,21 @@ def aggregate_fedavg(
 ) -> AggregationReport:
     """Weighted averaging of client gradients (weights n_k / n by default).
 
-    Pairwise inner products are still recorded as a conflict diagnostic but
-    do not influence the result.
+    Pairwise inner products are still reported as a conflict diagnostic,
+    computed when first read, but do not influence the result.
     """
     originals = _gradient_matrix(updates)
     k = len(updates)
     m = k * (k - 1) // 2
-    buf = _scratch(*originals.shape)
     pairs = itertools.chain.from_iterable(itertools.combinations(range(k), 2))
     tested = np.fromiter(pairs, dtype=np.int64, count=2 * m).reshape(m, 2)
-    dots = np.fromiter(_pair_sums(originals, buf, square=False), dtype=np.float64, count=m)
-
     weights = _weights(updates, weighting)
-    aggregated = weighted_sum([u.gradient for u in updates], weights)
-    variance = domain_variance(originals, buf)
     return AggregationReport(
         strategy="fedavg",
-        aggregated=aggregated,
+        aggregated=weighted_sum([u.gradient for u in updates], weights),
         aligned=originals,
         client_ids=tuple(u.client_id for u in updates),
         weights=weights,
         tested_pairs=_frozen(tested),
-        pair_dots=_frozen(dots),
-        variance_before=variance,
-        variance_after=variance,
         semantics={"weighting": weighting},
     )

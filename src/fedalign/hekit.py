@@ -134,7 +134,7 @@ class FixedPointCodec:
         i = np.asarray(i)
         worst = np.max(np.abs(i), initial=0)
         if worst >= _INT_LIMIT:
-            raise self._overflow(int(worst))
+            raise self._overflow(f"{worst:g}")
         return i
 
     def _overflow(self, magnitude) -> OverflowAtScale:

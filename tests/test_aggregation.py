@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from fedalign.aggregation import (
     detect_conflict,
     domain_variance,
 )
+from fedalign.domains import DomainSuite, SyntheticSpec, generate
 from fedalign.errors import (
     DimensionMismatch,
     EmptyUpdateSet,
@@ -22,6 +24,8 @@ from fedalign.errors import (
     InvalidSpec,
     NonFiniteResult,
 )
+from fedalign.federation import FedConfig, run_experiment
+from fedalign.models import ModelSpec
 from fedalign.numcore import Rng
 
 from _oracles import (
@@ -331,6 +335,96 @@ class TestReportArrays:
         rep = aggregate_fedavg(updates_from([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]))
         assert bits(rep.pair_dots) == bits([0.0, -1.0, 0.0])
         assert rep.conflict_pairs.tolist() == [[0, 2]] and rep.num_conflicts == 1
+
+
+class TestLazyDiagnostics:
+    """The diagnostics a report can derive from ``aligned`` are computed when
+    first read, once, and equal the per-pair references bit for bit."""
+
+    ROUNDS = 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Copies of every ``domain_variance`` argument, in call order."""
+        seen = []
+        original = aggregation.domain_variance
+
+        def counting(grads):
+            seen.append(np.array(grads))
+            return original(grads)
+
+        monkeypatch.setattr(aggregation, "domain_variance", counting)
+        return seen
+
+    def run(self, strategy):
+        suite = generate(SyntheticSpec(num_domains=5, rotation_degrees=(0, 20, 40, 60, 80), samples_per_domain=40))
+        cfg = FedConfig(strategy=strategy, rounds=self.ROUNDS, batch_size=2)
+        return run_experiment(suite, "dom4", ModelSpec(input_dim=2, hidden_dim=4), cfg)
+
+    def test_aligned_computes_only_the_variance_before(self, calls):
+        res = self.run("aligned")
+        # One call per round: the variance of the originals, which the round
+        # does not keep.
+        originals = list(calls)
+        assert len(originals) == self.ROUNDS
+        assert any(r.aggregation.num_conflicts for r in res.records)
+        res.summary()
+        res.csv_rows()
+        assert len(calls) == 2 * self.ROUNDS  # each variance_after once, then cached
+        for r, x in zip(res.records, originals):
+            rep = r.aggregation
+            # The recorded call saw this round's original gradients.
+            norms = np.sqrt(np.add.reduce(x * x, axis=1))
+            assert bits(norms) == bits(c["grad_norm"] for c in r.per_client)
+            assert bits([rep.variance_before]) == bits([reference_domain_variance(list(x))])
+            assert bits([rep.variance_after]) == bits([reference_domain_variance(list(rep.aligned))])
+            sem = rep.semantics
+            outer, inner = visiting_order(rep.tested_pairs)
+            tested, _ = reference_aligned_pairs(list(x), sem["lambda"], outer, inner, sem["accumulate"], sem["target"])
+            assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
+
+    def test_fedavg_computes_nothing_until_read(self, calls):
+        res = self.run("fedavg")
+        assert calls == []
+        assert all("pair_dots" not in vars(r.aggregation) for r in res.records)
+        res.summary()
+        res.csv_rows()
+        assert len(calls) == self.ROUNDS  # before and after share one call
+        for r in res.records:
+            rep = r.aggregation
+            expected = reference_domain_variance(list(rep.aligned))
+            assert bits([rep.variance_before, rep.variance_after]) == bits([expected, expected])
+            dots = reference_pair_dots(list(rep.aligned))
+            assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in dots]
+            assert bits(rep.pair_dots) == bits(v for _, _, v in dots)
+            assert not rep.pair_dots.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rep.pair_dots[...] = 0.0
+
+    @pytest.mark.parametrize("strategy", ["aligned", "fedavg"])
+    def test_overflowing_diagnostics_read_without_warning(self, strategy):
+        # Features of 1e160 give finite gradients whose squares overflow.
+        # The diagnostics are read after the run, outside its numpy error
+        # state; pytest turns a RuntimeWarning into an error.
+        suite = generate(SyntheticSpec(num_domains=4, samples_per_domain=20))
+        big = DomainSuite(tuple(dataclasses.replace(d, features=d.features * 1e160) for d in suite.domains), 2)
+        cfg = FedConfig(strategy=strategy, rounds=2, batch_size=4, lr=1e-300, lr_decay=None)
+        res = run_experiment(big, "dom3", ModelSpec(input_dim=2, hidden_dim=0), cfg)
+        res.summary()
+        assert all(r.aggregation.variance_after == np.inf for r in res.records)
+
+    @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
+    def test_replaced_aggregate_reads_the_same_diagnostics(self, strategy):
+        # The encrypted path swaps in the decrypted aggregate this way.
+        grads = gradient_rows(6, 9, seed=11)
+        rep = strategy(updates_from(grads))
+        new = dataclasses.replace(rep, aggregated=np.zeros(9))
+        assert rep.num_conflicts > 0
+        for name in ("variance_before", "variance_after"):
+            assert bits([getattr(new, name)]) == bits([getattr(rep, name)])
+        assert bits(new.pair_dots) == bits(rep.pair_dots)
+        assert np.array_equal(new.tested_pairs, rep.tested_pairs)
+        assert np.array_equal(new.conflict_pairs, rep.conflict_pairs)
 
 
 class TestAlignConfig:

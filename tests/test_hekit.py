@@ -83,6 +83,16 @@ class TestCodec:
             FixedPointCodec().encode(1e9)
         assert str(2**31 // DEFAULT_SCALE) in str(err.value)
 
+    @pytest.mark.parametrize("x", [1.07e301, np.array([0.5, -1.07e301])], ids=["scalar", "vector"])
+    def test_overflow_message_is_short_and_names_scale(self, x):
+        # Just below the float64 guard at scale 2^24: the scaled magnitude is
+        # finite, and 309 digits long as an exact integer.
+        with pytest.raises(OverflowAtScale) as err:
+            FixedPointCodec(scale=2**24).encode(x)
+        message = str(err.value)
+        assert "encoded magnitude 1.79" in message and "at scale 16777216" in message
+        assert len(message) < 120
+
     @pytest.mark.parametrize("scale", [0, -8, 3, 1000])
     def test_scale_must_be_power_of_two(self, scale):
         with pytest.raises(InvalidSpec):
