@@ -29,8 +29,9 @@ for strategy in ("deepall", "fedavg", "fedprox", "aligned"):
     print(f"{strategy:>8}  {s['final_target_accuracy']:>10.4f}  "
           f"{s['final_target_loss']:>11.4f}  {s['conflict_round_fraction']:>14.0%}")
 
-# Peek inside a single aligned run: the per-round record keeps the whole
-# aggregation report, so trajectories are inspectable after the fact.
+# Peek inside a single aligned run: the per-round record keeps the round's
+# original gradients and the pair loop's decisions, so trajectories are
+# inspectable after the fact; the spread below is computed as it is read.
 result = run_experiment(suite, "dom3", model, FedConfig(strategy="aligned", **schedule))
 r = result.records[10]
 print(f"\nround {r.round}: lr={r.lr}, conflicts={r.aggregation.num_conflicts}, "

@@ -35,22 +35,25 @@ three in-place ufuncs, the same bits as ``align_pair``; the finite check
 ``align_pair`` makes per call runs once, over the finished working
 matrix, and raises :class:`NonFiniteResult`.
 
-The report records which semantics ran, the final K×P matrix
-(``aligned``), and the sum of pairwise squared gradient distances (the
-domain-variance diagnostic) before and after alignment.  Its pair results
-are two read-only arrays: ``tested_pairs``, the (M, 2) client indices of
-every tested pair in the order tested, and ``pair_dots``, each pair's inner
-product.  For the aligned strategy that order is the visiting order: each
-outer client in turn, with its inner order.  The conflicts are the rows
-with a negative inner product, derived on demand.
+A report stores the round's original K×P matrix (``originals``) and the
+loop's decisions: which semantics ran, every tested pair (``tested_pairs``,
+the (M, 2) client indices in the order tested) and each pair's inner
+product (``pair_dots``).  For the aligned strategy that order is the
+visiting order: each outer client in turn, with its inner order.  Once the
+aggregate is formed, the aligned round copies the originals back into its
+working matrix's buffer, so the round allocates no K×P matrix beyond its
+working copy.
 
-The report stores only what the aggregation alone knows.  What it can
-derive from ``aligned`` is computed on first read and cached: the variance
-after alignment, and for fedavg (whose ``aligned`` holds the originals) the
-variance before and the pair inner products too.  An aggregation whose
-reader never looks at them pays nothing for them.  The aligned loop's own
-inner products and its variance before alignment are stored, because the
-originals they need are not kept.
+Everything else is derived on read.  ``aligned`` is the originals
+themselves for fedavg or a round without conflicts, and otherwise the
+recorded conflicts replayed in tested order on a fresh copy, with the
+loop's own in-place step, so it equals the loop's working matrix bit for
+bit; it is not cached, so a record holds one K×P matrix.  The conflicts,
+the domain variance before and after alignment, and fedavg's pair inner
+products are computed on first read, the last three cached.  An
+aggregation whose reader never looks at them pays nothing for them; the
+readers that do are ``rounds.csv`` (every round) and a sweep cell's
+variance means (the conflict rounds, which pay a replay too).
 
 The pair diagnostics (``domain_variance`` and fedavg's pairwise inner
 products) are batched: for each row *i* one numpy call forms the
@@ -158,31 +161,32 @@ class AlignConfig:
 class AggregationReport:
     """Everything one aggregation did.
 
-    ``aligned`` is the K×P matrix of final client gradients, row k for
-    ``client_ids[k]``: the aligned working copy, or the stacked originals
-    for fedavg.
+    ``originals`` is the K×P matrix of the round's client gradients, row k
+    for ``client_ids[k]``.  ``aligned`` is the K×P matrix of final client
+    gradients: ``originals`` itself for fedavg and for an aligned round
+    without conflicts, otherwise the recorded conflicts replayed on a fresh
+    copy, on every read.
 
     ``tested_pairs`` is a read-only (M, 2) int64 array of client indices,
     one row per tested pair in the order tested: the visiting order for
     the aligned strategy (each outer client, then its inner order), and
     (i, j) with i < j for fedavg.  ``pair_dots`` is the read-only (M,)
-    float64 array of their inner products.
+    float64 array of their inner products: ``loop_dots``, what the aligned
+    loop recorded, or for fedavg (where ``loop_dots`` is None) computed
+    from ``originals`` on first read.
 
-    ``variance_after``, and for fedavg ``variance_before`` and
-    ``pair_dots``, are computed from ``aligned`` on first read and cached.
-    ``loop_dots`` and ``loop_variance_before`` hold what the aligned loop
-    recorded in their place; they are None for fedavg.
+    ``variance_before`` and ``variance_after`` are computed on first read
+    and cached; the second is the first when ``aligned`` is ``originals``.
     """
 
     strategy: str
     aggregated: GradientVector
-    aligned: RealMat
+    originals: RealMat
     client_ids: tuple[str, ...]
     weights: tuple[float, ...]
     tested_pairs: np.ndarray
     semantics: dict = field(default_factory=dict)
     loop_dots: RealVec | None = None
-    loop_variance_before: float | None = None
 
     # The derived figures are read after the run, outside its numpy error
     # state: a diagnostic that overflows reads inf, without a warning.
@@ -191,19 +195,37 @@ class AggregationReport:
     def pair_dots(self) -> RealVec:
         if self.loop_dots is not None:
             return self.loop_dots
-        sums = _pair_sums(self.aligned, _scratch(*self.aligned.shape), square=False)
+        sums = _pair_sums(self.originals, _scratch(*self.originals.shape), square=False)
         return _frozen(np.fromiter(sums, dtype=np.float64, count=len(self.tested_pairs)))
 
-    @property
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def variance_before(self) -> float:
-        if self.loop_variance_before is not None:
-            return self.loop_variance_before
-        return self.variance_after
+        return domain_variance(self.originals)
+
+    @property
+    @np.errstate(over="ignore", invalid="ignore")
+    def aligned(self) -> RealMat:
+        conflicts = [] if self.loop_dots is None else self.conflict_pairs.tolist()
+        if not conflicts:
+            return self.originals
+        sem = self.semantics
+        working = self.originals.copy()
+        orig_rows, work_rows = list(self.originals), list(working)
+        probes = work_rows if sem["accumulate"] else orig_rows
+        targets = orig_rows if sem["target"] == "original" else work_rows
+        product = np.empty(working.shape[1])
+        for i, j in conflicts:
+            _step_into(work_rows[i], probes[i], targets[j], sem["lambda"], product)
+        return working
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def variance_after(self) -> float:
-        return domain_variance(self.aligned)
+        aligned = self.aligned
+        if aligned is self.originals:
+            return self.variance_before
+        return domain_variance(aligned)
 
     @property
     def conflict_pairs(self) -> np.ndarray:
@@ -234,6 +256,15 @@ def align_pair(g_i: RealVec, g_j: RealVec, lam: float) -> RealVec:
     """
     _check_lambda(lam)
     return axpby(1.0 - 2.0 * lam, g_i, 2.0 * lam, g_j)
+
+
+def _step_into(row: RealVec, probe: RealVec, target: RealVec, lam: float, buf: RealVec) -> None:
+    """``align_pair(probe, target, lam)`` written into ``row`` with three
+    in-place ufuncs, ``buf`` as scratch: the same bits.  ``probe`` may be
+    ``row``; ``target`` must not be."""
+    np.multiply(target, 2.0 * lam, out=buf)
+    np.multiply(probe, 1.0 - 2.0 * lam, out=row)
+    np.add(row, buf, out=row)
 
 
 def _scratch(k: int, p: int) -> RealMat:
@@ -333,9 +364,8 @@ def aggregate_aligned(
     order instead, for literal replay of the pair loop.
     """
     # The stacked matrix is the working copy; the originals stay readable in
-    # the updates, so the round holds one K×P copy beyond the clients' own.
+    # the updates until the aggregate is formed.
     working = _gradient_matrix(updates)
-    variance_before = domain_variance(working)
     if rng is None:
         rng = Rng(cfg.order_seed)
     k = len(updates)
@@ -360,7 +390,6 @@ def aggregate_aligned(
     orig_rows = [u.gradient for u in updates]
     probes = work_rows if cfg.accumulate else orig_rows
     targets = orig_rows if cfg.target == "original" else work_rows
-    alpha, beta = 1.0 - 2.0 * cfg.lam, 2.0 * cfg.lam
     product = np.empty(working.shape[1])
     dots = []
     for i, js in zip(outer, others.tolist()):
@@ -372,19 +401,22 @@ def aggregate_aligned(
             value = float(np.add.reduce(product))
             dots.append(value)
             if value < 0.0:
-                # align_pair's alpha*probe + beta*target_vec, written into
-                # the row (j != i, so the target is never the row).
-                np.multiply(target_vec, beta, out=product)
-                np.multiply(probe, alpha, out=row)
-                np.add(row, product, out=row)
+                # j != i, so the target is never the row.
+                _step_into(row, probe, target_vec, cfg.lam, product)
     ensure_finite(working, "aligned gradients")
 
     weights = _weights(updates, cfg.weighting)
     aggregated = weighted_sum(work_rows, weights)
+    loop_dots = _frozen(np.array(dots, dtype=np.float64))
+    # The report keeps the originals, in the working matrix's buffer: the
+    # aligned rows are replayed from them when read.
+    if np.any(loop_dots < 0.0):
+        for row, g in zip(work_rows, orig_rows):
+            row[...] = g
     return AggregationReport(
         strategy="aligned",
         aggregated=aggregated,
-        aligned=working,
+        originals=working,
         client_ids=ids,
         weights=weights,
         tested_pairs=_frozen(pairs).reshape(-1, 2),
@@ -395,8 +427,7 @@ def aggregate_aligned(
             "order_mode": cfg.order_mode,
             "weighting": cfg.weighting,
         },
-        loop_dots=_frozen(np.array(dots, dtype=np.float64)),
-        loop_variance_before=variance_before,
+        loop_dots=loop_dots,
     )
 
 
@@ -418,7 +449,7 @@ def aggregate_fedavg(
     return AggregationReport(
         strategy="fedavg",
         aggregated=weighted_sum([u.gradient for u in updates], weights),
-        aligned=originals,
+        originals=originals,
         client_ids=tuple(u.client_id for u in updates),
         weights=weights,
         tested_pairs=_frozen(tested),

@@ -26,7 +26,7 @@ from fedalign.errors import (
 )
 from fedalign.federation import FedConfig, run_experiment
 from fedalign.models import ModelSpec
-from fedalign.numcore import Rng
+from fedalign.numcore import Rng, weighted_sum
 
 from _oracles import (
     reference_aligned_pairs,
@@ -295,6 +295,68 @@ class TestPairLoopExactness:
                 assert rep.aligned[a].tobytes() == expected.tobytes()
 
 
+class TestAlignedOnRead:
+    """``aligned`` is replayed from the originals and the recorded conflicts
+    on every read, and equals the pair loop's working matrix byte for byte."""
+
+    @pytest.fixture
+    def loop_working(self, monkeypatch):
+        """Copies of the loop's finished working matrix, as its finite check
+        sees it, one per aggregation."""
+        seen = []
+        original = aggregation.ensure_finite
+
+        def capture(a, what="result"):
+            seen.append(np.array(a))
+            return original(a, what)
+
+        monkeypatch.setattr(aggregation, "ensure_finite", capture)
+        return seen
+
+    @staticmethod
+    def assert_replays(grads, rep, working):
+        assert rep.originals.tobytes() == np.array(grads, dtype=np.float64).tobytes()
+        first, second = rep.aligned, rep.aligned
+        assert first.tobytes() == working.tobytes()
+        assert second.tobytes() == first.tobytes()
+        assert bits(weighted_sum(list(first), rep.weights)) == bits(rep.aggregated)
+        if rep.num_conflicts == 0:
+            assert first is rep.originals
+        else:
+            assert first is not second and first is not rep.originals
+
+    @pytest.mark.parametrize("p", [1, 42, 2002])
+    @pytest.mark.parametrize("k", [1, 2, 3, 32])
+    @pytest.mark.parametrize("order_mode", ["random", "fixed"])
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_equals_the_loops_working_matrix(self, loop_working, accumulate, target, order_mode, k, p):
+        grads = gradient_rows(k, p, seed=k * 1009 + p)
+        cfg = AlignConfig(lam=0.3, accumulate=accumulate, target=target, order_mode=order_mode)
+        rep = aggregate_aligned(updates_from(grads), cfg, rng=Rng(k, 2, p))
+        assert rep.num_conflicts > 0 or k < 3 or p == 1
+        [working] = loop_working
+        self.assert_replays(grads, rep, working)
+
+    def test_criterion_3_grid_with_orthogonal_pairs(self, loop_working):
+        # Criterion 3's grid: (1, -1) and (1, 1) are exactly orthogonal, so
+        # their zero inner product is tested and is not a conflict.
+        grid = [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 0.0), (2.0, -1.0)]
+        zeros = 0
+        for lam in (0.1, 0.3):
+            for k in range(1, 5):
+                for combo in itertools.combinations_with_replacement(grid, k):
+                    grads = [np.array(g) for g in combo]
+                    loop_working.clear()
+                    rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=lam, order_mode="fixed"))
+                    zero = rep.pair_dots == 0.0
+                    zeros += int(np.count_nonzero(zero))
+                    conflicts = {tuple(pair) for pair in rep.conflict_pairs.tolist()}
+                    assert not conflicts & {tuple(pair) for pair in rep.tested_pairs[zero].tolist()}
+                    self.assert_replays(grads, rep, loop_working[0])
+        assert zeros > 0
+
+
 class TestReportArrays:
     """A report's pair results: two read-only arrays, conflicts derived."""
 
@@ -361,27 +423,35 @@ class TestLazyDiagnostics:
         cfg = FedConfig(strategy=strategy, rounds=self.ROUNDS, batch_size=2)
         return run_experiment(suite, "dom4", ModelSpec(input_dim=2, hidden_dim=4), cfg)
 
-    def test_aligned_computes_only_the_variance_before(self, calls):
+    def test_aligned_computes_nothing_until_read_then_one_variance_per_distinct_matrix(self, calls):
         res = self.run("aligned")
-        # One call per round: the variance of the originals, which the round
-        # does not keep.
-        originals = list(calls)
-        assert len(originals) == self.ROUNDS
-        assert any(r.aggregation.num_conflicts for r in res.records)
+        assert calls == []
+        conflict = [r.aggregation.num_conflicts > 0 for r in res.records]
+        assert any(conflict) and not all(conflict), "the run must mix conflict and no-conflict rounds"
         res.summary()
         res.csv_rows()
-        assert len(calls) == 2 * self.ROUNDS  # each variance_after once, then cached
-        for r, x in zip(res.records, originals):
+        # Each variance once, then cached: a conflict round's originals and
+        # its replayed aligned matrix; a no-conflict round's aligned matrix
+        # is its originals, so before and after share one call.
+        assert len(calls) == sum(2 if c else 1 for c in conflict)
+        seen = {x.tobytes() for x in calls}
+        for r, hit in zip(res.records, conflict):
             rep = r.aggregation
-            # The recorded call saw this round's original gradients.
+            x = rep.originals
+            assert x.tobytes() in seen and rep.aligned.tobytes() in seen
+            assert (rep.aligned is x) is not hit
+            # The report's originals are this round's original gradients.
             norms = np.sqrt(np.add.reduce(x * x, axis=1))
             assert bits(norms) == bits(c["grad_norm"] for c in r.per_client)
             assert bits([rep.variance_before]) == bits([reference_domain_variance(list(x))])
             assert bits([rep.variance_after]) == bits([reference_domain_variance(list(rep.aligned))])
             sem = rep.semantics
             outer, inner = visiting_order(rep.tested_pairs)
-            tested, _ = reference_aligned_pairs(list(x), sem["lambda"], outer, inner, sem["accumulate"], sem["target"])
+            tested, working = reference_aligned_pairs(
+                list(x), sem["lambda"], outer, inner, sem["accumulate"], sem["target"]
+            )
             assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
+            assert rep.aligned.tobytes() == working.tobytes()
 
     def test_fedavg_computes_nothing_until_read(self, calls):
         res = self.run("fedavg")
@@ -400,6 +470,22 @@ class TestLazyDiagnostics:
             assert not rep.pair_dots.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 rep.pair_dots[...] = 0.0
+
+    @pytest.mark.parametrize("strategy", ["aligned", "fedavg"])
+    def test_a_read_record_holds_one_k_by_p_matrix(self, strategy):
+        # The aligned matrix is replayed on each read, never cached: a
+        # record holds the originals and nothing else of their size.
+        res = self.run(strategy)
+        res.summary()
+        res.csv_rows()
+        for r in res.records:
+            rep = r.aggregation
+            shape = rep.originals.shape
+            held = [
+                name for name, value in vars(rep).items()
+                if isinstance(value, np.ndarray) and value.shape == shape and value.dtype == np.float64
+            ]
+            assert held == ["originals"]
 
     @pytest.mark.parametrize("strategy", ["aligned", "fedavg"])
     def test_overflowing_diagnostics_read_without_warning(self, strategy):

@@ -70,9 +70,8 @@ def test_traced_run_records_each_layer(instrument):
     # come from one numcore.shuffles draw, which does not go through shuffle.
     assert calls["numcore.shuffle"] == 2 * 2
     assert tracer.counts["numcore.shuffle.draws"] == 2 * (2 * 29)
-    # One variance of the originals per aligned round; nothing in the run
-    # reads the variance after alignment, so it is never computed.
-    assert calls["aggregation.domain_variance"] == 2
+    # Nothing in the run reads either variance, so neither is computed.
+    assert calls["aggregation.domain_variance"] == 0
     # Run again: the client streams are memoized, so only the aggregation
     # order is drawn, and no shuffle runs.
     tracer.reset()
