@@ -31,7 +31,8 @@ for strategy in ("deepall", "fedavg", "fedprox", "aligned"):
 
 # Peek inside a single aligned run: the per-round record keeps the round's
 # original gradients and the pair loop's decisions, so trajectories are
-# inspectable after the fact; the spread below is computed as it is read.
+# inspectable after the fact; the spread and the pairs' inner products
+# below are computed as they are read.
 result = run_experiment(suite, "dom3", model, FedConfig(strategy="aligned", **schedule))
 r = result.records[10]
 print(f"\nround {r.round}: lr={r.lr}, conflicts={r.aggregation.num_conflicts}, "

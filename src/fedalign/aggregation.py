@@ -28,18 +28,22 @@ corrects its rows in place and reads the originals from the updates.
 The aligned pair loop pays for little beyond its arithmetic.  A round's
 K+1 visiting orders (the outer order, then each client's inner order) come
 from one ``numcore.shuffles`` draw, the same orders and the same stream as
-K+1 ``shuffle`` calls.  Each tested pair's inner product is formed in one
-scratch row and reduced, as ``np.sum(probe * target)``.  A conflict writes
-``align_pair``'s ``(1-2*lam)*g_i + 2*lam*g_j`` into the working row with
-three in-place ufuncs, the same bits as ``align_pair``; the finite check
-``align_pair`` makes per call runs once, over the finished working
-matrix, and raises :class:`NonFiniteResult`.
+K+1 ``shuffle`` calls.  A tested pair is a conflict when
+``np.sum(probe * target)``, numpy's pairwise sum, is negative.  The loop
+decides most pairs from one BLAS dot and a rigorous bound on its rounding
+error, and forms the pairwise sum itself (``_exact_dot``) only when the
+bound cannot settle the sign (see ``aggregate_aligned``), so every decision
+is the pairwise sum's.  A conflict writes ``align_pair``'s
+``(1-2*lam)*g_i + 2*lam*g_j`` into the working row with three in-place
+ufuncs, the same bits as ``align_pair``; the finite check ``align_pair``
+makes per call runs once, over the finished working matrix, and raises
+:class:`NonFiniteResult`.
 
 A report stores the round's original K×P matrix (``originals``) and the
 loop's decisions: which semantics ran, every tested pair (``tested_pairs``,
-the (M, 2) client indices in the order tested) and each pair's inner
-product (``pair_dots``).  For the aligned strategy that order is the
-visiting order: each outer client in turn, with its inner order.  Once the
+the (M, 2) client indices in the order tested) and whether each conflicted
+(``loop_conflicts``).  For the aligned strategy that order is the visiting
+order: each outer client in turn, with its inner order.  Once the
 aggregate is formed, the aligned round copies the originals back into its
 working matrix's buffer, so the round allocates no K×P matrix beyond its
 working copy.
@@ -48,12 +52,14 @@ Everything else is derived on read.  ``aligned`` is the originals
 themselves for fedavg or a round without conflicts, and otherwise the
 recorded conflicts replayed in tested order on a fresh copy, with the
 loop's own in-place step, so it equals the loop's working matrix bit for
-bit; it is not cached, so a record holds one K×P matrix.  The conflicts,
-the domain variance before and after alignment, and fedavg's pair inner
-products are computed on first read, the last three cached.  An
-aggregation whose reader never looks at them pays nothing for them; the
-readers that do are ``rounds.csv`` (every round) and a sweep cell's
-variance means (the conflict rounds, which pay a replay too).
+bit; it is not cached, so a record holds one K×P matrix.  The aligned
+``pair_dots`` walk the tested pairs the same way, taking each pair's
+pairwise sum; fedavg's conflicts are decided from one Gram matrix and the
+same bound.  fedavg's conflicts, the domain variance before and after
+alignment, and the pair inner products are computed on first read and
+cached.  An aggregation whose reader never looks at them pays nothing for
+them; the readers that do are ``rounds.csv`` (every round) and a sweep
+cell's variance means (the conflict rounds, which pay a replay too).
 
 The pair diagnostics (``domain_variance`` and fedavg's pairwise inner
 products) are batched: for each row *i* one numpy call forms the
@@ -67,6 +73,7 @@ equal to the per-pair loops.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -109,6 +116,14 @@ ORDER_MODES = ("random", "fixed")
 # The scratch buffer of the pair diagnostics holds at most this many bytes
 # (at least one row), so at large P it stays in cache instead of streaming.
 _SCRATCH_BYTES = 256 * 1024
+
+# The sign certificate of a pair's inner product (see ``aggregate_aligned``):
+# the unit roundoff; the least squared norm whose computed value keeps its
+# relative accuracy through underflow; and the norm product below which no
+# partial sum of a dot product can overflow.
+_UNIT = 2.0**-53
+_TINY_SQUARE = 2.0**-960
+_SAFE_SCALE = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -170,10 +185,13 @@ class AggregationReport:
     ``tested_pairs`` is a read-only (M, 2) int64 array of client indices,
     one row per tested pair in the order tested: the visiting order for
     the aligned strategy (each outer client, then its inner order), and
-    (i, j) with i < j for fedavg.  ``pair_dots`` is the read-only (M,)
-    float64 array of their inner products: ``loop_dots``, what the aligned
-    loop recorded, or for fedavg (where ``loop_dots`` is None) computed
-    from ``originals`` on first read.
+    (i, j) with i < j for fedavg.  ``conflict_mask`` is the read-only (M,)
+    bool array of which pairs conflict: ``loop_conflicts``, the aligned
+    loop's decisions, or for fedavg (where ``loop_conflicts`` is None)
+    decided from ``originals`` on first read.  ``pair_dots`` is the
+    read-only (M,) float64 array of the pairs' inner products, each the
+    pairwise ``np.sum(probe * target)`` the decision stands for, computed
+    on first read: for aligned by replaying the tested pairs in order.
 
     ``variance_before`` and ``variance_after`` are computed on first read
     and cached; the second is the first when ``aligned`` is ``originals``.
@@ -186,17 +204,42 @@ class AggregationReport:
     weights: tuple[float, ...]
     tested_pairs: np.ndarray
     semantics: dict = field(default_factory=dict)
-    loop_dots: RealVec | None = None
+    loop_conflicts: np.ndarray | None = None
 
     # The derived figures are read after the run, outside its numpy error
     # state: a diagnostic that overflows reads inf, without a warning.
     @cached_property
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def conflict_mask(self) -> np.ndarray:
+        if self.loop_conflicts is not None:
+            return self.loop_conflicts
+        # fedavg: every pair's inner product from one Gram matrix, its sign
+        # certified as in ``aggregate_aligned``; an unsettled pair takes
+        # the pairwise sum.
+        x = self.originals
+        gram = (x @ x.T).tolist()
+        norms = [_norm(gram[i][i]) for i in range(len(gram))]
+        slope, floor = _certificate(x.shape[1])
+        product = np.empty(x.shape[1])
+        conflicts = []
+        for i, j in self.tested_pairs.tolist():
+            scale, value = norms[i] * norms[j], gram[i][j]
+            if scale < _SAFE_SCALE and abs(value) > slope * scale + floor:
+                conflicts.append(value < 0.0)
+            else:
+                conflicts.append(_exact_dot(x[i], x[j], product) < 0.0)
+        return _frozen(np.array(conflicts, dtype=bool))
+
+    @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def pair_dots(self) -> RealVec:
-        if self.loop_dots is not None:
-            return self.loop_dots
-        sums = _pair_sums(self.originals, _scratch(*self.originals.shape), square=False)
-        return _frozen(np.fromiter(sums, dtype=np.float64, count=len(self.tested_pairs)))
+        x = self.originals
+        if self.loop_conflicts is None:
+            sums = _pair_sums(x, _scratch(*x.shape), square=False)
+            return _frozen(np.fromiter(sums, dtype=np.float64, count=len(self.tested_pairs)))
+        product = np.empty(x.shape[1])
+        walk = self._replay(x.copy(), self.tested_pairs.tolist(), self.loop_conflicts.tolist())
+        return _frozen(np.array([_exact_dot(p, t, product) for p, t in walk], dtype=np.float64))
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -206,18 +249,27 @@ class AggregationReport:
     @property
     @np.errstate(over="ignore", invalid="ignore")
     def aligned(self) -> RealMat:
-        conflicts = [] if self.loop_dots is None else self.conflict_pairs.tolist()
+        conflicts = [] if self.loop_conflicts is None else self.conflict_pairs.tolist()
         if not conflicts:
             return self.originals
-        sem = self.semantics
         working = self.originals.copy()
+        for _ in self._replay(working, conflicts, itertools.repeat(True)):
+            pass
+        return working
+
+    def _replay(self, working: RealMat, pairs, steps):
+        """Walk ``pairs`` as the aligned loop did, on ``working``, a fresh
+        copy of the originals: yield each pair's (probe, target) rows, then
+        step the probe's row toward the target where ``steps`` says so."""
+        sem = self.semantics
         orig_rows, work_rows = list(self.originals), list(working)
         probes = work_rows if sem["accumulate"] else orig_rows
         targets = orig_rows if sem["target"] == "original" else work_rows
         product = np.empty(working.shape[1])
-        for i, j in conflicts:
-            _step_into(work_rows[i], probes[i], targets[j], sem["lambda"], product)
-        return working
+        for (i, j), step in zip(pairs, steps):
+            yield probes[i], targets[j]
+            if step:
+                _step_into(work_rows[i], probes[i], targets[j], sem["lambda"], product)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -229,13 +281,12 @@ class AggregationReport:
 
     @property
     def conflict_pairs(self) -> np.ndarray:
-        """The rows of ``tested_pairs`` whose inner product is negative, in
-        tested order."""
-        return self.tested_pairs[self.pair_dots < 0.0]
+        """The rows of ``tested_pairs`` that conflict, in tested order."""
+        return self.tested_pairs[self.conflict_mask]
 
     @property
     def num_conflicts(self) -> int:
-        return int(np.count_nonzero(self.pair_dots < 0.0))
+        return int(np.count_nonzero(self.conflict_mask))
 
 
 def _check_lambda(lam: float) -> None:
@@ -265,6 +316,28 @@ def _step_into(row: RealVec, probe: RealVec, target: RealVec, lam: float, buf: R
     np.multiply(target, 2.0 * lam, out=buf)
     np.multiply(probe, 1.0 - 2.0 * lam, out=row)
     np.add(row, buf, out=row)
+
+
+def _exact_dot(probe: RealVec, target: RealVec, buf: RealVec) -> float:
+    """``np.sum(probe * target)``, the product formed in ``buf``: the inner
+    product ``detect_conflict`` and the per-pair references take, bit for
+    bit."""
+    np.multiply(probe, target, out=buf)
+    return float(np.add.reduce(buf))
+
+
+def _certificate(p: int) -> tuple[float, float]:
+    """(slope, floor) of the sign certificate at length ``p``: a pair's
+    BLAS dot settles its sign when it lies outside
+    ``slope * norm_product + floor``."""
+    return 4.0 * (p + 2) * _UNIT, p * 2.0**-1070
+
+
+def _norm(square: float) -> float:
+    """A row's norm from its computed squared norm, as the certificate uses
+    it: inf, which settles nothing, when the square is not finite or is
+    below ``_TINY_SQUARE``."""
+    return math.sqrt(square) if _TINY_SQUARE <= square < math.inf else math.inf
 
 
 def _scratch(k: int, p: int) -> RealMat:
@@ -359,9 +432,50 @@ def aggregate_aligned(
 
     Clients are visited in a random order drawn from ``rng`` (or from
     ``cfg.order_seed`` when no rng is passed); for each client *i* the other
-    clients are visited in a random order, and every tested pair's inner
-    product is recorded.  ``cfg.order_mode == "fixed"`` keeps plain list
+    clients are visited in a random order, and whether every tested pair
+    conflicted is recorded.  ``cfg.order_mode == "fixed"`` keeps plain list
     order instead, for literal replay of the pair loop.
+
+    A pair conflicts when ``np.sum(probe * target)`` (numpy's pairwise
+    sum) is negative; the loop mostly decides from one BLAS dot
+    ``v = probe.dot(target)`` instead.  For n = P terms, in any summation
+    order, with or without fused multiply-adds, a computed dot product
+    satisfies ``|fl(x.y) - x.y| <= gamma_n * |x|.|y| + n * 2**-1075``,
+    where ``gamma_n = n*u / (1 - n*u)``, ``u = 2**-53``, and the second
+    term covers products that underflow (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., 2002, §3.1).  ``v`` and the
+    pairwise sum both obey it, so they lie within twice that of each
+    other, and ``|x|.|y| <= ||x|| ||y||``.  The row norms are computed as
+    well: a computed squared norm that is finite and at least
+    ``_TINY_SQUARE`` has relative error about ``gamma_n`` at most.  So
+
+        bound = 4 * (P + 2) * u * ||probe|| * ||target|| + P * 2**-1070
+
+    over the computed norms exceeds twice the error for any P below
+    2**51; the factor 4 in place of 2 and P + 2 in place of P absorb the
+    rounding of the norms and of the bound itself.  A ``v`` above
+    ``bound`` has a positive pairwise sum (no conflict), one below
+    ``-bound`` a negative one (a conflict).  In every other case the loop
+    takes the pairwise sum itself (``_exact_dot``) and decides from it:
+    ``v`` within the bound, a squared norm that is not finite or below
+    ``_TINY_SQUARE`` (the norm then reads inf), or a norm product of
+    ``_SAFE_SCALE`` or more, where ``v`` is not taken because a partial
+    sum could overflow.  Every decision is the pairwise sum's, so the
+    output does not depend on the BLAS.
+
+    The bound needs only upper bounds on the norms, to within that slack.
+    The row norms are computed once per round, under an error state that
+    lets a squared norm overflow to inf without a warning.  A pass starts
+    from its probe row's norm: row *i* is untouched until its own pass.  A
+    conflict's step is a convex combination, so the stepped row's norm is
+    at most the larger of the probe's and the target's, up to a few
+    roundings per step and an underflow that is negligible beside a norm
+    of at least 2**-480.  A round takes fewer than K**2 steps, and the
+    slack absorbs their roundings for any K below 2**20.
+    That larger norm becomes the row's: with ``cfg.accumulate`` it is the
+    probe's for the rest of the pass, and with ``cfg.target == "current"``
+    it is stored when the pass ends, for the later passes that target the
+    row.  No row's norm is taken twice.
     """
     # The stacked matrix is the working copy; the originals stay readable in
     # the updates until the aggregate is formed.
@@ -388,29 +502,45 @@ def aggregate_aligned(
     # Row views, made once: the pair loop indexes them thousands of times.
     work_rows = list(working)
     orig_rows = [u.gradient for u in updates]
-    probes = work_rows if cfg.accumulate else orig_rows
-    targets = orig_rows if cfg.target == "original" else work_rows
+    accumulate, current, lam = cfg.accumulate, cfg.target == "current", cfg.lam
+    probes = work_rows if accumulate else orig_rows
+    targets = work_rows if current else orig_rows
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norms = [_norm(s) for s in np.einsum("ij,ij->i", working, working).tolist()]
+    slope, floor = _certificate(working.shape[1])
     product = np.empty(working.shape[1])
-    dots = []
+    conflicts = []
     for i, js in zip(outer, others.tolist()):
         probe, row = probes[i], work_rows[i]
+        pnorm = row_norm = norms[i]
         for j in js:
-            target_vec = targets[j]
-            # detect_conflict's np.sum(probe * target_vec), into one buffer.
-            np.multiply(probe, target_vec, out=product)
-            value = float(np.add.reduce(product))
-            dots.append(value)
-            if value < 0.0:
+            target_vec, tnorm = targets[j], norms[j]
+            scale = pnorm * tnorm
+            value = float(probe.dot(target_vec)) if scale < _SAFE_SCALE else math.nan
+            bound = slope * scale + floor
+            if value > bound:
+                conflict = False
+            elif value < -bound:
+                conflict = True
+            else:
+                conflict = _exact_dot(probe, target_vec, product) < 0.0
+            conflicts.append(conflict)
+            if conflict:
                 # j != i, so the target is never the row.
-                _step_into(row, probe, target_vec, cfg.lam, product)
+                _step_into(row, probe, target_vec, lam, product)
+                row_norm = max(pnorm, tnorm)
+                if accumulate:
+                    pnorm = row_norm
+        if current:
+            norms[i] = row_norm
     ensure_finite(working, "aligned gradients")
 
     weights = _weights(updates, cfg.weighting)
     aggregated = weighted_sum(work_rows, weights)
-    loop_dots = _frozen(np.array(dots, dtype=np.float64))
+    loop_conflicts = _frozen(np.array(conflicts, dtype=bool))
     # The report keeps the originals, in the working matrix's buffer: the
     # aligned rows are replayed from them when read.
-    if np.any(loop_dots < 0.0):
+    if loop_conflicts.any():
         for row, g in zip(work_rows, orig_rows):
             row[...] = g
     return AggregationReport(
@@ -427,7 +557,7 @@ def aggregate_aligned(
             "order_mode": cfg.order_mode,
             "weighting": cfg.weighting,
         },
-        loop_dots=loop_dots,
+        loop_conflicts=loop_conflicts,
     )
 
 
@@ -437,8 +567,8 @@ def aggregate_fedavg(
 ) -> AggregationReport:
     """Weighted averaging of client gradients (weights n_k / n by default).
 
-    Pairwise inner products are still reported as a conflict diagnostic,
-    computed when first read, but do not influence the result.
+    Pairwise conflicts and inner products are still reported as a
+    diagnostic, computed when first read, but do not influence the result.
     """
     originals = _gradient_matrix(updates)
     k = len(updates)

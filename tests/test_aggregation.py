@@ -357,6 +357,201 @@ class TestAlignedOnRead:
         assert zeros > 0
 
 
+ROW_KINDS = ("gaussian", "near_cancelling", "mixed_1e150_1e-170", "all_1e-300", "overflowing_norm")
+
+
+def adversarial_row(kind, rng, p, first):
+    """One gradient row of length ``p``; ``first`` is the case's plain
+    first row, which a near-cancelling row nearly cancels against."""
+    g = rng.standard_normal(p)
+    if kind == "near_cancelling":
+        # |g . first| about 1e-15 * ||g|| * ||first||: inside the bound.
+        g -= (g @ first) / (first @ first) * first
+        return g + rng.choice([-1e-15, 1e-15]) * np.linalg.norm(g) / np.linalg.norm(first) * first
+    if kind == "mixed_1e150_1e-170":
+        g[::2] *= 1e150
+        g[1::2] *= 1e-170
+    elif kind == "all_1e-300":
+        g = np.where(g < 0.0, -1e-300, 1e-300)  # the squared norm underflows
+    elif kind == "overflowing_norm":
+        g *= 1e160  # the squared norm overflows
+    return g
+
+
+def adversarial_rows(kinds, p, seed):
+    """Row 0 plain, row r of kind ``kinds[r - 1]``."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal(p)]
+    return rows + [adversarial_row(kind, rng, p, rows[0]) for kind in kinds]
+
+
+class TestCertifiedDecisions:
+    """The aligned loop decides each pair from a BLAS dot and a rigorous
+    bound, falling back to the pairwise sum; every decision, and so every
+    output bit, is the per-pair reference's."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        """A one-item list counting ``_exact_dot`` calls."""
+        count = [0]
+        original = aggregation._exact_dot
+
+        def counting(probe, target, buf):
+            count[0] += 1
+            return original(probe, target, buf)
+
+        monkeypatch.setattr(aggregation, "_exact_dot", counting)
+        return count
+
+    @staticmethod
+    def assert_decisions(grads, cfg, rng=None):
+        rep = aggregate_aligned(updates_from(grads), cfg, rng=rng)
+        outer, inner = visiting_order(rep.tested_pairs)
+        tested, working = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.target)
+        decided = rep.loop_conflicts
+        assert decided.dtype == bool and decided.shape == (len(tested),)
+        assert not decided.flags.writeable
+        assert decided.tolist() == [v < 0.0 for _, _, v in tested]
+        assert np.array_equal(rep.pair_dots < 0.0, decided)
+        assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
+        assert rep.aligned.tobytes() == working.tobytes()
+        assert bits(rep.aggregated) == bits(weighted_sum(list(working), rep.weights))
+        return rep
+
+    @staticmethod
+    def assert_fedavg_decisions(grads):
+        rep = aggregate_fedavg(updates_from(grads))
+        dots = reference_pair_dots(grads)
+        assert rep.conflict_mask.tolist() == [v < 0.0 for _, _, v in dots]
+        assert not rep.conflict_mask.flags.writeable
+        assert np.array_equal(rep.pair_dots < 0.0, rep.conflict_mask)
+        assert rep.num_conflicts == sum(v < 0.0 for _, _, v in dots)
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    @pytest.mark.parametrize("p", [1, 2, 42, 2002])
+    @pytest.mark.parametrize("k", [1, 2, 3, 32])
+    @pytest.mark.parametrize("order_mode", ["random", "fixed"])
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_adversarial_rows(self, accumulate, target, order_mode, k, p, kind):
+        # Every other row is of the kind, the rest plain.  Overflowing
+        # rows overflow some inner products, as a run's error state allows.
+        grads = adversarial_rows([kind if r % 2 == 0 else "gaussian" for r in range(k - 1)], p, seed=k * 31 + p)
+        cfg = AlignConfig(lam=0.3, accumulate=accumulate, target=target, order_mode=order_mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_decisions(grads, cfg, rng=Rng(k, 2, p))
+            self.assert_fedavg_decisions(grads)
+
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=5),
+        p=st.sampled_from([1, 2, 3, 42]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([0.1, 0.3, 0.5]),
+        accumulate=st.booleans(),
+        target=st.sampled_from(["original", "current"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mixed_rows_property(self, kinds, p, seed, lam, accumulate, target):
+        grads = adversarial_rows(kinds, p, seed)
+        cfg = AlignConfig(lam=lam, accumulate=accumulate, target=target)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_decisions(grads, cfg, rng=Rng(seed))
+            self.assert_fedavg_decisions(grads)
+
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_criterion_3_grid_falls_back_on_orthogonal_pairs(self, exact_calls, accumulate, target):
+        # An exactly zero inner product lies inside every bound: only the
+        # pairwise sum can say it is not a conflict.
+        grid = [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 0.0), (2.0, -1.0)]
+        for k in range(1, 5):
+            for combo in itertools.combinations_with_replacement(grid, k):
+                grads = [np.array(g) for g in combo]
+                cfg = AlignConfig(lam=0.3, accumulate=accumulate, target=target, order_mode="fixed")
+                self.assert_decisions(grads, cfg)
+                self.assert_fedavg_decisions(grads)
+        assert exact_calls[0] > 0
+
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    @pytest.mark.parametrize("p", [42, 2002])
+    def test_norms_follow_the_stepped_rows(self, accumulate, target, p):
+        # Rows 1 and 2 are orthogonal up to rounding, and their BLAS dot and
+        # pairwise sum differ in sign.  At lambda 0.5 row 0, 2**20 times
+        # shorter than row 1 and opposed to it, steps onto row 1 exactly.
+        # A bound that kept row 0's old norm would be 2**20 times too small
+        # and decide (0, 2), or with target current (2, 0), from the BLAS
+        # dot.  The pairwise sum's sign is chosen so that row 0 is row 1
+        # when those pairs are tested.
+        rng = np.random.default_rng(p)
+        r1 = rng.standard_normal(p)
+        want = 1.0 if accumulate else -1.0
+        while True:
+            g = rng.standard_normal(p)
+            r2 = g - (g @ r1) / (r1 @ r1) * r1
+            if np.sum(r1 * r2) * want > 0.0 > r1.dot(r2) * want:
+                break
+        cfg = AlignConfig(lam=0.5, accumulate=accumulate, target=target, order_mode="fixed")
+        rep = self.assert_decisions([-(2.0**-20) * r1, r1, r2], cfg)
+        assert rep.conflict_pairs[0].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
+    @pytest.mark.parametrize("p", [2, 42, 2002])
+    def test_near_cancelling_rows_fall_back(self, exact_calls, strategy, p):
+        grads = adversarial_rows(["near_cancelling"] * 5, p, seed=p)
+        strategy(updates_from(grads)).num_conflicts
+        assert exact_calls[0] > 0
+
+    @pytest.mark.parametrize("target", ["original", "current"])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_seeded_many_clients_rows_never_fall_back(self, exact_calls, accumulate, target):
+        # K=32, P=2002, the benchmark's many-clients shape.
+        grads = gradient_rows(32, 2002, seed=2 * accumulate + (target == "current"))
+        cfg = AlignConfig(lam=0.1, accumulate=accumulate, target=target)
+        rep = aggregate_aligned(updates_from(grads), cfg, rng=Rng(5, 2, 0))
+        assert 0 < rep.num_conflicts < len(rep.tested_pairs)
+        assert 0 < aggregate_fedavg(updates_from(grads)).num_conflicts
+        assert exact_calls[0] == 0
+
+    def test_many_clients_run_never_falls_back(self, exact_calls):
+        # A short run shaped like the benchmark's many-clients workload:
+        # K=32 clients, P=2002.  Reading ``pair_dots`` would take every
+        # pair's pairwise sum, so only the conflicts are read.
+        k = 33
+        spec = SyntheticSpec(
+            num_domains=k, samples_per_domain=50, rotation_degrees=tuple(90.0 * d / (k - 1) for d in range(k))
+        )
+        model = ModelSpec(input_dim=2, hidden_dim=400)
+        for strategy in ("aligned", "fedavg"):
+            cfg = FedConfig(strategy=strategy, rounds=2, batch_size=10)
+            res = run_experiment(generate(spec), f"dom{k - 1}", model, cfg)
+            assert res.records[0].aggregation.originals.shape == (32, 2002)
+            assert sum(r.aggregation.num_conflicts for r in res.records) > 0
+        assert exact_calls[0] == 0
+
+    def test_overflowing_squared_norms_add_no_warning(self):
+        # Finite inner products of a row whose squared norm overflows,
+        # called outside a run's error state: pytest turns a RuntimeWarning
+        # into an error.  Rows 1 and 2 conflict; their steps stay small.
+        grads = [np.array([1e155, 1e-10]), np.array([1e-160, 1.0]), np.array([1e-160, -1.0])]
+        for accumulate, target, order_mode in itertools.product(
+            [True, False], ["original", "current"], ["random", "fixed"]
+        ):
+            cfg = AlignConfig(lam=0.1, accumulate=accumulate, target=target, order_mode=order_mode)
+            rep = self.assert_decisions(grads, cfg)
+            assert rep.conflict_pairs.tolist() in ([[1, 2], [2, 1]], [[2, 1], [1, 2]])
+        rep = aggregate_fedavg(updates_from(grads))
+        assert rep.conflict_pairs.tolist() == [[1, 2]]
+        # Row 0 conflicts with row 2 and steps; the stepped rows' squared
+        # norms overflow too.  Against the original rows every inner
+        # product stays finite.
+        grads[2] = np.array([-1e-170, -1.0])
+        for accumulate, order_mode in itertools.product([True, False], ["random", "fixed"]):
+            cfg = AlignConfig(lam=0.1, accumulate=accumulate, order_mode=order_mode)
+            assert [0, 2] in self.assert_decisions(grads, cfg).conflict_pairs.tolist()
+        self.assert_fedavg_decisions(grads)
+
+
 class TestReportArrays:
     """A report's pair results: two read-only arrays, conflicts derived."""
 
