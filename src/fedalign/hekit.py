@@ -15,6 +15,15 @@ carries the counts of the operator tags that produced it, shared by all of
 its slots, so a trace costs what the circuit does.  The audit still counts
 per coordinate, so a tag counted on a P-slot handle counts P times.
 
+Every operator certifies its result's range from its operands' bounds.  A
+handle that :class:`TransparentCipher` makes carries an exact integer upper
+bound on its slots' magnitudes, propagated with Python integers; only when
+the bound reaches the codec limit does the operator run the exact
+:meth:`FixedPointCodec.check_range` scan, so it raises
+:class:`OverflowAtScale` exactly when a scan after every operator would,
+with the same message.  A handle built by hand carries no bound, so every
+operator on it takes the exact scan.
+
 The auditor accepts only {ENC, ADD, SUB, MUL}; any other tag (say, from a
 shortcut that decrypts, computes in plaintext and re-encrypts) raises
 :class:`TraceViolation`.  Traces are taken at face value — with a
@@ -32,13 +41,13 @@ acting as a trusted comparator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .aggregation import TARGETS
-from .errors import DimensionMismatch, InvalidSpec, NonFiniteResult, OverflowAtScale, TraceViolation
+from .errors import DimensionMismatch, InvalidSpec, NonFiniteResult, OverflowAtScale, TraceViolation, is_int
 from .numcore import RealVec
 
 __all__ = [
@@ -83,52 +92,90 @@ class CipherHandle:
 
     ``payload`` is 0-d for a constant (a weight, ``2``, ``lambda``) and 1-D
     for a gradient.  ``trace`` counts each tag's occurrences in the handle's
-    expression tree, keys in first-occurrence order.
+    expression tree, keys in first-occurrence order.  ``bound`` is an exact
+    integer upper bound on the slots' magnitudes, set only by
+    :class:`TransparentCipher`; a handle built by hand has none, so every
+    operator on it runs the exact range scan.
     """
 
     payload: np.ndarray
     trace: dict[str, int]
+    bound: int | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _bounded(payload: np.ndarray, trace: dict[str, int], bound: int) -> CipherHandle:
+    handle = CipherHandle(payload, trace)
+    object.__setattr__(handle, "bound", bound)
+    return handle
 
 
 @dataclass(frozen=True)
 class FixedPointCodec:
     """Maps reals to scaled integers elementwise: encode(x) = round(x * scale).
 
-    ``scale`` must be a positive power of two.  Round-trip error is at most
-    half a unit (1 unit = 1/scale); each MUL rescales its raw product by
-    1/scale exactly once, rounding to nearest with ties away from zero.
+    ``scale`` must be a positive power of two (an integer, not a bool), and
+    is kept as a Python ``int``.  Round-trip error is at most half a unit
+    (1 unit = 1/scale); each MUL rescales its raw product by 1/scale exactly
+    once, rounding to nearest with ties away from zero.  :meth:`encode` and
+    :meth:`rescale` range-check every value they return;
+    :class:`TransparentCipher` calls :meth:`check_range` only where its
+    operand bounds cannot certify the range.
     """
 
     scale: int = DEFAULT_SCALE
 
     def __post_init__(self):
-        if self.scale < 1 or (self.scale & (self.scale - 1)) != 0:
+        if not is_int(self.scale) or self.scale < 1 or (self.scale & (self.scale - 1)) != 0:
             raise InvalidSpec(f"scale must be a positive power of two, got {self.scale}")
+        object.__setattr__(self, "scale", int(self.scale))
 
     def encode(self, x) -> np.ndarray:
+        return self._encode(x)[0]
+
+    def _encode(self, x) -> tuple[np.ndarray, int]:
+        """(encoded slots, their largest magnitude)."""
         x = np.asarray(x, dtype=np.float64)
+        magnitude = np.abs(x, out=np.empty_like(x))
         # One pass serves both checks: the largest magnitude is NaN or inf
         # exactly when some value is.
-        worst = float(np.max(np.abs(x), initial=0.0))
+        worst = float(np.maximum.reduce(magnitude, axis=None, initial=0.0))
         if not math.isfinite(worst):
             raise NonFiniteResult("cannot encode a non-finite value")
         # A finite value this large would overflow the float64 product to
         # inf; it is far out of range, so refuse it before scaling.
         if worst > _FLOAT_MAX / self.scale:
             raise self._overflow(f"{worst:g} x {self.scale}")
-        scaled = x * self.scale
-        # Round half away from zero, then range-check the float before the
-        # int64 cast so an out-of-range value cannot wrap.
-        raw = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-        return self.check_range(raw).astype(np.int64)
+        # Scaling by a power of two is exact and floor(v + 0.5) is monotone,
+        # so the largest slot is the largest magnitude rounded: range-check
+        # it before the int64 cast so an out-of-range value cannot wrap.
+        top = math.floor(worst * self.scale + 0.5)
+        if top >= _INT_LIMIT:
+            raise self._overflow(f"{float(top):g}")
+        # Round half away from zero.
+        magnitude *= self.scale
+        magnitude += 0.5
+        np.floor(magnitude, out=magnitude)
+        np.copysign(magnitude, x, out=magnitude)
+        return magnitude.astype(np.int64), top
 
     def decode(self, i: np.ndarray) -> np.ndarray:
         return i / self.scale
 
     def rescale(self, raw_product: np.ndarray) -> np.ndarray:
         """Divide by ``scale``, rounding to nearest with ties away from zero."""
-        magnitude = (np.abs(raw_product) + self.scale // 2) // self.scale
-        return self.check_range(np.where(raw_product < 0, -magnitude, magnitude))
+        return self.check_range(self._shifted(np.array(raw_product)))
+
+    def _shifted(self, raw: np.ndarray) -> np.ndarray:
+        """:meth:`rescale` without its range check, in place on ``raw``."""
+        half = self.scale // 2
+        if half:
+            # floor((raw + half - [raw < 0]) / scale) rounds half away from
+            # zero, and on integers a right shift by log2(scale) is that floor.
+            offset = raw >> 63  # -1 where raw is negative, 0 elsewhere
+            offset += half
+            raw += offset
+            raw >>= self.scale.bit_length() - 1
+        return raw
 
     def check_range(self, i: np.ndarray) -> np.ndarray:
         i = np.asarray(i)
@@ -151,29 +198,48 @@ class TransparentCipher:
     Handles pack a whole vector (or one constant); add/sub/mul act slot by
     slot, broadcasting a constant against a vector, and stay closed over
     handles — plaintext never appears between :meth:`enc` and :meth:`dec`.
+
+    Each handle it makes carries a bound on its slots' magnitudes: ENC's is
+    its largest slot, ADD and SUB add their operands' bounds, and MUL
+    rescales their product as it rescales the slots.  An operator runs the
+    exact :meth:`FixedPointCodec.check_range` scan only when that bound
+    reaches the codec limit, or when an operand was built by hand and has no
+    bound, and then keeps the scanned maximum as the bound.  Every overflow
+    is therefore raised where, and as, a scan after every operator raises it.
     """
 
     def __init__(self, codec: FixedPointCodec | None = None):
         self.codec = codec or FixedPointCodec()
 
     def enc(self, x) -> CipherHandle:
-        return CipherHandle(payload=self.codec.encode(x), trace={ENC: 1})
+        payload, bound = self.codec._encode(x)
+        return _bounded(payload, {ENC: 1}, bound)
 
     def dec(self, h: CipherHandle) -> np.ndarray:
         return self.codec.decode(h.payload)
 
     def add(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
-        payload = self.codec.check_range(a.payload + b.payload)
-        return CipherHandle(payload=payload, trace=_merged(a, b, ADD))
+        bound = None if a.bound is None or b.bound is None else a.bound + b.bound
+        return self._certified(a.payload + b.payload, _merged(a, b, ADD), bound)
 
     def sub(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
-        payload = self.codec.check_range(a.payload - b.payload)
-        return CipherHandle(payload=payload, trace=_merged(a, b, SUB))
+        bound = None if a.bound is None or b.bound is None else a.bound + b.bound
+        return self._certified(a.payload - b.payload, _merged(a, b, SUB), bound)
 
     def mul(self, a: CipherHandle, b: CipherHandle) -> CipherHandle:
-        # Both factors are below 2^31 in magnitude, so the int64 product is exact.
-        payload = self.codec.rescale(a.payload * b.payload)
-        return CipherHandle(payload=payload, trace=_merged(a, b, MUL))
+        # Both factors are below 2^31 in magnitude, so the int64 product is
+        # exact, and rescaling the product of the bounds bounds the result.
+        scale = self.codec.scale
+        bound = None if a.bound is None or b.bound is None else (a.bound * b.bound + scale // 2) // scale
+        return self._certified(self.codec._shifted(a.payload * b.payload), _merged(a, b, MUL), bound)
+
+    def _certified(self, payload: np.ndarray, trace: dict[str, int], bound: int | None) -> CipherHandle:
+        # An operator on two 0-d payloads gives a numpy scalar: keep an array.
+        payload = np.asarray(payload)
+        if bound is None or bound >= _INT_LIMIT:
+            payload = self.codec.check_range(payload)
+            bound = int(np.max(np.abs(payload), initial=0))
+        return _bounded(payload, trace, bound)
 
 
 def _merged(a: CipherHandle, b: CipherHandle, tag: str) -> dict[str, int]:
@@ -256,10 +322,13 @@ def weighted_sum_encrypted(
     _check_enc_updates(enc_updates)
     if len(weights) != len(enc_updates):
         raise DimensionMismatch("one weight per encrypted update required")
-    enc_w = [cipher.enc(float(w)) for w in weights]
-    out = cipher.mul(enc_w[0], enc_updates[0])
-    for w, g in zip(enc_w[1:], enc_updates[1:]):
-        out = cipher.add(out, cipher.mul(w, g))
+    # Each distinct weight is encrypted once, in first-occurrence order, so
+    # uniform weights cost one ENC; every E(w) still has the trace {ENC: 1}.
+    weights = [float(w) for w in weights]
+    enc_w = {w: cipher.enc(w) for w in dict.fromkeys(weights)}
+    out = cipher.mul(enc_w[weights[0]], enc_updates[0])
+    for w, g in zip(weights[1:], enc_updates[1:]):
+        out = cipher.add(out, cipher.mul(enc_w[w], g))
     return out, audit_trace([out])
 
 
@@ -293,6 +362,8 @@ def aligned_aggregate_encrypted(
         raise InvalidSpec(f"target must be one of {TARGETS}")
     _check_enc_updates(enc_updates)
     k = len(enc_updates)
+    # Built even when no pair conflicts: at a scale of 2^30 or more, encoding
+    # 2.0 overflows, and a run at that scale must fail in its first round.
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
     working = list(enc_updates)
     seen = set()

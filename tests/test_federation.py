@@ -687,3 +687,83 @@ class TestEncryptedGoldenDigests:
         res = run_experiment(generate(default_benchmark_spec(seed=0)), "dom3", ModelSpec(2, 8, 2), cfg)
         assert res.summary()["final_params_sha256"] == digest
         assert sum(r.trace_audit["total_tags"] for r in res.records) == total_tags
+
+    def test_pinned_at_benchmark_shape(self):
+        # The encrypted benchmark workload's shape and schedule: aligned,
+        # hidden 128 (P=642), 30 rounds, lr 0.2 divided by 10 every 20.
+        cfg = FedConfig(strategy="aligned", rounds=30, seed=0, encrypt=True, lr=0.2, lr_decay=LrDecay(20, 10.0))
+        res = run_experiment(generate(default_benchmark_spec(seed=0)), "dom3", ModelSpec(2, 128, 2), cfg)
+        assert sum(r.aggregation.num_conflicts for r in res.records) == 64
+        assert res.summary()["final_params_sha256"] == "22001a0a7813a5b72685160f3bf2f7defc8be70e6a422264d251cd26ee74042c"
+        assert sum(r.trace_audit["total_tags"] for r in res.records) == 607332
+
+
+# (strategy, scale exponent, lr, final params digest or (round, magnitude)),
+# pinned from a cipher that range-scanned after every operator.
+ENCRYPTED_OUTCOMES = [
+    ("aligned", 26, 0.2, "5514a57491ea8799d9887e579c12a274cfa115282f904762f828a301b9a85802"),
+    ("aligned", 26, 2, "83725e21439ad2d20797378bbaaf99e2be8b8fb1112a22f583d0b38060d78b9c"),
+    ("aligned", 26, 20, (2, "3.81525e+09")),
+    ("aligned", 27, 0.2, "c5c15a2c8b6eb1560721ad09d4f581332d85707128f537b96c6acc18e82a6e1a"),
+    ("aligned", 27, 2, "efcbd5cd070ee96f0c0ba4caf996dd4c8d07dd9eeaf2253d56c6c85ec1c39736"),
+    ("aligned", 27, 20, (2, "7.63051e+09")),
+    ("aligned", 28, 0.2, "0d01e280880564c98001fa0da2082ab3c469a3fafd9f5750e9281d974fc2d9c8"),
+    ("aligned", 28, 2, "c5c6ab65bc04b634c28e52b538946215cdd7a6a017de7a56d074652239b70078"),
+    ("aligned", 28, 20, (2, "1.5261e+10")),
+    ("aligned", 29, 0.2, "41017eddbd3161004b12283b5798f6f3927bfbce67237596bcf1b5a29128bb4c"),
+    ("aligned", 29, 2, (10, "2.44062e+09")),
+    ("aligned", 29, 20, (1, "3.3138e+09")),
+    ("aligned", 30, 0.2, (0, "2.14748e+09")),
+    ("aligned", 30, 2, (0, "2.14748e+09")),
+    ("aligned", 30, 20, (0, "2.14748e+09")),
+    ("aligned", 31, 0.2, (0, "4.29497e+09")),
+    ("aligned", 31, 2, (0, "4.29497e+09")),
+    ("aligned", 31, 20, (0, "4.29497e+09")),
+    ("fedavg", 26, 0.2, "194ed9717feb97722d164f77467e2220cd05bc8ebe1c40b9f19acfea0756fc34"),
+    ("fedavg", 26, 2, "7cc1fea72a9f6083c8d4d04126a3e7e727559400f118c5e5caf273236dad828d"),
+    ("fedavg", 26, 20, (2, "3.81523e+09")),
+    ("fedavg", 27, 0.2, "4078fd0faf60c7f39d8150637b635fcddd22cd7b8112f50966a8b1a6778e27f5"),
+    ("fedavg", 27, 2, "1ab16509c2b8169b6d8fdfed43edeb401c83c177b29c76b541e094bb646c66d8"),
+    ("fedavg", 27, 20, (2, "7.63046e+09")),
+    ("fedavg", 28, 0.2, "4861b0d884b20a6a7cd138863ba69b7501bd5693493a3afcb0c23a2d2bd2a99a"),
+    ("fedavg", 28, 2, "2f6b662cbd9f1a02c819b5ae561d6c8fdc77e7ff1c8a3b77ea3c8c7dac0702fa"),
+    ("fedavg", 28, 20, (2, "1.52609e+10")),
+    ("fedavg", 29, 0.2, "2c61288d7975a2b3ccbcb783ec50ea5cedb4189c7c2f1669af6cdc16556983f2"),
+    ("fedavg", 29, 2, (10, "2.41478e+09")),
+    ("fedavg", 29, 20, (1, "3.3138e+09")),
+    ("fedavg", 30, 0.2, "f94f90665fc7806fce02347d0f88cc412ad3495fa8e01fca005505cec75fd444"),
+    ("fedavg", 30, 2, (8, "3.75436e+09")),
+    ("fedavg", 30, 20, (1, "6.6276e+09")),
+    ("fedavg", 31, 0.2, (3, "2.18771e+09")),
+    ("fedavg", 31, 2, (1, "2.72802e+09")),
+    ("fedavg", 31, 20, (1, "1.32552e+10")),
+]
+
+
+class TestEncryptedOverflowOutcomes:
+    """How each of 36 encrypted runs ends, pinned: its final parameters, or
+    the round and full message of its ``OverflowAtScale``.  The grid walks
+    the codec scale up to the limit where encoding 2.0 overflows (2^30),
+    and lr up to where the weights outgrow the range, so an operator that
+    skipped or moved a range check would change an entry."""
+
+    @pytest.mark.parametrize(
+        "strategy, exponent, lr, outcome",
+        [pytest.param(*row, id=f"{row[0]}-2^{row[1]}-lr{row[2]}") for row in ENCRYPTED_OUTCOMES],
+    )
+    def test_pinned(self, strategy, exponent, lr, outcome):
+        cfg = FedConfig(
+            strategy=strategy, rounds=40, seed=0, encrypt=True, scale=2**exponent, lr=lr, lr_decay=None
+        )
+        suite = generate(default_benchmark_spec(0))
+        if isinstance(outcome, str):
+            res = run_experiment(suite, "dom3", ModelSpec(2, 8, 2), cfg)
+            assert res.summary()["final_params_sha256"] == outcome
+            return
+        round_index, magnitude = outcome
+        with pytest.raises(OverflowAtScale) as err:
+            run_experiment(suite, "dom3", ModelSpec(2, 8, 2), cfg)
+        assert str(err.value) == (
+            f"round {round_index}: encoded magnitude {magnitude} exceeds the codec range "
+            f"(|value| must stay below {2 ** (31 - exponent)} at scale {2**exponent})"
+        )

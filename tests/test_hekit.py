@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedalign.aggregation import AlignConfig, aggregate_aligned, ClientUpdate
+from fedalign.domains import default_benchmark_spec, generate
 from fedalign.errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -33,6 +34,8 @@ from fedalign.hekit import (
     transparent_cipher,
     weighted_sum_encrypted,
 )
+from fedalign.federation import FedConfig, LrDecay, run_experiment
+from fedalign.models import ModelSpec
 from fedalign.numcore import Rng
 
 from _oracles import TupleTraceCipher, div_round, reference_aligned_encrypted, round_half_away
@@ -93,10 +96,19 @@ class TestCodec:
         assert "encoded magnitude 1.79" in message and "at scale 16777216" in message
         assert len(message) < 120
 
-    @pytest.mark.parametrize("scale", [0, -8, 3, 1000])
+    @pytest.mark.parametrize(
+        "scale",
+        [0, -8, 3, 1000, 2.0**24, 8.0, np.float64(8.0), True, False, "8", 2**63],
+        ids=["0", "-8", "3", "1000", "float-2^24", "float-8", "np.float64-8", "True", "False", "str-8", "2^63"],
+    )
     def test_scale_must_be_power_of_two(self, scale):
         with pytest.raises(InvalidSpec):
             FixedPointCodec(scale=scale)
+
+    def test_scale_kept_as_python_int(self):
+        codec = FixedPointCodec(scale=np.int64(2**24))
+        assert type(codec.scale) is int and codec.scale == 2**24
+        assert codec.rescale(np.array([3 * 2**23, -(2**23)])).tolist() == [2, -1]
 
     def test_scale_one_allowed(self):
         codec = FixedPointCodec(scale=1)
@@ -263,6 +275,17 @@ class TestWeightedSumEncrypted:
         assert audit.coordinates == 5
         assert set(audit.tag_counts) <= ALLOWED_TAGS
 
+    def test_each_distinct_weight_encrypted_once(self):
+        c = transparent_cipher()
+        enc = [enc_vec(c, np.ones(2)) for _ in range(3)]
+        seen = []
+        c.enc = lambda x: seen.append(x) or TransparentCipher.enc(c, x)
+        out, audit = weighted_sum_encrypted(enc, [0.25, np.float64(0.5), 0.25], c)
+        assert seen == [0.25, 0.5]
+        # Each E(w) still counts as one ENC in the audit.
+        assert audit.tag_counts == {ENC: 12, MUL: 6, ADD: 4}
+        assert dec_vec(c, out).tolist() == [1.0, 1.0]
+
     def test_weight_count_checked(self):
         c = transparent_cipher()
         enc = [enc_vec(c, np.ones(2))]
@@ -406,3 +429,119 @@ class TestCountTraces:
         assert audit.total_tags == 2656659150
         assert np.max(np.abs(dec_vec(c, out) - rep.aggregated)) <= 1e-6
         assert elapsed < 5.0
+
+
+@st.composite
+def cipher_programs(draw):
+    """(scale, steps): a random chain of ENC, ADD, SUB and MUL.  A step is
+    ``("enc", value)`` or ``(op, i, j)`` on earlier steps' handles.  Values
+    are scalars or vectors of one length, many within a few half units
+    below 2^31/scale, the first magnitude out of range; the last two
+    (2^31 - 1/2 units, which rounds away to 2^31, and 2^31) overflow."""
+    scale = draw(st.sampled_from([1, 2**10, 2**24, 2**29]))
+    edge = 2**31 / scale
+    near_edge = st.builds(
+        lambda halves, sign: sign * (edge + halves / (2 * scale)), st.integers(-8, 0), st.sampled_from([-1.0, 1.0])
+    )
+    value = st.one_of(near_edge, st.floats(-2, 2, allow_nan=False), st.floats(-edge, edge, allow_nan=False))
+    size = draw(st.integers(1, 4))
+    operand = st.one_of(value, st.lists(value, min_size=size, max_size=size).map(np.array))
+    steps = [("enc", draw(operand))]
+    for _ in range(draw(st.integers(0, 11))):
+        op = draw(st.sampled_from(["enc", "add", "sub", "mul"]))
+        index = st.integers(0, len(steps) - 1)
+        steps.append(("enc", draw(operand)) if op == "enc" else (op, draw(index), draw(index)))
+    return scale, steps
+
+
+def run_program(cipher, steps):
+    """One outcome per step: (payload bytes, shape, tag counts) until a step
+    raises, then (exception type, message) and stop."""
+    handles, outcomes = [], []
+    for step in steps:
+        try:
+            if step[0] == "enc":
+                h = cipher.enc(step[1])
+            else:
+                op, i, j = step
+                h = getattr(cipher, op)(handles[i], handles[j])
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+            break
+        handles.append(h)
+        payload = np.asarray(h.payload)
+        outcomes.append((payload.dtype, payload.tobytes(), payload.shape, dict(Counter(h.trace))))
+    return handles, outcomes
+
+
+class TestBoundCertificates:
+    """Each operator certifies its range from its operands' bounds and runs
+    the exact scan only where the bound reaches 2^31: the same payloads and
+    the same overflow errors, at the same step, as the tuple-trace oracle
+    that scans after every operator."""
+
+    @given(cipher_programs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scanning_oracle(self, program):
+        scale, steps = program
+        handles, got = run_program(transparent_cipher(scale), steps)
+        _, expected = run_program(TupleTraceCipher(FixedPointCodec(scale)), steps)
+        assert got == expected
+        for h in handles:
+            assert np.max(np.abs(h.payload), initial=0) <= h.bound < 2**31
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The slot count of every exact ``check_range`` scan, in call order."""
+        seen = []
+        original = FixedPointCodec.check_range
+
+        def counting(codec, i):
+            seen.append(np.size(i))
+            return original(codec, i)
+
+        monkeypatch.setattr(FixedPointCodec, "check_range", counting)
+        return seen
+
+    def test_encrypted_workload_round_makes_no_scan(self, scans):
+        # The encrypted benchmark's shape: K=3, P=642, scale 2^24.
+        cfg = FedConfig(strategy="aligned", rounds=2, seed=0, encrypt=True, lr=0.2, lr_decay=LrDecay(20, 10.0))
+        res = run_experiment(generate(default_benchmark_spec(seed=0)), "dom3", ModelSpec(2, 128, 2), cfg)
+        assert res.records[-1].aggregation.num_conflicts > 0
+        assert res.records[-1].trace_audit["coordinates"] == 642
+        assert scans == []
+
+    def test_bound_at_limit_scans_once_and_keeps_the_scanned_bound(self, scans):
+        c = transparent_cipher()
+        # Each bounded by just over 2^30: the sum's bound reaches 2^31 while
+        # every slot of the sum is in range.
+        a, b = c.enc(np.array([65.0, -65.0, 1.0])), c.enc(np.array([-65.0, 65.0, 0.5]))
+        assert a.bound == b.bound == 65 * DEFAULT_SCALE > 2**30
+        total = c.add(a, b)
+        assert scans == [3]
+        assert total.payload.tolist() == [0, 0, 3 * DEFAULT_SCALE // 2]
+        assert total.bound == 3 * DEFAULT_SCALE // 2
+        c.mul(total, c.add(total, total))
+        assert scans == [3]
+
+    def test_hand_built_handle_always_scans(self, scans):
+        c = transparent_cipher()
+        built = CipherHandle(c.enc(np.array([1.0, -2.0])).payload, {ENC: 1})
+        assert built.bound is None
+        c.add(built, c.enc(0.5))
+        c.mul(c.enc(0.5), built)
+        c.sub(built, built)
+        assert scans == [2, 2, 2]
+
+    def test_sub_overflow_inside_aligned_replay_raises_oracle_message(self):
+        # 3 - (-3) = 6 leaves the headroom of 4 at scale 2^29.
+        grads = [np.array([3.0]), np.array([-3.0])]
+        c, ref = transparent_cipher(2**29), TupleTraceCipher(FixedPointCodec(2**29))
+        with pytest.raises(OverflowAtScale) as expected:
+            reference_aligned_encrypted(
+                [ref.enc(g) for g in grads], 0.1, np.array([[0, 1]]), ref, {(0, 1)}, [0.5, 0.5], True, "original"
+            )
+        with pytest.raises(OverflowAtScale) as err:
+            aligned_aggregate_encrypted([enc_vec(c, g) for g in grads], 0.1, c, [(0, 1)])
+        assert str(err.value) == str(expected.value)
+        assert "below 4 at scale 536870912" in str(err.value)
