@@ -37,7 +37,7 @@ updates = [
 ]
 
 plain = aggregate_fedavg(updates, weighting="uniform")
-aligned = aggregate_aligned(updates, AlignConfig(lam=0.1, order_seed=0))
+aligned = aggregate_aligned(updates, AlignConfig(lam=0.1))  # visiting order from Rng(0)
 
 print("uniform average          :", np.round(plain.aggregated, 4))
 print("aligned then averaged    :", np.round(aligned.aggregated, 4))
@@ -49,5 +49,5 @@ print(f"  after  alignment {aligned.variance_after:.4f}")
 outer = dict.fromkeys(aligned.tested_pairs[:, 0].tolist())
 print("visit order:", [aligned.client_ids[i] for i in outer])
 
-grads = [u.gradient for u in updates]
+grads = np.array([u.gradient for u in updates])  # K×P, one row per client
 assert domain_variance(grads) == aligned.variance_before

@@ -18,6 +18,7 @@ import numpy as np
 from fedalign import (
     AlignConfig,
     ClientUpdate,
+    Rng,
     aggregate_aligned,
     aligned_aggregate_encrypted,
     dec_vec,
@@ -30,7 +31,7 @@ grads = [rng.normal(size=6) for _ in range(4)]
 updates = [ClientUpdate(f"c{i}", g, 50, 0.0) for i, g in enumerate(grads)]
 
 # Plaintext pass: the report records the conflicts in visiting order.
-report = aggregate_aligned(updates, AlignConfig(lam=0.1, order_seed=7))
+report = aggregate_aligned(updates, AlignConfig(lam=0.1), rng=Rng(7))
 print(f"plaintext aggregate: {np.round(report.aggregated, 4)}")
 ids = report.client_ids
 print(f"conflicting pairs  : {[(ids[i], ids[j]) for i, j in report.conflict_pairs.tolist()]}")

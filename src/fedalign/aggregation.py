@@ -52,22 +52,21 @@ Everything else is derived on read.  ``aligned`` is the originals
 themselves for fedavg or a round without conflicts, and otherwise the
 recorded conflicts replayed in tested order on a fresh copy, with the
 loop's own in-place step, so it equals the loop's working matrix bit for
-bit; it is not cached, so a record holds one K×P matrix.  The aligned
-``pair_dots`` walk the tested pairs the same way, taking each pair's
-pairwise sum; fedavg's conflicts are decided from one Gram matrix and the
-same bound.  fedavg's conflicts, the domain variance before and after
+bit; it is not cached, so a record holds one K×P matrix.  ``pair_dots``
+takes each tested pair's pairwise sum (``_exact_dot``), for aligned on
+the same replay; fedavg's conflicts are decided from one Gram matrix and
+the same bound.  fedavg's conflicts, the domain variance before and after
 alignment, and the pair inner products are computed on first read and
 cached.  An aggregation whose reader never looks at them pays nothing for
 them; the readers that do are ``rounds.csv`` (every round) and a sweep
 cell's variance means (the conflict rounds, which pay a replay too).
 
-The pair diagnostics (``domain_variance`` and fedavg's pairwise inner
-products) are batched: for each row *i* one numpy call forms the
-differences or products against every later row, and each row is then
-summed.  Each such row sum is numpy's pairwise summation over the same
-elementwise values that ``np.sum(a * b)`` reduces, and the pair values are
-accumulated in (i, j) order, so the batched diagnostics are bit-for-bit
-equal to the per-pair loops.
+``domain_variance`` is batched: for each row *i* one numpy call forms the
+differences against a chunk of later rows, and each row is then squared
+and summed.  Each such row sum is numpy's pairwise summation over the same
+elementwise values that ``np.sum(d * d)`` reduces, and the pair values are
+accumulated in (i, j) order, so it is bit-for-bit equal to the per-pair
+loop.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ WEIGHTINGS = ("uniform", "sample_weighted")
 TARGETS = ("original", "current")
 ORDER_MODES = ("random", "fixed")
 
-# The scratch buffer of the pair diagnostics holds at most this many bytes
+# The scratch buffer of ``domain_variance`` holds at most this many bytes
 # (at least one row), so at large P it stays in cache instead of streaming.
 _SCRATCH_BYTES = 256 * 1024
 
@@ -156,7 +155,6 @@ class AlignConfig:
     """
 
     lam: float = 0.1
-    order_seed: int = 0
     weighting: str = "uniform"
     accumulate: bool = True
     target: str = "original"
@@ -233,12 +231,12 @@ class AggregationReport:
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def pair_dots(self) -> RealVec:
-        x = self.originals
+        x, pairs = self.originals, self.tested_pairs.tolist()
         if self.loop_conflicts is None:
-            sums = _pair_sums(x, _scratch(*x.shape), square=False)
-            return _frozen(np.fromiter(sums, dtype=np.float64, count=len(self.tested_pairs)))
+            walk = ((x[i], x[j]) for i, j in pairs)
+        else:
+            walk = self._replay(x.copy(), pairs, self.loop_conflicts.tolist())
         product = np.empty(x.shape[1])
-        walk = self._replay(x.copy(), self.tested_pairs.tolist(), self.loop_conflicts.tolist())
         return _frozen(np.array([_exact_dot(p, t, product) for p, t in walk], dtype=np.float64))
 
     @cached_property
@@ -341,32 +339,10 @@ def _norm(square: float) -> float:
 
 
 def _scratch(k: int, p: int) -> RealMat:
-    """Row buffer for the pair diagnostics of a K×P matrix, at most
+    """Row buffer for ``domain_variance`` of a K×P matrix, at most
     ``_SCRATCH_BYTES`` (but one row at least)."""
     rows = max(1, min(k - 1, _SCRATCH_BYTES // (8 * max(p, 1))))
     return np.empty((rows, p))
-
-
-def _pair_sums(x: RealMat, buf: RealMat, square: bool):
-    """Yield ``sum((x[i] - x[j])**2)`` if ``square``, else ``sum(x[i] * x[j])``,
-    for every pair i < j in (i, j) order.
-
-    Row i is combined with the later rows a chunk of ``len(buf)`` rows at a
-    time, and every row of the chunk summed; each value equals the per-pair
-    ``np.sum`` bit for bit.
-    """
-    k = x.shape[0]
-    step = buf.shape[0]
-    for i in range(k - 1):
-        for lo in range(i + 1, k, step):
-            hi = min(lo + step, k)
-            d = buf[: hi - lo]
-            if square:
-                np.subtract(x[i], x[lo:hi], out=d)
-                d *= d
-            else:
-                np.multiply(x[i], x[lo:hi], out=d)
-            yield from d.sum(axis=1).tolist()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -374,29 +350,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _stack(grads: Sequence[RealVec] | RealMat) -> RealMat:
-    """Gradients as one K×P matrix: a 2-D array as it is, equal-length
-    vectors stacked into a new C-contiguous float64 one."""
-    if len(grads) == 0:
+def domain_variance(grads: RealMat) -> float:
+    """Sum of squared distances over unordered pairs of rows of the K×P
+    matrix ``grads`` (each pair once), batched as the module docstring says."""
+    if getattr(grads, "ndim", None) != 2:
+        raise DimensionMismatch("domain_variance needs a K×P gradient matrix")
+    k = grads.shape[0]
+    if k == 0:
         raise EmptyUpdateSet("domain_variance needs at least one gradient")
-    if isinstance(grads, np.ndarray) and grads.ndim == 2:
-        return grads
-    rows = [np.asarray(g, dtype=np.float64) for g in grads]
-    for g in rows:
-        if g.ndim != 1 or g.shape != rows[0].shape:
-            raise DimensionMismatch(f"gradient shapes differ or are not flat: {g.shape} vs {rows[0].shape}")
-    return np.array(rows)
-
-
-def domain_variance(grads: Sequence[RealVec] | RealMat) -> float:
-    """Sum of squared distances over unordered gradient pairs (each once).
-
-    ``grads`` is a K×P matrix or a sequence of K equal-length vectors.
-    """
-    x = _stack(grads)
+    buf = _scratch(*grads.shape)
     total = 0.0
-    for value in _pair_sums(x, _scratch(*x.shape), square=True):
-        total += value
+    for i in range(k - 1):
+        for lo in range(i + 1, k, len(buf)):
+            d = buf[: k - lo]
+            np.subtract(grads[i], grads[lo : lo + len(d)], out=d)
+            d *= d
+            for value in d.sum(axis=1).tolist():
+                total += value
     return total
 
 
@@ -430,8 +400,8 @@ def aggregate_aligned(
 ) -> AggregationReport:
     """Align conflicting client gradients pairwise, then average.
 
-    Clients are visited in a random order drawn from ``rng`` (or from
-    ``cfg.order_seed`` when no rng is passed); for each client *i* the other
+    Clients are visited in a random order drawn from ``rng`` (``Rng(0)``
+    when none is passed); for each client *i* the other
     clients are visited in a random order, and whether every tested pair
     conflicted is recorded.  ``cfg.order_mode == "fixed"`` keeps plain list
     order instead, for literal replay of the pair loop.
@@ -481,7 +451,7 @@ def aggregate_aligned(
     # the updates until the aggregate is formed.
     working = _gradient_matrix(updates)
     if rng is None:
-        rng = Rng(cfg.order_seed)
+        rng = Rng(0)
     k = len(updates)
     ids = tuple(u.client_id for u in updates)
 

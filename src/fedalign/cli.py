@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, save_csv
-from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, from_json, to_json
+from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, from_json, to_json, utf8_error
 from .federation import ROUND_CSV_COLUMNS, FedConfig, run_experiment
 from .models import ModelSpec
 from .sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
@@ -104,6 +104,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, str(exc.colno), exc.msg) from exc
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -111,12 +113,13 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _out_dir(args, suffix: str) -> str:
+def _out_path(args, suffix: str) -> str:
+    """``--out``, else ``<$FEDALIGN_OUT or .>/<config file stem><suffix>``."""
     if args.out:
         return args.out
     root = os.environ.get("FEDALIGN_OUT", ".")
     stem = os.path.splitext(os.path.basename(args.config_path))[0]
-    return os.path.join(root, f"{stem}-{suffix}")
+    return os.path.join(root, stem + suffix)
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -136,7 +139,7 @@ def _suite_from_config(data: dict) -> tuple[DomainSuite, dict]:
         raise ConfigError("data", 'must contain exactly one of "synthetic" or "csv"')
     if "synthetic" in data:
         spec = from_json(SyntheticSpec, data["synthetic"], "data.synthetic")
-        return generate(spec), {"synthetic": to_json(spec)}
+        return _generate(spec), {"synthetic": to_json(spec)}
     block = data["csv"]
     if not isinstance(block, dict):
         raise ConfigError("data.csv", "must be a JSON object")
@@ -146,6 +149,15 @@ def _suite_from_config(data: dict) -> tuple[DomainSuite, dict]:
         raise ConfigError("data.csv.path", "must be a file path string")
     suite = load_csv(path, from_json(CsvSchema, schema_doc, "data.csv"))
     return suite, {"csv": dict(block)}
+
+
+def _generate(spec: SyntheticSpec) -> DomainSuite:
+    """``generate``, with a spec it cannot realize (a ``noise_sigma`` whose
+    noise overflows) named under ``data.synthetic``, as the parse names it."""
+    try:
+        return generate(spec)
+    except InvalidSpec as exc:
+        raise ConfigError("data.synthetic", str(exc)) from exc
 
 
 def _model_from_config(block: dict, suite: DomainSuite) -> ModelSpec:
@@ -238,7 +250,7 @@ def cmd_run(args) -> int:
 
     result = run_experiment(suite, target, model, cfg)
 
-    outdir = _out_dir(args, "run")
+    outdir = _out_path(args, "-run")
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "manifest": os.path.join(outdir, "manifest.json"),
@@ -299,7 +311,7 @@ def cmd_sweep(args) -> int:
         progress=None if args.quiet else lambda line: print(line),
     )
 
-    outdir = _out_dir(args, "sweep")
+    outdir = _out_path(args, "-sweep")
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "manifest": os.path.join(outdir, "manifest.json"),
@@ -338,12 +350,8 @@ def cmd_gen_data(args) -> int:
     spec = from_json(SyntheticSpec, doc, "data.synthetic")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    suite = generate(spec)
-    out = args.out
-    if not out:
-        root = os.environ.get("FEDALIGN_OUT", ".")
-        stem = os.path.splitext(os.path.basename(args.config_path))[0]
-        out = os.path.join(root, f"{stem}.csv")
+    suite = _generate(spec)
+    out = _out_path(args, ".csv")
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)

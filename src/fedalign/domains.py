@@ -29,6 +29,7 @@ from .errors import (
     UnknownDomain,
     is_finite_real,
     is_int,
+    utf8_error,
 )
 from .numcore import RealMat, Rng, shuffle
 
@@ -231,7 +232,10 @@ def generate(spec: SyntheticSpec) -> DomainSuite:
         rot = rotation_matrix(spec.rotation_degrees[d])
         feats = feats @ rot.T
         if spec.noise_sigma > 0:
-            feats = feats + spec.noise_sigma * rng.normal(size=feats.shape)
+            with np.errstate(over="ignore"):
+                feats = feats + spec.noise_sigma * rng.normal(size=feats.shape)
+            if not np.isfinite(feats).all():
+                raise InvalidSpec(f"noise_sigma {spec.noise_sigma!r} makes the noise overflow float64")
         domains.append(DomainDataset(domain_id=f"dom{d}", features=feats, labels=labels))
     return DomainSuite(domains=tuple(domains), num_classes=2, label_names=("0", "1"))
 
@@ -299,43 +303,46 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
     Rows are grouped by the domain column (domains ordered by first
     appearance); raw label values map to dense class ids by first
     appearance, recorded in ``suite.label_names``.  A feature cell that is
-    not a finite number raises :class:`ParseError` naming its line and
-    column; a row shorter or longer than the header raises
-    :class:`InconsistentDimension` naming its line.
+    not a finite number, or a byte that is not UTF-8, raises
+    :class:`ParseError` naming its line and column; a row shorter or longer
+    than the header raises :class:`InconsistentDimension` naming its line.
     """
     by_domain: dict[str, list[list[float]]] = {}
     by_domain_labels: dict[str, list[int]] = {}
     label_ids: dict[str, int] = {}
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (*schema.feature_cols, schema.label_col, schema.domain_col):
-            if col not in header:
-                raise ParseError(1, col, "column missing from header")
-        for lineno, row in enumerate(reader, start=2):
-            # DictReader files the cells past the header under the key None.
-            if None in row:
-                raise InconsistentDimension(f"line {lineno}: row is longer than the header")
-            feats = []
-            for col in schema.feature_cols:
-                cell = row.get(col)
-                if cell is None:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for col in (*schema.feature_cols, schema.label_col, schema.domain_col):
+                if col not in header:
+                    raise ParseError(1, col, "column missing from header")
+            for lineno, row in enumerate(reader, start=2):
+                # DictReader files the cells past the header under the key None.
+                if None in row:
+                    raise InconsistentDimension(f"line {lineno}: row is longer than the header")
+                feats = []
+                for col in schema.feature_cols:
+                    cell = row.get(col)
+                    if cell is None:
+                        raise InconsistentDimension(f"line {lineno}: row is shorter than the header")
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(lineno, col, f"not a number: {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise ParseError(lineno, col, f"not a finite number: {cell!r}")
+                    feats.append(value)
+                raw_label, dom = row[schema.label_col], row[schema.domain_col]
+                if raw_label is None or dom is None:
                     raise InconsistentDimension(f"line {lineno}: row is shorter than the header")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(lineno, col, f"not a number: {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ParseError(lineno, col, f"not a finite number: {cell!r}")
-                feats.append(value)
-            raw_label, dom = row[schema.label_col], row[schema.domain_col]
-            if raw_label is None or dom is None:
-                raise InconsistentDimension(f"line {lineno}: row is shorter than the header")
-            if raw_label not in label_ids:
-                label_ids[raw_label] = len(label_ids)
-            by_domain.setdefault(dom, []).append(feats)
-            by_domain_labels.setdefault(dom, []).append(label_ids[raw_label])
+                if raw_label not in label_ids:
+                    label_ids[raw_label] = len(label_ids)
+                by_domain.setdefault(dom, []).append(feats)
+                by_domain_labels.setdefault(dom, []).append(label_ids[raw_label])
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
 
     if len(by_domain) < 2:
         raise InsufficientDomains(f"file has {len(by_domain)} domain(s); need >= 2")

@@ -62,16 +62,31 @@ class InsufficientDomains(FedAlignError):
 
 
 class ParseError(FedAlignError):
-    """A CSV cell could not be parsed.
+    """A CSV cell, or a config file's JSON or UTF-8, could not be parsed.
 
-    Carries the 1-based line number and the offending column name so the
-    CLI can point at the exact cell.
+    Carries the 1-based line number and the offending column (a CSV column
+    name, or a position in the line) so the CLI can point at the exact spot.
     """
 
     def __init__(self, line: int, column: str, message: str):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column!r}: {message}")
+
+
+def utf8_error(path: str) -> ParseError:
+    """The :class:`ParseError` for the first bytes of the file at ``path``
+    that are not UTF-8, naming their line and byte column (both 1-based),
+    for a read of the file that raised ``UnicodeDecodeError``.  The file is
+    checked a line at a time: no UTF-8 sequence holds a newline byte."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = f"invalid UTF-8 byte 0x{line[exc.start]:02x} ({exc.reason})"
+                return ParseError(lineno, str(exc.start + 1), bad)
+    return ParseError(0, "", "not valid UTF-8")
 
 
 class InconsistentDimension(FedAlignError):

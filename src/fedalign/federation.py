@@ -14,6 +14,8 @@ round makes ``local_steps`` model passes rather than K times that, with
 every update byte-identical to the client's own pass.  A failure in the
 stacked phase is replayed one client at a time, so the error raised names
 the first failing client in client order, as ``round <t>, client <id>: ``.
+:func:`client_phase` returns the K local losses and the K×P update matrix;
+:func:`client_local_step` is its one-client case.
 
 All randomness is derived from the run seed through fixed key paths —
 ``(seed, 0)`` for initialization, ``(seed, 1, client_index, round)`` for
@@ -439,8 +441,9 @@ def client_phase(
     cfg: FedConfig,
     rows: list[tuple[np.ndarray | slice, ...]],
     lr: float | None = None,
-) -> list[ClientUpdate]:
-    """Every client's contribution for the round, client ``k`` (its
+) -> tuple[np.ndarray, RealMat]:
+    """Every client's contribution for the round: the K local losses and
+    the C-contiguous K×P matrix of updates, row k for client k (its
     dataset, named by its ``domain_id``) training at local step ``s`` on the
     rows ``rows[k][s]`` of its dataset (as :func:`client_rows` draws them).
 
@@ -456,19 +459,6 @@ def client_phase(
     parameters that starts as K views of the global ones.  Clients never
     mix, so every update is byte-identical to the client's walk alone.
     """
-    values, grads = _client_steps(clients, global_params, cfg, rows, lr)
-    return _updates(clients, values, grads)
-
-
-def _client_steps(
-    clients: list[DomainDataset],
-    global_params: ParamVector,
-    cfg: FedConfig,
-    rows: list[tuple[np.ndarray | slice, ...]],
-    lr: float | None,
-) -> tuple[np.ndarray, RealMat]:
-    """:func:`client_phase`'s K local losses and its C-contiguous K×P matrix
-    of updates, row k for client k."""
     _require_data(clients)
     if lr is None:
         lr = cfg.lr
@@ -515,14 +505,13 @@ def client_local_step(
     ``rng``: the one-client case of :func:`client_phase`."""
     _require_data([dataset])
     rows = _draw_rows(dataset.num_rows, cfg.batch_size, cfg.local_steps, rng)
-    return client_phase([dataset], global_params, cfg, [rows], lr)[0]
+    return _updates([dataset], *client_phase([dataset], global_params, cfg, [rows], lr))[0]
 
 
 def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) -> AggregationReport:
     if cfg.strategy == "aligned":
         acfg = AlignConfig(
             lam=cfg.lam,
-            order_seed=cfg.seed,
             weighting=cfg.resolved_weighting,
             accumulate=cfg.accumulate,
             target=cfg.align_target,
@@ -532,13 +521,12 @@ def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) ->
     return aggregate_fedavg(updates, weighting=cfg.resolved_weighting)
 
 
-def _encrypted_replay(
-    updates: list[ClientUpdate], report: AggregationReport, cfg: FedConfig
-) -> tuple[np.ndarray, dict]:
-    """Re-run the round's aggregation arithmetic on cipher handles and
-    return (decrypted aggregate, audit dict)."""
+def _encrypted_replay(report: AggregationReport, cfg: FedConfig) -> tuple[np.ndarray, dict]:
+    """Re-run the round's aggregation arithmetic on cipher handles, one per
+    row of ``report.originals``, and return (decrypted aggregate, audit
+    dict)."""
     cipher = transparent_cipher(cfg.scale)
-    enc = [enc_vec(cipher, u.gradient) for u in updates]
+    enc = [enc_vec(cipher, g) for g in report.originals]
     if report.strategy == "aligned":
         handle, audit = aligned_aggregate_encrypted(
             enc,
@@ -568,7 +556,7 @@ def run_round(
             client_rows(cfg.seed, k, t, ds.num_rows, cfg.batch_size, cfg.local_steps)
             for k, ds in enumerate(clients)
         ]
-        values, grads = _client_steps(clients, server.params, cfg, rows, lr)
+        values, grads = client_phase(clients, server.params, cfg, rows, lr)
         updates = _updates(clients, values, grads)
     except (FedAlignError, ValueError):
         # The clients stepped together, so the error is the first one any of
@@ -587,7 +575,7 @@ def run_round(
         report = _aggregate(updates, cfg, t)
         audit_dict = None
         if cfg.encrypt:
-            decrypted, audit_dict = _encrypted_replay(updates, report, cfg)
+            decrypted, audit_dict = _encrypted_replay(report, cfg)
             report = replace(report, aggregated=decrypted)
         server.params = sgd_step(server.params, report.aggregated, lr)
     except (NonFiniteResult, OverflowAtScale) as exc:

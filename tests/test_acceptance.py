@@ -29,6 +29,7 @@ from fedalign.hekit import (
     transparent_cipher,
 )
 from fedalign.models import ModelSpec, loss_and_grad
+from fedalign.numcore import Rng
 from fedalign.sweep import SweepSpec, run_sweep
 from _oracles import fd_gradient, max_rel_error, random_case
 
@@ -153,7 +154,7 @@ def test_4_no_conflict_transparency(acceptance_report):
         dim = int(rng.integers(1, 6))
         # Positive-orthant gradients: every pairwise inner product >= 0.
         grads = [rng.uniform(0.0, 3.0, size=dim) for _ in range(k)]
-        al = aggregate_aligned(updates(grads), AlignConfig(lam=0.25, order_seed=trial))
+        al = aggregate_aligned(updates(grads), AlignConfig(lam=0.25), rng=Rng(trial))
         fa = aggregate_fedavg(updates(grads), weighting="uniform")
         ok &= al.num_conflicts == 0
         ok &= np.array_equal(al.aggregated, fa.aggregated)
@@ -203,7 +204,7 @@ def test_6_encrypted_pipeline_fidelity(acceptance_report):
         k = int(rng.integers(2, 6))
         dim = int(rng.integers(1, 11))
         grads = [rng.normal(size=dim) for _ in range(k)]
-        rep = aggregate_aligned(updates(grads), AlignConfig(lam=0.1, order_seed=trial))
+        rep = aggregate_aligned(updates(grads), AlignConfig(lam=0.1), rng=Rng(trial))
 
         cipher = transparent_cipher()
         enc = [enc_vec(cipher, g) for g in grads]

@@ -139,34 +139,37 @@ class TestAlignPair:
 
 class TestDomainVariance:
     def test_two_opposed_vectors(self):
-        assert domain_variance([np.array([1.0, 0.0]), np.array([-1.0, 0.0])]) == 4.0
+        assert domain_variance(np.array([[1.0, 0.0], [-1.0, 0.0]])) == 4.0
 
     def test_three_vectors_known_value(self):
-        g = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0])]
+        g = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         # pairs: (0,1) -> 4, (0,2) -> 2, (1,2) -> 2
         assert domain_variance(g) == 8.0
 
     def test_identical_gradients_zero(self):
         g = np.array([0.3, -0.7, 1.1])
-        assert domain_variance([g, g.copy(), g.copy()]) == 0.0
+        assert domain_variance(np.stack([g, g, g])) == 0.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
-        grads = [rng.normal(size=5) for _ in range(4)]
+        grads = rng.normal(size=(4, 5))
         base = domain_variance(grads)
         for perm in itertools.permutations(range(4)):
-            assert abs(domain_variance([grads[p] for p in perm]) - base) < 1e-9
+            assert abs(domain_variance(grads[list(perm)]) - base) < 1e-9
 
     def test_single_gradient_is_zero(self):
-        assert domain_variance([np.ones(3)]) == 0.0
+        assert domain_variance(np.ones((1, 3))) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyUpdateSet):
-            domain_variance([])
+            domain_variance(np.empty((0, 3)))
 
-    def test_ragged_rejected(self):
+    @pytest.mark.parametrize(
+        "grads", [np.ones(3), np.ones((2, 3, 1)), [np.ones(3), np.ones(3)]], ids=["1-D", "3-D", "list"]
+    )
+    def test_not_a_matrix_rejected(self, grads):
         with pytest.raises(DimensionMismatch):
-            domain_variance([np.ones(3), np.ones(3), np.ones(2)])
+            domain_variance(grads)
 
 
 def bits(values):
@@ -187,7 +190,6 @@ class TestBatchedDiagnostics:
 
     def assert_match(self, grads):
         expected = reference_domain_variance(grads)
-        assert bits([domain_variance(grads)]) == bits([expected])
         assert bits([domain_variance(np.stack(grads))]) == bits([expected])
 
         rep = aggregate_fedavg(updates_from(grads))
@@ -226,7 +228,7 @@ class TestBatchedDiagnostics:
     def test_identical_rows_exactly_zero(self, p):
         row = gradient_rows(1, p, seed=p)[0]
         grads = [row.copy() for _ in range(33)]
-        assert bits([domain_variance(grads)]) == bits([0.0])
+        assert bits([domain_variance(np.stack(grads))]) == bits([0.0])
         self.assert_match(grads)
 
     @pytest.mark.parametrize("p", [1, 2002])
@@ -756,7 +758,7 @@ class TestAggregateAligned:
         rng = np.random.default_rng(11)
         for trial in range(20):
             grads = [rng.normal(size=3) for _ in range(4)]
-            rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.2, order_seed=trial))
+            rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.2), rng=Rng(trial))
             outer, inner = visiting_order(rep.tested_pairs)
             ref_working, _ = reference_aligned(grads, 0.2, outer, inner)
             for lib, ref in zip(rep.aligned, ref_working):
@@ -789,7 +791,7 @@ class TestAggregateAligned:
         rng = np.random.default_rng(3)
         for trial in range(50):
             grads = [rng.normal(size=4) for _ in range(int(rng.integers(2, 6)))]
-            rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.1, order_seed=trial))
+            rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.1), rng=Rng(trial))
             if rep.num_conflicts:
                 assert rep.variance_after <= rep.variance_before + 1e-9
             else:
@@ -798,25 +800,25 @@ class TestAggregateAligned:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         grads = [rng.normal(size=6) for _ in range(4)]
-        a = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=5))
-        b = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=5))
+        a = aggregate_aligned(updates_from(grads), rng=Rng(5))
+        b = aggregate_aligned(updates_from(grads), rng=Rng(5))
         assert np.array_equal(a.aggregated, b.aggregated)
         assert np.array_equal(a.tested_pairs, b.tested_pairs)
 
-    def test_order_seed_changes_order(self):
+    def test_rng_seed_changes_order(self):
         rng = np.random.default_rng(10)
         grads = [rng.normal(size=3) for _ in range(5)]
         orders = {
-            tuple(visiting_order(aggregate_aligned(updates_from(grads), AlignConfig(order_seed=s)).tested_pairs)[0])
+            tuple(visiting_order(aggregate_aligned(updates_from(grads), rng=Rng(s)).tested_pairs)[0])
             for s in range(8)
         }
         assert len(orders) > 1
 
-    def test_external_rng_overrides_order_seed(self):
+    def test_omitted_rng_draws_the_rng_0_order(self):
         grads = [np.ones(2) * s for s in (1.0, -1.0, 2.0)]
-        rep_rng = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=999), rng=Rng(4))
-        rep_seed = aggregate_aligned(updates_from(grads), AlignConfig(order_seed=4))
-        assert np.array_equal(rep_rng.tested_pairs, rep_seed.tested_pairs)
+        rep_default = aggregate_aligned(updates_from(grads))
+        rep_zero = aggregate_aligned(updates_from(grads), rng=Rng(0))
+        assert np.array_equal(rep_default.tested_pairs, rep_zero.tested_pairs)
 
     def test_every_unordered_pair_tested_twice(self):
         grads = [np.array([float(i), 1.0]) for i in range(4)]
@@ -916,7 +918,7 @@ class TestAggregateFedavg:
         rng = np.random.default_rng(21)
         base = np.abs(rng.normal(size=4)) + 0.5
         grads = [base + 0.01 * rng.normal(size=4) for _ in range(3)]
-        al = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.3, order_seed=1))
+        al = aggregate_aligned(updates_from(grads), AlignConfig(lam=0.3), rng=Rng(1))
         fa = aggregate_fedavg(updates_from(grads), weighting="uniform")
         assert al.num_conflicts == 0
         assert np.array_equal(al.aggregated, fa.aggregated)

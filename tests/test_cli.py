@@ -398,6 +398,52 @@ class TestBadValues:
         assert "column 'x0': not a finite number: 'nan'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "gen-data"])
+    def test_non_utf8_config_exit_2_names_position(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{\n  "seed": "\xff"}\n')
+        flag = "--config" if command == "run" else "--spec"
+        assert main([command, flag, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: line 2, column '12': invalid UTF-8 byte 0xff (invalid start byte)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", [1, 80], ids=["header", "row"])
+    def test_non_utf8_csv_exit_2_names_line(self, tmp_path, capsys, line):
+        data_csv = tmp_path / "suite.csv"
+        save_csv(generate(SyntheticSpec(**SMALL_DATA["synthetic"])), str(data_csv))
+        lines = data_csv.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xe9"
+        data_csv.write_bytes(b"\n".join(lines))
+        doc = {
+            "target": "dom2",
+            "model": {"hidden_dim": 4},
+            "data": {"csv": {**CSV_BLOCK, "path": str(data_csv)}},
+            "federation": dict(SMALL_FED),
+        }
+        path = write_config(tmp_path, "utf8.json", doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: line {line}, column '{len(lines[line - 1])}': invalid UTF-8 byte 0xe9" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "gen-data"])
+    def test_overflowing_noise_sigma_exit_2_names_field(self, tmp_path, capsys, command):
+        # Finite, but sigma times a standard normal draw overflows float64;
+        # a numpy RuntimeWarning fails this test (see pyproject.toml).
+        data = {"synthetic": {**SMALL_DATA["synthetic"], "noise_sigma": 1e308}}
+        if command == "gen-data":
+            path, flag = write_config(tmp_path, "spec.json", data["synthetic"]), "--spec"
+        elif command == "run":
+            path, flag = run_config(tmp_path, data=data), "--config"
+        else:
+            path, flag = sweep_config(tmp_path, data=data), "--spec"
+        assert main([command, flag, path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config field 'data.synthetic': noise_sigma 1e+308 makes the noise overflow" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
         doc = {
@@ -572,6 +618,12 @@ class TestSweep:
         with open(out / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["seed"] for r in rows} == {"7"}
+
+    def test_default_outdir_uses_env_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDALIGN_OUT", str(tmp_path / "root"))
+        cfg = self.sweep_config(tmp_path, sweep={"strategies": ["fedavg"], "seeds": [0], "targets": ["dom0"]})
+        assert main(["sweep", "--spec", cfg, "--quiet"]) == 0
+        assert (tmp_path / "root" / "grid-sweep" / "summary.json").exists()
 
 
 class TestFedproxDuplicateWarning:
@@ -757,7 +809,7 @@ CONTRACT_CONFIGS = [
 # JSON has no infinity literal, but Python's parser reads 1e400 as inf; the
 # test writes this placeholder's place in the document as a bare 1e400.
 JSON_1E400 = "@1e400@"
-HOSTILE_VALUES = [True, "x", -1, 0, JSON_1E400, 10**400, None, [], {}]
+HOSTILE_VALUES = [True, "x", -1, 0, 1e308, JSON_1E400, 10**400, None, [], {}]
 
 
 def _field_paths(node, prefix=()):

@@ -359,6 +359,19 @@ class TestLoadCsv:
             load_csv(path, self.SCHEMA)
         assert (err.value.line, err.value.column) == (4, "x1")
 
+    @pytest.mark.parametrize("bad_line", [1, 3, 900], ids=["header", "row", "past-first-read-chunk"])
+    def test_non_utf8_byte_names_line(self, tmp_path, bad_line):
+        # The text reader decodes 8 KiB at a time: lines 1 and 3 lie in its
+        # first read, line 900 past it.
+        rows = [b"%s,%d.0,2.0,%d" % (b"ab"[i % 2 : i % 2 + 1], i, i % 2) for i in range(999)]
+        lines = [b"domain,x0,x1,label", *rows]
+        lines[bad_line - 1] += b"\xff"
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=r"invalid UTF-8 byte 0xff \(invalid start byte\)$") as err:
+            load_csv(str(path), self.SCHEMA)
+        assert (err.value.line, err.value.column) == (bad_line, str(len(lines[bad_line - 1])))
+
     def test_single_domain_rejected(self, tmp_path):
         path = self.write(tmp_path, "domain,x0,x1,label\na,1.0,2.0,0\na,3.0,4.0,1\n")
         with pytest.raises(InsufficientDomains):

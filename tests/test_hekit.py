@@ -306,7 +306,7 @@ class TestWeightedSumEncrypted:
 class TestEncryptedAlignment:
     def plain_report(self, grads, lam=0.1, seed=0):
         updates = [ClientUpdate(f"c{i}", g, 1, 0.0) for i, g in enumerate(grads)]
-        return aggregate_aligned(updates, AlignConfig(lam=lam, order_seed=seed))
+        return aggregate_aligned(updates, AlignConfig(lam=lam), rng=Rng(seed))
 
     def replay(self, grads, rep, lam=0.1):
         c = transparent_cipher()
@@ -397,10 +397,8 @@ class TestCountTraces:
             dim = int(rng.integers(1, 8))
             grads = [rng.normal(size=dim) for _ in range(k)]
             updates = [ClientUpdate(f"c{i}", g, int(rng.integers(1, 50)), 0.0) for i, g in enumerate(grads)]
-            cfg = AlignConfig(
-                lam=lam, order_seed=seed, weighting="sample_weighted", accumulate=accumulate, target=target
-            )
-            rep = aggregate_aligned(updates, cfg)
+            cfg = AlignConfig(lam=lam, weighting="sample_weighted", accumulate=accumulate, target=target)
+            rep = aggregate_aligned(updates, cfg, rng=Rng(seed))
             c, ref = transparent_cipher(), TupleTraceCipher()
             out, audit = aligned_aggregate_encrypted(
                 [enc_vec(c, g) for g in grads], lam, c, rep.conflict_pairs, list(rep.weights), accumulate, target
