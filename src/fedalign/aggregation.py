@@ -26,40 +26,20 @@ C-contiguous K×P float64 matrix, one row per client; the aligned strategy
 corrects its rows in place and reads the originals from the updates.
 
 The aligned pair loop pays for little beyond its arithmetic.  A round's
-K+1 visiting orders (the outer order, then each client's inner order) come
-from one ``numcore.shuffles`` draw, the same orders and the same stream as
-K+1 ``shuffle`` calls.  A tested pair is a conflict when
-``np.sum(probe * target)``, numpy's pairwise sum, is negative.  The loop
-decides most pairs from one BLAS dot and a rigorous bound on its rounding
-error, and forms the pairwise sum itself (``_exact_dot``) only when the
-bound cannot settle the sign (see ``aggregate_aligned``), so every decision
-is the pairwise sum's.  A conflict writes ``align_pair``'s
-``(1-2*lam)*g_i + 2*lam*g_j`` into the working row with three in-place
-ufuncs, the same bits as ``align_pair``; the finite check ``align_pair``
-makes per call runs once, over the finished working matrix, and raises
-:class:`NonFiniteResult`.
+K+1 visiting orders come from one ``numcore.shuffles`` draw.  A tested
+pair conflicts when ``np.sum(probe * target)``, numpy's pairwise sum, is
+negative; the loop mostly decides from one BLAS dot and a rigorous bound
+on its rounding error (see ``aggregate_aligned``).  A conflict writes
+``align_pair``'s bits into the working row with three in-place ufuncs, and
+one finite check over the finished working matrix names the first client
+whose row is not finite.
 
-A report stores the round's original K×P matrix (``originals``) and the
-loop's decisions: which semantics ran, every tested pair (``tested_pairs``,
-the (M, 2) client indices in the order tested) and whether each conflicted
-(``loop_conflicts``).  For the aligned strategy that order is the visiting
-order: each outer client in turn, with its inner order.  Once the
-aggregate is formed, the aligned round copies the originals back into its
-working matrix's buffer, so the round allocates no K×P matrix beyond its
-working copy.
-
-Everything else is derived on read.  ``aligned`` is the originals
-themselves for fedavg or a round without conflicts, and otherwise the
-recorded conflicts replayed in tested order on a fresh copy, with the
-loop's own in-place step, so it equals the loop's working matrix bit for
-bit; it is not cached, so a record holds one K×P matrix.  ``pair_dots``
-takes each tested pair's pairwise sum (``_exact_dot``), for aligned on
-the same replay; fedavg's conflicts are decided from one Gram matrix and
-the same bound.  fedavg's conflicts, the domain variance before and after
-alignment, and the pair inner products are computed on first read and
-cached.  An aggregation whose reader never looks at them pays nothing for
-them; the readers that do are ``rounds.csv`` (every round) and a sweep
-cell's variance means (the conflict rounds, which pay a replay too).
+A report stores the round's originals and the loop's decisions; everything
+else is derived on read and, except ``aligned``, cached (see
+:class:`AggregationReport`).  An aggregation whose reader never looks at
+the diagnostics pays nothing for them; the readers that do are
+``rounds.csv`` (every round) and a sweep cell's variance means (the
+conflict rounds, which pay a replay of the aligned rows too).
 
 ``domain_variance`` is batched: for each row *i* one numpy call forms the
 differences against a chunk of later rows, and each row is then squared
@@ -84,8 +64,9 @@ from .errors import (
     EmptyUpdateSet,
     InvalidLambda,
     InvalidSpec,
+    NonFiniteResult,
 )
-from .numcore import RealMat, RealVec, Rng, axpby, dot, ensure_finite, shuffles, weighted_sum
+from .numcore import RealMat, RealVec, Rng, axpby, dot, ensure_finite, nonfinite_rows, shuffles, weighted_sum
 
 # ``shuffle`` is not called here (a round's visiting orders come from one
 # ``shuffles`` draw); it stays a module attribute for callers that look it up
@@ -175,24 +156,22 @@ class AggregationReport:
     """Everything one aggregation did.
 
     ``originals`` is the K×P matrix of the round's client gradients, row k
-    for ``client_ids[k]``.  ``aligned`` is the K×P matrix of final client
-    gradients: ``originals`` itself for fedavg and for an aligned round
-    without conflicts, otherwise the recorded conflicts replayed on a fresh
-    copy, on every read.
+    for ``client_ids[k]``.  ``aligned`` is the K×P matrix of final ones:
+    ``originals`` itself for fedavg and for an aligned round without
+    conflicts, otherwise the recorded conflicts replayed on a fresh copy,
+    with the loop's own in-place step, on every read.
 
     ``tested_pairs`` is a read-only (M, 2) int64 array of client indices,
     one row per tested pair in the order tested: the visiting order for
-    the aligned strategy (each outer client, then its inner order), and
-    (i, j) with i < j for fedavg.  ``conflict_mask`` is the read-only (M,)
-    bool array of which pairs conflict: ``loop_conflicts``, the aligned
-    loop's decisions, or for fedavg (where ``loop_conflicts`` is None)
-    decided from ``originals`` on first read.  ``pair_dots`` is the
-    read-only (M,) float64 array of the pairs' inner products, each the
-    pairwise ``np.sum(probe * target)`` the decision stands for, computed
-    on first read: for aligned by replaying the tested pairs in order.
-
-    ``variance_before`` and ``variance_after`` are computed on first read
-    and cached; the second is the first when ``aligned`` is ``originals``.
+    aligned (each outer client, then its inner order), (i, j) with i < j
+    for fedavg.  ``conflict_mask`` is the read-only (M,) bool array of which
+    pairs conflict: ``loop_conflicts``, the aligned loop's decisions, or for
+    fedavg decided from ``originals`` on first read.  ``pair_dots`` is the
+    read-only (M,) float64 array of the pairs' pairwise sums
+    ``np.sum(probe * target)``, computed on first read (for aligned by
+    replaying the tested pairs in order).  ``variance_before`` and
+    ``variance_after`` are computed on first read and cached; the second is
+    the first when ``aligned`` is ``originals``.
     """
 
     strategy: str
@@ -503,7 +482,10 @@ def aggregate_aligned(
                     pnorm = row_norm
         if current:
             norms[i] = row_norm
-    ensure_finite(working, "aligned gradients")
+    try:
+        ensure_finite(working, "aligned gradients")
+    except NonFiniteResult as exc:
+        raise NonFiniteResult(f"client {ids[nonfinite_rows(working)[0]]}: {exc}") from None
 
     weights = _weights(updates, cfg.weighting)
     aggregated = weighted_sum(work_rows, weights)

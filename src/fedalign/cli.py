@@ -17,20 +17,10 @@ error (the diagnostic names the offending field or file position, or the
 Output goes under ``--out``; when omitted, under ``$FEDALIGN_OUT`` (or the
 current directory) in a folder named after the config file.
 
-A run config looks like::
-
-    {
-      "target": "dom3",
-      "model": {"hidden_dim": 8, "activation": "relu"},
-      "data": {"synthetic": {"family": "rotated_two_moons", ...}},
-      "federation": {"strategy": "aligned", "rounds": 400, ...}
-    }
-
-``data`` is either ``synthetic`` (see SyntheticSpec) or ``csv`` with
-``{"path", "feature_cols", "label_col", "domain_col"}``.  A sweep config
-replaces ``target`` with a ``sweep`` block (strategies/seeds/targets plus
-optional per-strategy overrides); a gen-data spec is the bare synthetic
-object.
+A run config holds ``target``, ``model``, ``data`` (``synthetic`` or
+``csv``) and ``federation``; a sweep config replaces ``target`` with a
+``sweep`` grid block, and a gen-data spec is the bare synthetic object.
+README.md shows both configs in full.
 """
 
 from __future__ import annotations
@@ -41,6 +31,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -98,14 +89,40 @@ def _write_json(path: str, obj) -> None:
         fh.write(text)
 
 
+# A JSON string, bracket or number (integer digits, fraction, exponent).
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\[\s\S])*"|[\[\]{}]|-?(\d+)(\.\d+)?([eE][-+]?\d+)?')
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, str(exc.colno), exc.msg) from exc
+            text = fh.read()
     except UnicodeDecodeError:
         raise utf8_error(path) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, str(exc.colno), exc.msg) from exc
+    except (RecursionError, ValueError) as exc:
+        raise _limit_error(text, exc) from None
+
+
+def _limit_error(text: str, exc: Exception) -> ParseError:
+    """A ParseError for the two decoder errors that name no position: nesting
+    deeper than Python recurses, placed at the first bracket of the deepest
+    level, and an integer literal longer than Python converts, at the literal."""
+    at, depth, deepest, message = 0, 0, 0, str(exc)
+    for m in _JSON_TOKEN.finditer(text):
+        digits, fraction, exponent = m.groups()
+        if isinstance(exc, RecursionError):
+            depth += (m.group() in "[{") - (m.group() in "]}")
+            if depth > deepest:
+                at, deepest = m.start(), depth
+                message = f"arrays and objects nested {depth} deep, deeper than the parser follows"
+        elif digits and not (fraction or exponent) and len(digits) > sys.get_int_max_str_digits():
+            at, message = m.start(), f"integer literal of {len(digits)} digits, longer than Python converts"
+            break
+    return ParseError(text.count("\n", 0, at) + 1, str(at - text.rfind("\n", 0, at)), message)
 
 
 def _say(quiet: bool, msg: str) -> None:

@@ -318,7 +318,8 @@ def load_csv(path: str, schema: CsvSchema) -> DomainSuite:
             for col in (*schema.feature_cols, schema.label_col, schema.domain_col):
                 if col not in header:
                     raise ParseError(1, col, "column missing from header")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num  # physical: a quoted cell may hold a newline
                 # DictReader files the cells past the header under the key None.
                 if None in row:
                     raise InconsistentDimension(f"line {lineno}: row is longer than the header")

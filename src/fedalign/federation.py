@@ -9,32 +9,23 @@ whole trajectories.  The source domains are not evaluated while training:
 only when a reader asks for the per-round table.
 
 The client phase is one batched step: each local step stacks the K
-clients' minibatches and takes one ``loss_and_grad`` over the stack, so a
-round makes ``local_steps`` model passes rather than K times that, with
-every update byte-identical to the client's own pass.  A failure in the
-stacked phase is replayed one client at a time, so the error raised names
-the first failing client in client order, as ``round <t>, client <id>: ``.
-:func:`client_phase` returns the K local losses and the K×P update matrix;
-:func:`client_local_step` is its one-client case.
+clients' minibatches and takes one ``loss_and_grad`` over the stack, with
+every update byte-identical to the client's own pass (see
+:func:`client_phase`, and :func:`client_local_step`, its one-client case).
+A round checks each client's data first; then each row of the stack keeps
+the first check it fails, and the lowest-index failing client is named, as
+``round <t>, client <id>: ``, as stepping the clients one at a time would.
 
 All randomness is derived from the run seed through fixed key paths —
 ``(seed, 0)`` for initialization, ``(seed, 1, client_index, round)`` for
 each client's batch stream and ``(seed, 2, round)`` for the aggregation
 visiting order — so a run replays bit-for-bit regardless of client
 execution order, and every strategy sees the same batch stream under the
-same seed.
-
-A client's batch rows are therefore a pure function of their key: the run
-seed, the client index, the round, the client's row count, the batch size
-and the number of local steps.  :func:`client_rows` (a :class:`RowsMemo`)
-memoizes them per process, so the cells of a sweep that share a seed
-(every strategy and every held-out target) draw each client-round's rows
-once per worker and reuse them.  The memo holds one seed at a time, which
-is why a sweep runs its cells seed by seed; and it stores entries only up
-to ``ROWS_MEMO_BYTES`` = 4 MiB, charging each about 350 bytes plus 8 per
-index at one local step (a full batch holds no index).  A run with no
-reuse keeps at most that much.  A hit returns the same rows a fresh draw
-would, so the memo never changes a result.
+same seed.  A client's batch rows are thus a pure function of their key,
+and :func:`client_rows` memoizes them per process, one seed at a time (so
+a sweep runs its cells seed by seed) and at most ``ROWS_MEMO_BYTES``: the
+cells of a sweep that share a seed draw each client-round's rows once per
+worker.  A hit returns the rows a fresh draw would.
 
 With ``encrypt=True`` each round's aggregation arithmetic is re-executed in
 the homomorphic operator algebra (encrypt, align/average on handles,
@@ -66,8 +57,8 @@ from .aggregation import (
 from .domains import DomainDataset, DomainSuite, batch_rows, leave_one_out, minibatch  # noqa: F401
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     EmptyDataset,
-    FedAlignError,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -85,7 +76,7 @@ from .hekit import (
     weighted_sum_encrypted,
 )
 from .models import Metrics, ModelSpec, ParamVector, evaluate, init_params, loss_and_grad, sgd_step
-from .numcore import RealMat, Rng
+from .numcore import RealMat, Rng, nonfinite_rows
 
 __all__ = [
     "STRATEGIES",
@@ -334,12 +325,11 @@ class ExperimentResult:
     def csv_rows(self) -> list[dict]:
         """Per-round scalar metrics, one dict per round, keys ROUND_CSV_COLUMNS.
 
-        Training records no source-domain figures, so the mean source
-        accuracy and loss are computed here: the recorded steps are replayed
-        from ``initial_params`` with the operands ``sgd_step`` applied (each
-        round's decayed ``lr`` and applied aggregate), and after each step
-        every source is evaluated in client order, as at the end of that
-        round.
+        The mean source accuracy and loss, which training does not record,
+        come from replaying the recorded steps (each round's decayed ``lr``
+        times its applied aggregate, as ``sgd_step`` took them) from
+        ``initial_params`` and evaluating every source, in client order,
+        after each step.
         """
         rows = []
         values = self.initial_params.values
@@ -366,9 +356,8 @@ class ExperimentResult:
         return rows
 
 
-# The client_rows memo's budget: what its entries may take in one process.
-# One cell's draws fit many times over at the shipped sizes (the README
-# config's 3 clients x 600 rounds at batch 2 take about 0.8 MB).
+# The client_rows memo's budget in one process: one cell's draws fit many
+# times over (the README config's 3 clients x 600 rounds take 0.8 MB).
 ROWS_MEMO_BYTES = 2**22
 # What an entry takes beside its indices, rounded up from tracemalloc over
 # 10,000 entries (220-365 bytes at one local step, 566 at three): the key,
@@ -386,11 +375,10 @@ def _draw_rows(num_rows: int, batch_size: int, local_steps: int, rng: Rng) -> tu
 class RowsMemo:
     """Client batch rows memoized per process (see the module docstring).
 
-    It holds the rows of one seed at a time: a lookup at another seed
-    empties it first.  It stores a drawn entry only while the entries fit in
-    ``budget`` bytes, and never evicts one, so traffic larger than the
-    budget still hits on what was stored first.  ``misses`` counts the
-    draws since the memo was last emptied.
+    A lookup at another seed empties it first.  It stores a drawn entry only
+    while the entries fit in ``budget`` bytes and never evicts one, so
+    traffic past the budget still hits on what was stored first.  ``misses``
+    counts the draws since the memo was last emptied.
     """
 
     def __init__(self, budget: int = ROWS_MEMO_BYTES):
@@ -429,10 +417,15 @@ class RowsMemo:
 client_rows = RowsMemo()
 
 
-def _require_data(clients: list[DomainDataset]) -> None:
+def _check_data(clients: list[DomainDataset], spec: ModelSpec, batch_size: int) -> None:
+    """Raise for the first client, in client order, whose data cannot make
+    a batch for ``spec``: no rows, then the wrong feature width."""
     for ds in clients:
-        if ds.num_rows == 0:
+        rows, width = ds.features.shape
+        if rows == 0:
             raise EmptyDataset(f"client {ds.domain_id} has no data")
+        if width != spec.input_dim:
+            raise DimensionMismatch(f"batch shape {(batch_size, width)} does not match input_dim={spec.input_dim}")
 
 
 def client_phase(
@@ -458,22 +451,39 @@ def client_phase(
     one ``loss_and_grad`` over the stack, at a (K, P) stack of per-client
     parameters that starts as K views of the global ones.  Clients never
     mix, so every update is byte-identical to the client's walk alone.
+    The steps run to the end, each row keeping the first check it fails
+    (``gradient``, then ``updated parameters``); the lowest-index failing
+    client raises :class:`NonFiniteResult` as its own walk would, with
+    ``client <id>: `` before the message.
     """
-    _require_data(clients)
     if lr is None:
         lr = cfg.lr
     shape = (len(clients), global_params.values.shape[0])
     w = replace(global_params, values=np.broadcast_to(global_params.values, shape))
     losses = []
+    failed: dict[int, str] = {}
     for step in range(cfg.local_steps):
-        xs = np.array([ds.features[sel[step]] for ds, sel in zip(clients, rows)])
+        try:
+            xs = np.array([ds.features[sel[step]] for ds, sel in zip(clients, rows)])
+        except ValueError:
+            # The batches do not stack: name the first client at fault.
+            _check_data(clients, global_params.spec, cfg.batch_size)
+            raise
         ys = np.array([ds.labels[sel[step]] for ds, sel in zip(clients, rows)])
         values, grads = loss_and_grad(w, xs, ys)
+        for k in nonfinite_rows(grads):
+            failed.setdefault(k, "gradient")
         if cfg.local_steps > 1:
             losses.append(values)
             if cfg.strategy == "fedprox":
                 grads = grads + cfg.mu * (w.values - global_params.values)
-            w = sgd_step(w, grads, lr)
+            # sgd_step's arithmetic, checked per row rather than per stack.
+            w = replace(w, values=w.values - lr * grads)
+            for k in nonfinite_rows(w.values):
+                failed.setdefault(k, "updated parameters")
+    if failed:
+        k = min(failed)
+        raise NonFiniteResult(f"client {clients[k].domain_id}: {failed[k]} contains NaN or Inf")
     if cfg.local_steps > 1:
         grads = (global_params.values - w.values) / lr
         # Row k holds client k's losses, so each mean reduces a contiguous
@@ -503,7 +513,7 @@ def client_local_step(
 ) -> ClientUpdate:
     """One client's contribution for the round, its batch rows drawn from
     ``rng``: the one-client case of :func:`client_phase`."""
-    _require_data([dataset])
+    _check_data([dataset], global_params.spec, cfg.batch_size)
     rows = _draw_rows(dataset.num_rows, cfg.batch_size, cfg.local_steps, rng)
     return _updates([dataset], *client_phase([dataset], global_params, cfg, [rows], lr))[0]
 
@@ -551,27 +561,11 @@ def run_round(
     """Advance the federation by one round, mutating ``server`` in place."""
     t = server.round_index
     lr = effective_lr(cfg, t)
+    _check_data(clients, server.params.spec, cfg.batch_size)
+    rows = [client_rows(cfg.seed, k, t, ds.num_rows, cfg.batch_size, cfg.local_steps) for k, ds in enumerate(clients)]
     try:
-        rows = [
-            client_rows(cfg.seed, k, t, ds.num_rows, cfg.batch_size, cfg.local_steps)
-            for k, ds in enumerate(clients)
-        ]
         values, grads = client_phase(clients, server.params, cfg, rows, lr)
         updates = _updates(clients, values, grads)
-    except (FedAlignError, ValueError):
-        # The clients stepped together, so the error is the first one any of
-        # them hit (a ValueError: their batches did not stack; an
-        # EmptyDataset: a client had no rows to draw).  Replay them one at a
-        # time, in order, so the error raised is the first failing client's
-        # own.
-        for k, ds in enumerate(clients):
-            try:
-                client_local_step(ds, server.params, cfg, Rng(cfg.seed, 1, k, t), lr)
-            except (NonFiniteResult, OverflowAtScale) as exc:
-                raise type(exc)(f"round {t}, client {ds.domain_id}: {exc}") from exc
-        raise
-
-    try:
         report = _aggregate(updates, cfg, t)
         audit_dict = None
         if cfg.encrypt:
@@ -579,13 +573,14 @@ def run_round(
             report = replace(report, aggregated=decrypted)
         server.params = sgd_step(server.params, report.aggregated, lr)
     except (NonFiniteResult, OverflowAtScale) as exc:
-        raise type(exc)(f"round {t}: {exc}") from exc
+        # An error that names its client joins the round as "round t, client <id>: ".
+        sep = ", " if str(exc).startswith("client ") else ": "
+        raise type(exc)(f"round {t}{sep}{exc}") from exc
     server.round_index = t + 1
 
-    # The updates' gradients are the rows of ``grads``, and nothing reads
-    # them once the round is aggregated: square it in place and reduce each
-    # row, which sums every row as np.sum(g * g) does, so each norm is
-    # sqrt(dot(g, g)) bit for bit, without a K×P temporary.
+    # Nothing reads the updates' gradients, the rows of ``grads``, once the
+    # round is aggregated: square it in place and reduce each row, as
+    # np.sum(g * g) sums it, so each norm is sqrt(dot(g, g)) bit for bit.
     np.multiply(grads, grads, out=grads)
     norms = np.sqrt(np.add.reduce(grads, axis=1)).tolist()
     per_client = tuple(

@@ -1,12 +1,11 @@
 """Homomorphic-operator facade for the aggregation arithmetic.
 
-The point of this module is structural, not cryptographic: it demonstrates
-that the whole alignment aggregation is expressible with nothing but
-encrypted-space add / subtract / multiply on opaque handles, so a server
-running it never needs plaintext arithmetic between encryption and the
-final decryption.  The reference :class:`TransparentCipher` provides no
-secrecy; it carries fixed-point integers in the handles and implements the
-operator semantics exactly, which is what the equivalence tests need.
+The point is structural, not cryptographic: the whole alignment
+aggregation needs nothing but add / subtract / multiply on opaque handles
+between encryption and the final decryption.  The reference
+:class:`TransparentCipher` provides no secrecy; it carries fixed-point
+integers and implements the operator semantics exactly, as the equivalence
+tests need.
 
 One handle packs a whole vector, as the slot packing of CKKS/BFV does: its
 payload is an int64 array (0-d for a constant such as a weight, 1-D for a
@@ -30,12 +29,10 @@ shortcut that decrypts, computes in plaintext and re-encrypts) raises
 transparent cipher there is nothing to hide — so the audit checks protocol
 shape, not adversarial behavior.
 
-One genuine gap is made explicit rather than papered over: deciding whether
-two gradients conflict needs the *sign* of their inner product, and a pure
-add/sub/mul operator algebra cannot produce a plaintext bit.  The conflict
-decisions therefore enter :func:`aligned_aggregate_encrypted` as an
-external input (in the simulator they come from the plaintext aggregation
-acting as a trusted comparator).
+One gap is explicit: a conflict is the *sign* of an inner product, and an
+add/sub/mul algebra cannot produce a plaintext bit.  The conflict decisions
+therefore enter :func:`aligned_aggregate_encrypted` as an external input
+(in the simulator, from the plaintext aggregation as a trusted comparator).
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ is the K = 1 case of the same pass, and every row of a stack is
 byte-identical to its one-batch result.
 
 Each (rows x hidden) intermediate is written once and then updated in
-place: a freed temporary of that size goes back to the operating system
-and is faulted in again on the next call, which cost more than the
-arithmetic, while every element still goes through the same IEEE
-operation on the same operands, so results are bit-identical.
+place, bit-identically: a freed temporary of that size goes back to the
+operating system and is faulted in again on the next call, which cost
+more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -238,7 +237,8 @@ def loss_and_grad(
     numpy's stacked matmul runs one 2-D product per batch, of the one-batch
     shapes, and every sum runs over the same values along the same axis.
     The stack is worked through ``_STACK_BYTES`` of (rows x width)
-    intermediates at a time.
+    intermediates at a time.  A one-batch gradient that is not finite raises
+    :class:`NonFiniteResult`; a stack leaves that check to its caller.
     """
     spec = params.spec
     x = np.asarray(x, dtype=np.float64)
@@ -269,9 +269,8 @@ def loss_and_grad(
         chunk = [(w[part], b[part]) for w, b in layers] if stacked else layers
         _stack_pass(spec, chunk, x[part], labels[part], losses[part], grads[part])
 
-    ensure_finite(grads, "gradient")
     if single:
-        return float(losses[0]), grads[0]
+        return float(losses[0]), ensure_finite(grads[0], "gradient")
     return losses, grads
 
 

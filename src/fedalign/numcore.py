@@ -35,6 +35,7 @@ __all__ = [
     "RealMat",
     "Rng",
     "ensure_finite",
+    "nonfinite_rows",
     "dot",
     "axpby",
     "shuffle",
@@ -52,6 +53,14 @@ def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteResult(f"{what} contains NaN or Inf")
     return a
+
+
+def nonfinite_rows(a: RealMat) -> list[int]:
+    """The rows of ``a`` holding a NaN or Inf, in order; one whole-matrix pass if none do."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return []
+    return np.flatnonzero(~finite.all(axis=1)).tolist()
 
 
 def _check_same_length(a: RealVec, b: RealVec) -> None:

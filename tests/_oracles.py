@@ -41,6 +41,13 @@ relative accuracy of coordinates that are essentially zero would only test
 roundoff), and a relu kink guard so no hidden-unit preactivation sits
 within a step of the non-differentiable point.
 
+A fedavg or fedprox round's error as ``run_round`` found it when it
+replayed a failing round one client at a time: each client in order walks
+its local steps alone, on the rows its own stream draws, and the first step
+to fail names that client; with every walk finished, the aggregate and the
+server step may still fail, naming the round only.  The stacked client
+phase, which keeps each row's first failure, must raise the same error.
+
 And one piece of plumbing: the environment for a child Python process that
 must import this checkout's sources, as the tests' own imports do.
 """
@@ -52,13 +59,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from fedalign.aggregation import align_pair
-from fedalign.domains import DomainDataset, leave_one_out
-from fedalign.errors import DimensionMismatch, TraceViolation
+from fedalign.aggregation import ClientUpdate, aggregate_fedavg, align_pair
+from fedalign.domains import DomainDataset, leave_one_out, minibatch
+from fedalign.errors import DimensionMismatch, InvalidSpec, NonFiniteResult, TraceViolation
 from fedalign.hekit import ADD, ALLOWED_TAGS, ENC, MUL, SUB, CipherHandle, TraceAudit, TransparentCipher
-from fedalign.federation import ServerState, run_round
-from fedalign.models import Metrics, ParamVector, init_params, loss_and_grad
-from fedalign.numcore import Rng, dot
+from fedalign.federation import ServerState, effective_lr, run_round
+from fedalign.models import Metrics, ParamVector, init_params, loss_and_grad, sgd_step
+from fedalign.numcore import Rng, dot, ensure_finite
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -296,6 +303,39 @@ def reference_source_means(suite, target, model, cfg, unit_weights: bool = False
                 (float(np.mean([m.accuracy for m in metrics])), float(np.mean([m.loss for m in metrics])))
             )
     return means, server.params
+
+
+def one_at_a_time_round_error(clients, params: ParamVector, cfg, round_index: int, inject):
+    """The error of fedavg or fedprox round ``round_index`` from ``params``
+    with the clients stepped one at a time (see the module docstring), or
+    None.  ``inject(k, step, grad)`` returns client k's gradient at local
+    step ``step`` as the round is to see it."""
+    lr = effective_lr(cfg, round_index)
+    updates = []
+    for k, ds in enumerate(clients):
+        rng, w = Rng(cfg.seed, 1, k, round_index), params
+        try:
+            for step in range(cfg.local_steps):
+                x, y = minibatch(ds, cfg.batch_size, rng)
+                _, grad = loss_and_grad(w, x, y)
+                grad = ensure_finite(inject(k, step, grad), "gradient")
+                if cfg.local_steps > 1:
+                    if cfg.strategy == "fedprox":
+                        grad = grad + cfg.mu * (w.values - params.values)
+                    w = sgd_step(w, grad, lr)
+        except NonFiniteResult as exc:
+            return NonFiniteResult(f"round {round_index}, client {ds.domain_id}: {exc}")
+        if cfg.local_steps > 1:
+            grad = (params.values - w.values) / lr
+        try:
+            updates.append(ClientUpdate(ds.domain_id, grad, ds.num_rows, 0.0))
+        except InvalidSpec as exc:
+            return exc
+    try:
+        sgd_step(params, aggregate_fedavg(updates, cfg.resolved_weighting).aggregated, lr)
+    except NonFiniteResult as exc:
+        return NonFiniteResult(f"round {round_index}: {exc}")
+    return None
 
 
 def fd_gradient(params: ParamVector, x, y, h: float = 1e-6) -> np.ndarray:

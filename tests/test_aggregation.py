@@ -885,7 +885,15 @@ class TestAggregateAligned:
         # check, over the finished working matrix, names it.
         updates = updates_from([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
         updates[0].gradient[0] = np.inf
-        with pytest.raises(NonFiniteResult, match="^aligned gradients contains NaN or Inf$"):
+        with pytest.raises(NonFiniteResult, match="^client c0: aligned gradients contains NaN or Inf$"):
+            aggregate_aligned(updates, AlignConfig(order_mode="fixed"))
+
+    def test_non_finite_working_matrix_names_the_lowest_row(self):
+        # No pair conflicts, so no step carries a row's NaN or Inf to another.
+        updates = updates_from([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])])
+        updates[2].gradient[0] = np.nan
+        updates[1].gradient[1] = np.nan
+        with pytest.raises(NonFiniteResult, match="^client c1: aligned gradients contains NaN or Inf$"):
             aggregate_aligned(updates, AlignConfig(order_mode="fixed"))
 
     def test_single_client_passthrough(self):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import platform
@@ -12,8 +13,6 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedalign import cli
 from fedalign.cli import main
@@ -406,6 +405,36 @@ class TestBadValues:
         assert main([command, flag, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error: line 2, column '12': invalid UTF-8 byte 0xff (invalid start byte)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("[" * 100000 + "]" * 100000, "arrays and objects nested {depth} deep, deeper than the parser follows"),
+            ("9" * 5000, "integer literal of 5000 digits, longer than Python converts"),
+            ("-" + "9" * 4301, "integer literal of 4301 digits, longer than Python converts"),
+        ],
+        ids=["nested-100000-deep", "5000-digit-int", "4301-digit-negative-int"],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep", "gen-data", "manifest"])
+    def test_document_past_a_decoder_limit_exit_2_names_line(self, tmp_path, capsys, command, value, message):
+        # The value sits at line 3, column 5, one object deep (two in a manifest).
+        body = '{\n  "seed":\n    ' + value + "\n}"
+        if command == "manifest":
+            body = '{"tool_version": "0", "config": ' + body + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(body + "\n", encoding="utf-8")
+        subcommand = "run" if command == "manifest" else command
+        flag = "--config" if subcommand == "run" else "--spec"
+        assert main([subcommand, flag, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        if value[0] == "[":
+            column = 5 + 100000 - 1
+            message = message.format(depth=100000 + (2 if command == "manifest" else 1))
+        else:
+            column = 5
+        assert f"config error: line 3, column '{column}': {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -829,38 +858,44 @@ def _replaced(doc, path, value):
     return doc
 
 
+CONTRACT_CASES = [(command, doc, path) for command, doc in CONTRACT_CONFIGS for path in _field_paths(doc)]
+
+
+@pytest.fixture(scope="session")
+def contract_csvs(tmp_path_factory):
+    """Each CSV placeholder of the contract configs, JSON-quoted, mapped to
+    its file's quoted path; both files are written once per session."""
+    tmp = tmp_path_factory.mktemp("contract")
+    data_csv, nan_csv = str(tmp / "suite.csv"), str(tmp / "nan_suite.csv")
+    save_csv(generate(SyntheticSpec(**CONTRACT_RUN["data"]["synthetic"])), data_csv)
+    write_nan_csv(CONTRACT_RUN["data"]["synthetic"], CONTRACT_RUN["target"], nan_csv)
+    return {json.dumps(CONTRACT_CSV_PATH): json.dumps(data_csv), json.dumps(CONTRACT_NAN_CSV_PATH): json.dumps(nan_csv)}
+
+
 class TestContract:
     """Any single-field change to a valid run, sweep or gen-data config
     exits 0, 1 or 2, and never with a traceback."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        case=st.sampled_from(
-            [(command, doc, path) for command, doc in CONTRACT_CONFIGS for path in _field_paths(doc)]
-        ),
-        value=st.sampled_from(HOSTILE_VALUES),
-    )
-    def test_one_hostile_field(self, case, value):
-        command, doc, path = case
-        doc = _replaced(doc, path, value)
-        text = json.dumps(doc).replace(json.dumps(JSON_1E400), "1e400")
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            data_csv = os.path.join(tmp, "suite.csv")
-            save_csv(generate(SyntheticSpec(**CONTRACT_RUN["data"]["synthetic"])), data_csv)
-            text = text.replace(json.dumps(CONTRACT_CSV_PATH), json.dumps(data_csv))
-            nan_csv = os.path.join(tmp, "nan_suite.csv")
-            write_nan_csv(CONTRACT_RUN["data"]["synthetic"], CONTRACT_RUN["target"], nan_csv)
-            text = text.replace(json.dumps(CONTRACT_NAN_CSV_PATH), json.dumps(nan_csv))
-            config = os.path.join(tmp, "config.json")
-            with open(config, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            flag = "--config" if command == "run" else "--spec"
-            out = os.path.join(tmp, "out.csv" if command == "gen-data" else "out")
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main([command, flag, config, "--out", out, "--quiet"])
-        assert code in (0, 1, 2), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+    def test_one_hostile_field(self, contract_csvs):
+        # Every (field, hostile value) pair, on every run.
+        outcomes = []
+        for (command, doc, path), value in itertools.product(CONTRACT_CASES, HOSTILE_VALUES):
+            text = json.dumps(_replaced(doc, path, value)).replace(json.dumps(JSON_1E400), "1e400")
+            for placeholder, quoted in contract_csvs.items():
+                text = text.replace(placeholder, quoted)
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:
+                config = os.path.join(tmp, "config.json")
+                with open(config, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                flag = "--config" if command == "run" else "--spec"
+                out = os.path.join(tmp, "out.csv" if command == "gen-data" else "out")
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, flag, config, "--out", out, "--quiet"])
+            outcomes.append((command, path, value, code, err.getvalue()))
+        assert len(outcomes) == len(CONTRACT_CASES) * len(HOSTILE_VALUES)
+        assert [o for o in outcomes if o[3] not in (0, 1, 2)] == []
+        assert [o for o in outcomes if "Traceback" in o[4]] == []
 
     @pytest.mark.parametrize("row", ["dom2,0.5,0.5", "dom2,0.5"], ids=["no-label", "no-feature"])
     def test_short_csv_row_exit_1_names_line(self, tmp_path, capsys, row):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,6 +350,26 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, self.SCHEMA)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "lead", ['"a\nb",1.0,2.0,0\n', "a,1.0,2.0,0\n\n"], ids=["quoted-newline", "blank-line"]
+    )
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("c,oops,2.0,1", ParseError, "line 4, column 'x0': not a number: 'oops'"),
+            ("c,inf,2.0,1", ParseError, "line 4, column 'x0': not a finite number: 'inf'"),
+            ("c,1.0", InconsistentDimension, "line 4: row is shorter than the header"),
+            ("c,1.0,2.0,1,9", InconsistentDimension, "line 4: row is longer than the header"),
+        ],
+        ids=["not-a-number", "non-finite", "short", "long"],
+    )
+    def test_errors_name_the_physical_line(self, tmp_path, lead, row, error, message):
+        # The second record spans, or is followed by, two physical lines, so
+        # the bad record is the third but sits on line 4.
+        path = self.write(tmp_path, "domain,x0,x1,label\n" + lead + row + "\n")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_csv(path, self.SCHEMA)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):

@@ -1,8 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedalign.domains import (
     DomainDataset,
@@ -41,7 +44,7 @@ from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng, dot, weighted_sum
 from fedalign.sweep import SweepSpec, run_sweep
 
-from _oracles import reference_source_means
+from _oracles import one_at_a_time_round_error, reference_source_means
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 LOGREG = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2, activation="relu")
@@ -453,6 +456,86 @@ class TestRunRound:
         too_fine = FedConfig(strategy="aligned", rounds=1, batch_size=8, encrypt=True, scale=2**62)
         with pytest.raises(OverflowAtScale, match=r"^round 0: encoded magnitude"):
             run_experiment(suite, "dom2", MODEL, too_fine)
+
+
+class TestRoundFailures:
+    """A failing round names its client from that client's own row of the
+    stacked client phase, as stepping the clients one at a time would."""
+
+    def test_pinned_failures_need_no_client_local_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the round stepped a client alone")
+
+        monkeypatch.setattr(federation, "client_local_step", refuse)
+        TestRunRound().test_errors_name_round_and_client()
+        TestRunRound().test_mismatched_client_batches_raise_dimension_mismatch()
+        TestClientRows().test_empty_client_named_by_run_round()
+
+    def test_data_checked_before_any_row_is_drawn(self, monkeypatch):
+        suite = small_suite()
+        wide = DomainDataset("wide", np.zeros((40, 3)), suite.domains[1].labels)
+        empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
+        monkeypatch.setattr(federation, "client_rows", None)
+        server = ServerState(params=init_params(MODEL, Rng(0, 0)))
+        with pytest.raises(DimensionMismatch, match=r"^batch shape \(8, 3\) does not match input_dim=2$"):
+            run_round(server, [suite.domains[0], wide, empty], FedConfig(batch_size=8), suite.domains[2])
+        with pytest.raises(EmptyDataset, match="^client void has no data$"):
+            run_round(server, [suite.domains[0], empty, wide], FedConfig(batch_size=8), suite.domains[2])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(2, 5),
+        local_steps=st.integers(1, 4),
+        strategy=st.sampled_from(["fedavg", "fedprox"]),
+        lr=st.sampled_from([0.1, 1e30]),
+        seed=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_matches_one_client_at_a_time(self, k, local_steps, strategy, lr, seed, data):
+        # Injected values add to one coordinate of a client's gradient at one
+        # local step, so a gradient that was not finite stays so.  1e300
+        # stays finite, but at lr 1e30 its step overflows.
+        inject_at = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, k - 1), st.integers(0, local_steps - 1)),
+                st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+                max_size=4,
+            )
+        )
+
+        def inject(client, step, grad):
+            value = inject_at.get((client, step))
+            if value is None:
+                return grad
+            grad = grad.copy()
+            grad[0] += value
+            return grad
+
+        real, steps = federation.loss_and_grad, []
+
+        def injecting(w, xs, ys):
+            losses, grads = real(w, xs, ys)
+            step = len(steps)
+            steps.append(step)
+            for client in range(len(grads)):
+                grads[client] = inject(client, step, grads[client])
+            return losses, grads
+
+        suite = small_suite(domains=k + 1, samples=20)
+        sources, _ = leave_one_out(suite, f"dom{k}")
+        cfg = FedConfig(
+            strategy=strategy, rounds=1, local_steps=local_steps, batch_size=4, lr=lr, lr_decay=None, seed=seed
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = one_at_a_time_round_error(sources, init_params(MODEL, Rng(seed, 0)), cfg, 0, inject)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "loss_and_grad", injecting)
+            if expected is None:
+                run_experiment(suite, f"dom{k}", MODEL, cfg)
+            else:
+                with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                    run_experiment(suite, f"dom{k}", MODEL, cfg)
+        assert len(steps) == local_steps
 
 
 class TestRunExperiment:
