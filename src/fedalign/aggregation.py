@@ -30,7 +30,9 @@ K+1 visiting orders come from one ``numcore.shuffles`` draw.  A tested
 pair conflicts when ``np.sum(probe * target)``, numpy's pairwise sum, is
 negative; the loop mostly decides from one BLAS dot and a rigorous bound
 on its rounding error (see ``aggregate_aligned``).  A conflict writes
-``align_pair``'s bits into the working row with three in-place ufuncs, and
+``align_pair``'s bits into the working row with two in-place ufuncs,
+reading ``2*lam*g_j`` from one pre-scaled copy of the originals (with
+``target == "current"`` it forms that product first, a third ufunc), and
 one finite check over the finished working matrix names the first client
 whose row is not finite.
 
@@ -119,7 +121,7 @@ class ClientUpdate:
         g = np.asarray(self.gradient, dtype=np.float64)
         if g.ndim != 1:
             raise DimensionMismatch("gradient must be a flat vector")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise InvalidSpec(f"client {self.client_id!r} sent a non-finite gradient")
         if self.num_samples < 1:
             raise InvalidSpec("num_samples must be >= 1")
@@ -171,7 +173,9 @@ class AggregationReport:
     ``np.sum(probe * target)``, computed on first read (for aligned by
     replaying the tested pairs in order).  ``variance_before`` and
     ``variance_after`` are computed on first read and cached; the second is
-    the first when ``aligned`` is ``originals``.
+    the first when ``aligned`` is ``originals``.  ``row_squares``, set by the
+    aligned aggregator alone, holds each row's squared norm as the pairwise
+    ``np.sum(g * g)``, which its sign certificate read.
     """
 
     strategy: str
@@ -182,6 +186,7 @@ class AggregationReport:
     tested_pairs: np.ndarray
     semantics: dict = field(default_factory=dict)
     loop_conflicts: np.ndarray | None = None
+    row_squares: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     # The derived figures are read after the run, outside its numpy error
     # state: a diagnostic that overflows reads inf, without a warning.
@@ -241,12 +246,15 @@ class AggregationReport:
         sem = self.semantics
         orig_rows, work_rows = list(self.originals), list(working)
         probes = work_rows if sem["accumulate"] else orig_rows
-        targets = orig_rows if sem["target"] == "original" else work_rows
+        lam, current = sem["lambda"], sem["target"] == "current"
+        targets = work_rows if current else orig_rows
+        scaled = None if current else list(self.originals * (2.0 * lam))
         product = np.empty(working.shape[1])
         for (i, j), step in zip(pairs, steps):
             yield probes[i], targets[j]
             if step:
-                _step_into(work_rows[i], probes[i], targets[j], sem["lambda"], product)
+                addend = np.multiply(targets[j], 2.0 * lam, out=product) if current else scaled[j]
+                _step_into(work_rows[i], probes[i], addend, lam)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -286,13 +294,14 @@ def align_pair(g_i: RealVec, g_j: RealVec, lam: float) -> RealVec:
     return axpby(1.0 - 2.0 * lam, g_i, 2.0 * lam, g_j)
 
 
-def _step_into(row: RealVec, probe: RealVec, target: RealVec, lam: float, buf: RealVec) -> None:
-    """``align_pair(probe, target, lam)`` written into ``row`` with three
-    in-place ufuncs, ``buf`` as scratch: the same bits.  ``probe`` may be
-    ``row``; ``target`` must not be."""
-    np.multiply(target, 2.0 * lam, out=buf)
+def _step_into(row: RealVec, probe: RealVec, addend: RealVec, lam: float) -> None:
+    """``align_pair(probe, target, lam)`` written into ``row`` with two
+    in-place ufuncs, ``addend`` holding ``target * (2*lam)``: the same bits.
+    The callers take ``addend`` from a pre-scaled copy of the originals when
+    the steps target them, and otherwise form it in a scratch row.
+    ``probe`` may be ``row``; ``addend`` must not be."""
     np.multiply(probe, 1.0 - 2.0 * lam, out=row)
-    np.add(row, buf, out=row)
+    np.add(row, addend, out=row)
 
 
 def _exact_dot(probe: RealVec, target: RealVec, buf: RealVec) -> float:
@@ -414,7 +423,9 @@ def aggregate_aligned(
 
     The bound needs only upper bounds on the norms, to within that slack.
     The row norms are computed once per round, under an error state that
-    lets a squared norm overflow to inf without a warning.  A pass starts
+    lets a squared norm overflow to inf without a warning, from each row's
+    pairwise ``np.sum(g * g)``: the sums the round's gradient norms take,
+    which the report keeps as ``row_squares``.  A pass starts
     from its probe row's norm: row *i* is untouched until its own pass.  A
     conflict's step is a convex combination, so the stepped row's norm is
     at most the larger of the probe's and the target's, up to a few
@@ -455,7 +466,10 @@ def aggregate_aligned(
     probes = work_rows if accumulate else orig_rows
     targets = work_rows if current else orig_rows
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = [_norm(s) for s in np.einsum("ij,ij->i", working, working).tolist()]
+        norms = list(map(_norm, (squares := np.add.reduce(working * working, axis=1)).tolist()))
+    # The steps' 2*lam * g_j, when they target the originals (still the
+    # working rows here).
+    scaled = None if current else list(working * (2.0 * lam))
     slope, floor = _certificate(working.shape[1])
     product = np.empty(working.shape[1])
     conflicts = []
@@ -476,7 +490,7 @@ def aggregate_aligned(
             conflicts.append(conflict)
             if conflict:
                 # j != i, so the target is never the row.
-                _step_into(row, probe, target_vec, lam, product)
+                _step_into(row, probe, np.multiply(target_vec, 2.0 * lam, out=product) if current else scaled[j], lam)
                 row_norm = max(pnorm, tnorm)
                 if accumulate:
                     pnorm = row_norm
@@ -487,15 +501,16 @@ def aggregate_aligned(
     except NonFiniteResult as exc:
         raise NonFiniteResult(f"client {ids[nonfinite_rows(working)[0]]}: {exc}") from None
 
+    del scaled  # before the sum's own K×P temporary, for the peak memory
     weights = _weights(updates, cfg.weighting)
-    aggregated = weighted_sum(work_rows, weights)
+    aggregated = weighted_sum(working, weights)
     loop_conflicts = _frozen(np.array(conflicts, dtype=bool))
     # The report keeps the originals, in the working matrix's buffer: the
     # aligned rows are replayed from them when read.
     if loop_conflicts.any():
         for row, g in zip(work_rows, orig_rows):
             row[...] = g
-    return AggregationReport(
+    report = AggregationReport(
         strategy="aligned",
         aggregated=aggregated,
         originals=working,
@@ -511,6 +526,8 @@ def aggregate_aligned(
         },
         loop_conflicts=loop_conflicts,
     )
+    object.__setattr__(report, "row_squares", squares)
+    return report
 
 
 def aggregate_fedavg(
@@ -530,7 +547,7 @@ def aggregate_fedavg(
     weights = _weights(updates, weighting)
     return AggregationReport(
         strategy="fedavg",
-        aggregated=weighted_sum([u.gradient for u in updates], weights),
+        aggregated=weighted_sum(originals, weights),
         originals=originals,
         client_ids=tuple(u.client_id for u in updates),
         weights=weights,

@@ -5,10 +5,12 @@ directory is self-describing: ``manifest.json`` snapshots the normalized
 config (with any ``--seed`` override applied), and feeding a manifest back
 to ``run --config`` reproduces ``summary.json`` byte for byte — the
 manifest plus the package is the whole experiment.  The manifest's
-``environment`` block records the Python, numpy and platform that wrote
-it; since every random stream rests on numpy's Philox and bounded-integer
-algorithms, a manifest fed back under another numpy version prints a
-one-line warning on stderr (the exit code does not change).
+``environment`` block records the Python, numpy, platform and OpenBLAS
+runtime kernel that wrote it; since every random stream rests on numpy's
+Philox and bounded-integer algorithms, and the model's matrix products
+round as the BLAS kernel does, a manifest fed back under another numpy
+version or on another kernel prints a one-line warning on stderr per
+difference (the exit code does not change).
 
 Exit codes: 0 success, 1 runtime failure (I/O, numerical), 2 configuration
 error (the diagnostic names the offending field or file position, or the
@@ -203,10 +205,26 @@ def _model_dict(model: ModelSpec) -> dict:
     return {"hidden_dim": model.hidden_dim, "activation": model.activation}
 
 
+def _blas_kernel() -> str | None:
+    """The kernel that numpy's bundled OpenBLAS picked at run time (say,
+    ``SkylakeX``), or None where that library or its symbol is absent."""
+    # Imported here, so that importing the CLI does not load them.
+    import ctypes
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii", "replace")
+
+
 def _environment() -> dict:
     # Not platform.platform(): it forks a ``uname -p`` child of this process.
     host = f"{platform.system()}-{platform.release()}-{platform.machine()}"
-    return {"python": platform.python_version(), "numpy": np.__version__, "platform": host}
+    return dict(python=platform.python_version(), numpy=np.__version__, platform=host, blas_kernel=_blas_kernel())
 
 
 def _manifest(command: str, config: dict, seed_list: list, outputs: dict) -> dict:
@@ -223,16 +241,17 @@ def _manifest(command: str, config: dict, seed_list: list, outputs: dict) -> dic
 
 def _unwrap_manifest(doc: dict) -> dict:
     """Accept either a bare config or a previously written manifest, and warn
-    when the manifest was written under another numpy version."""
+    when the manifest was written under another numpy version or on another
+    BLAS kernel."""
     if isinstance(doc, dict) and "config" in doc and "tool_version" in doc:
-        env = doc.get("environment")
-        written = env.get("numpy") if isinstance(env, dict) else None
-        if written is not None and written != np.__version__:
-            print(
-                f"warning: manifest written with numpy {written}, running numpy {np.__version__}; "
-                "its random streams, and so its results, may differ",
-                file=sys.stderr,
-            )
+        env = doc["environment"] if isinstance(doc.get("environment"), dict) else {}
+        for key, now, why in (("numpy", np.__version__, "random streams"), ("blas_kernel", _blas_kernel(), "products")):
+            if env.get(key) is not None and env[key] != now:
+                print(
+                    f"warning: manifest written with {key} {env[key]}, running {key} {now}; "
+                    f"its {why}, and so its results, may differ",
+                    file=sys.stderr,
+                )
         return doc["config"]
     return doc
 

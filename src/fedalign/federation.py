@@ -59,6 +59,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
+    InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -448,20 +449,20 @@ def client_phase(
     lands on the local endpoint.
 
     The clients move together: each step stacks their K batches and takes
-    one ``loss_and_grad`` over the stack, at a (K, P) stack of per-client
-    parameters that starts as K views of the global ones.  Clients never
-    mix, so every update is byte-identical to the client's walk alone.
-    The steps run to the end, each row keeping the first check it fails
-    (``gradient``, then ``updated parameters``); the lowest-index failing
-    client raises :class:`NonFiniteResult` as its own walk would, with
-    ``client <id>: `` before the message.
+    one ``loss_and_grad`` over the stack, the first at the shared global
+    parameters and each later one at the (K, P) stack of per-client
+    parameters.  Clients never mix, so every update is byte-identical to the
+    client's walk alone.  The steps run to the end, each row keeping the
+    first check it fails (``gradient``, then ``updated parameters``, then a
+    displacement that is not finite); the lowest-index failing client raises
+    as its own walk would: :class:`NonFiniteResult`, with ``client <id>: ``
+    before the message, or for the displacement the :class:`InvalidSpec`
+    that :class:`ClientUpdate` raises.
     """
-    if lr is None:
-        lr = cfg.lr
-    shape = (len(clients), global_params.values.shape[0])
-    w = replace(global_params, values=np.broadcast_to(global_params.values, shape))
+    lr = cfg.lr if lr is None else lr
+    w = global_params
     losses = []
-    failed: dict[int, str] = {}
+    failed: dict[int, str | None] = {}
     for step in range(cfg.local_steps):
         try:
             xs = np.array([ds.features[sel[step]] for ds, sel in zip(clients, rows)])
@@ -478,17 +479,21 @@ def client_phase(
             if cfg.strategy == "fedprox":
                 grads = grads + cfg.mu * (w.values - global_params.values)
             # sgd_step's arithmetic, checked per row rather than per stack.
-            w = replace(w, values=w.values - lr * grads)
+            w = ParamVector(w.spec, w.values - lr * grads)
             for k in nonfinite_rows(w.values):
                 failed.setdefault(k, "updated parameters")
-    if failed:
-        k = min(failed)
-        raise NonFiniteResult(f"client {clients[k].domain_id}: {failed[k]} contains NaN or Inf")
     if cfg.local_steps > 1:
         grads = (global_params.values - w.values) / lr
+        # A displacement that is not finite fails its row after the steps.
+        failed = dict.fromkeys(nonfinite_rows(grads)) | failed
         # Row k holds client k's losses, so each mean reduces a contiguous
         # row as the mean of that client's own list would.
         values = np.mean(np.stack(losses, axis=1), axis=1)
+    if failed:
+        k = min(failed)
+        if failed[k] is None:
+            raise InvalidSpec(f"client {clients[k].domain_id!r} sent a non-finite gradient")
+        raise NonFiniteResult(f"client {clients[k].domain_id}: {failed[k]} contains NaN or Inf")
     return values, grads
 
 
@@ -567,6 +572,7 @@ def run_round(
         values, grads = client_phase(clients, server.params, cfg, rows, lr)
         updates = _updates(clients, values, grads)
         report = _aggregate(updates, cfg, t)
+        squares = report.row_squares
         audit_dict = None
         if cfg.encrypt:
             decrypted, audit_dict = _encrypted_replay(report, cfg)
@@ -578,11 +584,13 @@ def run_round(
         raise type(exc)(f"round {t}{sep}{exc}") from exc
     server.round_index = t + 1
 
-    # Nothing reads the updates' gradients, the rows of ``grads``, once the
-    # round is aggregated: square it in place and reduce each row, as
-    # np.sum(g * g) sums it, so each norm is sqrt(dot(g, g)) bit for bit.
-    np.multiply(grads, grads, out=grads)
-    norms = np.sqrt(np.add.reduce(grads, axis=1)).tolist()
+    # Each norm is sqrt(dot(g, g)) bit for bit: np.sum(g * g) reduces each
+    # row pairwise.  The aligned aggregator took those sums for its sign
+    # certificate; otherwise nothing reads the updates' gradients, the rows
+    # of ``grads``, once the round is aggregated, so square it in place.
+    if squares is None:
+        squares = np.add.reduce(np.multiply(grads, grads, out=grads), axis=1)
+    norms = np.sqrt(squares).tolist()
     per_client = tuple(
         {"client_id": u.client_id, "local_loss": u.local_loss, "grad_norm": norm}
         for u, norm in zip(updates, norms)

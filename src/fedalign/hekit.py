@@ -130,12 +130,17 @@ class FixedPointCodec:
         return self._encode(x)[0]
 
     def _encode(self, x) -> tuple[np.ndarray, int]:
-        """(encoded slots, their largest magnitude)."""
-        x = np.asarray(x, dtype=np.float64)
-        magnitude = np.abs(x, out=np.empty_like(x))
-        # One pass serves both checks: the largest magnitude is NaN or inf
-        # exactly when some value is.
-        worst = float(np.maximum.reduce(magnitude, axis=None, initial=0.0))
+        """(encoded slots, their largest magnitude).  A Python float, such
+        as a weight, 2 or lambda, takes the same IEEE arithmetic in Python
+        floats, without a 0-d array's set-up."""
+        if isinstance(x, float):
+            worst = abs(x)
+        else:
+            x = np.asarray(x, dtype=np.float64)
+            magnitude = np.abs(x, out=np.empty_like(x))
+            # One pass serves both checks: the largest magnitude is NaN or
+            # inf exactly when some value is.
+            worst = float(np.maximum.reduce(magnitude, axis=None, initial=0.0))
         if not math.isfinite(worst):
             raise NonFiniteResult("cannot encode a non-finite value")
         # A finite value this large would overflow the float64 product to
@@ -148,6 +153,8 @@ class FixedPointCodec:
         top = math.floor(worst * self.scale + 0.5)
         if top >= _INT_LIMIT:
             raise self._overflow(f"{float(top):g}")
+        if isinstance(x, float):
+            return np.array(-top if x < 0 else top, dtype=np.int64), top
         # Round half away from zero.
         magnitude *= self.scale
         magnitude += 0.5
@@ -300,6 +307,12 @@ def audit_trace(handles: Sequence[CipherHandle]) -> TraceAudit:
     return TraceAudit(coordinates=coordinates, total_tags=total, tag_counts=counts)
 
 
+class _Checked(list):
+    """Handles known to pass :func:`_check_enc_updates`: the aligned
+    replay's working handles, which keep the shape of the handles it
+    checked, so the sum it ends with does not check them again."""
+
+
 def _check_enc_updates(enc_updates: Sequence[CipherHandle]) -> None:
     if len(enc_updates) == 0:
         raise InvalidSpec("no encrypted updates")
@@ -316,7 +329,8 @@ def weighted_sum_encrypted(
 ) -> tuple[CipherHandle, TraceAudit]:
     """Encrypted ``sum_k E(w_k) (x) E(g_k)`` — the averaging step of any
     strategy, in operator algebra."""
-    _check_enc_updates(enc_updates)
+    if not isinstance(enc_updates, _Checked):
+        _check_enc_updates(enc_updates)
     if len(weights) != len(enc_updates):
         raise DimensionMismatch("one weight per encrypted update required")
     # Each distinct weight is encrypted once, in first-occurrence order, so
@@ -362,7 +376,7 @@ def aligned_aggregate_encrypted(
     # Built even when no pair conflicts: at a scale of 2^30 or more, encoding
     # 2.0 overflows, and a run at that scale must fail in its first round.
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
-    working = list(enc_updates)
+    working = _Checked(enc_updates)
     seen = set()
     for i, j in np.asarray(conflicts, dtype=np.int64).reshape(-1, 2).tolist():
         if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:
@@ -372,6 +386,5 @@ def aligned_aggregate_encrypted(
         tgt = enc_updates[j] if target == "original" else working[j]
         working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
 
-    if weights is None:
-        weights = [1.0 / k] * k
+    weights = [1.0 / k] * k if weights is None else weights
     return weighted_sum_encrypted(working, weights, cipher)

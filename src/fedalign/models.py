@@ -26,7 +26,7 @@ more than the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -281,8 +281,7 @@ def sgd_step(params: ParamVector, grad: RealVec, lr: float) -> ParamVector:
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.values.shape:
         raise DimensionMismatch(f"gradient length {grad.shape} vs params {params.values.shape}")
-    new_values = ensure_finite(params.values - lr * grad, "updated parameters")
-    return replace(params, values=new_values)
+    return ParamVector(params.spec, ensure_finite(params.values - lr * grad, "updated parameters"))
 
 
 def evaluate(params: ParamVector, dataset: DomainDataset) -> Metrics:
@@ -293,7 +292,10 @@ def evaluate(params: ParamVector, dataset: DomainDataset) -> Metrics:
     order), the fresh logits are shifted and exponentiated in place, and
     the row sums are the same ``sum(axis=1)``, so it is bit-identical to
     the full log-softmax matrix.  A running column sum would not be: numpy
-    adds a row of eight or more entries in eight partial sums.
+    adds a row of eight or more entries in eight partial sums, and how it
+    groups a shorter row depends on the shape.  It adds a row of two of
+    exp's entries (never -0.0) as ``a + b`` at every row count, so two
+    classes take that sum directly, without the reduction's set-up.
     """
     n = dataset.num_rows
     if n == 0:
@@ -308,6 +310,6 @@ def evaluate(params: ParamVector, dataset: DomainDataset) -> Metrics:
     logits -= top[:, None]
     picked = logits[np.arange(n), labels]
     np.exp(logits, out=logits)
-    picked -= np.log(logits.sum(axis=1))
+    picked -= np.log(logits[:, 0] + logits[:, 1] if logits.shape[1] == 2 else logits.sum(axis=1))
     np.negative(picked, out=picked)
     return Metrics(accuracy=accuracy, loss=float(np.sum(picked) / n))

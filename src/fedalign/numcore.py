@@ -50,7 +50,7 @@ RealMat = np.ndarray
 
 def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     """Raise :class:`NonFiniteResult` if ``a`` contains NaN or infinity."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteResult(f"{what} contains NaN or Inf")
     return a
 
@@ -216,15 +216,22 @@ def weighted_sum(vectors: Sequence[RealVec], weights: Sequence[float]) -> RealVe
     Shared by every aggregation strategy so that strategies which should
     coincide (e.g. alignment with no conflicts vs plain averaging) coincide
     bit-for-bit.
+
+    ``vectors`` may be the K×P matrix itself, which is then not copied.  The
+    K products are formed in one multiply and summed by one ``np.add.reduce``
+    over the leading axis, which numpy accumulates row after row: the fold's
+    bits, from an initial -0.0, which adds nothing to any value (numpy's own
+    initial, +0.0, would turn a sum of negative zeros positive).  Vectors of
+    one entry are folded in Python, because numpy sums a column of K single
+    entries pairwise.
     """
     if len(vectors) == 0:
         raise DimensionMismatch("weighted_sum needs at least one vector")
     if len(vectors) != len(weights):
         raise DimensionMismatch("vectors and weights differ in length")
-    first = np.asarray(vectors[0], dtype=np.float64)
-    acc = weights[0] * first
-    for v, w in zip(vectors[1:], weights[1:]):
-        v = np.asarray(v, dtype=np.float64)
-        _check_same_length(first, v)
-        acc = acc + w * v
+    if not isinstance(vectors, np.ndarray) and len({np.shape(v) for v in vectors}) > 1:
+        raise DimensionMismatch("vector lengths differ")
+    x = np.asarray(vectors, dtype=np.float64)
+    products = np.multiply(x, np.reshape(weights, (-1,) + (1,) * (x.ndim - 1)), order="C")
+    acc = np.add.reduce(products, axis=0, initial=-0.0) if products[0].size > 1 else sum(products[1:], products[0])
     return ensure_finite(acc, "weighted sum")

@@ -48,6 +48,11 @@ to fail names that client; with every walk finished, the aggregate and the
 server step may still fail, naming the round only.  The stacked client
 phase, which keeps each row's first failure, must raise the same error.
 
+The client phase's success path as it was written before its first step
+took the shared global parameters: every local step at a (K, P) stack
+that starts as K broadcast views of them, stepped by ``dataclasses.replace``.
+The shared first step must give the same bytes.
+
 And one piece of plumbing: the environment for a child Python process that
 must import this checkout's sources, as the tests' own imports do.
 """
@@ -336,6 +341,26 @@ def one_at_a_time_round_error(clients, params: ParamVector, cfg, round_index: in
     except NonFiniteResult as exc:
         return NonFiniteResult(f"round {round_index}: {exc}")
     return None
+
+
+def broadcast_client_phase(clients, params: ParamVector, cfg, rows, lr: float):
+    """The K losses and the K×P update matrix of a round whose clients all
+    pass their checks, every step at a broadcast (K, P) parameter stack."""
+    w = replace(params, values=np.broadcast_to(params.values, (len(clients), params.values.shape[0])))
+    losses = []
+    for step in range(cfg.local_steps):
+        xs = np.array([ds.features[sel[step]] for ds, sel in zip(clients, rows)])
+        ys = np.array([ds.labels[sel[step]] for ds, sel in zip(clients, rows)])
+        values, grads = loss_and_grad(w, xs, ys)
+        if cfg.local_steps > 1:
+            losses.append(values)
+            if cfg.strategy == "fedprox":
+                grads = grads + cfg.mu * (w.values - params.values)
+            w = replace(w, values=w.values - lr * grads)
+    if cfg.local_steps > 1:
+        grads = (params.values - w.values) / lr
+        values = np.mean(np.stack(losses, axis=1), axis=1)
+    return values, grads
 
 
 def fd_gradient(params: ParamVector, x, y, h: float = 1e-6) -> np.ndarray:

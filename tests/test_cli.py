@@ -1,5 +1,7 @@
+import _ctypes
 import contextlib
 import csv
+import glob
 import io
 import itertools
 import json
@@ -142,6 +144,7 @@ class TestRun:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "blas_kernel": cli._blas_kernel(),
         }
 
     def test_environment_starts_no_process(self, monkeypatch):
@@ -155,7 +158,19 @@ class TestRun:
         # Drop platform's caches, which an earlier call may have filled.
         monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
         monkeypatch.setattr(platform, "_platform_cache", {}, raising=False)
-        assert set(cli._environment()) == {"python", "numpy", "platform"}
+        assert set(cli._environment()) == {"python", "numpy", "platform", "blas_kernel"}
+
+    def test_blas_kernel_names_the_runtime_kernel(self):
+        # numpy's wheels bundle OpenBLAS; its corename is a short ASCII name.
+        kernel = cli._blas_kernel()
+        assert kernel is None or (kernel.isascii() and kernel.isprintable() and 0 < len(kernel) < 40)
+
+    @pytest.mark.parametrize("found", [[], [os.devnull], ["ctypes"]], ids=["no-library", "unloadable", "no-symbol"])
+    def test_blas_kernel_null_without_library_or_symbol(self, monkeypatch, found):
+        # The ctypes extension module loads, but has no corename symbol.
+        found = [_ctypes.__file__ if f == "ctypes" else f for f in found]
+        monkeypatch.setattr(glob, "glob", lambda pattern: found)
+        assert cli._blas_kernel() is None
 
     @pytest.mark.parametrize(
         "command,flag,make",
@@ -176,6 +191,30 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"warning: manifest written with numpy 0.0.1, running numpy {np.__version__};")
+        assert (first / "summary.json").read_bytes() == (third / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,flag,make",
+        [("run", "--config", run_config), ("sweep", "--spec", sweep_config)],
+        ids=["run", "sweep"],
+    )
+    def test_replay_on_other_blas_kernel_warns(self, tmp_path, capsys, command, flag, make):
+        cfg = make(tmp_path)
+        first, second, third = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert main([command, flag, cfg, "--out", str(first), "--quiet"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["environment"]["blas_kernel"] == cli._blas_kernel()
+        # A manifest that records no kernel, as older ones do: no warning.
+        del manifest["environment"]["blas_kernel"]
+        older = write_config(tmp_path, "older.json", manifest)
+        assert main([command, flag, older, "--out", str(second), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        manifest["environment"]["blas_kernel"] = "Prescott"
+        other = write_config(tmp_path, "other.json", manifest)
+        assert main([command, flag, other, "--out", str(third), "--quiet"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"warning: manifest written with blas_kernel Prescott, running blas_kernel {cli._blas_kernel()};")
         assert (first / "summary.json").read_bytes() == (third / "summary.json").read_bytes()
 
     def test_seed_override_recorded(self, tmp_path):

@@ -20,6 +20,7 @@ from fedalign.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
+    InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -44,7 +45,7 @@ from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng, dot, weighted_sum
 from fedalign.sweep import SweepSpec, run_sweep
 
-from _oracles import one_at_a_time_round_error, reference_source_means
+from _oracles import broadcast_client_phase, one_at_a_time_round_error, reference_source_means
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 LOGREG = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2, activation="relu")
@@ -258,6 +259,29 @@ class TestClientPhase:
             assert grads[k].tobytes() == alone.gradient.tobytes()
             assert float(losses[k]).hex() == float(alone.local_loss).hex()
             assert alone.num_samples == ds.num_rows
+
+    @pytest.mark.parametrize("local_steps", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox"])
+    @pytest.mark.parametrize(
+        "model,clients,batch",
+        [
+            (MODEL, 3, 2),
+            (LOGREG, 3, 4),
+            (ModelSpec(input_dim=2, hidden_dim=8), 3, 2),
+            (ModelSpec(input_dim=2, hidden_dim=128, activation="tanh"), 4, 3),
+            (ModelSpec(input_dim=2, hidden_dim=400), 32, 10),
+        ],
+        ids=["mlp4", "logreg", "mlp8", "tanh128", "k32-mlp400"],
+    )
+    def test_shared_first_step_matches_broadcast_stack(self, local_steps, strategy, model, clients, batch):
+        suite = small_suite(domains=clients, samples=50)
+        params = init_params(model, Rng(3))
+        cfg = FedConfig(strategy=strategy, local_steps=local_steps, batch_size=batch, lr=0.3)
+        rows = [client_rows(7, k, 1, ds.num_rows, batch, local_steps) for k, ds in enumerate(suite.domains)]
+        losses, grads = client_phase(list(suite.domains), params, cfg, rows)
+        ref_losses, ref_grads = broadcast_client_phase(suite.domains, params, cfg, rows, cfg.lr)
+        assert grads.tobytes() == ref_grads.tobytes()
+        assert losses.tobytes() == ref_losses.tobytes()
 
     def test_run_round_calls_client_phase_once_per_round(self, monkeypatch):
         # The benchmark's tracer wraps this module attribute: a round that
@@ -482,23 +506,58 @@ class TestRoundFailures:
         with pytest.raises(EmptyDataset, match="^client void has no data$"):
             run_round(server, [suite.domains[0], empty, wide], FedConfig(batch_size=8), suite.domains[2])
 
+    def test_overflowing_displacement_named_before_a_later_client(self, monkeypatch):
+        # Client 0's two steps stay finite: 1.7e308 added to its last
+        # coordinate's gradient twice, at lr 0.5, takes that parameter to
+        # about -1.7e308.  Its displacement (w_global - w) / lr overflows.
+        # Client 1's first gradient is NaN.  Stepped one at a time, client 0
+        # is refused first, as ClientUpdate refuses a non-finite update.
+        def inject(client, step, grad):
+            grad = grad.copy()
+            if client == 0:
+                grad[-1] += 1.7e308
+            elif client == 1 and step == 0:
+                grad[-1] = math.nan
+            return grad
+
+        real = federation.loss_and_grad
+
+        def injecting(w, xs, ys):
+            losses, grads = real(w, xs, ys)
+            step = injecting.steps
+            injecting.steps += 1
+            return losses, np.array([inject(k, step, g) for k, g in enumerate(grads)])
+
+        injecting.steps = 0
+        suite = small_suite(domains=3, samples=20)
+        sources, _ = leave_one_out(suite, "dom2")
+        cfg = FedConfig(strategy="fedavg", rounds=1, local_steps=2, batch_size=4, lr=0.5, lr_decay=None, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = one_at_a_time_round_error(sources, init_params(MODEL, Rng(1, 0)), cfg, 0, inject)
+        assert type(expected) is InvalidSpec and str(expected) == "client 'dom0' sent a non-finite gradient"
+        monkeypatch.setattr(federation, "loss_and_grad", injecting)
+        with pytest.raises(InvalidSpec, match=r"^client 'dom0' sent a non-finite gradient$"):
+            run_experiment(suite, "dom2", MODEL, cfg)
+        assert injecting.steps == 2
+
     @settings(max_examples=100, deadline=None)
     @given(
         k=st.integers(2, 5),
         local_steps=st.integers(1, 4),
         strategy=st.sampled_from(["fedavg", "fedprox"]),
-        lr=st.sampled_from([0.1, 1e30]),
+        lr=st.sampled_from([0.1, 0.5, 1e30]),
         seed=st.integers(0, 3),
         data=st.data(),
     )
     def test_matches_one_client_at_a_time(self, k, local_steps, strategy, lr, seed, data):
         # Injected values add to one coordinate of a client's gradient at one
         # local step, so a gradient that was not finite stays so.  1e300
-        # stays finite, but at lr 1e30 its step overflows.
+        # stays finite, but at lr 1e30 its step overflows.  1.7e308 at lr 0.5
+        # keeps a step finite, and twice it overflows the displacement.
         inject_at = data.draw(
             st.dictionaries(
                 st.tuples(st.integers(0, k - 1), st.integers(0, local_steps - 1)),
-                st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+                st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 1.7e308]),
                 max_size=4,
             )
         )

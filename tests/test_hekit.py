@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import warnings
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedalign import hekit
 from fedalign.aggregation import AlignConfig, aggregate_aligned, ClientUpdate
 from fedalign.domains import default_benchmark_spec, generate
 from fedalign.errors import (
@@ -128,6 +130,40 @@ class TestCodec:
     def test_round_trip_property(self, x):
         codec = FixedPointCodec()
         assert abs(codec.decode(codec.encode(x)) - x) <= 0.5 / codec.scale + 1e-15
+
+
+def _encoding(codec, x):
+    """``codec._encode(x)``'s payload (type, dtype, shape, value) and bound,
+    or the type and message of the error it raises."""
+    try:
+        payload, bound = codec._encode(x)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return type(payload), payload.dtype, payload.shape, payload.tolist(), bound
+
+
+class TestConstantEncoding:
+    """A Python float is encoded in Python floats, as the 0-d array it
+    replaces was encoded in numpy: same payload, bound and errors."""
+
+    @pytest.mark.parametrize("scale", [1, 2, 2**24, 2**30, 2**40])
+    def test_matches_the_zero_d_array_path(self, scale):
+        unit, limit = 1.0 / scale, float(2**31) / scale
+        values = [
+            0.0, -0.0, 0.5 * unit, -0.5 * unit, 1.5 * unit, -2.5 * unit, 0.1, -0.1, 2.0, 1.0 / 3.0,
+            limit - 0.5 * unit, -(limit - 0.5 * unit), limit - unit, -(limit - unit), limit, -limit,
+            np.nextafter(limit - 0.5 * unit, 0.0), 1e308, -1e308, 1.7976931348623157e308,
+            math.inf, -math.inf, math.nan, -math.nan,
+        ]
+        codec = FixedPointCodec(scale)
+        for x in values:
+            x = float(x)
+            assert _encoding(codec, x) == _encoding(codec, np.array(x)), x
+
+    def test_numpy_float_takes_the_same_path(self):
+        codec = FixedPointCodec()
+        for x in (0.1, -3.75, 127.9999999):
+            assert _encoding(codec, np.float64(x)) == _encoding(codec, np.array(x))
 
 
 class TestTransparentCipher:
@@ -328,6 +364,38 @@ class TestEncryptedAlignment:
             worst = max(worst, float(np.max(np.abs(got - rep.aggregated))))
             assert set(audit.tag_counts) <= ALLOWED_TAGS
         assert worst <= 1e-6
+
+    def test_handles_checked_once(self, monkeypatch):
+        # The sum the replay ends with goes through the public function (the
+        # benchmark's tracer wraps it), but the handles are checked once.
+        checks, sums = [], []
+        check, total = hekit._check_enc_updates, hekit.weighted_sum_encrypted
+        monkeypatch.setattr(hekit, "_check_enc_updates", lambda h: checks.append(len(h)) or check(h))
+        monkeypatch.setattr(hekit, "weighted_sum_encrypted", lambda *a: sums.append(a) or total(*a))
+        grads = [np.array([1.0, 0.5]), np.array([-0.9, 0.6]), np.array([0.2, -0.4])]
+        rep = self.plain_report(grads)
+        assert rep.num_conflicts > 0
+        got, _ = self.replay(grads, rep)
+        assert checks == [3] and len(sums) == 1
+        assert np.max(np.abs(got - rep.aggregated)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "shapes,error,message",
+        [
+            ([], InvalidSpec, "no encrypted updates"),
+            ([(2,), (3,)], DimensionMismatch, r"encrypted update 1 has shape \(3,\) != \(2,\)"),
+            ([(2,), (2,), ()], DimensionMismatch, r"encrypted update 2 has shape \(\) != \(2,\)"),
+        ],
+        ids=["empty", "ragged", "constant"],
+    )
+    def test_both_public_functions_reject_bad_handles(self, shapes, error, message):
+        c = transparent_cipher()
+        enc = [enc_vec(c, np.ones(shape)) for shape in shapes]
+        weights = [1.0] * len(enc)
+        with pytest.raises(error, match=f"^{message}$"):
+            weighted_sum_encrypted(enc, weights, c)
+        with pytest.raises(error, match=f"^{message}$"):
+            aligned_aggregate_encrypted(enc, 0.1, c, [], weights=weights)
 
     def test_conflict_free_case(self):
         grads = [np.array([1.0, 0.5]), np.array([0.9, 0.6])]

@@ -242,6 +242,30 @@ class TestEvaluate:
             evaluate(params, ds)
 
 
+class TestTwoClassRowSum:
+    """``evaluate`` adds a two-class row as ``a + b``: the bits numpy's
+    ``sum(axis=1)`` gives for a row of two entries, at every row count."""
+
+    def test_matches_numpy_row_sum(self):
+        rng = np.random.default_rng(11)
+        for rows in range(1, 601):
+            # exp of shifted logits, as evaluate sums them: one entry is 1.
+            logits = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-3, 3, size=(rows, 1))
+            logits -= logits.max(axis=1, keepdims=True)
+            np.exp(logits, out=logits)
+            assert (logits[:, 0] + logits[:, 1]).tobytes() == logits.sum(axis=1).tobytes(), rows
+
+    def test_special_values_match_numpy_row_sum(self):
+        # What exp can give: never -0.0, whose pairs numpy sums to +0.0 at
+        # some row counts (it starts from the identity there).
+        rng = np.random.default_rng(12)
+        specials = np.array([0.0, 5e-324, np.inf, np.nan, 1e308])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for rows in range(1, 601, 7):
+                x = rng.choice(specials, size=(rows, 2))
+                assert (x[:, 0] + x[:, 1]).tobytes() == x.sum(axis=1).tobytes(), rows
+
+
 def _model_case(hidden: int, activation: str, rows: int, classes: int = 3):
     """Perturbed parameters and a batch whose first row is zero, so that
     relu preactivations sit exactly on the kink where biases are zeroed."""

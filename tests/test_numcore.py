@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedalign import numcore
 from fedalign.errors import DimensionMismatch, NonFiniteResult
 from fedalign.numcore import Rng, axpby, dot, shuffle, shuffles, weighted_sum
 
@@ -242,3 +243,65 @@ class TestWeightedSum:
             weighted_sum([np.ones(2)], [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             weighted_sum([np.ones(2), np.ones(3)], [0.5, 0.5])
+
+
+def left_to_right_fold(vectors, weights):
+    """``weighted_sum`` as it was written before its one-pass sum: a new
+    array per client, added left to right."""
+    acc = weights[0] * np.asarray(vectors[0], dtype=np.float64)
+    for v, w in zip(vectors[1:], weights[1:]):
+        acc = acc + w * np.asarray(v, dtype=np.float64)
+    return acc
+
+
+def fold_outcome(fn, vectors, weights):
+    """The bytes of the sum, or the error it raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.asarray(fn(vectors, weights)).tobytes()
+        except NonFiniteResult as exc:
+            return str(exc)
+
+
+class TestWeightedSumMatchesFold:
+    """The one-pass sum (one multiply, one reduce over the leading axis)
+    gives the left-to-right fold's bits at every shape, including one entry
+    per vector, where numpy would reduce the column pairwise."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 16, 17, 32, 33, 64])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 16, 17, 42, 128, 129, 642, 2002, 4096])
+    def test_matches_left_to_right_fold(self, k, p):
+        rng = np.random.default_rng(1000 * k + p)
+        weights = [float(w) for w in rng.random(k) / k]
+        # Rows of widely different magnitudes, so the order of the adds shows.
+        x = rng.standard_normal((k, p)) * 10.0 ** rng.integers(-8, 9, size=(k, 1))
+        for matrix in (x, np.where(rng.random((k, p)) < 0.3, -0.0, x), np.full((k, p), -0.0)):
+            expected = fold_outcome(left_to_right_fold, list(matrix), weights)
+            assert fold_outcome(weighted_sum, matrix, weights) == expected
+            assert fold_outcome(weighted_sum, list(matrix), weights) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 33])
+    @pytest.mark.parametrize("p", [1, 2, 65, 2002])
+    def test_special_values_match_left_to_right_fold(self, k, p, monkeypatch):
+        # Without the final finite check, so that the bits of an inf or NaN
+        # entry are compared too.
+        monkeypatch.setattr(numcore, "ensure_finite", lambda a, what: a)
+        rng = np.random.default_rng(k + 7 * p)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+        for _ in range(5):
+            x = rng.standard_normal((k, p))
+            mask = rng.random((k, p)) < 0.4
+            x[mask] = rng.choice(specials, size=int(mask.sum()))
+            weights = [float(w) for w in rng.random(k)]
+            expected = fold_outcome(left_to_right_fold, list(x), weights)
+            assert fold_outcome(weighted_sum, x, weights) == expected
+
+    def test_negative_zeros_keep_their_sign(self):
+        out = weighted_sum(np.full((3, 5), -0.0), [0.25, 0.5, 0.25])
+        assert np.signbit(out).all()
+
+    def test_matrix_is_left_unchanged(self):
+        x = np.arange(12.0).reshape(3, 4)
+        before = x.copy()
+        weighted_sum(x, [0.5, 0.25, 0.25])
+        assert np.array_equal(x, before)
