@@ -68,7 +68,7 @@ from .errors import (
     InvalidSpec,
     NonFiniteResult,
 )
-from .numcore import RealMat, RealVec, Rng, axpby, dot, ensure_finite, nonfinite_rows, shuffles, weighted_sum
+from .numcore import RealMat, RealVec, Rng, axpby, dot, nonfinite_rows, shuffles, weighted_sum
 
 # ``shuffle`` is not called here (a round's visiting orders come from one
 # ``shuffles`` draw); it stays a module attribute for callers that look it up
@@ -496,10 +496,8 @@ def aggregate_aligned(
                     pnorm = row_norm
         if current:
             norms[i] = row_norm
-    try:
-        ensure_finite(working, "aligned gradients")
-    except NonFiniteResult as exc:
-        raise NonFiniteResult(f"client {ids[nonfinite_rows(working)[0]]}: {exc}") from None
+    if bad := nonfinite_rows(working):
+        raise NonFiniteResult(f"client {ids[bad[0]]}: aligned gradients contains NaN or Inf")
 
     del scaled  # before the sum's own K×P temporary, for the peak memory
     weights = _weights(updates, cfg.weighting)

@@ -14,7 +14,8 @@ difference (the exit code does not change).
 
 Exit codes: 0 success, 1 runtime failure (I/O, numerical), 2 configuration
 error (the diagnostic names the offending field or file position, or the
-``--jobs`` flag when it is below 1).
+``--jobs`` flag when it is below 1).  A key set more than once in one JSON
+object is a configuration error, at any depth of any document.
 
 Output goes under ``--out``; when omitted, under ``$FEDALIGN_OUT`` (or the
 current directory) in a folder named after the config file.
@@ -102,11 +103,21 @@ def _load_json(path: str):
     except UnicodeDecodeError:
         raise utf8_error(path) from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, str(exc.colno), exc.msg) from exc
     except (RecursionError, ValueError) as exc:
         raise _limit_error(text, exc) from None
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when it sets a key more than once."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(key, "is set more than once in one JSON object")
+        doc[key] = value
+    return doc
 
 
 def _limit_error(text: str, exc: Exception) -> ParseError:

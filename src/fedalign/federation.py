@@ -59,7 +59,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
-    InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -454,15 +453,14 @@ def client_phase(
     parameters.  Clients never mix, so every update is byte-identical to the
     client's walk alone.  The steps run to the end, each row keeping the
     first check it fails (``gradient``, then ``updated parameters``, then a
-    displacement that is not finite); the lowest-index failing client raises
-    as its own walk would: :class:`NonFiniteResult`, with ``client <id>: ``
-    before the message, or for the displacement the :class:`InvalidSpec`
-    that :class:`ClientUpdate` raises.
+    ``displacement`` that is not finite), and the lowest-index failing
+    client raises :class:`NonFiniteResult`, ``client <id>: <check> contains
+    NaN or Inf``, which ``run_round`` prefixes with the round.
     """
     lr = cfg.lr if lr is None else lr
     w = global_params
     losses = []
-    failed: dict[int, str | None] = {}
+    failed: dict[int, str] = {}
     for step in range(cfg.local_steps):
         try:
             xs = np.array([ds.features[sel[step]] for ds, sel in zip(clients, rows)])
@@ -485,14 +483,12 @@ def client_phase(
     if cfg.local_steps > 1:
         grads = (global_params.values - w.values) / lr
         # A displacement that is not finite fails its row after the steps.
-        failed = dict.fromkeys(nonfinite_rows(grads)) | failed
+        failed = dict.fromkeys(nonfinite_rows(grads), "displacement") | failed
         # Row k holds client k's losses, so each mean reduces a contiguous
         # row as the mean of that client's own list would.
         values = np.mean(np.stack(losses, axis=1), axis=1)
     if failed:
         k = min(failed)
-        if failed[k] is None:
-            raise InvalidSpec(f"client {clients[k].domain_id!r} sent a non-finite gradient")
         raise NonFiniteResult(f"client {clients[k].domain_id}: {failed[k]} contains NaN or Inf")
     return values, grads
 

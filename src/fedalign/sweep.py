@@ -7,14 +7,15 @@ so they may run in parallel; results are always reported in grid order
 (strategy-major, then target, then seed) regardless of run order.  Cells
 run seed by seed: a process memoizes the batch rows of one seed at a time
 (``federation.client_rows``), and every cell at a seed draws the same rows.
-A failing cell is recorded with its error message and does not stop the
-rest of the grid.
+A failing cell is recorded with its error message and no figures, and
+does not stop the rest of the grid.  Each cell is one :class:`CellResult`,
+whose fields are the columns of ``results.csv``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,19 +33,6 @@ __all__ = [
     "cell_config",
     "run_sweep",
 ]
-
-RESULT_CSV_COLUMNS = (
-    "strategy",
-    "target",
-    "seed",
-    "final_target_accuracy",
-    "final_target_loss",
-    "conflict_round_fraction",
-    "mean_variance_before",
-    "mean_variance_after",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -94,30 +82,26 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Outcome of one grid cell; ``error`` is None on success."""
+    """Outcome of one grid cell, and the one list of a results row: its
+    fields, in order, are ``RESULT_CSV_COLUMNS``.  A failed cell has only its
+    ``error`` message, and None for every figure; ``error`` is None on
+    success."""
 
     strategy: str
     target: str
     seed: int
-    final_target_accuracy: float | None
-    final_target_loss: float | None
-    conflict_round_fraction: float | None
-    mean_variance_before: float | None
-    mean_variance_after: float | None
+    final_target_accuracy: float | None = None
+    final_target_loss: float | None = None
+    conflict_round_fraction: float | None = None
+    mean_variance_before: float | None = None
+    mean_variance_after: float | None = None
     error: str | None = None
 
     def row(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "target": self.target,
-            "seed": self.seed,
-            "final_target_accuracy": self.final_target_accuracy,
-            "final_target_loss": self.final_target_loss,
-            "conflict_round_fraction": self.conflict_round_fraction,
-            "mean_variance_before": self.mean_variance_before,
-            "mean_variance_after": self.mean_variance_after,
-            "error": self.error or "",
-        }
+        return {**asdict(self), "error": self.error or ""}
+
+
+RESULT_CSV_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 
 @dataclass(frozen=True)
@@ -208,17 +192,7 @@ def _run_cell(args) -> CellResult:
             mean_variance_after=None if va != va else va,
         )
     except Exception as exc:  # a broken cell must not sink the grid
-        return CellResult(
-            strategy=strategy,
-            target=target,
-            seed=seed,
-            final_target_accuracy=None,
-            final_target_loss=None,
-            conflict_round_fraction=None,
-            mean_variance_before=None,
-            mean_variance_after=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return CellResult(strategy, target, seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(

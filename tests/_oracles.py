@@ -44,9 +44,10 @@ within a step of the non-differentiable point.
 A fedavg or fedprox round's error as ``run_round`` found it when it
 replayed a failing round one client at a time: each client in order walks
 its local steps alone, on the rows its own stream draws, and the first step
-to fail names that client; with every walk finished, the aggregate and the
-server step may still fail, naming the round only.  The stacked client
-phase, which keeps each row's first failure, must raise the same error.
+to fail, or a displacement that is not finite, names that client; with
+every walk finished, the aggregate and the server step may still fail,
+naming the round only.  The stacked client phase, which keeps each row's
+first failure, must raise the same error.
 
 The client phase's success path as it was written before its first step
 took the shared global parameters: every local step at a (K, P) stack
@@ -334,8 +335,8 @@ def one_at_a_time_round_error(clients, params: ParamVector, cfg, round_index: in
             grad = (params.values - w.values) / lr
         try:
             updates.append(ClientUpdate(ds.domain_id, grad, ds.num_rows, 0.0))
-        except InvalidSpec as exc:
-            return exc
+        except InvalidSpec:
+            return NonFiniteResult(f"round {round_index}, client {ds.domain_id}: displacement contains NaN or Inf")
     try:
         sgd_step(params, aggregate_fedavg(updates, cfg.resolved_weighting).aggregated, lr)
     except NonFiniteResult as exc:

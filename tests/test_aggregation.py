@@ -303,16 +303,16 @@ class TestAlignedOnRead:
 
     @pytest.fixture
     def loop_working(self, monkeypatch):
-        """Copies of the loop's finished working matrix, as its finite check
-        sees it, one per aggregation."""
+        """Copies of the loop's finished working matrix, as the weighted sum
+        of the aligned rows reads it, one per aggregation."""
         seen = []
-        original = aggregation.ensure_finite
+        original = aggregation.weighted_sum
 
-        def capture(a, what="result"):
-            seen.append(np.array(a))
-            return original(a, what)
+        def capture(vectors, weights):
+            seen.append(np.array(vectors))
+            return original(vectors, weights)
 
-        monkeypatch.setattr(aggregation, "ensure_finite", capture)
+        monkeypatch.setattr(aggregation, "weighted_sum", capture)
         return seen
 
     @staticmethod

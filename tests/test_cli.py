@@ -477,6 +477,39 @@ class TestBadValues:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, where, key, earlier",
+        [
+            pytest.param("run", "top", "target", "dom0", id="run-top"),
+            pytest.param("run", "nested", "lr", 0.2, id="run-nested"),
+            pytest.param(
+                "sweep", "top", "sweep", {"strategies": ["fedavg"], "seeds": [1], "targets": ["dom1"]}, id="sweep-top"
+            ),
+            pytest.param("sweep", "nested", "lr", 0.2, id="sweep-nested"),
+            pytest.param("gen-data", "top", "seed", 1, id="gen-data-top"),
+            pytest.param("gen-data", "nested", "seed", 1, id="gen-data-nested"),
+            pytest.param("manifest", "top", "tool_version", "0", id="manifest-top"),
+            pytest.param("manifest", "nested", "lr", 0.2, id="manifest-nested"),
+        ],
+    )
+    def test_duplicate_key_exit_2_names_key(self, tmp_path, capsys, written_manifest, command, where, key, earlier):
+        # Each earlier value is valid on its own, so taking the last one
+        # would run; gen-data's nested case is its spec inside a manifest.
+        doc = valid_document(command, written_manifest)
+        if command == "gen-data" and where == "nested":
+            doc = {"tool_version": "0", "config": doc}
+        text = json.dumps(doc)
+        assert text.count(f'"{key}": ') == 1
+        path = tmp_path / "dup.json"
+        path.write_text(text.replace(f'"{key}": ', f'"{key}": {json.dumps(earlier)}, "{key}": '), encoding="utf-8")
+        subcommand = "run" if command == "manifest" else command
+        flag = "--config" if subcommand == "run" else "--spec"
+        assert main([subcommand, flag, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config field '{key}': is set more than once in one JSON object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [1, 80], ids=["header", "row"])
     def test_non_utf8_csv_exit_2_names_line(self, tmp_path, capsys, line):
         data_csv = tmp_path / "suite.csv"
@@ -972,6 +1005,83 @@ class TestContract:
         err = capsys.readouterr().err
         assert f"error: line {lineno}: row is longer than the header" in err
         assert "Traceback" not in err
+
+
+def valid_document(command, manifest):
+    """A document ``command`` runs: TestBadValues' run, sweep or gen-data
+    config, or a manifest that ``run`` wrote, fed back to ``run``."""
+    if command == "manifest":
+        return json.loads(json.dumps(manifest))
+    if command == "gen-data":
+        return dict(SMALL_DATA["synthetic"])
+    doc = {"model": {"hidden_dim": 4}, "data": SMALL_DATA, "federation": dict(SMALL_FED)}
+    if command == "sweep":
+        return {"sweep": {"strategies": ["fedavg"], "seeds": [0], "targets": ["dom2"]}, **doc}
+    return {"target": "dom2", **doc}
+
+
+@pytest.fixture(scope="module")
+def written_manifest(tmp_path_factory):
+    """The manifest of one small run."""
+    out = tmp_path_factory.mktemp("manifest") / "out"
+    config = write_config(out.parent, "exp.json", valid_document("run", None))
+    assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _object_paths(node, prefix=()):
+    """Every path into a JSON document that holds an object, the root
+    included (the documents here hold no object inside a list)."""
+    if isinstance(node, dict):
+        yield prefix
+        for key, child in node.items():
+            yield from _object_paths(child, prefix + (key,))
+
+
+NON_OBJECTS = [None, True, 0, "x", []]
+
+
+class TestDocumentContract:
+    """Whatever the document as a whole looks like, run, sweep, gen-data and
+    a manifest fed back exit 0, 1 or 2, never with a traceback, and exit 2
+    names a field or a line."""
+
+    @pytest.mark.parametrize("case", ["bom", "non-object", "duplicate-key", "nested-too-deep", "5000-digit-int"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "gen-data", "manifest"])
+    def test_document(self, tmp_path, written_manifest, command, case):
+        doc = valid_document(command, written_manifest)
+        seed = {"gen-data": ("seed",), "manifest": ("config", "data", "synthetic", "seed")}
+        placeholder = json.dumps(_replaced(doc, seed.get(command, ("data", "synthetic", "seed")), "@value@"))
+        if case == "bom":
+            texts = ["\ufeff" + json.dumps(doc)]
+        elif case == "non-object":
+            texts = [
+                json.dumps(value if path == () else _replaced(doc, path, value))
+                for path in _object_paths(doc)
+                for value in NON_OBJECTS
+            ]
+        elif case == "duplicate-key":
+            texts = [placeholder.replace('"seed": "@value@"', '"seed": 1, "seed": 0')]
+        elif case == "nested-too-deep":
+            texts = [placeholder.replace('"@value@"', "[" * 100000 + "]" * 100000)]
+        else:
+            texts = [placeholder.replace('"@value@"', "9" * 5000)]
+        subcommand = "run" if command == "manifest" else command
+        flag = "--config" if subcommand == "run" else "--spec"
+        outcomes = []
+        for n, text in enumerate(texts):
+            path = tmp_path / f"doc{n}.json"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([subcommand, flag, str(path), "--out", str(tmp_path / f"out{n}"), "--quiet"])
+            outcomes.append((text[:200], code, err.getvalue()))
+        assert [o for o in outcomes if o[1] not in (0, 1, 2)] == []
+        assert [o for o in outcomes if "Traceback" in o[2]] == []
+        named = re.compile(r"^config error: (config field '[^']*'|line \d+, )", re.M)
+        assert [o for o in outcomes if o[1] == 2 and not named.search(o[2])] == []
+        if case != "non-object":
+            assert [code for _, code, _ in outcomes] == [2]
 
 
 class TestMemoryLimit:

@@ -20,7 +20,6 @@ from fedalign.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
-    InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -511,7 +510,7 @@ class TestRoundFailures:
         # coordinate's gradient twice, at lr 0.5, takes that parameter to
         # about -1.7e308.  Its displacement (w_global - w) / lr overflows.
         # Client 1's first gradient is NaN.  Stepped one at a time, client 0
-        # is refused first, as ClientUpdate refuses a non-finite update.
+        # fails first, on its displacement.
         def inject(client, step, grad):
             grad = grad.copy()
             if client == 0:
@@ -534,9 +533,10 @@ class TestRoundFailures:
         cfg = FedConfig(strategy="fedavg", rounds=1, local_steps=2, batch_size=4, lr=0.5, lr_decay=None, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = one_at_a_time_round_error(sources, init_params(MODEL, Rng(1, 0)), cfg, 0, inject)
-        assert type(expected) is InvalidSpec and str(expected) == "client 'dom0' sent a non-finite gradient"
+        message = "round 0, client dom0: displacement contains NaN or Inf"
+        assert type(expected) is NonFiniteResult and str(expected) == message
         monkeypatch.setattr(federation, "loss_and_grad", injecting)
-        with pytest.raises(InvalidSpec, match=r"^client 'dom0' sent a non-finite gradient$"):
+        with pytest.raises(NonFiniteResult, match=f"^{message}$"):
             run_experiment(suite, "dom2", MODEL, cfg)
         assert injecting.steps == 2
 
