@@ -30,9 +30,9 @@ for strategy in ("deepall", "fedavg", "fedprox", "aligned"):
           f"{s['final_target_loss']:>11.4f}  {s['conflict_round_fraction']:>14.0%}")
 
 # Peek inside a single aligned run: the per-round record keeps the round's
-# original gradients and the pair loop's decisions, so trajectories are
-# inspectable after the fact; the spread and the pairs' inner products
-# below are computed as they are read.
+# parameters, its original gradients and the pair loop's decisions, so
+# trajectories are inspectable after the fact; the spread and the
+# conflicting pairs below are computed as they are read.
 result = run_experiment(suite, "dom3", model, FedConfig(strategy="aligned", **schedule))
 r = result.records[10]
 print(f"\nround {r.round}: lr={r.lr}, conflicts={r.aggregation.num_conflicts}, "
@@ -40,6 +40,5 @@ print(f"\nround {r.round}: lr={r.lr}, conflicts={r.aggregation.num_conflicts}, "
       f"{r.aggregation.variance_after:.3f}")
 agg = r.aggregation
 ids = agg.client_ids
-first = zip(agg.tested_pairs[:3].tolist(), agg.pair_dots[:3].tolist())
-print(f"tested pairs: {[(ids[i], ids[j], round(v, 3)) for (i, j), v in first]} ...")
+print(f"conflicting pairs: {[(ids[i], ids[j]) for i, j in agg.conflict_pairs.tolist()]}")
 print(f"replay digest: {result.params_digest()[:16]}… (stable across reruns)")

@@ -168,10 +168,7 @@ class AggregationReport:
     aligned (each outer client, then its inner order), (i, j) with i < j
     for fedavg.  ``conflict_mask`` is the read-only (M,) bool array of which
     pairs conflict: ``loop_conflicts``, the aligned loop's decisions, or for
-    fedavg decided from ``originals`` on first read.  ``pair_dots`` is the
-    read-only (M,) float64 array of the pairs' pairwise sums
-    ``np.sum(probe * target)``, computed on first read (for aligned by
-    replaying the tested pairs in order).  ``variance_before`` and
+    fedavg decided from ``originals`` on first read.  ``variance_before`` and
     ``variance_after`` are computed on first read and cached; the second is
     the first when ``aligned`` is ``originals``.  ``row_squares``, set by the
     aligned aggregator alone, holds each row's squared norm as the pairwise
@@ -214,17 +211,6 @@ class AggregationReport:
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
-    def pair_dots(self) -> RealVec:
-        x, pairs = self.originals, self.tested_pairs.tolist()
-        if self.loop_conflicts is None:
-            walk = ((x[i], x[j]) for i, j in pairs)
-        else:
-            walk = self._replay(x.copy(), pairs, self.loop_conflicts.tolist())
-        product = np.empty(x.shape[1])
-        return _frozen(np.array([_exact_dot(p, t, product) for p, t in walk], dtype=np.float64))
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
     def variance_before(self) -> float:
         return domain_variance(self.originals)
 
@@ -234,27 +220,16 @@ class AggregationReport:
         conflicts = [] if self.loop_conflicts is None else self.conflict_pairs.tolist()
         if not conflicts:
             return self.originals
-        working = self.originals.copy()
-        for _ in self._replay(working, conflicts, itertools.repeat(True)):
-            pass
-        return working
-
-    def _replay(self, working: RealMat, pairs, steps):
-        """Walk ``pairs`` as the aligned loop did, on ``working``, a fresh
-        copy of the originals: yield each pair's (probe, target) rows, then
-        step the probe's row toward the target where ``steps`` says so."""
+        # The recorded conflicts, in tested order, stepped as the loop did.
         sem = self.semantics
+        working = self.originals.copy()
         orig_rows, work_rows = list(self.originals), list(working)
         probes = work_rows if sem["accumulate"] else orig_rows
-        lam, current = sem["lambda"], sem["target"] == "current"
-        targets = work_rows if current else orig_rows
-        scaled = None if current else list(self.originals * (2.0 * lam))
-        product = np.empty(working.shape[1])
-        for (i, j), step in zip(pairs, steps):
-            yield probes[i], targets[j]
-            if step:
-                addend = np.multiply(targets[j], 2.0 * lam, out=product) if current else scaled[j]
-                _step_into(work_rows[i], probes[i], addend, lam)
+        targets = work_rows if sem["target"] == "current" else orig_rows
+        lam, addend = sem["lambda"], np.empty(working.shape[1])
+        for i, j in conflicts:
+            _step_into(work_rows[i], probes[i], np.multiply(targets[j], 2.0 * lam, out=addend), lam)
+        return working
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -297,8 +272,9 @@ def align_pair(g_i: RealVec, g_j: RealVec, lam: float) -> RealVec:
 def _step_into(row: RealVec, probe: RealVec, addend: RealVec, lam: float) -> None:
     """``align_pair(probe, target, lam)`` written into ``row`` with two
     in-place ufuncs, ``addend`` holding ``target * (2*lam)``: the same bits.
-    The callers take ``addend`` from a pre-scaled copy of the originals when
-    the steps target them, and otherwise form it in a scratch row.
+    The pair loop takes ``addend`` from a pre-scaled copy of the originals
+    when the steps target them; otherwise, and in the ``aligned`` replay, it
+    is formed in a scratch row.
     ``probe`` may be ``row``; ``addend`` must not be."""
     np.multiply(probe, 1.0 - 2.0 * lam, out=row)
     np.add(row, addend, out=row)
@@ -534,8 +510,8 @@ def aggregate_fedavg(
 ) -> AggregationReport:
     """Weighted averaging of client gradients (weights n_k / n by default).
 
-    Pairwise conflicts and inner products are still reported as a
-    diagnostic, computed when first read, but do not influence the result.
+    Pairwise conflicts are still reported as a diagnostic, decided when
+    first read, but do not influence the result.
     """
     originals = _gradient_matrix(updates)
     k = len(updates)

@@ -15,7 +15,8 @@ difference (the exit code does not change).
 Exit codes: 0 success, 1 runtime failure (I/O, numerical), 2 configuration
 error (the diagnostic names the offending field or file position, or the
 ``--jobs`` flag when it is below 1).  A key set more than once in one JSON
-object is a configuration error, at any depth of any document.
+object is a configuration error, at any depth of any document, named by
+its dotted path from the document root (``federation.seed``).
 
 Output goes under ``--out``; when omitted, under ``$FEDALIGN_OUT`` (or the
 current directory) in a folder named after the config file.
@@ -103,21 +104,35 @@ def _load_json(path: str):
     except UnicodeDecodeError:
         raise utf8_error(path) from None
     try:
-        return json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, str(exc.colno), exc.msg) from exc
     except (RecursionError, ValueError) as exc:
         raise _limit_error(text, exc) from None
-
-
-def _object(pairs: list) -> dict:
-    """A JSON object, refused when it sets a key more than once."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ConfigError(key, "is set more than once in one JSON object")
-        doc[key] = value
+    # The first object in document order that sets a key twice, named by its
+    # dotted path from the root; the walk keeps its own stack, since a
+    # document may nest as deep as the decoder follows.
+    stack = [("", doc)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict):
+            if node.duplicate is not None:
+                raise ConfigError(path + node.duplicate, "is set more than once in one JSON object")
+            stack.extend((f"{path}{key}.", value) for key, value in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((f"{path[:-1]}[{i}].", node[i]) for i in reversed(range(len(node))))
     return doc
+
+
+class _Object(dict):
+    """A JSON object, with ``duplicate`` its first key set a second time
+    (None if none is); the last value set wins."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        seen = set()
+        # ``seen.add`` returns None: a key is picked only once seen before.
+        self.duplicate = next((key for key, _ in pairs if key in seen or seen.add(key)), None)
 
 
 def _limit_error(text: str, exc: Exception) -> ParseError:

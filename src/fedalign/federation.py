@@ -3,10 +3,11 @@
 A central server holds the global parameters; one client per source domain
 draws minibatches locally, returns a gradient-shaped update, and the server
 aggregates with the configured strategy and applies a single SGD step.
-Each round evaluates the held-out target domain, so tests can reason about
-whole trajectories.  The source domains are not evaluated while training:
-``ExperimentResult.csv_rows`` replays the recorded steps and evaluates them
-only when a reader asks for the per-round table.
+Each round records its post-step parameters and evaluates the held-out
+target domain at them, so a run's figures are read from its records.  The
+source domains are not evaluated while training: ``ExperimentResult.csv_rows``
+evaluates them at each record's parameters only when a reader asks for the
+per-round table.
 
 The client phase is one batched step: each local step stacks the K
 clients' minibatches and takes one ``loss_and_grad`` over the stack, with
@@ -234,10 +235,14 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round: ``params`` are the server's parameters after its step,
+    and ``target_metrics`` the held-out target evaluated at them."""
+
     round: int
     lr: float
     per_client: tuple[dict, ...]
     aggregation: AggregationReport
+    params: ParamVector = field(repr=False)
     target_metrics: Metrics
     trace_audit: dict | None = None
 
@@ -262,8 +267,9 @@ class ExperimentResult:
     """Full trajectory of one leave-one-domain-out run.
 
     ``sources`` are the training clients' datasets in client order (the one
-    pooled dataset for deepall); with the records they let ``csv_rows``
-    recompute the source figures.
+    pooled dataset for deepall); ``csv_rows`` evaluates them at each
+    record's parameters.  ``final_target`` is the last record's
+    ``target_metrics`` (the initial parameters' with no rounds).
     """
 
     config: FedConfig
@@ -272,12 +278,15 @@ class ExperimentResult:
     sources: tuple[DomainDataset, ...] = field(repr=False)
     records: tuple[RoundRecord, ...]
     initial_params: ParamVector = field(repr=False)
-    final_params: ParamVector = field(repr=False)
     final_target: Metrics
 
     @property
     def source_ids(self) -> tuple[str, ...]:
         return tuple(ds.domain_id for ds in self.sources)
+
+    @property
+    def final_params(self) -> ParamVector:
+        return self.records[-1].params if self.records else self.initial_params
 
     @property
     def final_target_accuracy(self) -> float:
@@ -323,21 +332,13 @@ class ExperimentResult:
         }
 
     def csv_rows(self) -> list[dict]:
-        """Per-round scalar metrics, one dict per round, keys ROUND_CSV_COLUMNS.
-
-        The mean source accuracy and loss, which training does not record,
-        come from replaying the recorded steps (each round's decayed ``lr``
-        times its applied aggregate, as ``sgd_step`` took them) from
-        ``initial_params`` and evaluating every source, in client order,
-        after each step.
-        """
+        """Per-round scalar metrics, one dict per round, keys ROUND_CSV_COLUMNS;
+        every source is evaluated, in client order, at each record's
+        parameters."""
         rows = []
-        values = self.initial_params.values
         with np.errstate(over="ignore", invalid="ignore"):
             for r in self.records:
-                values = values - r.lr * r.aggregation.aggregated
-                params = replace(self.initial_params, values=values)
-                src = [evaluate(params, ds) for ds in self.sources]
+                src = [evaluate(r.params, ds) for ds in self.sources]
                 rows.append(
                     {
                         "round": r.round,
@@ -596,6 +597,7 @@ def run_round(
         lr=lr,
         per_client=per_client,
         aggregation=report,
+        params=server.params,
         target_metrics=evaluate(server.params, target_dataset),
         trace_audit=audit_dict,
     )
@@ -631,7 +633,7 @@ def run_experiment(
     # noise.  Set once per run: the model layer is called thousands of times.
     with np.errstate(over="ignore", invalid="ignore"):
         records = [run_round(server, sources, train_cfg, target_dataset) for _ in range(cfg.rounds)]
-        final_metrics = evaluate(server.params, target_dataset)
+        final_target = records[-1].target_metrics if records else evaluate(initial, target_dataset)
     return ExperimentResult(
         config=cfg,
         model=model,
@@ -639,6 +641,5 @@ def run_experiment(
         sources=tuple(sources),
         records=tuple(records),
         initial_params=initial,
-        final_params=server.params,
-        final_target=final_metrics,
+        final_target=final_target,
     )

@@ -15,7 +15,7 @@ whose fields are the columns of ``results.csv``.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -98,7 +98,7 @@ class CellResult:
     error: str | None = None
 
     def row(self) -> dict:
-        return {**asdict(self), "error": self.error or ""}
+        return {**vars(self), "error": self.error or ""}
 
 
 RESULT_CSV_COLUMNS = tuple(f.name for f in fields(CellResult))

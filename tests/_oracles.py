@@ -30,9 +30,17 @@ each sample's term times 1.0, and the gradient rows times the array
 
 The per-round mean source-domain figures as training once recorded them:
 each source evaluated, by the evaluation reference, on the server
-parameters right after each round.
-``ExperimentResult.csv_rows`` recomputes them by replaying the recorded
-steps and must agree bit for bit.
+parameters right after each round.  ``ExperimentResult.csv_rows``
+evaluates them at each record's parameters and must agree bit for bit.
+
+A whole plaintext run written the slow, obvious way: each client alone,
+each local step drawing its rows one scalar call at a time from its own
+stream ``(seed, 1, k, t)``, the loss-gradient reference on those rows, the
+aligned pair loop's reference on the visiting orders drawn one scalar call
+at a time from ``(seed, 2, t)``, a left-to-right fold for the weighted sum,
+``values - lr * g`` for the step, and the evaluation reference for every
+figure.  ``run_experiment``'s records, ``csv_rows`` and final parameters
+must equal it bit for bit.
 
 Central finite differences over the flat parameter vector, with the usual
 gradient-check hygiene: a symmetric relative-error metric with an absolute
@@ -309,6 +317,88 @@ def reference_source_means(suite, target, model, cfg, unit_weights: bool = False
                 (float(np.mean([m.accuracy for m in metrics])), float(np.mean([m.loss for m in metrics])))
             )
     return means, server.params
+
+
+def reference_rows(rng, num_rows: int, batch_size: int) -> np.ndarray:
+    """One local step's rows: every row in order for a full batch, a
+    shuffle's prefix below it, draws with replacement above it."""
+    if batch_size == num_rows:
+        return np.arange(num_rows)
+    if batch_size < num_rows:
+        return scalar_shuffle(rng, num_rows)[:batch_size]
+    return scalar_draws(rng, num_rows, batch_size)
+
+
+def reference_run(suite, target, model, cfg):
+    """A plaintext run as the module docstring says: ``(rounds, final
+    params)``, each round a dict of its post-step ``params``, its
+    ``target_metrics``, its ``per_client`` dicts and its ``csv_row``."""
+    sources, target_ds = leave_one_out(suite, target)
+    if cfg.strategy == "deepall":
+        features = np.vstack([s.features for s in sources])
+        sources = [DomainDataset("pooled", features, np.concatenate([s.labels for s in sources]))]
+        cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
+    k = len(sources)
+    params = init_params(model, Rng(cfg.seed, 0))
+    rounds = []
+    for t in range(cfg.rounds):
+        lr = effective_lr(cfg, t)
+        grads, per_client = [], []
+        for c, ds in enumerate(sources):
+            rng, w, losses = Rng(cfg.seed, 1, c, t), params, []
+            for _ in range(cfg.local_steps):
+                rows = reference_rows(rng, ds.num_rows, cfg.batch_size)
+                loss, grad = reference_loss_and_grad(w, ds.features[rows], ds.labels[rows])
+                losses.append(loss)
+                if cfg.local_steps > 1:
+                    if cfg.strategy == "fedprox":
+                        grad = grad + cfg.mu * (w.values - params.values)
+                    w = ParamVector(model, w.values - lr * grad)
+            if cfg.local_steps > 1:
+                grad = (params.values - w.values) / lr
+            grads.append(grad)
+            norm = math.sqrt(dot(grad, grad))
+            per_client.append({"client_id": ds.domain_id, "local_loss": float(np.mean(losses)), "grad_norm": norm})
+
+        if cfg.strategy == "aligned":
+            if cfg.order_mode == "random":
+                rng = Rng(cfg.seed, 2, t)
+                outer = scalar_shuffle(rng, k).tolist()
+                perms = [scalar_shuffle(rng, k - 1).tolist() for _ in range(k)]
+            else:
+                outer, perms = list(range(k)), [list(range(k - 1))] * k
+            inner = {i: [p + (p >= i) for p in perm] for i, perm in zip(outer, perms)}
+            tested, aligned = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.align_target)
+        else:
+            tested, aligned = reference_pair_dots(grads), np.array(grads)
+        if cfg.resolved_weighting == "uniform":
+            weights = [1.0 / k] * k
+        else:
+            weights = [ds.num_rows / sum(d.num_rows for d in sources) for ds in sources]
+        g = weights[0] * aligned[0]
+        for weight, row in zip(weights[1:], aligned[1:]):
+            g = g + weight * row
+        params = ParamVector(model, params.values - lr * g)
+
+        target_metrics = reference_evaluate(params, target_ds)
+        src = [reference_evaluate(params, ds) for ds in sources]
+        csv_row = {
+            "round": t,
+            "lr": lr,
+            "target_accuracy": target_metrics.accuracy,
+            "target_loss": target_metrics.loss,
+            "mean_source_accuracy": float(np.mean([m.accuracy for m in src])),
+            "mean_source_loss": float(np.mean([m.loss for m in src])),
+            "mean_local_loss": float(np.mean([c["local_loss"] for c in per_client])),
+            "mean_grad_norm": float(np.mean([c["grad_norm"] for c in per_client])),
+            "num_conflicts": sum(v < 0.0 for _, _, v in tested),
+            "variance_before": reference_domain_variance(grads),
+            "variance_after": reference_domain_variance(list(aligned)),
+        }
+        rounds.append(
+            {"params": params, "target_metrics": target_metrics, "per_client": per_client, "csv_row": csv_row}
+        )
+    return rounds, params
 
 
 def one_at_a_time_round_error(clients, params: ParamVector, cfg, round_index: int, inject):

@@ -195,7 +195,6 @@ class TestBatchedDiagnostics:
         rep = aggregate_fedavg(updates_from(grads))
         dots = reference_pair_dots(grads)
         assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in dots]
-        assert bits(rep.pair_dots) == bits(v for _, _, v in dots)
         assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in dots if v < 0.0]
         assert bits([rep.variance_before, rep.variance_after]) == bits([expected, expected])
 
@@ -206,12 +205,11 @@ class TestBatchedDiagnostics:
 
     @staticmethod
     def assert_aligned_replays(grads, rep, cfg):
-        """The aligned pair loop's inner products, in its recorded order,
-        against one ``numcore.dot`` per pair; and its final rows."""
+        """The aligned pair loop's decisions, in its recorded order, against
+        one ``numcore.dot`` per pair; and its final rows."""
         outer, inner = visiting_order(rep.tested_pairs)
         tested, working = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.target)
         assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in tested]
-        assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
         assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in tested if v < 0.0]
         assert rep.aligned.tobytes() == working.tobytes()
 
@@ -351,7 +349,8 @@ class TestAlignedOnRead:
                     grads = [np.array(g) for g in combo]
                     loop_working.clear()
                     rep = aggregate_aligned(updates_from(grads), AlignConfig(lam=lam, order_mode="fixed"))
-                    zero = rep.pair_dots == 0.0
+                    tested, _ = reference_aligned_pairs(grads, lam, *visiting_order(rep.tested_pairs))
+                    zero = np.array([v == 0.0 for _, _, v in tested], dtype=bool)
                     zeros += int(np.count_nonzero(zero))
                     conflicts = {tuple(pair) for pair in rep.conflict_pairs.tolist()}
                     assert not conflicts & {tuple(pair) for pair in rep.tested_pairs[zero].tolist()}
@@ -414,8 +413,7 @@ class TestCertifiedDecisions:
         assert decided.dtype == bool and decided.shape == (len(tested),)
         assert not decided.flags.writeable
         assert decided.tolist() == [v < 0.0 for _, _, v in tested]
-        assert np.array_equal(rep.pair_dots < 0.0, decided)
-        assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
+        assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in tested if v < 0.0]
         assert rep.aligned.tobytes() == working.tobytes()
         assert bits(rep.aggregated) == bits(weighted_sum(list(working), rep.weights))
         return rep
@@ -426,7 +424,7 @@ class TestCertifiedDecisions:
         dots = reference_pair_dots(grads)
         assert rep.conflict_mask.tolist() == [v < 0.0 for _, _, v in dots]
         assert not rep.conflict_mask.flags.writeable
-        assert np.array_equal(rep.pair_dots < 0.0, rep.conflict_mask)
+        assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in dots if v < 0.0]
         assert rep.num_conflicts == sum(v < 0.0 for _, _, v in dots)
 
     @pytest.mark.parametrize("kind", ROW_KINDS)
@@ -517,8 +515,7 @@ class TestCertifiedDecisions:
 
     def test_many_clients_run_never_falls_back(self, exact_calls):
         # A short run shaped like the benchmark's many-clients workload:
-        # K=32 clients, P=2002.  Reading ``pair_dots`` would take every
-        # pair's pairwise sum, so only the conflicts are read.
+        # K=32 clients, P=2002.
         k = 33
         spec = SyntheticSpec(
             num_domains=k, samples_per_domain=50, rotation_degrees=tuple(90.0 * d / (k - 1) for d in range(k))
@@ -555,7 +552,8 @@ class TestCertifiedDecisions:
 
 
 class TestReportArrays:
-    """A report's pair results: two read-only arrays, conflicts derived."""
+    """A report's pair results: a read-only array of tested pairs, conflicts
+    derived."""
 
     @pytest.mark.parametrize(
         "strategy, pairs",
@@ -567,32 +565,36 @@ class TestReportArrays:
         rep = strategy(updates_from(gradient_rows(k, 5, seed=k)))
         m = pairs(k)
         assert rep.tested_pairs.dtype == np.int64 and rep.tested_pairs.shape == (m, 2)
-        assert rep.pair_dots.dtype == np.float64 and rep.pair_dots.shape == (m,)
-        for a in (rep.tested_pairs, rep.pair_dots):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+        assert not rep.tested_pairs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rep.tested_pairs[...] = 0
 
     @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
     def test_single_client_arrays_empty(self, strategy):
         rep = strategy(updates_from([np.array([0.1, -0.2])]))
         assert rep.tested_pairs.shape == (0, 2) and rep.tested_pairs.dtype == np.int64
-        assert rep.pair_dots.shape == (0,) and rep.pair_dots.dtype == np.float64
         assert rep.conflict_pairs.shape == (0, 2) and rep.num_conflicts == 0
 
     @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
     @pytest.mark.parametrize("k", [3, 5, 32])
     def test_conflicts_are_the_negative_rows(self, strategy, k):
-        rep = strategy(updates_from(gradient_rows(k, 7, seed=k)))
-        negative = [pair for pair, v in zip(rep.tested_pairs.tolist(), rep.pair_dots.tolist()) if v < 0.0]
+        grads = gradient_rows(k, 7, seed=k)
+        rep = strategy(updates_from(grads))
+        if strategy is aggregate_fedavg:
+            tested = reference_pair_dots(grads)
+        else:
+            tested, _ = reference_aligned_pairs(grads, AlignConfig().lam, *visiting_order(rep.tested_pairs))
+        assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in tested]
+        negative = [[i, j] for i, j, v in tested if v < 0.0]
         assert 0 < len(negative) < len(rep.tested_pairs), "the case must mix conflicts and agreements"
         assert rep.conflict_pairs.tolist() == negative
         assert rep.conflict_pairs.dtype == np.int64
         assert rep.num_conflicts == len(negative) and type(rep.num_conflicts) is int
 
     def test_zero_inner_product_is_not_a_conflict(self):
-        rep = aggregate_fedavg(updates_from([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]))
-        assert bits(rep.pair_dots) == bits([0.0, -1.0, 0.0])
+        grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
+        rep = aggregate_fedavg(updates_from(grads))
+        assert bits(v for _, _, v in reference_pair_dots(grads)) == bits([0.0, -1.0, 0.0])
         assert rep.conflict_pairs.tolist() == [[0, 2]] and rep.num_conflicts == 1
 
 
@@ -647,13 +649,12 @@ class TestLazyDiagnostics:
             tested, working = reference_aligned_pairs(
                 list(x), sem["lambda"], outer, inner, sem["accumulate"], sem["target"]
             )
-            assert bits(rep.pair_dots) == bits(v for _, _, v in tested)
+            assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in tested if v < 0.0]
             assert rep.aligned.tobytes() == working.tobytes()
 
     def test_fedavg_computes_nothing_until_read(self, calls):
         res = self.run("fedavg")
         assert calls == []
-        assert all("pair_dots" not in vars(r.aggregation) for r in res.records)
         res.summary()
         res.csv_rows()
         assert len(calls) == self.ROUNDS  # before and after share one call
@@ -663,10 +664,7 @@ class TestLazyDiagnostics:
             assert bits([rep.variance_before, rep.variance_after]) == bits([expected, expected])
             dots = reference_pair_dots(list(rep.aligned))
             assert rep.tested_pairs.tolist() == [[i, j] for i, j, _ in dots]
-            assert bits(rep.pair_dots) == bits(v for _, _, v in dots)
-            assert not rep.pair_dots.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                rep.pair_dots[...] = 0.0
+            assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in dots if v < 0.0]
 
     @pytest.mark.parametrize("strategy", ["aligned", "fedavg"])
     def test_a_read_record_holds_one_k_by_p_matrix(self, strategy):
@@ -705,7 +703,6 @@ class TestLazyDiagnostics:
         assert rep.num_conflicts > 0
         for name in ("variance_before", "variance_after"):
             assert bits([getattr(new, name)]) == bits([getattr(rep, name)])
-        assert bits(new.pair_dots) == bits(rep.pair_dots)
         assert np.array_equal(new.tested_pairs, rep.tested_pairs)
         assert np.array_equal(new.conflict_pairs, rep.conflict_pairs)
 
@@ -900,7 +897,7 @@ class TestAggregateAligned:
         g = np.array([0.1, -0.2, 0.3])
         rep = aggregate_aligned(updates_from([g]))
         assert np.array_equal(rep.aggregated, g)
-        assert rep.tested_pairs.shape == (0, 2) and rep.pair_dots.shape == (0,)
+        assert rep.tested_pairs.shape == (0, 2)
 
 
 class TestAggregateFedavg:

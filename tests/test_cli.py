@@ -478,21 +478,28 @@ class TestBadValues:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, where, key, earlier",
+        "command, where, key, earlier, field",
         [
-            pytest.param("run", "top", "target", "dom0", id="run-top"),
-            pytest.param("run", "nested", "lr", 0.2, id="run-nested"),
+            pytest.param("run", "top", "target", "dom0", "target", id="run-top"),
+            pytest.param("run", "nested", "lr", 0.2, "federation.lr", id="run-nested"),
             pytest.param(
-                "sweep", "top", "sweep", {"strategies": ["fedavg"], "seeds": [1], "targets": ["dom1"]}, id="sweep-top"
+                "sweep",
+                "top",
+                "sweep",
+                {"strategies": ["fedavg"], "seeds": [1], "targets": ["dom1"]},
+                "sweep",
+                id="sweep-top",
             ),
-            pytest.param("sweep", "nested", "lr", 0.2, id="sweep-nested"),
-            pytest.param("gen-data", "top", "seed", 1, id="gen-data-top"),
-            pytest.param("gen-data", "nested", "seed", 1, id="gen-data-nested"),
-            pytest.param("manifest", "top", "tool_version", "0", id="manifest-top"),
-            pytest.param("manifest", "nested", "lr", 0.2, id="manifest-nested"),
+            pytest.param("sweep", "nested", "lr", 0.2, "federation.lr", id="sweep-nested"),
+            pytest.param("gen-data", "top", "seed", 1, "seed", id="gen-data-top"),
+            pytest.param("gen-data", "nested", "seed", 1, "config.seed", id="gen-data-nested"),
+            pytest.param("manifest", "top", "tool_version", "0", "tool_version", id="manifest-top"),
+            pytest.param("manifest", "nested", "lr", 0.2, "config.federation.lr", id="manifest-nested"),
         ],
     )
-    def test_duplicate_key_exit_2_names_key(self, tmp_path, capsys, written_manifest, command, where, key, earlier):
+    def test_duplicate_key_exit_2_names_key(
+        self, tmp_path, capsys, written_manifest, command, where, key, earlier, field
+    ):
         # Each earlier value is valid on its own, so taking the last one
         # would run; gen-data's nested case is its spec inside a manifest.
         doc = valid_document(command, written_manifest)
@@ -506,7 +513,35 @@ class TestBadValues:
         flag = "--config" if subcommand == "run" else "--spec"
         assert main([subcommand, flag, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert f"config error: config field '{key}': is set more than once in one JSON object" in err
+        assert f"config error: config field '{field}': is set more than once in one JSON object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("config", "data", "synthetic", "seed"), "config.data.synthetic.seed"),
+            (("config", "federation", "seed"), "config.federation.seed"),
+            (("config", "model", 1, "seed"), "config.model[1].seed"),
+        ],
+        ids=["data-seed", "federation-seed", "in-an-array"],
+    )
+    def test_duplicate_key_path_tells_namesakes_apart(self, tmp_path, capsys, written_manifest, path, field):
+        # The manifest sets both seeds, so only the path says which one is
+        # set twice; an object inside an array is named by its index.
+        doc = valid_document("manifest", written_manifest)
+        assert "seed" in doc["config"]["data"]["synthetic"] and "seed" in doc["config"]["federation"]
+        if 1 in path:
+            doc["config"]["model"] = [{}, {"seed": 0}]
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = "@value@"
+        config = tmp_path / "dup.json"
+        config.write_text(json.dumps(doc).replace('"@value@"', '1, "seed": 0'), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config field '{field}': is set more than once in one JSON object" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -40,11 +40,11 @@ from fedalign.federation import (
     run_experiment,
     run_round,
 )
-from fedalign.models import ModelSpec, init_params, loss_and_grad, sgd_step
+from fedalign.models import ModelSpec, evaluate, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng, dot, weighted_sum
 from fedalign.sweep import SweepSpec, run_sweep
 
-from _oracles import broadcast_client_phase, one_at_a_time_round_error, reference_source_means
+from _oracles import broadcast_client_phase, one_at_a_time_round_error, reference_run, reference_source_means
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 LOGREG = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2, activation="relu")
@@ -622,6 +622,7 @@ class TestRunExperiment:
         res = run_experiment(suite, "dom1", MODEL, cfg)
         assert res.records == ()
         assert np.array_equal(res.final_params.values, res.initial_params.values)
+        assert res.final_target == evaluate(res.initial_params, suite.by_id("dom1"))
         assert res.conflict_round_fraction() == 0.0
 
     def test_full_batch_single_client_is_centralized_gd(self):
@@ -747,10 +748,9 @@ class TestRunExperiment:
 
 
 class TestCsvRowsReplay:
-    """``csv_rows`` derives the mean source figures by replaying the
-    recorded steps; they must equal evaluating every source right after
-    each round, bit for bit.  The schedule decays lr every 3 rounds, so
-    replaying with the base lr instead of the recorded one shows."""
+    """``csv_rows`` evaluates the sources at each record's parameters; the
+    mean source figures must equal evaluating every source right after each
+    round, bit for bit.  The schedule decays lr every 3 rounds."""
 
     @pytest.mark.parametrize(
         "strategy, extra",
@@ -775,6 +775,53 @@ class TestCsvRowsReplay:
         rows = res.csv_rows()
         got = [(r["mean_source_accuracy"].hex(), r["mean_source_loss"].hex()) for r in rows]
         assert got == [(acc.hex(), value.hex()) for acc, value in means]
+        assert res.final_params.values.tobytes() == final.values.tobytes()
+
+
+class TestReferenceRun:
+    """A run against ``_oracles.reference_run``, the simulator written the
+    slow, obvious way: every record's parameters, target figures, client
+    figures and ``rounds.csv`` row, and the final parameters, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        strategy=st.sampled_from(["fedavg", "fedprox", "aligned", "deepall"]),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        local_steps=st.integers(1, 3),
+        batch_size=st.integers(1, 6),
+        rounds=st.integers(0, 8),
+        accumulate=st.booleans(),
+        align_target=st.sampled_from(["original", "current"]),
+        order_mode=st.sampled_from(["random", "fixed"]),
+        weighting=st.sampled_from([None, "uniform", "sample_weighted"]),
+        lr=st.sampled_from([0.3, 0.5]),
+        decay=st.sampled_from([None, LrDecay(2, 4.0)]),
+        model=st.sampled_from([MODEL, LOGREG, ModelSpec(input_dim=2, hidden_dim=3, activation="tanh")]),
+        seed=st.integers(0, 3),
+    )
+    def test_matches_reference(
+        self, strategy, sizes, local_steps, batch_size, rounds, accumulate, align_target, order_mode, weighting,
+        lr, decay, model, seed,
+    ):
+        # Client k keeps its first sizes[k] rows, so a batch can be below,
+        # at or above a client's row count, and the sample weights differ.
+        full = small_suite(seed=seed, domains=len(sizes) + 1, samples=12)
+        kept = [replace(d, features=d.features[:n], labels=d.labels[:n]) for d, n in zip(full.domains, sizes)]
+        suite = DomainSuite((*kept, full.domains[-1]), num_classes=2)
+        target = full.domains[-1].domain_id
+        cfg = FedConfig(
+            strategy=strategy, rounds=rounds, local_steps=local_steps, batch_size=batch_size, lr=lr,
+            lr_decay=decay, weighting=weighting, seed=seed, accumulate=accumulate, align_target=align_target,
+            order_mode=order_mode,
+        )
+        res = run_experiment(suite, target, model, cfg)
+        expected, final = reference_run(suite, target, model, cfg)
+        assert len(res.records) == len(expected) == rounds
+        for record, ref in zip(res.records, expected):
+            assert record.params.values.tobytes() == ref["params"].values.tobytes()
+            assert repr(record.target_metrics) == repr(ref["target_metrics"])
+            assert repr(list(record.per_client)) == repr(ref["per_client"])
+        assert repr(res.csv_rows()) == repr([ref["csv_row"] for ref in expected])
         assert res.final_params.values.tobytes() == final.values.tobytes()
 
 

@@ -224,8 +224,9 @@ def evaluate_calls(monkeypatch):
 
 
 class TestEvaluationCount:
-    """Training evaluates the target alone, each round and once at the end;
-    ``csv_rows`` evaluates every source once per round, in client order."""
+    """Training evaluates the target alone, once each round (the last
+    round's figures are the final ones); ``csv_rows`` evaluates every source
+    once per round, in client order."""
 
     ROUNDS = 4
 
@@ -240,9 +241,9 @@ class TestEvaluationCount:
     def test_run_experiment_evaluates_only_the_target(self, suite, evaluate_calls, strategy, sources):
         cfg = cell_config(BASE, SweepSpec((strategy,), (0,), ("dom0",)), strategy, 0)
         result = run_experiment(suite, "dom0", MODEL, cfg)
-        assert evaluate_calls == ["dom0"] * (self.ROUNDS + 1)
+        assert evaluate_calls == ["dom0"] * self.ROUNDS
         rows = result.csv_rows()
-        assert evaluate_calls[self.ROUNDS + 1 :] == sources * self.ROUNDS
+        assert evaluate_calls[self.ROUNDS :] == sources * self.ROUNDS
         assert len(rows) == self.ROUNDS
         assert all(0.0 <= row["mean_source_accuracy"] <= 1.0 for row in rows)
         assert all(math.isfinite(row["mean_source_loss"]) for row in rows)
@@ -259,7 +260,7 @@ class TestEvaluationCount:
         spec = SweepSpec(strategies=(strategy,), seeds=(0,), targets=("dom0",))
         cell = run_sweep(suite, MODEL, BASE, spec, jobs=1).cells[0]
         assert cell.error is None
-        assert evaluate_calls == ["dom0"] * (self.ROUNDS + 1)
+        assert evaluate_calls == ["dom0"] * self.ROUNDS
         (result,) = results
         assert len(result.records) == self.ROUNDS
         for r in result.records:
