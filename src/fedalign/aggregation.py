@@ -22,7 +22,8 @@ two choices open:
   methods project against originals) or its *current* working copy.
 
 Each aggregation stacks the round's client gradients once into a
-C-contiguous K×P float64 matrix, one row per client; the aligned strategy
+C-contiguous K×P float64 matrix, one row per client, and checks the
+messages there, with one finite pass over the stack; the aligned strategy
 corrects its rows in place and reads the originals from the updates.
 
 The aligned pair loop pays for little beyond its arithmetic.  A round's
@@ -53,7 +54,6 @@ loop.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -110,22 +110,16 @@ _SAFE_SCALE = 2.0**1000
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One round's message from a client: gradient plus bookkeeping."""
+    """One round's message from a client: gradient plus bookkeeping.
+
+    A plain message: it keeps its fields as given.  The aggregators check a
+    round's messages once, where they stack the gradients (see
+    ``_gradient_matrix``)."""
 
     client_id: str
     gradient: GradientVector
     num_samples: int
     local_loss: float
-
-    def __post_init__(self):
-        g = np.asarray(self.gradient, dtype=np.float64)
-        if g.ndim != 1:
-            raise DimensionMismatch("gradient must be a flat vector")
-        if not np.isfinite(g).all():
-            raise InvalidSpec(f"client {self.client_id!r} sent a non-finite gradient")
-        if self.num_samples < 1:
-            raise InvalidSpec("num_samples must be >= 1")
-        object.__setattr__(self, "gradient", g)
 
 
 @dataclass(frozen=True)
@@ -335,16 +329,26 @@ def domain_variance(grads: RealMat) -> float:
 
 
 def _gradient_matrix(updates: Sequence[ClientUpdate]) -> RealMat:
-    """The updates' gradients stacked as a K×P matrix, row k for update k."""
+    """The updates' gradients stacked as a float64 K×P matrix, row k for
+    update k: the one check of a round's messages.  The first update, in
+    order, whose gradient is not a flat vector as long as the first one's,
+    or whose ``num_samples`` is below 1, raises; then one finite pass over
+    the stack names the first client whose gradient holds a NaN or Inf."""
     if len(updates) == 0:
         raise EmptyUpdateSet("no client updates to aggregate")
-    length = updates[0].gradient.shape[0]
+    first = np.shape(updates[0].gradient)
     for u in updates:
-        if u.gradient.shape[0] != length:
-            raise DimensionMismatch(
-                f"client {u.client_id!r} gradient length {u.gradient.shape[0]} != {length}"
-            )
-    return np.array([u.gradient for u in updates])
+        shape = np.shape(u.gradient)
+        if len(shape) != 1:
+            raise DimensionMismatch("gradient must be a flat vector")
+        if shape != first:
+            raise DimensionMismatch(f"client {u.client_id!r} gradient length {shape[0]} != {first[0]}")
+        if u.num_samples < 1:
+            raise InvalidSpec("num_samples must be >= 1")
+    grads = np.array([u.gradient for u in updates], dtype=np.float64)
+    if bad := nonfinite_rows(grads):
+        raise InvalidSpec(f"client {updates[bad[0]].client_id!r} sent a non-finite gradient")
+    return grads
 
 
 def _weights(updates: Sequence[ClientUpdate], weighting: str) -> tuple[float, ...]:
@@ -437,7 +441,7 @@ def aggregate_aligned(
 
     # Row views, made once: the pair loop indexes them thousands of times.
     work_rows = list(working)
-    orig_rows = [u.gradient for u in updates]
+    orig_rows = [np.asarray(u.gradient, dtype=np.float64) for u in updates]
     accumulate, current, lam = cfg.accumulate, cfg.target == "current", cfg.lam
     probes = work_rows if accumulate else orig_rows
     targets = work_rows if current else orig_rows
@@ -515,9 +519,10 @@ def aggregate_fedavg(
     """
     originals = _gradient_matrix(updates)
     k = len(updates)
-    m = k * (k - 1) // 2
-    pairs = itertools.chain.from_iterable(itertools.combinations(range(k), 2))
-    tested = np.fromiter(pairs, dtype=np.int64, count=2 * m).reshape(m, 2)
+    # Every (i, j) with i < j, in row-major order.  ``np.triu_indices``
+    # gives the same pairs at several times the cost for small K.
+    order = np.arange(k)
+    tested = np.column_stack(np.nonzero(order[:, None] < order))
     weights = _weights(updates, weighting)
     return AggregationReport(
         strategy="fedavg",

@@ -33,14 +33,17 @@ each source evaluated, by the evaluation reference, on the server
 parameters right after each round.  ``ExperimentResult.csv_rows``
 evaluates them at each record's parameters and must agree bit for bit.
 
-A whole plaintext run written the slow, obvious way: each client alone,
-each local step drawing its rows one scalar call at a time from its own
-stream ``(seed, 1, k, t)``, the loss-gradient reference on those rows, the
-aligned pair loop's reference on the visiting orders drawn one scalar call
-at a time from ``(seed, 2, t)``, a left-to-right fold for the weighted sum,
+A whole run written the slow, obvious way: each client alone, each local
+step drawing its rows one scalar call at a time from its own stream
+``(seed, 1, k, t)``, the loss-gradient reference on those rows, the aligned
+pair loop's reference on the visiting orders drawn one scalar call at a
+time from ``(seed, 2, t)``, a left-to-right fold for the weighted sum,
 ``values - lr * g`` for the step, and the evaluation reference for every
-figure.  ``run_experiment``'s records, ``csv_rows`` and final parameters
-must equal it bit for bit.
+figure.  An encrypted run replays the round's own conflict pairs (or the
+plain weighted sum) on cipher handles and steps on the decryption.  The
+first check to fail ends the run with the error a one-at-a-time round
+raises (see below).  ``run_experiment``'s records, ``csv_rows``, final
+parameters and any error must equal it bit for bit.
 
 Central finite differences over the flat parameter vector, with the usual
 gradient-check hygiene: a symmetric relative-error metric with an absolute
@@ -75,8 +78,22 @@ import numpy as np
 
 from fedalign.aggregation import ClientUpdate, aggregate_fedavg, align_pair
 from fedalign.domains import DomainDataset, leave_one_out, minibatch
-from fedalign.errors import DimensionMismatch, InvalidSpec, NonFiniteResult, TraceViolation
-from fedalign.hekit import ADD, ALLOWED_TAGS, ENC, MUL, SUB, CipherHandle, TraceAudit, TransparentCipher
+from fedalign.errors import DimensionMismatch, NonFiniteResult, OverflowAtScale, TraceViolation
+from fedalign.hekit import (
+    ADD,
+    ALLOWED_TAGS,
+    ENC,
+    MUL,
+    SUB,
+    CipherHandle,
+    TraceAudit,
+    TransparentCipher,
+    aligned_aggregate_encrypted,
+    dec_vec,
+    enc_vec,
+    transparent_cipher,
+    weighted_sum_encrypted,
+)
 from fedalign.federation import ServerState, effective_lr, run_round
 from fedalign.models import Metrics, ParamVector, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng, dot, ensure_finite
@@ -330,75 +347,111 @@ def reference_rows(rng, num_rows: int, batch_size: int) -> np.ndarray:
 
 
 def reference_run(suite, target, model, cfg):
-    """A plaintext run as the module docstring says: ``(rounds, final
-    params)``, each round a dict of its post-step ``params``, its
-    ``target_metrics``, its ``per_client`` dicts and its ``csv_row``."""
+    """A run as the module docstring says: ``(rounds, final params)``, each
+    round a dict of its post-step ``params``, its ``target_metrics``, its
+    ``per_client`` dicts, its ``csv_row`` and its ``trace_audit``.  A round
+    that fails raises its error as ``one_at_a_time_round_error`` builds it."""
     sources, target_ds = leave_one_out(suite, target)
     if cfg.strategy == "deepall":
         features = np.vstack([s.features for s in sources])
         sources = [DomainDataset("pooled", features, np.concatenate([s.labels for s in sources]))]
         cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
-    k = len(sources)
     params = init_params(model, Rng(cfg.seed, 0))
     rounds = []
-    for t in range(cfg.rounds):
-        lr = effective_lr(cfg, t)
-        grads, per_client = [], []
-        for c, ds in enumerate(sources):
-            rng, w, losses = Rng(cfg.seed, 1, c, t), params, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.rounds):
+            rounds.append(_reference_round(sources, target_ds, model, cfg, params, t))
+            params = rounds[-1]["params"]
+    return rounds, params
+
+
+def _reference_round(sources, target_ds, model, cfg, params, t):
+    """Round ``t`` of ``reference_run`` from ``params``: its record."""
+    k = len(sources)
+    lr = effective_lr(cfg, t)
+    grads, per_client = [], []
+    for c, ds in enumerate(sources):
+        rng, w, losses = Rng(cfg.seed, 1, c, t), params, []
+        try:
             for _ in range(cfg.local_steps):
                 rows = reference_rows(rng, ds.num_rows, cfg.batch_size)
                 loss, grad = reference_loss_and_grad(w, ds.features[rows], ds.labels[rows])
+                ensure_finite(grad, "gradient")
                 losses.append(loss)
                 if cfg.local_steps > 1:
                     if cfg.strategy == "fedprox":
                         grad = grad + cfg.mu * (w.values - params.values)
-                    w = ParamVector(model, w.values - lr * grad)
+                    w = ParamVector(model, ensure_finite(w.values - lr * grad, "updated parameters"))
             if cfg.local_steps > 1:
-                grad = (params.values - w.values) / lr
-            grads.append(grad)
-            norm = math.sqrt(dot(grad, grad))
-            per_client.append({"client_id": ds.domain_id, "local_loss": float(np.mean(losses)), "grad_norm": norm})
+                grad = ensure_finite((params.values - w.values) / lr, "displacement")
+        except NonFiniteResult as exc:
+            raise NonFiniteResult(f"round {t}, client {ds.domain_id}: {exc}") from None
+        grads.append(grad)
+        norm = math.sqrt(dot(grad, grad))
+        per_client.append({"client_id": ds.domain_id, "local_loss": float(np.mean(losses)), "grad_norm": norm})
 
-        if cfg.strategy == "aligned":
-            if cfg.order_mode == "random":
-                rng = Rng(cfg.seed, 2, t)
-                outer = scalar_shuffle(rng, k).tolist()
-                perms = [scalar_shuffle(rng, k - 1).tolist() for _ in range(k)]
-            else:
-                outer, perms = list(range(k)), [list(range(k - 1))] * k
-            inner = {i: [p + (p >= i) for p in perm] for i, perm in zip(outer, perms)}
-            tested, aligned = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.align_target)
+    if cfg.strategy == "aligned":
+        if cfg.order_mode == "random":
+            rng = Rng(cfg.seed, 2, t)
+            outer = scalar_shuffle(rng, k).tolist()
+            perms = [scalar_shuffle(rng, k - 1).tolist() for _ in range(k)]
         else:
-            tested, aligned = reference_pair_dots(grads), np.array(grads)
-        if cfg.resolved_weighting == "uniform":
-            weights = [1.0 / k] * k
-        else:
-            weights = [ds.num_rows / sum(d.num_rows for d in sources) for ds in sources]
+            outer, perms = list(range(k)), [list(range(k - 1))] * k
+        inner = {i: [p + (p >= i) for p in perm] for i, perm in zip(outer, perms)}
+        tested, aligned = reference_aligned_pairs(grads, cfg.lam, outer, inner, cfg.accumulate, cfg.align_target)
+        for ds, row in zip(sources, aligned):
+            if not np.isfinite(row).all():
+                raise NonFiniteResult(f"round {t}, client {ds.domain_id}: aligned gradients contains NaN or Inf")
+    else:
+        tested, aligned = reference_pair_dots(grads), np.array(grads)
+    if cfg.resolved_weighting == "uniform":
+        weights = [1.0 / k] * k
+    else:
+        weights = [ds.num_rows / sum(d.num_rows for d in sources) for ds in sources]
+    audit = None
+    try:
         g = weights[0] * aligned[0]
         for weight, row in zip(weights[1:], aligned[1:]):
             g = g + weight * row
-        params = ParamVector(model, params.values - lr * g)
+        ensure_finite(g, "weighted sum")
+        if cfg.encrypt:
+            # The round's own conflict pairs, replayed on cipher handles.
+            cipher = transparent_cipher(cfg.scale)
+            enc = [enc_vec(cipher, row) for row in grads]
+            if cfg.strategy == "aligned":
+                conflicts = [(i, j) for i, j, v in tested if v < 0.0]
+                handle, audit = aligned_aggregate_encrypted(
+                    enc, cfg.lam, cipher, conflicts, weights, cfg.accumulate, cfg.align_target
+                )
+            else:
+                handle, audit = weighted_sum_encrypted(enc, weights, cipher)
+            g, audit = dec_vec(cipher, handle), audit.to_dict()
+        params = ParamVector(model, ensure_finite(params.values - lr * g, "updated parameters"))
+    except (NonFiniteResult, OverflowAtScale) as exc:
+        raise type(exc)(f"round {t}: {exc}") from None
 
-        target_metrics = reference_evaluate(params, target_ds)
-        src = [reference_evaluate(params, ds) for ds in sources]
-        csv_row = {
-            "round": t,
-            "lr": lr,
-            "target_accuracy": target_metrics.accuracy,
-            "target_loss": target_metrics.loss,
-            "mean_source_accuracy": float(np.mean([m.accuracy for m in src])),
-            "mean_source_loss": float(np.mean([m.loss for m in src])),
-            "mean_local_loss": float(np.mean([c["local_loss"] for c in per_client])),
-            "mean_grad_norm": float(np.mean([c["grad_norm"] for c in per_client])),
-            "num_conflicts": sum(v < 0.0 for _, _, v in tested),
-            "variance_before": reference_domain_variance(grads),
-            "variance_after": reference_domain_variance(list(aligned)),
-        }
-        rounds.append(
-            {"params": params, "target_metrics": target_metrics, "per_client": per_client, "csv_row": csv_row}
-        )
-    return rounds, params
+    target_metrics = reference_evaluate(params, target_ds)
+    src = [reference_evaluate(params, ds) for ds in sources]
+    csv_row = {
+        "round": t,
+        "lr": lr,
+        "target_accuracy": target_metrics.accuracy,
+        "target_loss": target_metrics.loss,
+        "mean_source_accuracy": float(np.mean([m.accuracy for m in src])),
+        "mean_source_loss": float(np.mean([m.loss for m in src])),
+        "mean_local_loss": float(np.mean([c["local_loss"] for c in per_client])),
+        "mean_grad_norm": float(np.mean([c["grad_norm"] for c in per_client])),
+        "num_conflicts": sum(v < 0.0 for _, _, v in tested),
+        "variance_before": reference_domain_variance(grads),
+        "variance_after": reference_domain_variance(list(aligned)),
+    }
+    return {
+        "params": params,
+        "target_metrics": target_metrics,
+        "per_client": per_client,
+        "csv_row": csv_row,
+        "trace_audit": audit,
+    }
 
 
 def one_at_a_time_round_error(clients, params: ParamVector, cfg, round_index: int, inject):
@@ -419,14 +472,11 @@ def one_at_a_time_round_error(clients, params: ParamVector, cfg, round_index: in
                     if cfg.strategy == "fedprox":
                         grad = grad + cfg.mu * (w.values - params.values)
                     w = sgd_step(w, grad, lr)
+            if cfg.local_steps > 1:
+                grad = ensure_finite((params.values - w.values) / lr, "displacement")
         except NonFiniteResult as exc:
             return NonFiniteResult(f"round {round_index}, client {ds.domain_id}: {exc}")
-        if cfg.local_steps > 1:
-            grad = (params.values - w.values) / lr
-        try:
-            updates.append(ClientUpdate(ds.domain_id, grad, ds.num_rows, 0.0))
-        except InvalidSpec:
-            return NonFiniteResult(f"round {round_index}, client {ds.domain_id}: displacement contains NaN or Inf")
+        updates.append(ClientUpdate(ds.domain_id, grad, ds.num_rows, 0.0))
     try:
         sgd_step(params, aggregate_fedavg(updates, cfg.resolved_weighting).aggregated, lr)
     except NonFiniteResult as exc:

@@ -723,17 +723,26 @@ class TestAlignConfig:
 
 
 class TestClientUpdate:
+    """A message is checked where both aggregators stack the round's
+    gradients, not when it is built."""
+
+    @staticmethod
+    def assert_rejected(update, error, message):
+        for aggregate in (aggregate_fedavg, aggregate_aligned):
+            with pytest.raises(error, match=f"^{message}$"):
+                aggregate([update])
+
     def test_nonfinite_gradient_rejected(self):
-        with pytest.raises(InvalidSpec):
-            ClientUpdate("c", np.array([1.0, np.nan]), 1, 0.0)
+        update = ClientUpdate("c", np.array([1.0, np.nan]), 1, 0.0)
+        self.assert_rejected(update, InvalidSpec, "client 'c' sent a non-finite gradient")
 
     def test_matrix_gradient_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            ClientUpdate("c", np.ones((2, 2)), 1, 0.0)
+        update = ClientUpdate("c", np.ones((2, 2)), 1, 0.0)
+        self.assert_rejected(update, DimensionMismatch, "gradient must be a flat vector")
 
     def test_zero_samples_rejected(self):
-        with pytest.raises(InvalidSpec):
-            ClientUpdate("c", np.ones(2), 0, 0.0)
+        update = ClientUpdate("c", np.ones(2), 0, 0.0)
+        self.assert_rejected(update, InvalidSpec, "num_samples must be >= 1")
 
 
 class TestAggregateAligned:
@@ -874,22 +883,37 @@ class TestAggregateAligned:
             ClientUpdate("a", np.ones(2), 1, 0.0),
             ClientUpdate("b", np.ones(3), 1, 0.0),
         ]
-        with pytest.raises(DimensionMismatch):
-            aggregate_aligned(ups)
+        for aggregate in (aggregate_fedavg, aggregate_aligned):
+            with pytest.raises(DimensionMismatch, match="^client 'b' gradient length 3 != 2$"):
+                aggregate(ups)
 
-    def test_non_finite_working_matrix_raises(self):
-        # Set past ClientUpdate's own check: the pair loop's one finite
+    @staticmethod
+    def past_the_entry_check(monkeypatch, *cells):
+        """Write each ``(row, column, value)`` of ``cells`` into the updates'
+        gradients and their stack once ``_gradient_matrix`` has checked
+        them, as though the updates had held it all along."""
+        stack = aggregation._gradient_matrix
+
+        def poisoned(updates):
+            grads = stack(updates)
+            for k, c, value in cells:
+                grads[k, c] = updates[k].gradient[c] = value
+            return grads
+
+        monkeypatch.setattr(aggregation, "_gradient_matrix", poisoned)
+
+    def test_non_finite_working_matrix_raises(self, monkeypatch):
+        # Set past the entry's own check: the pair loop's one finite
         # check, over the finished working matrix, names it.
         updates = updates_from([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
-        updates[0].gradient[0] = np.inf
+        self.past_the_entry_check(monkeypatch, (0, 0, np.inf))
         with pytest.raises(NonFiniteResult, match="^client c0: aligned gradients contains NaN or Inf$"):
             aggregate_aligned(updates, AlignConfig(order_mode="fixed"))
 
-    def test_non_finite_working_matrix_names_the_lowest_row(self):
+    def test_non_finite_working_matrix_names_the_lowest_row(self, monkeypatch):
         # No pair conflicts, so no step carries a row's NaN or Inf to another.
         updates = updates_from([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])])
-        updates[2].gradient[0] = np.nan
-        updates[1].gradient[1] = np.nan
+        self.past_the_entry_check(monkeypatch, (2, 0, np.nan), (1, 1, np.nan))
         with pytest.raises(NonFiniteResult, match="^client c1: aligned gradients contains NaN or Inf$"):
             aggregate_aligned(updates, AlignConfig(order_mode="fixed"))
 

@@ -80,3 +80,20 @@ def test_traced_run_records_each_layer(instrument):
     calls = Counter(span[3] for span in tracer.spans)
     assert calls["numcore.rng_init"] == 1 + 2
     assert calls["numcore.shuffle"] == 0
+
+
+@pytest.mark.parametrize("strategy, pairs_per_round", [("aligned", 3 * 2), ("fedavg", 3 * 2 // 2)])
+def test_traced_run_counts_the_aggregators_input(instrument, strategy, pairs_per_round):
+    # The tracer reads each update's ``gradient`` at the aggregators' entry:
+    # K rows of P float64 values a round, and K(K-1) tested pairs a round
+    # for aligned, K(K-1)/2 for fedavg.  A change to ``ClientUpdate`` that
+    # hides the gradient fails here, not in a traced benchmark run.
+    spec = SyntheticSpec(num_domains=4, rotation_degrees=(0.0, 20.0, 40.0, 60.0), samples_per_domain=30)
+    model = ModelSpec(input_dim=2, hidden_dim=4)
+    rounds, k = 3, 3
+    cfg = FedConfig(strategy=strategy, rounds=rounds, batch_size=2)
+    tracer = instrument.Tracer()
+    with instrument.installed(tracer):
+        run_experiment(generate(spec), "dom3", model, cfg)
+    assert tracer.counts["aggregation.bytes_in"] == rounds * k * model.param_count * 8
+    assert tracer.counts["aggregation.pairs_tested"] == rounds * pairs_per_round

@@ -2,6 +2,7 @@ import _ctypes
 import contextlib
 import csv
 import glob
+import hashlib
 import io
 import itertools
 import json
@@ -638,6 +639,50 @@ class TestWriteJson:
         path = tmp_path / "doc.json"
         cli._write_json(str(path), {"a": [1.5, float("inf"), (float("nan"),)], "b": {"c": -float("inf")}})
         assert json.loads(path.read_text()) == {"a": [1.5, None, [None]], "b": {"c": None}}
+
+
+class TestSweepBytes:
+    """The output bytes of a sweep whose fedprox cells diverge (lr 1e30) and
+    fail, pinned at one and at two worker processes: aligned, fedavg and
+    fedprox x dom0-dom3 x seeds 0, 1, 30 rounds each.  The digests hold
+    where OpenBLAS picks an FMA kernel, as the plain golden digests do."""
+
+    DOC = {
+        "sweep": {
+            "strategies": ["aligned", "fedavg", "fedprox"],
+            "seeds": [0, 1],
+            "targets": ["dom0", "dom1", "dom2", "dom3"],
+            "overrides": {"fedprox": {"lr": 1e30}},
+        },
+        "model": {"hidden_dim": 8},
+        "data": {
+            "synthetic": {
+                "family": "rotated_two_moons",
+                "num_domains": 4,
+                "samples_per_domain": 120,
+                "rotation_degrees": [0.0, 15.0, 30.0, 45.0],
+                "noise_sigma": 0.1,
+                "seed": 0,
+            }
+        },
+        "federation": {"rounds": 30, "batch_size": 8, "lr": 0.1},
+    }
+    PINNED = {
+        "results.csv": "95e287d19b331bf5066269d155924dc97cd37b75c6232fc9a01d2a19e41feb75",
+        "aggregate.csv": "d55b0c9be65f836d8d41aab055a3a2c7293d745c103e33011f639afb5bc4f44a",
+        "summary.json": "4f1402259eb2a17df8fd4078218fc980c0531e43015010f6233f715bd9fddc29",
+    }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pinned(self, tmp_path, jobs):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "grid.json", self.DOC)
+        assert main(["sweep", "--spec", path, "--out", str(out), "--quiet", "--jobs", jobs]) == 0
+        with open(out / "results.csv", encoding="utf-8") as fh:
+            errors = [row["error"] for row in csv.DictReader(fh) if row["strategy"] == "fedprox"]
+        assert len(errors) == 8 and all(e.startswith("NonFiniteResult: round ") for e in errors)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED}
+        assert digests == self.PINNED
 
 
 class TestSweep:

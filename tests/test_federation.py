@@ -781,7 +781,27 @@ class TestCsvRowsReplay:
 class TestReferenceRun:
     """A run against ``_oracles.reference_run``, the simulator written the
     slow, obvious way: every record's parameters, target figures, client
-    figures and ``rounds.csv`` row, and the final parameters, bit for bit."""
+    figures, ``rounds.csv`` row and encryption audit, the final parameters,
+    and a failing run's error type and message, bit for bit."""
+
+    @staticmethod
+    def suite_of(sizes, seed):
+        # Client k keeps its first sizes[k] rows, so a batch can be below,
+        # at or above a client's row count, and the sample weights differ.
+        full = small_suite(seed=seed, domains=len(sizes) + 1, samples=12)
+        kept = [replace(d, features=d.features[:n], labels=d.labels[:n]) for d, n in zip(full.domains, sizes)]
+        return DomainSuite((*kept, full.domains[-1]), num_classes=2), full.domains[-1].domain_id
+
+    @staticmethod
+    def assert_same_run(res, expected, final):
+        assert len(res.records) == len(expected) == res.config.rounds
+        for record, ref in zip(res.records, expected):
+            assert record.params.values.tobytes() == ref["params"].values.tobytes()
+            assert repr(record.target_metrics) == repr(ref["target_metrics"])
+            assert repr(list(record.per_client)) == repr(ref["per_client"])
+            assert repr(record.trace_audit) == repr(ref["trace_audit"])
+        assert repr(res.csv_rows()) == repr([ref["csv_row"] for ref in expected])
+        assert res.final_params.values.tobytes() == final.values.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -803,26 +823,84 @@ class TestReferenceRun:
         self, strategy, sizes, local_steps, batch_size, rounds, accumulate, align_target, order_mode, weighting,
         lr, decay, model, seed,
     ):
-        # Client k keeps its first sizes[k] rows, so a batch can be below,
-        # at or above a client's row count, and the sample weights differ.
-        full = small_suite(seed=seed, domains=len(sizes) + 1, samples=12)
-        kept = [replace(d, features=d.features[:n], labels=d.labels[:n]) for d, n in zip(full.domains, sizes)]
-        suite = DomainSuite((*kept, full.domains[-1]), num_classes=2)
-        target = full.domains[-1].domain_id
+        suite, target = self.suite_of(sizes, seed)
         cfg = FedConfig(
             strategy=strategy, rounds=rounds, local_steps=local_steps, batch_size=batch_size, lr=lr,
             lr_decay=decay, weighting=weighting, seed=seed, accumulate=accumulate, align_target=align_target,
             order_mode=order_mode,
         )
-        res = run_experiment(suite, target, model, cfg)
-        expected, final = reference_run(suite, target, model, cfg)
-        assert len(res.records) == len(expected) == rounds
-        for record, ref in zip(res.records, expected):
-            assert record.params.values.tobytes() == ref["params"].values.tobytes()
-            assert repr(record.target_metrics) == repr(ref["target_metrics"])
-            assert repr(list(record.per_client)) == repr(ref["per_client"])
-        assert repr(res.csv_rows()) == repr([ref["csv_row"] for ref in expected])
-        assert res.final_params.values.tobytes() == final.values.tobytes()
+        self.assert_same_run(run_experiment(suite, target, model, cfg), *reference_run(suite, target, model, cfg))
+
+    def assert_same_outcome(self, suite, target, model, cfg):
+        """The run equals the reference's, or fails with its error: the
+        same type and message."""
+        try:
+            expected = reference_run(suite, target, model, cfg)
+        except (NonFiniteResult, OverflowAtScale) as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_experiment(suite, target, model, cfg)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+        else:
+            self.assert_same_run(run_experiment(suite, target, model, cfg), *expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        strategy=st.sampled_from(["fedavg", "fedprox", "aligned", "deepall"]),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        local_steps=st.integers(1, 3),
+        batch_size=st.integers(1, 6),
+        rounds=st.integers(1, 6),
+        accumulate=st.booleans(),
+        align_target=st.sampled_from(["original", "current"]),
+        order_mode=st.sampled_from(["random", "fixed"]),
+        weighting=st.sampled_from([None, "uniform", "sample_weighted"]),
+        lr=st.sampled_from([0.3, 0.5]),
+        model=st.sampled_from([MODEL, LOGREG, ModelSpec(input_dim=2, hidden_dim=3, activation="tanh")]),
+        seed=st.integers(0, 3),
+        scale=st.sampled_from([2**16, 2**24, 2**28, 2**30]),
+    )
+    def test_encrypted_runs_match_reference(
+        self, strategy, sizes, local_steps, batch_size, rounds, accumulate, align_target, order_mode, weighting,
+        lr, model, seed, scale,
+    ):
+        # At 2**30 the aligned replay's E(2) overflows the codec range, so
+        # those runs fail in their first round.
+        suite, target = self.suite_of(sizes, seed)
+        cfg = FedConfig(
+            strategy=strategy, rounds=rounds, local_steps=local_steps, batch_size=batch_size, lr=lr,
+            weighting=weighting, seed=seed, accumulate=accumulate, align_target=align_target,
+            order_mode=order_mode, encrypt=True, scale=scale,
+        )
+        self.assert_same_outcome(suite, target, model, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        strategy=st.sampled_from(["fedavg", "fedprox", "aligned", "deepall"]),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        local_steps=st.integers(1, 3),
+        batch_size=st.integers(1, 6),
+        rounds=st.integers(1, 8),
+        accumulate=st.booleans(),
+        align_target=st.sampled_from(["original", "current"]),
+        lr=st.sampled_from([3e5, 1e30, 1e200]),
+        model=st.sampled_from([MODEL, LOGREG, ModelSpec(input_dim=2, hidden_dim=3, activation="tanh")]),
+        seed=st.integers(0, 3),
+        encrypt=st.booleans(),
+        scale=st.sampled_from([2**10, 2**24, 2**28]),
+    )
+    def test_failing_runs_match_reference(
+        self, strategy, sizes, local_steps, batch_size, rounds, accumulate, align_target, lr, model, seed,
+        encrypt, scale,
+    ):
+        # A large lr diverges within a few rounds, in the model or past the
+        # cipher's fixed-point range.
+        suite, target = self.suite_of(sizes, seed)
+        cfg = FedConfig(
+            strategy=strategy, rounds=rounds, local_steps=local_steps, batch_size=batch_size, lr=lr, seed=seed,
+            accumulate=accumulate, align_target=align_target, encrypt=encrypt, scale=scale,
+        )
+        self.assert_same_outcome(suite, target, model, cfg)
 
 
 class TestGradNorms:
