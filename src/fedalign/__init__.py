@@ -65,7 +65,6 @@ from .federation import (
     FedConfig,
     LrDecay,
     RoundRecord,
-    ServerState,
     client_local_step,
     effective_lr,
     run_experiment,
@@ -161,7 +160,6 @@ __all__ = [
     # federation
     "FedConfig",
     "LrDecay",
-    "ServerState",
     "RoundRecord",
     "ExperimentResult",
     "effective_lr",

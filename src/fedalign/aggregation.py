@@ -76,7 +76,6 @@ from .numcore import RealMat, RealVec, Rng, axpby, dot, nonfinite_rows, shuffles
 from .numcore import shuffle  # noqa: F401
 
 __all__ = [
-    "GradientVector",
     "ClientUpdate",
     "AlignConfig",
     "AggregationReport",
@@ -86,10 +85,6 @@ __all__ = [
     "aggregate_fedavg",
     "domain_variance",
 ]
-
-# A gradient travels as a flat float64 vector in canonical model order;
-# client attribution lives on the enclosing ClientUpdate / report fields.
-GradientVector = np.ndarray
 
 WEIGHTINGS = ("uniform", "sample_weighted")
 TARGETS = ("original", "current")
@@ -117,7 +112,7 @@ class ClientUpdate:
     ``_gradient_matrix``)."""
 
     client_id: str
-    gradient: GradientVector
+    gradient: RealVec
     num_samples: int
     local_loss: float
 
@@ -164,20 +159,22 @@ class AggregationReport:
     pairs conflict: ``loop_conflicts``, the aligned loop's decisions, or for
     fedavg decided from ``originals`` on first read.  ``variance_before`` and
     ``variance_after`` are computed on first read and cached; the second is
-    the first when ``aligned`` is ``originals``.  ``row_squares``, set by the
-    aligned aggregator alone, holds each row's squared norm as the pairwise
-    ``np.sum(g * g)``, which its sign certificate read.
+    the first when ``aligned`` is ``originals``.  ``config`` is the
+    :class:`AlignConfig` the aligned aggregator ran with (None for fedavg),
+    and ``row_squares``, set by the aligned aggregator alone, holds each
+    row's squared norm as the pairwise ``np.sum(g * g)``, which its sign
+    certificate read.
     """
 
     strategy: str
-    aggregated: GradientVector
+    aggregated: RealVec
     originals: RealMat
     client_ids: tuple[str, ...]
     weights: tuple[float, ...]
     tested_pairs: np.ndarray
-    semantics: dict = field(default_factory=dict)
+    config: AlignConfig | None = None
     loop_conflicts: np.ndarray | None = None
-    row_squares: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    row_squares: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # The derived figures are read after the run, outside its numpy error
     # state: a diagnostic that overflows reads inf, without a warning.
@@ -215,12 +212,12 @@ class AggregationReport:
         if not conflicts:
             return self.originals
         # The recorded conflicts, in tested order, stepped as the loop did.
-        sem = self.semantics
+        cfg = self.config
         working = self.originals.copy()
         orig_rows, work_rows = list(self.originals), list(working)
-        probes = work_rows if sem["accumulate"] else orig_rows
-        targets = work_rows if sem["target"] == "current" else orig_rows
-        lam, addend = sem["lambda"], np.empty(working.shape[1])
+        probes = work_rows if cfg.accumulate else orig_rows
+        targets = work_rows if cfg.target == "current" else orig_rows
+        lam, addend = cfg.lam, np.empty(working.shape[1])
         for i, j in conflicts:
             _step_into(work_rows[i], probes[i], np.multiply(targets[j], 2.0 * lam, out=addend), lam)
         return working
@@ -488,24 +485,17 @@ def aggregate_aligned(
     if loop_conflicts.any():
         for row, g in zip(work_rows, orig_rows):
             row[...] = g
-    report = AggregationReport(
+    return AggregationReport(
         strategy="aligned",
         aggregated=aggregated,
         originals=working,
         client_ids=ids,
         weights=weights,
         tested_pairs=_frozen(pairs).reshape(-1, 2),
-        semantics={
-            "lambda": cfg.lam,
-            "accumulate": cfg.accumulate,
-            "target": cfg.target,
-            "order_mode": cfg.order_mode,
-            "weighting": cfg.weighting,
-        },
+        config=cfg,
         loop_conflicts=loop_conflicts,
+        row_squares=squares,
     )
-    object.__setattr__(report, "row_squares", squares)
-    return report
 
 
 def aggregate_fedavg(
@@ -531,5 +521,4 @@ def aggregate_fedavg(
         client_ids=tuple(u.client_id for u in updates),
         weights=weights,
         tested_pairs=_frozen(tested),
-        semantics={"weighting": weighting},
     )

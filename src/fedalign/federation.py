@@ -84,7 +84,6 @@ __all__ = [
     "LrDecay",
     "FedConfig",
     "effective_lr",
-    "ServerState",
     "RoundRecord",
     "ExperimentResult",
     "ROUND_CSV_COLUMNS",
@@ -223,14 +222,6 @@ def effective_lr(cfg: FedConfig, round_index: int) -> float:
     if cfg.lr_decay is None:
         return cfg.lr
     return cfg.lr / cfg.lr_decay.factor ** (round_index // cfg.lr_decay.every_n_rounds)
-
-
-@dataclass
-class ServerState:
-    """Coordinator state carried across rounds."""
-
-    params: ParamVector
-    round_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -378,8 +369,7 @@ class RowsMemo:
 
     A lookup at another seed empties it first.  It stores a drawn entry only
     while the entries fit in ``budget`` bytes and never evicts one, so
-    traffic past the budget still hits on what was stored first.  ``misses``
-    counts the draws since the memo was last emptied.
+    traffic past the budget still hits on what was stored first.
     """
 
     def __init__(self, budget: int = ROWS_MEMO_BYTES):
@@ -390,7 +380,6 @@ class RowsMemo:
         self.seed: int | None = None
         self.entries: dict[tuple[int, ...], tuple[np.ndarray | slice, ...]] = {}
         self.nbytes = 0
-        self.misses = 0
 
     def __call__(
         self, seed: int, client_index: int, round_index: int, num_rows: int, batch_size: int, local_steps: int
@@ -404,7 +393,6 @@ class RowsMemo:
         key = (client_index, round_index, num_rows, batch_size, local_steps)
         rows = self.entries.get(key)
         if rows is None:
-            self.misses += 1
             rows = _draw_rows(num_rows, batch_size, local_steps, Rng(seed, 1, client_index, round_index))
             size = _ENTRY_BYTES + sum(
                 _SELECTION_BYTES + (sel.nbytes if isinstance(sel, np.ndarray) else 0) for sel in rows
@@ -533,21 +521,21 @@ def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) ->
     return aggregate_fedavg(updates, weighting=cfg.resolved_weighting)
 
 
-def _encrypted_replay(report: AggregationReport, cfg: FedConfig) -> tuple[np.ndarray, dict]:
+def _encrypted_replay(report: AggregationReport, scale: int) -> tuple[np.ndarray, dict]:
     """Re-run the round's aggregation arithmetic on cipher handles, one per
-    row of ``report.originals``, and return (decrypted aggregate, audit
-    dict)."""
-    cipher = transparent_cipher(cfg.scale)
+    row of ``report.originals``, with the semantics of ``report.config``,
+    and return (decrypted aggregate, audit dict)."""
+    cipher = transparent_cipher(scale)
     enc = [enc_vec(cipher, g) for g in report.originals]
-    if report.strategy == "aligned":
+    if (acfg := report.config) is not None:
         handle, audit = aligned_aggregate_encrypted(
             enc,
-            cfg.lam,
+            acfg.lam,
             cipher,
             report.conflict_pairs,
             weights=list(report.weights),
-            accumulate=cfg.accumulate,
-            target=cfg.align_target,
+            accumulate=acfg.accumulate,
+            target=acfg.target,
         )
     else:
         handle, audit = weighted_sum_encrypted(enc, list(report.weights), cipher)
@@ -555,31 +543,32 @@ def _encrypted_replay(report: AggregationReport, cfg: FedConfig) -> tuple[np.nda
 
 
 def run_round(
-    server: ServerState,
+    params: ParamVector,
+    t: int,
     clients: list[DomainDataset],
     cfg: FedConfig,
     target_dataset: DomainDataset,
 ) -> RoundRecord:
-    """Advance the federation by one round, mutating ``server`` in place."""
-    t = server.round_index
+    """Round ``t`` of the federation from the global parameters ``params``:
+    a pure step, which mutates none of its arguments and returns the
+    round's record, whose ``params`` start round ``t + 1``."""
     lr = effective_lr(cfg, t)
-    _check_data(clients, server.params.spec, cfg.batch_size)
+    _check_data(clients, params.spec, cfg.batch_size)
     rows = [client_rows(cfg.seed, k, t, ds.num_rows, cfg.batch_size, cfg.local_steps) for k, ds in enumerate(clients)]
     try:
-        values, grads = client_phase(clients, server.params, cfg, rows, lr)
+        values, grads = client_phase(clients, params, cfg, rows, lr)
         updates = _updates(clients, values, grads)
         report = _aggregate(updates, cfg, t)
         squares = report.row_squares
         audit_dict = None
         if cfg.encrypt:
-            decrypted, audit_dict = _encrypted_replay(report, cfg)
+            decrypted, audit_dict = _encrypted_replay(report, cfg.scale)
             report = replace(report, aggregated=decrypted)
-        server.params = sgd_step(server.params, report.aggregated, lr)
+        params = sgd_step(params, report.aggregated, lr)
     except (NonFiniteResult, OverflowAtScale) as exc:
         # An error that names its client joins the round as "round t, client <id>: ".
         sep = ", " if str(exc).startswith("client ") else ": "
         raise type(exc)(f"round {t}{sep}{exc}") from exc
-    server.round_index = t + 1
 
     # Each norm is sqrt(dot(g, g)) bit for bit: np.sum(g * g) reduces each
     # row pairwise.  The aligned aggregator took those sums for its sign
@@ -597,8 +586,8 @@ def run_round(
         lr=lr,
         per_client=per_client,
         aggregation=report,
-        params=server.params,
-        target_metrics=evaluate(server.params, target_dataset),
+        params=params,
+        target_metrics=evaluate(params, target_dataset),
         trace_audit=audit_dict,
     )
 
@@ -627,12 +616,14 @@ def run_experiment(
         ]
         train_cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
     initial = init_params(model, Rng(cfg.seed, 0))
-    server = ServerState(params=initial)
     # A diverging run overflows inside the model math long before a check
     # sees it; NonFiniteResult reports it, so numpy's warnings would only be
     # noise.  Set once per run: the model layer is called thousands of times.
     with np.errstate(over="ignore", invalid="ignore"):
-        records = [run_round(server, sources, train_cfg, target_dataset) for _ in range(cfg.rounds)]
+        records, params = [], initial
+        for t in range(cfg.rounds):
+            records.append(run_round(params, t, sources, train_cfg, target_dataset))
+            params = records[-1].params
         final_target = records[-1].target_metrics if records else evaluate(initial, target_dataset)
     return ExperimentResult(
         config=cfg,

@@ -307,12 +307,6 @@ def audit_trace(handles: Sequence[CipherHandle]) -> TraceAudit:
     return TraceAudit(coordinates=coordinates, total_tags=total, tag_counts=counts)
 
 
-class _Checked(list):
-    """Handles known to pass :func:`_check_enc_updates`: the aligned
-    replay's working handles, which keep the shape of the handles it
-    checked, so the sum it ends with does not check them again."""
-
-
 def _check_enc_updates(enc_updates: Sequence[CipherHandle]) -> None:
     if len(enc_updates) == 0:
         raise InvalidSpec("no encrypted updates")
@@ -329,8 +323,7 @@ def weighted_sum_encrypted(
 ) -> tuple[CipherHandle, TraceAudit]:
     """Encrypted ``sum_k E(w_k) (x) E(g_k)`` — the averaging step of any
     strategy, in operator algebra."""
-    if not isinstance(enc_updates, _Checked):
-        _check_enc_updates(enc_updates)
+    _check_enc_updates(enc_updates)
     if len(weights) != len(enc_updates):
         raise DimensionMismatch("one weight per encrypted update required")
     # Each distinct weight is encrypted once, in first-occurrence order, so
@@ -376,7 +369,7 @@ def aligned_aggregate_encrypted(
     # Built even when no pair conflicts: at a scale of 2^30 or more, encoding
     # 2.0 overflows, and a run at that scale must fail in its first round.
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
-    working = _Checked(enc_updates)
+    working = list(enc_updates)
     seen = set()
     for i, j in np.asarray(conflicts, dtype=np.int64).reshape(-1, 2).tolist():
         if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:

@@ -108,10 +108,6 @@ class Rng:
         self.key = (int(seed),) + tuple(int(k) for k in subkeys)
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.key)))
 
-    @property
-    def seed(self) -> int:
-        return self.key[0]
-
     def integers(self, low, high=None, size=None) -> np.ndarray | int:
         """Integers from ``[low, high)`` (or ``[0, low)`` when high is None).
 

@@ -94,7 +94,7 @@ from fedalign.hekit import (
     transparent_cipher,
     weighted_sum_encrypted,
 )
-from fedalign.federation import ServerState, effective_lr, run_round
+from fedalign.federation import effective_lr, run_round
 from fedalign.models import Metrics, ParamVector, init_params, loss_and_grad, sgd_step
 from fedalign.numcore import Rng, dot, ensure_finite
 
@@ -317,23 +317,23 @@ def reference_evaluate(params: ParamVector, dataset, unit_weights: bool = False)
 
 def reference_source_means(suite, target, model, cfg, unit_weights: bool = False):
     """``[(mean source accuracy, mean source loss), ...]`` per round, each
-    source evaluated on ``server.params`` after that round's ``run_round``
+    source evaluated on the ``params`` of that round's ``run_round`` record
     (deepall: the pooled sources, trained as fedavg), and the final params."""
     sources, target_ds = leave_one_out(suite, target)
     if cfg.strategy == "deepall":
         features = np.vstack([s.features for s in sources])
         sources = [DomainDataset("pooled", features, np.concatenate([s.labels for s in sources]))]
         cfg = replace(cfg, strategy="fedavg", lam=None, mu=None)
-    server = ServerState(params=init_params(model, Rng(cfg.seed, 0)))
+    params = init_params(model, Rng(cfg.seed, 0))
     means = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.rounds):
-            run_round(server, sources, cfg, target_ds)
-            metrics = [reference_evaluate(server.params, ds, unit_weights) for ds in sources]
+        for t in range(cfg.rounds):
+            params = run_round(params, t, sources, cfg, target_ds).params
+            metrics = [reference_evaluate(params, ds, unit_weights) for ds in sources]
             means.append(
                 (float(np.mean([m.accuracy for m in metrics])), float(np.mean([m.loss for m in metrics])))
             )
-    return means, server.params
+    return means, params
 
 
 def reference_rows(rng, num_rows: int, batch_size: int) -> np.ndarray:

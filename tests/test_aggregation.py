@@ -644,11 +644,9 @@ class TestLazyDiagnostics:
             assert bits(norms) == bits(c["grad_norm"] for c in r.per_client)
             assert bits([rep.variance_before]) == bits([reference_domain_variance(list(x))])
             assert bits([rep.variance_after]) == bits([reference_domain_variance(list(rep.aligned))])
-            sem = rep.semantics
+            acfg = rep.config
             outer, inner = visiting_order(rep.tested_pairs)
-            tested, working = reference_aligned_pairs(
-                list(x), sem["lambda"], outer, inner, sem["accumulate"], sem["target"]
-            )
+            tested, working = reference_aligned_pairs(list(x), acfg.lam, outer, inner, acfg.accumulate, acfg.target)
             assert rep.conflict_pairs.tolist() == [[i, j] for i, j, v in tested if v < 0.0]
             assert rep.aligned.tobytes() == working.tobytes()
 
@@ -866,13 +864,7 @@ class TestAggregateAligned:
 
     def test_semantics_recorded(self):
         rep = aggregate_aligned(updates_from([np.ones(2), np.ones(2)]))
-        assert rep.semantics == {
-            "lambda": 0.1,
-            "accumulate": True,
-            "target": "original",
-            "order_mode": "random",
-            "weighting": "uniform",
-        }
+        assert rep.config == AlignConfig()
 
     def test_empty_updates_rejected(self):
         with pytest.raises(EmptyUpdateSet):

@@ -70,3 +70,18 @@ def test_single_pair(bench_pairs):
     s = bench_pairs.summarize(pairs_of([2.0], [3.0]), {"rounds_per_s": "higher"})["rounds_per_s"]
     assert s["base"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert s["ratio_ci95"] == [1.5, 1.5]
+
+
+def test_zero_base_counts_in_the_signs_but_not_the_ratios(bench_pairs):
+    # A base target_accuracy of 0.0 has no ratio; the pair still counts.
+    pairs = pairs_of([0.0, 0.8, 0.5], [0.5, 0.8, 0.6], "target_accuracy")
+    s = bench_pairs.summarize(pairs, {"target_accuracy": "higher"})["target_accuracy"]
+    assert s["pairs"] == 3 and s["ratio_pairs"] == 2
+    assert s["sign"] == {"better": 2, "worse": 0, "equal": 1}
+    assert s["median_ratio"] == pytest.approx(1.1)
+    lo, hi = s["ratio_ci95"]
+    assert 1.0 <= lo <= hi <= 1.2 + 1e-12
+    none = bench_pairs.summarize(pairs_of([0.0, 0.0], [0.0, 0.5], "target_accuracy"), {"target_accuracy": "higher"})
+    assert none["target_accuracy"]["ratio_pairs"] == 0
+    assert none["target_accuracy"]["median_ratio"] is None and none["target_accuracy"]["ratio_ci95"] is None
+    assert none["target_accuracy"]["sign"] == {"better": 1, "worse": 0, "equal": 1}

@@ -32,7 +32,6 @@ from fedalign.federation import (
     RowsMemo,
     FedConfig,
     LrDecay,
-    ServerState,
     client_local_step,
     client_phase,
     client_rows,
@@ -48,6 +47,20 @@ from _oracles import broadcast_client_phase, one_at_a_time_round_error, referenc
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 LOGREG = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2, activation="relu")
+
+
+def count_client_streams(monkeypatch) -> list:
+    """The keys ``(seed, 1, client, round)`` of the client batch streams
+    that ``federation`` builds from here on, in order."""
+    built = []
+
+    def counting_rng(*key):
+        if key[1:2] == (1,):
+            built.append(key)
+        return Rng(*key)
+
+    monkeypatch.setattr(federation, "Rng", counting_rng)
+    return built
 
 
 def small_suite(seed=0, domains=3, samples=40):
@@ -319,14 +332,15 @@ class TestClientRows:
             pytest.param(dict(strategy="aligned", batch_size=45), id="with-replacement"),
         ],
     )
-    def test_cold_and_warm_cache_give_same_bits(self, extra):
+    def test_cold_and_warm_cache_give_same_bits(self, extra, monkeypatch):
         suite = small_suite()
         cfg = FedConfig(**{"rounds": 6, "batch_size": 4, "seed": 3, **extra})
+        client_streams = count_client_streams(monkeypatch)
         client_rows.clear()
         cold = run_experiment(suite, "dom2", MODEL, cfg)
-        misses = client_rows.misses
+        misses = len(client_streams)
         warm = run_experiment(suite, "dom2", MODEL, cfg)
-        assert client_rows.misses == misses > 0
+        assert len(client_streams) == misses > 0
         assert warm.final_params.values.tobytes() == cold.final_params.values.tobytes()
         for a, b in zip(cold.records, warm.records):
             assert a.aggregation.aggregated.tobytes() == b.aggregation.aggregated.tobytes()
@@ -358,15 +372,16 @@ class TestClientRows:
         assert ROWS_MEMO_BYTES == 2**22
         assert client_rows.budget == ROWS_MEMO_BYTES
 
-    def test_stores_nothing_past_the_budget(self):
+    def test_stores_nothing_past_the_budget(self, monkeypatch):
         # Room for two entries of one batch-4 selection: the third is drawn
         # exactly as a fresh draw but not stored, and the first two still hit.
+        client_streams = count_client_streams(monkeypatch)
         memo = RowsMemo(budget=2 * (200 + 150 + 4 * 8))
         first = [memo(0, 0, t, 40, 4, 1) for t in range(3)]
         assert len(memo.entries) == 2 and memo.nbytes <= memo.budget
         again = [memo(0, 0, t, 40, 4, 1) for t in range(3)]
         assert [a is b for a, b in zip(first, again)] == [True, True, False]
-        assert np.array_equal(first[2][0], again[2][0]) and memo.misses == 4
+        assert np.array_equal(first[2][0], again[2][0]) and len(client_streams) == 4
 
     def test_holds_one_seed_at_a_time(self):
         memo = RowsMemo()
@@ -379,31 +394,18 @@ class TestClientRows:
     def test_sweep_cells_at_one_seed_share_client_streams(self, monkeypatch):
         # Two strategies at one seed and target: the second cell reuses the
         # first cell's rows, so K * R client streams are built, not 2 * K * R.
-        built = []
-
-        def counting_rng(*key):
-            built.append(key)
-            return Rng(*key)
-
-        monkeypatch.setattr(federation, "Rng", counting_rng)
+        client_streams = count_client_streams(monkeypatch)
         client_rows.clear()
         spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom2",))
         result = run_sweep(small_suite(), MODEL, {"rounds": 5, "batch_size": 4}, spec, jobs=1)
         assert all(c.error is None for c in result.cells)
-        client_streams = [key for key in built if key[1:2] == (1,)]
         assert sorted(client_streams) == sorted((0, 1, k, t) for k in range(2) for t in range(5))
 
     def test_sweep_runs_seed_by_seed(self, monkeypatch):
         # The memo holds one seed, so the cells must run seed by seed for
         # every seed's K * R client streams to be built once, however many
         # seeds there are; results stay in grid order.
-        built = []
-
-        def counting_rng(*key):
-            built.append(key)
-            return Rng(*key)
-
-        monkeypatch.setattr(federation, "Rng", counting_rng)
+        client_streams = count_client_streams(monkeypatch)
         client_rows.clear()
         spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(4, 2, 9), targets=("dom2",))
         lines = []
@@ -416,7 +418,6 @@ class TestClientRows:
         assert [line.split()[1:4:2] for line in lines] == [
             [s, f"seed={seed}"] for seed in spec.seeds for s in spec.strategies
         ]
-        client_streams = [key for key in built if key[1:2] == (1,)]
         assert sorted(client_streams) == sorted(
             (seed, 1, k, t) for seed in spec.seeds for k in range(2) for t in range(3)
         )
@@ -425,9 +426,8 @@ class TestClientRows:
         suite = small_suite()
         empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
         clients = [suite.domains[0], empty]
-        server = ServerState(params=init_params(MODEL, Rng(0, 0)))
         with pytest.raises(EmptyDataset, match="^client void has no data$"):
-            run_round(server, clients, FedConfig(), suite.domains[2])
+            run_round(init_params(MODEL, Rng(0, 0)), 0, clients, FedConfig(), suite.domains[2])
 
 
 class TestRunRound:
@@ -436,19 +436,16 @@ class TestRunRound:
         sources, target = leave_one_out(suite, "dom2")
         cfg = FedConfig(strategy="fedavg", batch_size=8, lr=0.05)
         params = init_params(MODEL, Rng(cfg.seed, 0))
-        server = ServerState(params=params)
-        record = run_round(server, sources, cfg, target)
+        record = run_round(params, 0, sources, cfg, target)
         expected = sgd_step(params, record.aggregation.aggregated, 0.05)
-        assert np.array_equal(server.params.values, expected.values)
-        assert server.round_index == 1
+        assert np.array_equal(record.params.values, expected.values)
         assert record.round == 0 and record.lr == 0.05
 
     def test_round_record_shape(self):
         suite = small_suite()
         sources, target = leave_one_out(suite, "dom2")
         cfg = FedConfig(strategy="aligned", batch_size=8)
-        server = ServerState(params=init_params(MODEL, Rng(cfg.seed, 0)))
-        record = run_round(server, sources, cfg, target)
+        record = run_round(init_params(MODEL, Rng(cfg.seed, 0)), 0, sources, cfg, target)
         assert {c["client_id"] for c in record.per_client} == {"dom0", "dom1"}
         assert 0.0 <= record.target_metrics.accuracy <= 1.0
         assert record.trace_audit is None
@@ -457,9 +454,8 @@ class TestRunRound:
         suite = small_suite()
         wide = DomainDataset("wide", np.zeros((40, 3)), suite.domains[1].labels)
         clients = [suite.domains[0], wide]
-        server = ServerState(params=init_params(MODEL, Rng(0, 0)))
         with pytest.raises(DimensionMismatch, match=r"batch shape \(8, 3\)"):
-            run_round(server, clients, FedConfig(strategy="fedavg", batch_size=8), suite.domains[2])
+            run_round(init_params(MODEL, Rng(0, 0)), 0, clients, FedConfig(strategy="fedavg", batch_size=8), suite.domains[2])
 
     def test_errors_name_round_and_client(self):
         suite = small_suite()
@@ -481,6 +477,39 @@ class TestRunRound:
             run_experiment(suite, "dom2", MODEL, too_fine)
 
 
+class TestPureRound:
+    """A round is a pure step over its record: from record t-1's parameters,
+    round t gives back record t bit for bit and mutates no argument."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(dict(strategy="aligned"), id="aligned"),
+            pytest.param(dict(strategy="fedavg"), id="fedavg"),
+            pytest.param(dict(strategy="fedprox", local_steps=2, lr=0.1), id="fedprox-local2"),
+            pytest.param(dict(strategy="aligned", encrypt=True), id="aligned-encrypt"),
+        ],
+    )
+    def test_round_from_a_record_gives_the_next_record(self, extra):
+        suite = small_suite()
+        cfg = FedConfig(**{"rounds": 4, "batch_size": 4, "seed": 3, **extra})
+        records = run_experiment(suite, "dom2", MODEL, cfg).records
+        sources, target = leave_one_out(suite, "dom2")
+        data = [(ds.features.tobytes(), ds.labels.tobytes()) for ds in sources]
+        for t in range(1, cfg.rounds):
+            start = records[t - 1].params
+            before = start.values.tobytes()
+            record = run_round(start, t, sources, cfg, target)
+            assert start.values.tobytes() == before
+            assert record.round == records[t].round == t
+            assert record.params.values.tobytes() == records[t].params.values.tobytes()
+            assert record.aggregation.aggregated.tobytes() == records[t].aggregation.aggregated.tobytes()
+            assert record.target_metrics == records[t].target_metrics
+            assert record.trace_audit == records[t].trace_audit
+        assert [(ds.features.tobytes(), ds.labels.tobytes()) for ds in sources] == data
+        assert (records[-1].trace_audit is not None) == cfg.encrypt
+
+
 class TestRoundFailures:
     """A failing round names its client from that client's own row of the
     stacked client phase, as stepping the clients one at a time would."""
@@ -499,11 +528,11 @@ class TestRoundFailures:
         wide = DomainDataset("wide", np.zeros((40, 3)), suite.domains[1].labels)
         empty = DomainDataset("void", np.zeros((0, 2)), np.zeros(0, dtype=int))
         monkeypatch.setattr(federation, "client_rows", None)
-        server = ServerState(params=init_params(MODEL, Rng(0, 0)))
+        params = init_params(MODEL, Rng(0, 0))
         with pytest.raises(DimensionMismatch, match=r"^batch shape \(8, 3\) does not match input_dim=2$"):
-            run_round(server, [suite.domains[0], wide, empty], FedConfig(batch_size=8), suite.domains[2])
+            run_round(params, 0, [suite.domains[0], wide, empty], FedConfig(batch_size=8), suite.domains[2])
         with pytest.raises(EmptyDataset, match="^client void has no data$"):
-            run_round(server, [suite.domains[0], empty, wide], FedConfig(batch_size=8), suite.domains[2])
+            run_round(params, 0, [suite.domains[0], empty, wide], FedConfig(batch_size=8), suite.domains[2])
 
     def test_overflowing_displacement_named_before_a_later_client(self, monkeypatch):
         # Client 0's two steps stay finite: 1.7e308 added to its last

