@@ -22,9 +22,10 @@ two choices open:
   methods project against originals) or its *current* working copy.
 
 Each aggregation stacks the round's client gradients once into a
-C-contiguous K×P float64 matrix, one row per client, and checks the
-messages there, with one finite pass over the stack; the aligned strategy
-corrects its rows in place and reads the originals from the updates.
+C-contiguous K×P float64 matrix, one row per client, checks the messages
+there, with one finite pass over the stack, and takes each row's squared
+norm; the aligned strategy corrects its rows in place and reads the
+originals from the updates.
 
 The aligned pair loop pays for little beyond its arithmetic.  A round's
 K+1 visiting orders come from one ``numcore.shuffles`` draw.  A tested
@@ -159,22 +160,21 @@ class AggregationReport:
     pairs conflict: ``loop_conflicts``, the aligned loop's decisions, or for
     fedavg decided from ``originals`` on first read.  ``variance_before`` and
     ``variance_after`` are computed on first read and cached; the second is
-    the first when ``aligned`` is ``originals``.  ``config`` is the
-    :class:`AlignConfig` the aligned aggregator ran with (None for fedavg),
-    and ``row_squares``, set by the aligned aggregator alone, holds each
-    row's squared norm as the pairwise ``np.sum(g * g)``, which its sign
-    certificate read.
+    the first when ``aligned`` is ``originals``.  ``row_squares`` holds
+    each row of ``originals``' squared norm as the pairwise ``np.sum(g *
+    g)``: the sums the sign certificates read and the round's gradient
+    norms take.  ``config`` is the :class:`AlignConfig` the aligned
+    aggregator ran with (None for fedavg).
     """
 
-    strategy: str
     aggregated: RealVec
     originals: RealMat
     client_ids: tuple[str, ...]
     weights: tuple[float, ...]
     tested_pairs: np.ndarray
+    row_squares: np.ndarray = field(repr=False, compare=False)
     config: AlignConfig | None = None
     loop_conflicts: np.ndarray | None = None
-    row_squares: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # The derived figures are read after the run, outside its numpy error
     # state: a diagnostic that overflows reads inf, without a warning.
@@ -188,7 +188,7 @@ class AggregationReport:
         # the pairwise sum.
         x = self.originals
         gram = (x @ x.T).tolist()
-        norms = [_norm(gram[i][i]) for i in range(len(gram))]
+        norms = list(map(_norm, self.row_squares.tolist()))
         slope, floor = _certificate(x.shape[1])
         product = np.empty(x.shape[1])
         conflicts = []
@@ -325,12 +325,14 @@ def domain_variance(grads: RealMat) -> float:
     return total
 
 
-def _gradient_matrix(updates: Sequence[ClientUpdate]) -> RealMat:
+def _gradient_matrix(updates: Sequence[ClientUpdate]) -> tuple[RealMat, np.ndarray]:
     """The updates' gradients stacked as a float64 K×P matrix, row k for
-    update k: the one check of a round's messages.  The first update, in
-    order, whose gradient is not a flat vector as long as the first one's,
-    or whose ``num_samples`` is below 1, raises; then one finite pass over
-    the stack names the first client whose gradient holds a NaN or Inf."""
+    update k, and each row's pairwise squared norm (a square may overflow
+    to inf, without a warning): the one check of a round's messages.  The
+    first update, in order, whose gradient is not a flat vector as long as
+    the first one's, or whose ``num_samples`` is below 1, raises; then one
+    finite pass over the stack names the first client whose gradient holds
+    a NaN or Inf."""
     if len(updates) == 0:
         raise EmptyUpdateSet("no client updates to aggregate")
     first = np.shape(updates[0].gradient)
@@ -345,7 +347,8 @@ def _gradient_matrix(updates: Sequence[ClientUpdate]) -> RealMat:
     grads = np.array([u.gradient for u in updates], dtype=np.float64)
     if bad := nonfinite_rows(grads):
         raise InvalidSpec(f"client {updates[bad[0]].client_id!r} sent a non-finite gradient")
-    return grads
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return grads, np.add.reduce(grads * grads, axis=1)
 
 
 def _weights(updates: Sequence[ClientUpdate], weighting: str) -> tuple[float, ...]:
@@ -399,10 +402,8 @@ def aggregate_aligned(
     output does not depend on the BLAS.
 
     The bound needs only upper bounds on the norms, to within that slack.
-    The row norms are computed once per round, under an error state that
-    lets a squared norm overflow to inf without a warning, from each row's
-    pairwise ``np.sum(g * g)``: the sums the round's gradient norms take,
-    which the report keeps as ``row_squares``.  A pass starts
+    The row norms are computed once per round, from the ``row_squares``
+    that ``_gradient_matrix`` takes.  A pass starts
     from its probe row's norm: row *i* is untouched until its own pass.  A
     conflict's step is a convex combination, so the stepped row's norm is
     at most the larger of the probe's and the target's, up to a few
@@ -416,7 +417,7 @@ def aggregate_aligned(
     """
     # The stacked matrix is the working copy; the originals stay readable in
     # the updates until the aggregate is formed.
-    working = _gradient_matrix(updates)
+    working, squares = _gradient_matrix(updates)
     if rng is None:
         rng = Rng(0)
     k = len(updates)
@@ -442,8 +443,7 @@ def aggregate_aligned(
     accumulate, current, lam = cfg.accumulate, cfg.target == "current", cfg.lam
     probes = work_rows if accumulate else orig_rows
     targets = work_rows if current else orig_rows
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = list(map(_norm, (squares := np.add.reduce(working * working, axis=1)).tolist()))
+    norms = list(map(_norm, squares.tolist()))
     # The steps' 2*lam * g_j, when they target the originals (still the
     # working rows here).
     scaled = None if current else list(working * (2.0 * lam))
@@ -486,15 +486,14 @@ def aggregate_aligned(
         for row, g in zip(work_rows, orig_rows):
             row[...] = g
     return AggregationReport(
-        strategy="aligned",
         aggregated=aggregated,
         originals=working,
         client_ids=ids,
         weights=weights,
         tested_pairs=_frozen(pairs).reshape(-1, 2),
+        row_squares=squares,
         config=cfg,
         loop_conflicts=loop_conflicts,
-        row_squares=squares,
     )
 
 
@@ -507,7 +506,7 @@ def aggregate_fedavg(
     Pairwise conflicts are still reported as a diagnostic, decided when
     first read, but do not influence the result.
     """
-    originals = _gradient_matrix(updates)
+    originals, squares = _gradient_matrix(updates)
     k = len(updates)
     # Every (i, j) with i < j, in row-major order.  ``np.triu_indices``
     # gives the same pairs at several times the cost for small K.
@@ -515,10 +514,10 @@ def aggregate_fedavg(
     tested = np.column_stack(np.nonzero(order[:, None] < order))
     weights = _weights(updates, weighting)
     return AggregationReport(
-        strategy="fedavg",
         aggregated=weighted_sum(originals, weights),
         originals=originals,
         client_ids=tuple(u.client_id for u in updates),
         weights=weights,
         tested_pairs=_frozen(tested),
+        row_squares=squares,
     )

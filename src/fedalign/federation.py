@@ -559,7 +559,6 @@ def run_round(
         values, grads = client_phase(clients, params, cfg, rows, lr)
         updates = _updates(clients, values, grads)
         report = _aggregate(updates, cfg, t)
-        squares = report.row_squares
         audit_dict = None
         if cfg.encrypt:
             decrypted, audit_dict = _encrypted_replay(report, cfg.scale)
@@ -570,13 +569,9 @@ def run_round(
         sep = ", " if str(exc).startswith("client ") else ": "
         raise type(exc)(f"round {t}{sep}{exc}") from exc
 
-    # Each norm is sqrt(dot(g, g)) bit for bit: np.sum(g * g) reduces each
-    # row pairwise.  The aligned aggregator took those sums for its sign
-    # certificate; otherwise nothing reads the updates' gradients, the rows
-    # of ``grads``, once the round is aggregated, so square it in place.
-    if squares is None:
-        squares = np.add.reduce(np.multiply(grads, grads, out=grads), axis=1)
-    norms = np.sqrt(squares).tolist()
+    # Each norm is sqrt(dot(g, g)) bit for bit: the report's row squares are
+    # the pairwise np.sum(g * g).
+    norms = np.sqrt(report.row_squares).tolist()
     per_client = tuple(
         {"client_id": u.client_id, "local_loss": u.local_loss, "grad_norm": norm}
         for u, norm in zip(updates, norms)

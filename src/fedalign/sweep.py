@@ -179,17 +179,16 @@ def _run_cell(args) -> CellResult:
     suite, model, base, spec, strategy, target, seed = args
     try:
         cfg = cell_config(base, spec, strategy, seed)
-        result = run_experiment(suite, target, model, cfg)
-        vb, va = result.variance_means_on_conflict_rounds()
+        summary = run_experiment(suite, target, model, cfg).summary()
         return CellResult(
             strategy=strategy,
             target=target,
             seed=seed,
-            final_target_accuracy=result.final_target_accuracy,
-            final_target_loss=result.final_target.loss,
-            conflict_round_fraction=result.conflict_round_fraction(),
-            mean_variance_before=None if vb != vb else vb,
-            mean_variance_after=None if va != va else va,
+            final_target_accuracy=summary["final_target_accuracy"],
+            final_target_loss=summary["final_target_loss"],
+            conflict_round_fraction=summary["conflict_round_fraction"],
+            mean_variance_before=summary["mean_variance_before_on_conflict_rounds"],
+            mean_variance_after=summary["mean_variance_after_on_conflict_rounds"],
         )
     except Exception as exc:  # a broken cell must not sink the grid
         return CellResult(strategy, target, seed, error=f"{type(exc).__name__}: {exc}")

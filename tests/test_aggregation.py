@@ -591,6 +591,28 @@ class TestReportArrays:
         assert rep.conflict_pairs.dtype == np.int64
         assert rep.num_conflicts == len(negative) and type(rep.num_conflicts) is int
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [None] + [AlignConfig(accumulate=a, target=t) for a in (True, False) for t in aggregation.TARGETS],
+        ids=["fedavg"] + [f"aligned-{a}-{t}" for a in ("accumulate", "overwrite") for t in aggregation.TARGETS],
+    )
+    def test_row_squares_are_the_pairwise_sums(self, cfg):
+        grads = gradient_rows(8, 301, seed=4, magnitudes=(-100.0, 100.0))
+        rep = aggregate_fedavg(updates_from(grads)) if cfg is None else aggregate_aligned(updates_from(grads), cfg)
+        assert rep.num_conflicts > 0
+        originals = np.stack(grads)
+        assert rep.originals.tobytes() == originals.tobytes()
+        expected = np.add.reduce(originals * originals, axis=1)
+        assert rep.row_squares.dtype == np.float64
+        assert rep.row_squares.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("strategy", [aggregate_aligned, aggregate_fedavg])
+    def test_row_squares_overflow_without_warning(self, strategy):
+        # A square past the float range reads inf, and one below it 0;
+        # pytest turns a RuntimeWarning into an error.
+        rep = strategy(updates_from([np.array([1e160, 0.0]), np.array([0.0, 1e-170])]))
+        assert rep.row_squares.tolist() == [np.inf, 0.0]
+
     def test_zero_inner_product_is_not_a_conflict(self):
         grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
         rep = aggregate_fedavg(updates_from(grads))
@@ -887,10 +909,10 @@ class TestAggregateAligned:
         stack = aggregation._gradient_matrix
 
         def poisoned(updates):
-            grads = stack(updates)
+            grads, squares = stack(updates)
             for k, c, value in cells:
                 grads[k, c] = updates[k].gradient[c] = value
-            return grads
+            return grads, squares
 
         monkeypatch.setattr(aggregation, "_gradient_matrix", poisoned)
 

@@ -85,3 +85,91 @@ def test_zero_base_counts_in_the_signs_but_not_the_ratios(bench_pairs):
     assert none["target_accuracy"]["ratio_pairs"] == 0
     assert none["target_accuracy"]["median_ratio"] is None and none["target_accuracy"]["ratio_ci95"] is None
     assert none["target_accuracy"]["sign"] == {"better": 1, "worse": 0, "equal": 1}
+
+
+@pytest.mark.parametrize(
+    "change, pairs, holds",
+    [
+        ([b * 1.05 for b in range(1000, 1100, 10)], 10, True),
+        ([b * 1.05 for b in range(1000, 1090, 10)], 9, False),  # too few pairs to claim
+        ([b * (0.99 if i < 2 else 1.05) for i, b in enumerate(range(1000, 1100, 10))], 10, False),  # 8 of 10
+        ([b + 1.0 for b in range(1000, 1100, 10)], 10, False),  # every pair better, the gap inside the IQR
+    ],
+    ids=["ten-of-ten", "nine-pairs", "eight-of-ten", "gap-inside-iqr"],
+)
+def test_claim_rule(bench_pairs, change, pairs, holds):
+    base = [float(b) for b in range(1000, 1000 + 10 * pairs, 10)]
+    s = bench_pairs.summarize(pairs_of(base, change), {"rounds_per_s": "higher"})["rounds_per_s"]
+    assert s["claim"]["base_iqr"] == pytest.approx(s["base"]["q3"] - s["base"]["q1"])
+    assert s["claim"]["median_gap"] == pytest.approx(s["change"]["median"] - s["base"]["median"])
+    assert s["claim"]["holds"] is holds
+
+
+def test_claim_rule_lower_is_better_signs_the_gap(bench_pairs):
+    base = [1.0 + 0.01 * i for i in range(10)]
+    faster = bench_pairs.summarize(pairs_of(base, [b - 0.2 for b in base], "setup_s"), {"setup_s": "lower"})
+    assert faster["setup_s"]["claim"]["median_gap"] == pytest.approx(0.2)
+    assert faster["setup_s"]["claim"]["holds"] is True
+    slower = bench_pairs.summarize(pairs_of(base, [b + 0.2 for b in base], "setup_s"), {"setup_s": "lower"})
+    assert slower["setup_s"]["claim"]["median_gap"] == pytest.approx(-0.2)
+    assert slower["setup_s"]["claim"]["holds"] is False
+
+
+def test_run_side_keeps_the_raw_setup_samples(bench_pairs, monkeypatch, tmp_path):
+    probes = [
+        {"setup_s": 0.2, "raw_setup_s": 0.1, "host_slowdown": 0.5},
+        {"setup_s": 0.15, "raw_setup_s": 0.3, "host_slowdown": 2.0},
+        {"setup_s": 0.1, "raw_setup_s": 0.2, "host_slowdown": 2.0},
+    ]
+    metrics = {"setup_s": 0.15, "rounds_per_s": 100.0, "peak_rss_mb": 40.0, "target_accuracy": 0.9}
+    (tmp_path / ".bench_out").mkdir()
+    (tmp_path / ".bench_out" / "encrypted-seed7-trace0.json").write_text(
+        bench_pairs.json.dumps({
+            "setup_samples": probes,
+            "rounds_per_s_samples": [100.0],
+            "raw_rounds_per_s_samples": [80.0],
+            "attempted": 1,
+            "failed": 0,
+            "digests": {"a": "x"},
+            "environment": {"host": "h"},
+        }),
+        encoding="utf-8",
+    )
+    final = {"metrics": {name: {"value": v, "unit": "u"} for name, v in metrics.items()}}
+
+    def fake_run(cmd, cwd, **kwargs):
+        assert cwd == tmp_path and cmd[-6:] == ["--seed", "7", "--seconds", "30", "--trace", "0"]
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout="report\n" + bench_pairs.json.dumps(final))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    side = bench_pairs._run_side(tmp_path, "encrypted", 7, 30)
+    assert side["metrics"] == {**metrics, "raw_setup_s": 0.2}
+    kept = [{"raw_setup_s": p["raw_setup_s"], "host_slowdown": p["host_slowdown"]} for p in probes]
+    assert side["setup_samples"] == kept
+    assert side["environment"] == {"host": "h"}
+
+
+def test_compare_keeps_the_first_environment_present(bench_pairs, monkeypatch):
+    # Each side's first run fails; the environment comes from its second.
+    runs = []
+
+    def run_side(tree, workload, seed, seconds):
+        runs.append(tree)
+        if runs.count(tree) == 1:
+            return {"error": "exit 1: boom"}
+        metrics = {"setup_s": 0.2, "rounds_per_s": 100.0, "peak_rss_mb": 40.0, "target_accuracy": 0.9}
+        return {
+            "metrics": {**metrics, "raw_setup_s": 0.1},
+            "failed": 0,
+            "digests": {"a": "x"},
+            "environment": {"tree": str(tree), "seed": seed},
+        }
+
+    monkeypatch.setattr(bench_pairs, "_run_side", run_side)
+    trees = {"base": pathlib.Path("b"), "change": pathlib.Path("c")}
+    doc = bench_pairs.compare(trees, ["encrypted"], 3, 30, 5)
+    assert doc["environment"] == {"base": {"tree": "b", "seed": 6}, "change": {"tree": "c", "seed": 6}}
+    pairs = doc["results"]["encrypted"]["pairs"]
+    assert [p["base"].get("error") for p in pairs] == ["exit 1: boom", None, None]
+    assert not any("environment" in p[side] for p in pairs for side in ("base", "change"))
+    assert doc["results"]["encrypted"]["summary"]["raw_setup_s"]["pairs"] == 2

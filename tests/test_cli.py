@@ -685,6 +685,92 @@ class TestSweepBytes:
         assert digests == self.PINNED
 
 
+class TestRunBytes:
+    """The ``summary.json`` and ``rounds.csv`` bytes of ``fedalign run`` over
+    twelve configs: aligned under every ``accumulate`` x ``align_target``
+    setting and with ``order_mode: fixed``, fedavg, fedprox with 2 local
+    steps, deepall, aligned and fedavg with ``encrypt``, aligned with 3 local
+    steps and fedavg with 4.  Each trains on the sweep pins' 4 domains x 120
+    samples at hidden 8 for 30 rounds, with target dom3 and seed 0; the
+    one-step aligned runs conflict in 13 of the 30 rounds.  The digests hold where
+    OpenBLAS picks an FMA kernel, as the plain golden digests do."""
+
+    DOC = {"target": "dom3", "model": {"hidden_dim": 8}, "data": TestSweepBytes.DOC["data"]}
+    FEDERATION = {"rounds": 30, "batch_size": 8, "lr": 0.1, "seed": 0}
+    # config id -> (federation fields, sha256 of summary.json, of rounds.csv)
+    PINNED = {
+        "aligned": (
+            {"strategy": "aligned"},
+            "02451f624ef735d23b13ba7ca4860cb84847149ff44835e970a6e9f4cd1751bc",
+            "35f32a5dc1bcb0aa945314fe2ba66ad2414834f34289baf03ef9ba1bd77a0784",
+        ),
+        "aligned-overwrite": (
+            {"strategy": "aligned", "accumulate": False},
+            "5b1c4c1b9bee5b226d90f1d564a77b0b8d68f2a6592d5a0b0e8c3fec228426ee",
+            "03832e7c275cc5b8b03d811b45f1925ffa70facda94596ad65b910968b99e623",
+        ),
+        "aligned-current": (
+            {"strategy": "aligned", "align_target": "current"},
+            "9c3f4a6a5b9b1a5de0b4cbbbdd9802586cbabefa27a315dc1bb49e715a1a36a4",
+            "0ecf03fb668752e264388fb833cd42bf025b162db51ba1aad479588d77e31107",
+        ),
+        "aligned-overwrite-current": (
+            {"strategy": "aligned", "accumulate": False, "align_target": "current"},
+            "cfbdb90aaff1e23d22f311a106eab5f8e09b298dc5d5650aa1ef4f4574d7e718",
+            "0deac31224404dee33cb748a2668cd4aff8232217fb1768f43c09cb9f69f97cb",
+        ),
+        "aligned-fixed": (
+            {"strategy": "aligned", "order_mode": "fixed"},
+            "84bb58ffe2e051f1e4a79ed2905792178251e0fc3ff296614ade806699567420",
+            "f8f4eeafde5284dfd7b55ba6f160e69d475d2d32146a6188bde3145b98cc60d2",
+        ),
+        "fedavg": (
+            {"strategy": "fedavg"},
+            "ee2946ae27ce8490644217bf8193a2b61f304bc2fcd90bb241f0a5c8081952b0",
+            "7ef5ae9414571c572f2390285b5f6a9ff91d7cc0cce3da951a43ea21e76cb767",
+        ),
+        "fedprox-local2": (
+            {"strategy": "fedprox", "local_steps": 2},
+            "596684912ce3aff68312b98bae53674b30db996ea45c4af50baac3536d5966cb",
+            "cfdda96c4794dfc5795de404dd0e86680b4281c212884c48ffb9aeebd94718f4",
+        ),
+        "deepall": (
+            {"strategy": "deepall"},
+            "d8c5aa5dc8022cf62ea2eccfbfb939edfe7aafacaef07943206837037d07073a",
+            "4b955dc8c0cbc444040aeef78bea66740fb8ca4e23850cb12f8057214ae13ddd",
+        ),
+        "aligned-encrypt": (
+            {"strategy": "aligned", "encrypt": True},
+            "4328dd1479aa601195312d37c4e602b22558c95270a905458f846f07d98543ba",
+            "f54bfbfd72e13a4239a5652dba3f273a3576278d9f4b69053eb7928ebe0ef826",
+        ),
+        "fedavg-encrypt": (
+            {"strategy": "fedavg", "encrypt": True},
+            "7fbf2666b627ecbf5411d854fb0f9fe6d33fa7fa5681b566bd1ed2c4717a37cd",
+            "63294c22e2615b65bcf671dd2c783d0496388b1e29e550de0325275e32f0596e",
+        ),
+        "aligned-local3": (
+            {"strategy": "aligned", "local_steps": 3},
+            "b559119de789b5a051936023aec8406a8ababfe6bd41f76980c4eac43e59900c",
+            "a15831ee15cb4671d8676756e1134eba7e6854444c27ae024f0109aa0597958e",
+        ),
+        "fedavg-local4": (
+            {"strategy": "fedavg", "local_steps": 4},
+            "1216fa2b07a9dd1e5ad4aa45db14126dea411a2035692d828c1a19b2cf5df171",
+            "9ce0ea40f45cb0981d7743a17c4875bb4c443f09637a3ffe4640131e9783466c",
+        ),
+    }
+
+    @pytest.mark.parametrize("config", list(PINNED))
+    def test_pinned(self, tmp_path, config):
+        fields, summary, rounds = self.PINNED[config]
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "exp.json", {**self.DOC, "federation": {**self.FEDERATION, **fields}})
+        assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 0
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("summary.json", "rounds.csv")]
+        assert digests == [summary, rounds]
+
+
 class TestSweep:
     sweep_config = staticmethod(sweep_config)
 

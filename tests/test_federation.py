@@ -961,6 +961,27 @@ class TestGradNorms:
             assert row["mean_grad_norm"].hex() == float(np.mean(norms)).hex()
             params = replace(params, values=params.values - record.lr * record.aggregation.aggregated)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(dict(strategy="aligned"), id="aligned"),
+            pytest.param(dict(strategy="fedavg"), id="fedavg"),
+            pytest.param(dict(strategy="fedprox", local_steps=2, lr=0.1), id="fedprox-local2"),
+            pytest.param(dict(strategy="deepall"), id="deepall"),
+            pytest.param(dict(strategy="aligned", encrypt=True), id="aligned-encrypt"),
+            pytest.param(dict(strategy="fedavg", encrypt=True), id="fedavg-encrypt"),
+        ],
+    )
+    def test_norms_are_the_reports_row_squares(self, extra):
+        # Every strategy reads its norms from the one source, the report.
+        cfg = FedConfig(**{"rounds": 4, "batch_size": 4, "seed": 3, **extra})
+        res = run_experiment(small_suite(), "dom2", MODEL, cfg)
+        for record in res.records:
+            squares = record.aggregation.row_squares
+            assert len(squares) == len(record.per_client) == len(res.sources)
+            norms = [math.sqrt(v) for v in squares.tolist()]
+            assert [c["grad_norm"].hex() for c in record.per_client] == [v.hex() for v in norms]
+
 
 class TestPlainGoldenDigests:
     """Final parameters of 50 plaintext rounds on the default benchmark,

@@ -13,14 +13,17 @@ full result from that side's ``.bench_out/``.  The file is written at the
 root of this checkout.
 
 The file holds, per workload, every pair (the four end-to-end metrics of
-both sides, their raw and host-scaled ``rounds_per_s`` samples, and whether
-the ``final_params_sha256`` digests are equal) and, per metric, a summary
-(see :func:`summarize`): the median and quartiles of each side, the median
-of the per-pair change/base ratios, how many pairs the change was better,
-worse or equal in, and a seeded bootstrap 95% confidence interval of that
-median ratio.  The environment block names the host (the benchmark's own
-``environment()`` as each side recorded it), the OpenBLAS kernel, and
-whether either side's tree held uncommitted changes.
+both sides and ``raw_setup_s``, the median set-up before host scaling;
+their raw and host-scaled ``rounds_per_s`` samples; each set-up's raw time
+and host slowdown; and whether the ``final_params_sha256`` digests are
+equal) and, per metric, a summary (see :func:`summarize`): the median and
+quartiles of each side, the median of the per-pair change/base ratios, how
+many pairs the change was better, worse or equal in, a seeded bootstrap 95%
+confidence interval of that median ratio, and whether the claim rule holds.
+The environment block names the host (the benchmark's own
+``environment()`` as each side recorded it, from its first run that
+succeeded), the OpenBLAS kernel, and whether either side's tree held
+uncommitted changes.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BOOTSTRAP_RESAMPLES = 10000
 RATE_SAMPLES = ("rounds_per_s_samples", "raw_rounds_per_s_samples")
+SETUP_KEYS = ("raw_setup_s", "host_slowdown")
+# A gain may be claimed from at least this many pairs (see ``summarize``).
+CLAIM_PAIRS = 10
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -57,6 +63,12 @@ def summarize(pairs: list[dict], better: dict[str, str], seed: int = 0) -> dict:
     the ``ratio_pairs`` pairs whose base is nonzero (a base metric such as
     ``target_accuracy`` can read 0); with none, both read None.
 
+    ``claim`` records the rule a claimed gain must meet: at least
+    ``CLAIM_PAIRS`` pairs, the change better in at least nine tenths of them
+    (ties count for neither side), and a ``median_gap`` (the change's
+    median less the base's, signed so that better is positive) above
+    ``base_iqr``, the distance between the base's quartiles.
+
     A pair is ``{"base": {"metrics": {...}}, "change": {"metrics": {...}}}``;
     a side that failed has no ``metrics``."""
     done = [p for p in pairs if "metrics" in p["base"] and "metrics" in p["change"]]
@@ -71,6 +83,9 @@ def summarize(pairs: list[dict], better: dict[str, str], seed: int = 0) -> dict:
         up = sum(c > b for b, c in zip(base, change))
         down = sum(c < b for b, c in zip(base, change))
         better_n, worse_n = (up, down) if direction == "higher" else (down, up)
+        base_q, change_q = _quartiles(base), _quartiles(change)
+        gap = (change_q["median"] - base_q["median"]) * (1 if direction == "higher" else -1)
+        spread = base_q["q3"] - base_q["q1"]
         median_ratio = ci95 = None
         if ratios:
             rng = random.Random(seed)
@@ -82,12 +97,17 @@ def summarize(pairs: list[dict], better: dict[str, str], seed: int = 0) -> dict:
         out[name] = {
             "pairs": len(done),
             "better": direction,
-            "base": _quartiles(base),
-            "change": _quartiles(change),
+            "base": base_q,
+            "change": change_q,
             "ratio_pairs": len(ratios),
             "median_ratio": median_ratio,
             "sign": {"better": better_n, "worse": worse_n, "equal": len(done) - better_n - worse_n},
             "ratio_ci95": ci95,
+            "claim": {
+                "median_gap": gap,
+                "base_iqr": spread,
+                "holds": len(done) >= CLAIM_PAIRS and 10 * better_n >= 9 * len(done) and gap > spread,
+            },
         }
     return out
 
@@ -100,7 +120,7 @@ def _dirty(tree: Path) -> bool:
     return bool(_git("status", "--porcelain", cwd=tree))
 
 
-def _run_side(tree: Path, workload: str, seed: int, seconds: int, metrics: list[str]) -> dict:
+def _run_side(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -108,7 +128,9 @@ def _run_side(tree: Path, workload: str, seed: int, seconds: int, metrics: list[
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     final = json.loads(proc.stdout.strip().splitlines()[-1])
     res = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
-    side = {"metrics": {name: final["metrics"][name]["value"] for name in metrics}}
+    side = {"metrics": {name: metric["value"] for name, metric in final["metrics"].items()}}
+    side["setup_samples"] = [{key: probe[key] for key in SETUP_KEYS} for probe in res["setup_samples"]]
+    side["metrics"]["raw_setup_s"] = statistics.median(probe["raw_setup_s"] for probe in side["setup_samples"])
     side.update({key: res[key] for key in RATE_SAMPLES})
     side.update(attempted=res["attempted"], failed=res["failed"], digests=res["digests"])
     side["environment"] = res["environment"]
@@ -125,7 +147,7 @@ def _blas_kernel() -> str | None:
 def compare(trees: dict[str, Path], workloads: list[str], n_pairs: int, seconds: int, first_seed: int) -> dict:
     """Run the pairs and summarize them, per workload."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"raw_setup_s": "lower"}
     results, environment = {}, {}
     for w, workload in enumerate(workloads):
         pairs = []
@@ -134,8 +156,9 @@ def compare(trees: dict[str, Path], workloads: list[str], n_pairs: int, seconds:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = _run_side(trees[side], workload, seed, seconds, list(better))
-                environment.setdefault(side, pair[side].pop("environment", None))
+                pair[side] = _run_side(trees[side], workload, seed, seconds)
+                if "environment" in pair[side]:
+                    environment.setdefault(side, pair[side].pop("environment"))
                 print(f"{workload} seed {seed} {side}: {pair[side].get('metrics', pair[side].get('error'))}",
                       file=sys.stderr)
             b, c = pair["base"], pair["change"]
@@ -201,9 +224,12 @@ def main(argv=None) -> int:
                 if s["ratio_pairs"]:
                     lo, hi = s["ratio_ci95"]
                     ratio = f"ratio {s['median_ratio']:.4f} [{lo:.4f}, {hi:.4f}]"
+                claim = "holds" if s["claim"]["holds"] else "does not hold"
                 print(
                     f"{workload} {name}: {s['base']['median']:.6g} -> {s['change']['median']:.6g}, "
-                    f"{ratio}, better in {s['sign']['better']} of {s['pairs']}"
+                    f"{ratio}, better in {s['sign']['better']} of {s['pairs']}, "
+                    f"gap {s['claim']['median_gap']:.6g} against base IQR {s['claim']['base_iqr']:.6g}: "
+                    f"claim rule {claim}"
                 )
         print(f"{workload}: {res['failed_runs']} failed runs; digests equal in "
               f"{sum(p['digests_equal'] for p in res['pairs'])} of {len(res['pairs'])} pairs")
