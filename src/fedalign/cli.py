@@ -47,7 +47,7 @@ from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, 
 from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, from_json, to_json, utf8_error
 from .federation import ROUND_CSV_COLUMNS, FedConfig, run_experiment
 from .models import ModelSpec
-from .sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
+from .sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep, strategy_configs
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_gen_data"]
 
@@ -350,18 +350,11 @@ def cmd_sweep(args) -> int:
     base = dict(_section(doc, "federation"))
     base.pop("strategy", None)
     base.pop("seed", None)
-    for key in ("lambda", "mu"):
-        if key in base:
-            raise ConfigError(
-                f"federation.{key}", "belongs to one strategy; set it in sweep.overrides for that strategy"
-            )
-    # Build every strategy's cell config now, so a bad shared field or
-    # override fails before any cell runs.
-    cell_configs = [cell_config(base, spec, strategy, spec.seeds[0]) for strategy in spec.strategies]
+    configs = strategy_configs(base, spec)
     for tgt in spec.targets:
         if tgt not in suite.domain_ids:
             raise ConfigError("sweep.targets", f"unknown domain {tgt!r}")
-    for cfg in cell_configs:
+    for cfg in configs.values():
         _warn_duplicate_of_fedavg(cfg)
 
     result = run_sweep(

@@ -75,7 +75,12 @@ class DomainDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        # A float label would otherwise be truncated to a class, so every
+        # label must survive the cast (a NaN or huge one casts to garbage).
+        with np.errstate(invalid="ignore"):
+            labs = np.asarray(self.labels).astype(np.int64)
+        if not np.array_equal(labs, self.labels):
+            raise InvalidSpec("labels must be integers")
         if feats.ndim != 2:
             raise InvalidSpec("features must be a 2-D matrix")
         if labs.shape != (feats.shape[0],):
@@ -292,6 +297,8 @@ class CsvSchema:
     domain_col: str
 
     def __post_init__(self):
+        if isinstance(self.feature_cols, str):
+            raise InvalidSpec("feature_cols must be a sequence of column names, not one string")
         object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
         if not self.feature_cols:
             raise InvalidSpec("schema needs at least one feature column")

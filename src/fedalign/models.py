@@ -36,6 +36,7 @@ from .errors import (
     EmptyBatch,
     EmptyDataset,
     InvalidSpec,
+    is_int,
 )
 from .numcore import RealMat, RealVec, Rng, ensure_finite
 
@@ -69,12 +70,12 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise InvalidSpec("input_dim must be positive")
-        if self.hidden_dim < 0:
-            raise InvalidSpec("hidden_dim must be nonnegative")
-        if self.num_classes < 2:
-            raise InvalidSpec("num_classes must be >= 2")
+        if not is_int(self.input_dim) or self.input_dim < 1:
+            raise InvalidSpec("input_dim must be a positive integer")
+        if not is_int(self.hidden_dim) or self.hidden_dim < 0:
+            raise InvalidSpec("hidden_dim must be a nonnegative integer")
+        if not is_int(self.num_classes) or self.num_classes < 2:
+            raise InvalidSpec("num_classes must be an integer >= 2")
         if self.activation not in ACTIVATIONS:
             raise InvalidSpec(f"activation must be one of {ACTIVATIONS}")
 

@@ -7,15 +7,19 @@ so they may run in parallel; results are always reported in grid order
 (strategy-major, then target, then seed) regardless of run order.  Cells
 run seed by seed: a process memoizes the batch rows of one seed at a time
 (``federation.client_rows``), and every cell at a seed draws the same rows.
-A failing cell is recorded with its error message and no figures, and
-does not stop the rest of the grid.  Each cell is one :class:`CellResult`,
-whose fields are the columns of ``results.csv``.
+Each strategy's config is built once, by :func:`strategy_configs`, before
+the first cell runs, so a bad shared field or override raises
+:class:`ConfigError` there, as the CLI's exit 2 reports it; a cell carries
+its own :class:`FedConfig`.  A cell that fails at run time is recorded with
+its error message and no figures, and does not stop the rest of the grid.
+Each cell is one :class:`CellResult`, whose fields are the columns of
+``results.csv``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +34,7 @@ __all__ = [
     "CellResult",
     "SweepResult",
     "RESULT_CSV_COLUMNS",
-    "cell_config",
+    "strategy_configs",
     "run_sweep",
 ]
 
@@ -156,34 +160,37 @@ class SweepResult:
         }
 
 
-def cell_config(base: Mapping, spec: SweepSpec, strategy: str, seed: int) -> FedConfig:
-    """One cell's config; an error in a strategy's override names it as
-    ``sweep.overrides.<strategy>.<field>``."""
-    d = dict(base)
-    # A strategy-specific field left over from the base config would be
-    # rejected for other strategies, so drop and re-patch per cell.
-    d.pop("lambda", None)
-    d.pop("mu", None)
-    d["strategy"] = strategy
-    d["seed"] = seed
-    patch = spec.overrides.get(strategy, {})
-    try:
-        return FedConfig.from_dict({**d, **patch})
-    except ConfigError as exc:
-        if exc.field.split(".")[0] in patch:
-            raise ConfigError(f"sweep.overrides.{strategy}.{exc.field}", exc.message) from exc
-        raise
+def strategy_configs(base: Mapping, spec: SweepSpec) -> dict[str, FedConfig]:
+    """Each strategy's config at the grid's first seed, built once: the
+    shared ``base`` block with the strategy's override on top, and
+    ``strategy`` and ``seed`` from the grid.  ``lambda`` and ``mu`` belong
+    to one strategy, so the shared block may not set them; an error in a
+    strategy's override names it as ``sweep.overrides.<strategy>.<field>``."""
+    for key in ("lambda", "mu"):
+        if key in base:
+            raise ConfigError(
+                f"federation.{key}", "belongs to one strategy; set it in sweep.overrides for that strategy"
+            )
+    configs = {}
+    for strategy in spec.strategies:
+        patch = spec.overrides.get(strategy, {})
+        try:
+            configs[strategy] = FedConfig.from_dict({**base, **patch, "strategy": strategy, "seed": spec.seeds[0]})
+        except ConfigError as exc:
+            if exc.field.split(".")[0] in patch:
+                raise ConfigError(f"sweep.overrides.{strategy}.{exc.field}", exc.message) from exc
+            raise
+    return configs
 
 
 def _run_cell(args) -> CellResult:
-    suite, model, base, spec, strategy, target, seed = args
+    suite, model, cfg, target = args
     try:
-        cfg = cell_config(base, spec, strategy, seed)
         summary = run_experiment(suite, target, model, cfg).summary()
         return CellResult(
-            strategy=strategy,
+            strategy=cfg.strategy,
             target=target,
-            seed=seed,
+            seed=cfg.seed,
             final_target_accuracy=summary["final_target_accuracy"],
             final_target_loss=summary["final_target_loss"],
             conflict_round_fraction=summary["conflict_round_fraction"],
@@ -191,7 +198,7 @@ def _run_cell(args) -> CellResult:
             mean_variance_after=summary["mean_variance_after_on_conflict_rounds"],
         )
     except Exception as exc:  # a broken cell must not sink the grid
-        return CellResult(strategy, target, seed, error=f"{type(exc).__name__}: {exc}")
+        return CellResult(cfg.strategy, target, cfg.seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(
@@ -203,7 +210,9 @@ def run_sweep(
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
     """Run the full grid.  ``base_config`` is the shared federation config
-    as a plain dict (strategy and seed are filled per cell).  ``jobs`` > 1
+    as a plain dict; :func:`strategy_configs` builds each strategy's config
+    from it once, and raises :class:`ConfigError` before any cell runs for
+    a shared ``lambda`` or ``mu`` or a bad field.  ``jobs`` > 1
     runs cells in ``min(jobs, cells)`` worker processes (the pool starts
     every worker at once, so never more than there are cells).  Cells run
     seed by seed, in grid order within a seed, so each process's batch-row
@@ -211,12 +220,12 @@ def run_sweep(
     that run order and results in grid order, with any ``jobs``.
     """
     grid = [
-        (suite, model, dict(base_config), spec, strategy, target, seed)
-        for strategy in spec.strategies
+        (suite, model, replace(cfg, seed=seed), target)
+        for cfg in strategy_configs(base_config, spec).values()
         for target in spec.targets
         for seed in spec.seeds
     ]
-    run_order = sorted(range(len(grid)), key=lambda i: spec.seeds.index(grid[i][-1]))
+    run_order = sorted(range(len(grid)), key=lambda i: spec.seeds.index(grid[i][2].seed))
     cells: list[CellResult | None] = [None] * len(grid)
     workers = min(jobs, len(grid))
     if workers > 1:

@@ -403,6 +403,16 @@ BAD_VALUES = [
     pytest.param({"data": {"csv": {**CSV_BLOCK, "path": True}}}, "data.csv.path", id="csv-path-bool"),
     pytest.param({"data": {"csv": {**CSV_BLOCK, "sep": ";"}}}, "data.csv.sep", id="csv-unknown-field"),
     pytest.param({"data": {"csv": {**CSV_BLOCK, "label_col": None}}}, "data.csv.label_col", id="csv-label_col-null"),
+    pytest.param(
+        {"sweep": {"strategies": ["fedavg", "aligned"], "seeds": [0], "targets": ["dom0"]}, **_with_fed(**{"lambda": 0.3})},
+        "federation.lambda",
+        id="sweep-base-lambda",
+    ),
+    pytest.param(
+        {"sweep": {"strategies": ["fedprox", "fedavg"], "seeds": [0], "targets": ["dom0"]}, **_with_fed(mu=0.3)},
+        "federation.mu",
+        id="sweep-base-mu",
+    ),
 ]
 
 

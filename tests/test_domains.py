@@ -277,6 +277,20 @@ class TestSuiteValidation:
             DomainDataset("a", np.ones((3, 2)), np.array([-1, 0, 1]))
         assert DomainDataset("a", np.zeros((0, 2)), np.zeros(0, dtype=int)).num_rows == 0
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1.7, 1.0], np.array([0.0, np.nan, 1.0]), np.array([0.0, 1e20, 1.0]), ["0", "1", "1"]],
+        ids=["fractional", "nan", "huge", "strings"],
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        # np.int64 casting truncated 0.5 and 1.7 to classes 0 and 1.
+        with pytest.raises(InvalidSpec, match="integers"):
+            DomainDataset("a", np.ones((3, 2)), labels)
+
+    def test_integral_float_labels_kept(self):
+        labels = DomainDataset("a", np.ones((3, 2)), [0.0, 1.0, 1.0]).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 1]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         features = np.ones((3, 2))
@@ -393,6 +407,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"invalid UTF-8 byte 0xff \(invalid start byte\)$") as err:
             load_csv(str(path), self.SCHEMA)
         assert (err.value.line, err.value.column) == (bad_line, str(len(lines[bad_line - 1])))
+
+    def test_schema_rejects_a_bare_string(self):
+        # tuple("x0") would read as the two columns "x" and "0".
+        with pytest.raises(InvalidSpec, match="feature_cols"):
+            CsvSchema(feature_cols="x0", label_col="label", domain_col="domain")
+        assert CsvSchema(feature_cols=["x0"], label_col="label", domain_col="domain").feature_cols == ("x0",)
 
     def test_single_domain_rejected(self, tmp_path):
         path = self.write(tmp_path, "domain,x0,x1,label\na,1.0,2.0,0\na,3.0,4.0,1\n")

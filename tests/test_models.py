@@ -45,6 +45,11 @@ class TestModelSpec:
             dict(input_dim=2, hidden_dim=-1),
             dict(input_dim=2, num_classes=1),
             dict(input_dim=2, activation="sigmoid"),
+            dict(input_dim=2.5),
+            dict(input_dim=2, hidden_dim="x"),
+            dict(input_dim=2, hidden_dim=4.0),
+            dict(input_dim=2, num_classes=2.0),
+            dict(input_dim=True),
         ],
     )
     def test_invalid_specs(self, kwargs):

@@ -8,9 +8,9 @@ import pytest
 from fedalign import federation, sweep
 from fedalign.domains import SyntheticSpec, generate
 from fedalign.errors import ConfigError
-from fedalign.federation import run_experiment
+from fedalign.federation import FedConfig, run_experiment
 from fedalign.models import ModelSpec
-from fedalign.sweep import RESULT_CSV_COLUMNS, SweepSpec, cell_config, run_sweep
+from fedalign.sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep, strategy_configs
 
 from _oracles import checkout_env
 
@@ -78,9 +78,10 @@ class TestSweepSpec:
             targets=("dom0",),
             overrides={"aligned": {"lambda": 0.9}},
         )
-        assert cell_config(BASE, spec, "fedavg", 0).strategy == "fedavg"
+        fedavg_only = SweepSpec(strategies=("fedavg",), seeds=(0,), targets=("dom0",))
+        assert strategy_configs(BASE, fedavg_only)["fedavg"].strategy == "fedavg"
         with pytest.raises(ConfigError) as err:
-            cell_config(BASE, spec, "aligned", 0)
+            strategy_configs(BASE, spec)
         assert err.value.field == "sweep.overrides.aligned.lambda"
 
     def test_deepall_is_a_valid_strategy(self):
@@ -200,13 +201,63 @@ class TestRunSweep:
         result = run_sweep(suite, MODEL, BASE, spec)
         __import__("json").dumps(result.to_dict(), allow_nan=False)
 
-    def test_strategy_fields_in_base_are_repatched(self, suite):
-        # lambda in the shared base would be illegal for fedavg cells; the
-        # per-cell config drops it and overrides re-add it where wanted.
-        base = {**BASE, "lambda": 0.3}
-        spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom0",))
-        result = run_sweep(suite, MODEL, base, spec)
-        assert all(c.error is None for c in result.cells)
+    @pytest.mark.parametrize(
+        "key, strategies", [("lambda", ("fedavg", "aligned")), ("mu", ("fedprox", "fedavg"))]
+    )
+    def test_strategy_fields_in_base_are_rejected(self, suite, monkeypatch, key, strategies):
+        # lambda or mu belongs to one strategy: in the shared base it raises
+        # before any cell runs, as the CLI's exit 2 does, instead of being
+        # dropped so that the strategy runs at its default.
+        ran = []
+        monkeypatch.setattr(sweep, "run_experiment", lambda *args: ran.append(args))
+        spec = SweepSpec(strategies=strategies, seeds=(0,), targets=("dom0",))
+        with pytest.raises(ConfigError) as err:
+            run_sweep(suite, MODEL, {**BASE, key: 0.3}, spec)
+        assert err.value.field == f"federation.{key}"
+        assert "sweep.overrides" in err.value.message
+        assert ran == []
+
+    def test_bad_override_raises_before_any_cell(self, suite, monkeypatch):
+        ran = []
+        monkeypatch.setattr(sweep, "run_experiment", lambda *args: ran.append(args))
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom0",), overrides={"aligned": {"lr": -1}}
+        )
+        with pytest.raises(ConfigError) as err:
+            run_sweep(suite, MODEL, BASE, spec)
+        assert err.value.field == "sweep.overrides.aligned.lr"
+        assert ran == []
+
+    def test_one_config_parse_per_strategy(self, suite, monkeypatch):
+        parsed = []
+        original = FedConfig.from_dict.__func__
+        monkeypatch.setattr(FedConfig, "from_dict", classmethod(lambda cls, d: parsed.append(d) or original(cls, d)))
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned", "deepall"), seeds=(0, 1), targets=("dom0", "dom1")
+        )
+        result = run_sweep(suite, MODEL, BASE, spec)
+        assert all(c.error is None for c in result.cells) and len(result.cells) == 3 * 2 * 2
+        assert [d["strategy"] for d in parsed] == ["fedavg", "aligned", "deepall"]
+
+    def test_cells_run_their_strategy_config_at_each_seed(self, suite, monkeypatch):
+        seen = []
+
+        def recording(suite, target, model, cfg):
+            seen.append((target, cfg))
+            return run_experiment(suite, target, model, cfg)
+
+        monkeypatch.setattr(sweep, "run_experiment", recording)
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned"), seeds=(3, 1), targets=("dom0",), overrides={"aligned": {"lambda": 0.4}}
+        )
+        run_sweep(suite, MODEL, BASE, spec)
+        expected = [
+            (target, FedConfig.from_dict({**BASE, **spec.overrides.get(s, {}), "strategy": s, "seed": seed}))
+            for seed in spec.seeds
+            for s in spec.strategies
+            for target in spec.targets
+        ]
+        assert seen == expected
 
 
 @pytest.fixture
@@ -239,7 +290,7 @@ class TestEvaluationCount:
         ],
     )
     def test_run_experiment_evaluates_only_the_target(self, suite, evaluate_calls, strategy, sources):
-        cfg = cell_config(BASE, SweepSpec((strategy,), (0,), ("dom0",)), strategy, 0)
+        cfg = strategy_configs(BASE, SweepSpec((strategy,), (0,), ("dom0",)))[strategy]
         result = run_experiment(suite, "dom0", MODEL, cfg)
         assert evaluate_calls == ["dom0"] * self.ROUNDS
         rows = result.csv_rows()
