@@ -36,13 +36,13 @@ print(f"plaintext aggregate: {np.round(report.aggregated, 4)}")
 ids = report.client_ids
 print(f"conflicting pairs  : {[(ids[i], ids[j]) for i, j in report.conflict_pairs.tolist()]}")
 
-# Encrypted replay: the same conflict decisions (client index pairs) in the
-# same order, cipher handles only.
+# Encrypted replay: the report's own AlignConfig and weights, and the same
+# conflict decisions (client index pairs) in the same order, cipher handles
+# only.  None of them has a default, so the replay cannot silently run with
+# other semantics than the plaintext pass.
 cipher = transparent_cipher()
 encrypted = [enc_vec(cipher, g) for g in grads]
-handles, audit = aligned_aggregate_encrypted(
-    encrypted, 0.1, cipher, report.conflict_pairs, weights=list(report.weights)
-)
+handles, audit = aligned_aggregate_encrypted(encrypted, report.config, cipher, report.conflict_pairs, report.weights)
 decrypted = dec_vec(cipher, handles)
 
 print(f"decrypted aggregate: {np.round(decrypted, 4)}")

@@ -68,6 +68,7 @@ from .errors import (
     InvalidLambda,
     InvalidSpec,
     NonFiniteResult,
+    is_real,
 )
 from .numcore import RealMat, RealVec, Rng, axpby, dot, nonfinite_rows, shuffles, weighted_sum
 
@@ -137,6 +138,8 @@ class AlignConfig:
         _check_lambda(self.lam)
         if self.weighting not in WEIGHTINGS:
             raise InvalidSpec(f"weighting must be one of {WEIGHTINGS}")
+        if not isinstance(self.accumulate, bool):
+            raise InvalidSpec("accumulate must be true or false")
         if self.target not in TARGETS:
             raise InvalidSpec(f"target must be one of {TARGETS}")
         if self.order_mode not in ORDER_MODES:
@@ -241,7 +244,7 @@ class AggregationReport:
 
 
 def _check_lambda(lam: float) -> None:
-    if not (0.0 < lam <= 0.5):
+    if not (is_real(lam) and 0.0 < lam <= 0.5):
         raise InvalidLambda(f"lambda must be in (0, 0.5], got {lam}")
 
 

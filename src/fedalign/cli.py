@@ -253,16 +253,28 @@ def _environment() -> dict:
     return dict(python=platform.python_version(), numpy=np.__version__, platform=host, blas_kernel=_blas_kernel())
 
 
-def _manifest(command: str, config: dict, seed_list: list, outputs: dict) -> dict:
-    return {
+def _write_run_dir(outdir: str, command: str, config: dict, seed_list: list, outputs: dict) -> None:
+    """Create ``outdir`` and write each of ``outputs`` (key -> (file name,
+    content)) in order, a ``.csv`` content as (columns, rows) and any other
+    as a JSON document; then write ``manifest.json``, whose ``outputs`` name
+    the manifest and then each file."""
+    os.makedirs(outdir, exist_ok=True)
+    for name, content in outputs.values():
+        path = os.path.join(outdir, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _write_json(path, content)
+    manifest = {
         "tool_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "environment": _environment(),
         "command": command,
         "seed_list": seed_list,
         "config": config,
-        "outputs": outputs,
+        "outputs": {"manifest": "manifest.json", **{key: name for key, (name, _) in outputs.items()}},
     }
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _unwrap_manifest(doc: dict) -> dict:
@@ -313,12 +325,6 @@ def cmd_run(args) -> int:
     result = run_experiment(suite, target, model, cfg)
 
     outdir = _out_path(args, "-run")
-    os.makedirs(outdir, exist_ok=True)
-    paths = {
-        "manifest": os.path.join(outdir, "manifest.json"),
-        "rounds": os.path.join(outdir, "rounds.csv"),
-        "summary": os.path.join(outdir, "summary.json"),
-    }
     normalized = {
         "target": target,
         "model": _model_dict(model),
@@ -326,12 +332,8 @@ def cmd_run(args) -> int:
         "federation": cfg.to_dict(),
     }
     s = result.summary()
-    _write_csv(paths["rounds"], ROUND_CSV_COLUMNS, result.csv_rows())
-    _write_json(paths["summary"], s)
-    _write_json(
-        paths["manifest"],
-        _manifest("run", normalized, [cfg.seed], {k: os.path.basename(v) for k, v in paths.items()}),
-    )
+    outputs = {"rounds": ("rounds.csv", (ROUND_CSV_COLUMNS, result.csv_rows())), "summary": ("summary.json", s)}
+    _write_run_dir(outdir, "run", normalized, [cfg.seed], outputs)
     _say(
         args.quiet,
         f"{cfg.strategy} target={target} seed={cfg.seed} rounds={s['rounds']}: "
@@ -367,28 +369,18 @@ def cmd_sweep(args) -> int:
     )
 
     outdir = _out_path(args, "-sweep")
-    os.makedirs(outdir, exist_ok=True)
-    paths = {
-        "manifest": os.path.join(outdir, "manifest.json"),
-        "results": os.path.join(outdir, "results.csv"),
-        "aggregate": os.path.join(outdir, "aggregate.csv"),
-        "summary": os.path.join(outdir, "summary.json"),
-    }
     normalized = {
         "sweep": to_json(spec),
         "model": _model_dict(model),
         "data": data_block,
         "federation": base,
     }
-    _write_csv(paths["results"], RESULT_CSV_COLUMNS, result.results_rows())
-    _write_csv(paths["aggregate"], result.aggregate_columns(), result.aggregate_rows())
-    _write_json(paths["summary"], result.to_dict())
-    _write_json(
-        paths["manifest"],
-        _manifest(
-            "sweep", normalized, list(spec.seeds), {k: os.path.basename(v) for k, v in paths.items()}
-        ),
-    )
+    outputs = {
+        "results": ("results.csv", (RESULT_CSV_COLUMNS, result.results_rows())),
+        "aggregate": ("aggregate.csv", (result.aggregate_columns(), result.aggregate_rows())),
+        "summary": ("summary.json", result.to_dict()),
+    }
+    _write_run_dir(outdir, "sweep", normalized, list(spec.seeds), outputs)
     if not args.quiet:
         for row in result.aggregate_rows():
             cells = "  ".join(f"{t}={row[t]:.4f}" for t in spec.targets)

@@ -527,18 +527,10 @@ def _encrypted_replay(report: AggregationReport, scale: int) -> tuple[np.ndarray
     and return (decrypted aggregate, audit dict)."""
     cipher = transparent_cipher(scale)
     enc = [enc_vec(cipher, g) for g in report.originals]
-    if (acfg := report.config) is not None:
-        handle, audit = aligned_aggregate_encrypted(
-            enc,
-            acfg.lam,
-            cipher,
-            report.conflict_pairs,
-            weights=list(report.weights),
-            accumulate=acfg.accumulate,
-            target=acfg.target,
-        )
+    if report.config is not None:
+        handle, audit = aligned_aggregate_encrypted(enc, report.config, cipher, report.conflict_pairs, report.weights)
     else:
-        handle, audit = weighted_sum_encrypted(enc, list(report.weights), cipher)
+        handle, audit = weighted_sum_encrypted(enc, report.weights, cipher)
     return dec_vec(cipher, handle), audit.to_dict()
 
 

@@ -32,7 +32,10 @@ shape, not adversarial behavior.
 One gap is explicit: a conflict is the *sign* of an inner product, and an
 add/sub/mul algebra cannot produce a plaintext bit.  The conflict decisions
 therefore enter :func:`aligned_aggregate_encrypted` as an external input
-(in the simulator, from the plaintext aggregation as a trusted comparator).
+(in the simulator, from the plaintext aggregation as a trusted comparator),
+together with that aggregation's own :class:`AlignConfig` and weights: the
+replay has no defaults, so it runs with exactly the semantics the plaintext
+loop ran with.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import TARGETS
+from .aggregation import AlignConfig
 from .errors import DimensionMismatch, InvalidSpec, NonFiniteResult, OverflowAtScale, TraceViolation, is_int
 from .numcore import RealVec
 
@@ -338,20 +341,21 @@ def weighted_sum_encrypted(
 
 def aligned_aggregate_encrypted(
     enc_updates: Sequence[CipherHandle],
-    lam: float,
+    cfg: AlignConfig,
     cipher: TransparentCipher,
     conflicts: Sequence[tuple[int, int]],
-    weights: Sequence[float] | None = None,
-    accumulate: bool = True,
-    target: str = "original",
+    weights: Sequence[float],
 ) -> tuple[CipherHandle, TraceAudit]:
     """Replay the alignment aggregation entirely in encrypted space.
 
-    ``conflicts`` are the externally supplied decisions: the ordered
-    ``(i, j)`` client-index pairs that conflicted, in the visiting order the
-    plaintext loop met them, as the plaintext report's ``conflict_pairs``
-    array holds them (or any sequence of index pairs).  The sign test is
-    not expressible in the operator algebra (see module docstring).
+    ``cfg`` is the :class:`AlignConfig` the plaintext aggregator ran with
+    (a report's ``config``): the replay takes its ``lam``, ``accumulate``
+    and ``target``, and ``weights`` are the report's own.  ``conflicts``
+    are the externally supplied decisions: the ordered ``(i, j)``
+    client-index pairs that conflicted, in the visiting order the plaintext
+    loop met them, as the plaintext report's ``conflict_pairs`` array holds
+    them (or any sequence of index pairs).  The sign test is not
+    expressible in the operator algebra (see module docstring).
 
     The correction applied for each conflicting pair is
 
@@ -360,24 +364,19 @@ def aligned_aggregate_encrypted(
     with ``E(2) (*) E(lam)`` computed once.  Returns the encrypted
     aggregated gradient and its trace audit.
     """
-    if not (0.0 < lam <= 0.5):
-        raise InvalidSpec(f"lambda must be in (0, 0.5], got {lam}")
-    if target not in TARGETS:
-        raise InvalidSpec(f"target must be one of {TARGETS}")
     _check_enc_updates(enc_updates)
     k = len(enc_updates)
     # Built even when no pair conflicts: at a scale of 2^30 or more, encoding
     # 2.0 overflows, and a run at that scale must fail in its first round.
-    two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(lam))
+    two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(cfg.lam))
     working = list(enc_updates)
     seen = set()
     for i, j in np.asarray(conflicts, dtype=np.int64).reshape(-1, 2).tolist():
         if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:
             raise InvalidSpec(f"conflict pair {(i, j)} is not a new pair of two of the {k} clients")
         seen.add((i, j))
-        base = working[i] if accumulate else enc_updates[i]
-        tgt = enc_updates[j] if target == "original" else working[j]
+        base = working[i] if cfg.accumulate else enc_updates[i]
+        tgt = enc_updates[j] if cfg.target == "original" else working[j]
         working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
 
-    weights = [1.0 / k] * k if weights is None else weights
     return weighted_sum_encrypted(working, weights, cipher)

@@ -212,13 +212,16 @@ def run_sweep(
     """Run the full grid.  ``base_config`` is the shared federation config
     as a plain dict; :func:`strategy_configs` builds each strategy's config
     from it once, and raises :class:`ConfigError` before any cell runs for
-    a shared ``lambda`` or ``mu`` or a bad field.  ``jobs`` > 1
-    runs cells in ``min(jobs, cells)`` worker processes (the pool starts
-    every worker at once, so never more than there are cells).  Cells run
+    a shared ``lambda`` or ``mu`` or a bad field, as it does for a
+    ``jobs`` that is not a positive integer.  ``jobs`` > 1 runs cells in
+    ``min(jobs, cells)`` worker processes (the pool starts every worker at
+    once, so never more than there are cells).  Cells run
     seed by seed, in grid order within a seed, so each process's batch-row
     memo serves every cell at a seed it runs; ``progress`` lines come in
     that run order and results in grid order, with any ``jobs``.
     """
+    if not (is_int(jobs) and jobs >= 1):
+        raise ConfigError("jobs", "must be a positive integer")
     grid = [
         (suite, model, replace(cfg, seed=seed), target)
         for cfg in strategy_configs(base_config, spec).values()

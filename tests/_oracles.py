@@ -76,7 +76,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from fedalign.aggregation import ClientUpdate, aggregate_fedavg, align_pair
+from fedalign.aggregation import AlignConfig, ClientUpdate, aggregate_fedavg, align_pair
 from fedalign.domains import DomainDataset, leave_one_out, minibatch
 from fedalign.errors import DimensionMismatch, NonFiniteResult, OverflowAtScale, TraceViolation
 from fedalign.hekit import (
@@ -420,9 +420,8 @@ def _reference_round(sources, target_ds, model, cfg, params, t):
             enc = [enc_vec(cipher, row) for row in grads]
             if cfg.strategy == "aligned":
                 conflicts = [(i, j) for i, j, v in tested if v < 0.0]
-                handle, audit = aligned_aggregate_encrypted(
-                    enc, cfg.lam, cipher, conflicts, weights, cfg.accumulate, cfg.align_target
-                )
+                acfg = AlignConfig(lam=cfg.lam, accumulate=cfg.accumulate, target=cfg.align_target)
+                handle, audit = aligned_aggregate_encrypted(enc, acfg, cipher, conflicts, weights)
             else:
                 handle, audit = weighted_sum_encrypted(enc, weights, cipher)
             g, audit = dec_vec(cipher, handle), audit.to_dict()

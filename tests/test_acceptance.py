@@ -208,9 +208,7 @@ def test_6_encrypted_pipeline_fidelity(acceptance_report):
 
         cipher = transparent_cipher()
         enc = [enc_vec(cipher, g) for g in grads]
-        handles, audit = aligned_aggregate_encrypted(
-            enc, 0.1, cipher, rep.conflict_pairs, weights=list(rep.weights)
-        )
+        handles, audit = aligned_aggregate_encrypted(enc, rep.config, cipher, rep.conflict_pairs, rep.weights)
         got = dec_vec(cipher, handles)
         worst = max(worst, float(np.max(np.abs(got - rep.aggregated))))
         tags_ok &= set(audit.tag_counts) <= ALLOWED_TAGS

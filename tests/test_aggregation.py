@@ -114,7 +114,7 @@ class TestAlignPair:
             out = align_pair(g_i, g_j, 0.2)
             assert np.linalg.norm(out - g_j) < np.linalg.norm(g_i - g_j)
 
-    @pytest.mark.parametrize("lam", [0.0, -0.1, 0.5001, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, -0.1, 0.5001, 1.0, "0.1", None, [0.1]])
     def test_lambda_range(self, lam):
         with pytest.raises(InvalidLambda):
             align_pair(np.ones(2), np.ones(2), lam)
@@ -728,14 +728,21 @@ class TestLazyDiagnostics:
 
 
 class TestAlignConfig:
-    @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.6])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.6, "0.1", None, [0.1]])
     def test_lambda_validated(self, lam):
         with pytest.raises(InvalidLambda):
             AlignConfig(lam=lam)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(weighting="equal"), dict(target="other"), dict(order_mode="sorted")],
+        [
+            dict(weighting="equal"),
+            dict(target="other"),
+            dict(order_mode="sorted"),
+            dict(accumulate="yes"),
+            dict(accumulate=1),
+            dict(accumulate=None),
+        ],
     )
     def test_enums_validated(self, kwargs):
         with pytest.raises(InvalidSpec):

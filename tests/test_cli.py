@@ -218,6 +218,22 @@ class TestRun:
         assert err.startswith(f"warning: manifest written with blas_kernel Prescott, running blas_kernel {cli._blas_kernel()};")
         assert (first / "summary.json").read_bytes() == (third / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "command,flag,make,outputs",
+        [
+            ("run", "--config", run_config, ["rounds.csv", "summary.json"]),
+            ("sweep", "--spec", sweep_config, ["results.csv", "aggregate.csv", "summary.json"]),
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_manifest_names_its_outputs_in_order(self, tmp_path, command, flag, make, outputs):
+        out = tmp_path / "out"
+        assert main([command, flag, make(tmp_path), "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = ["manifest.json", *outputs]
+        assert list(manifest["outputs"].items()) == [(name.split(".")[0], name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
     def test_seed_override_recorded(self, tmp_path):
         cfg = run_config(tmp_path)
         out = tmp_path / "out"

@@ -715,6 +715,23 @@ class TestRunExperiment:
         res = run_experiment(suite, "dom1", MODEL, cfg)
         assert all(r.trace_audit is not None for r in res.records)
 
+    def test_encrypted_replay_takes_the_reports_config_and_weights(self, monkeypatch):
+        calls = []
+        replay = federation.aligned_aggregate_encrypted
+        monkeypatch.setattr(
+            federation, "aligned_aggregate_encrypted", lambda *a: calls.append((a[1], a[4])) or replay(*a)
+        )
+        cfg = FedConfig(
+            strategy="aligned", rounds=3, batch_size=8, encrypt=True,
+            weighting="sample_weighted", accumulate=False, align_target="current",
+        )
+        res = run_experiment(small_suite(), "dom1", MODEL, cfg)
+        assert len(calls) == len(res.records) == 3
+        for (config, weights), r in zip(calls, res.records):
+            assert config is r.aggregation.config
+            assert (config.weighting, config.accumulate, config.target) == ("sample_weighted", False, "current")
+            assert weights is r.aggregation.weights
+
     def test_encrypted_many_clients_matches_plain_aggregate(self):
         # The benchmark's many-clients shape: K=32 sources, P=2002.
         k = 32

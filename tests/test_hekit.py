@@ -14,6 +14,7 @@ from fedalign.aggregation import AlignConfig, aggregate_aligned, ClientUpdate
 from fedalign.domains import default_benchmark_spec, generate
 from fedalign.errors import (
     DimensionMismatch,
+    InvalidLambda,
     InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
@@ -344,12 +345,10 @@ class TestEncryptedAlignment:
         updates = [ClientUpdate(f"c{i}", g, 1, 0.0) for i, g in enumerate(grads)]
         return aggregate_aligned(updates, AlignConfig(lam=lam), rng=Rng(seed))
 
-    def replay(self, grads, rep, lam=0.1):
+    def replay(self, grads, rep):
         c = transparent_cipher()
         enc = [enc_vec(c, g) for g in grads]
-        out, audit = aligned_aggregate_encrypted(
-            enc, lam, c, rep.conflict_pairs, weights=list(rep.weights)
-        )
+        out, audit = aligned_aggregate_encrypted(enc, rep.config, c, rep.conflict_pairs, rep.weights)
         return dec_vec(c, out), audit
 
     def test_pipeline_matches_plaintext(self):
@@ -396,7 +395,7 @@ class TestEncryptedAlignment:
         with pytest.raises(error, match=f"^{message}$"):
             weighted_sum_encrypted(enc, weights, c)
         with pytest.raises(error, match=f"^{message}$"):
-            aligned_aggregate_encrypted(enc, 0.1, c, [], weights=weights)
+            aligned_aggregate_encrypted(enc, AlignConfig(), c, [], weights)
 
     def test_conflict_free_case(self):
         grads = [np.array([1.0, 0.5]), np.array([0.9, 0.6])]
@@ -413,10 +412,9 @@ class TestEncryptedAlignment:
         assert np.max(np.abs(got - rep.aggregated)) <= 1e-6
 
     def test_lambda_validated(self):
-        c = transparent_cipher()
-        enc = [enc_vec(c, np.ones(1)), enc_vec(c, np.ones(1))]
-        with pytest.raises(InvalidSpec):
-            aligned_aggregate_encrypted(enc, 0.9, c, [])
+        # The replay's lambda is checked once, where its AlignConfig is built.
+        with pytest.raises(InvalidLambda):
+            AlignConfig(lam=0.9)
 
     def test_audit_runs_inside_pipeline(self):
         # A leaky backend is caught by the audit the pipeline performs.
@@ -425,21 +423,31 @@ class TestEncryptedAlignment:
         leaky = LeakyCipher()
         enc = [enc_vec(leaky, g) for g in grads]
         with pytest.raises(TraceViolation):
-            aligned_aggregate_encrypted(enc, 0.1, leaky, [(0, 1), (1, 0)])
+            aligned_aggregate_encrypted(enc, rep.config, leaky, [(0, 1), (1, 0)], rep.weights)
 
-    def test_default_weights_uniform(self):
-        grads = [np.array([2.0]), np.array([4.0])]
-        rep = self.plain_report(grads)
+    def test_replays_the_reports_semantics_and_weights(self):
+        # Sample weights, no accumulation and the "current" target: a replay
+        # that fell back to uniform weights, accumulation or the "original"
+        # target would decrypt far from the plaintext aggregate.
+        grads = [np.array([1.0, 0.2]), np.array([-0.8, 0.5]), np.array([-0.3, -0.9])]
+        updates = [ClientUpdate(f"c{i}", g, n, 0.0) for i, (g, n) in enumerate(zip(grads, [5, 40, 15]))]
+        cfg = AlignConfig(lam=0.3, weighting="sample_weighted", accumulate=False, target="current")
+        rep = aggregate_aligned(updates, cfg, rng=Rng(0))
+        assert rep.num_conflicts == 4
+        got, _ = self.replay(grads, rep)
+        assert np.max(np.abs(got - rep.aggregated)) <= 1e-6
+        # The same conflicts replayed with the semantics the removed defaults
+        # gave (accumulate, "original" target, uniform weights) land 0.3 away.
         c = transparent_cipher()
-        enc = [enc_vec(c, g) for g in grads]
-        out, _ = aligned_aggregate_encrypted(enc, 0.1, c, [])
-        assert abs(dec_vec(c, out)[0] - 3.0) <= 1e-6
+        out, _ = aligned_aggregate_encrypted(
+            [enc_vec(c, g) for g in grads], AlignConfig(lam=0.3), c, rep.conflict_pairs, [1 / 3] * 3
+        )
+        assert np.max(np.abs(dec_vec(c, out) - rep.aggregated)) > 0.1
 
     def test_target_validated(self):
-        c = transparent_cipher()
-        enc = [enc_vec(c, np.ones(1)), enc_vec(c, -np.ones(1))]
+        # The replay's target is checked once, where its AlignConfig is built.
         with pytest.raises(InvalidSpec, match="target"):
-            aligned_aggregate_encrypted(enc, 0.1, c, [(0, 1)], target="orignal")
+            AlignConfig(target="orignal")
 
     @pytest.mark.parametrize(
         "conflicts",
@@ -450,7 +458,7 @@ class TestEncryptedAlignment:
         c = transparent_cipher()
         enc = [enc_vec(c, np.ones(1)), enc_vec(c, -np.ones(1))]
         with pytest.raises(InvalidSpec, match="conflict pair"):
-            aligned_aggregate_encrypted(enc, 0.1, c, conflicts)
+            aligned_aggregate_encrypted(enc, AlignConfig(), c, conflicts, [0.5, 0.5])
 
 
 class TestCountTraces:
@@ -470,7 +478,7 @@ class TestCountTraces:
             rep = aggregate_aligned(updates, cfg, rng=Rng(seed))
             c, ref = transparent_cipher(), TupleTraceCipher()
             out, audit = aligned_aggregate_encrypted(
-                [enc_vec(c, g) for g in grads], lam, c, rep.conflict_pairs, list(rep.weights), accumulate, target
+                [enc_vec(c, g) for g in grads], rep.config, c, rep.conflict_pairs, rep.weights
             )
             ref_out, ref_audit = reference_aligned_encrypted(
                 [ref.enc(g) for g in grads], lam, rep.tested_pairs, ref, set(map(tuple, rep.conflict_pairs.tolist())),
@@ -491,7 +499,7 @@ class TestCountTraces:
         c = transparent_cipher()
         enc = [enc_vec(c, g) for g in grads]
         t0 = time.perf_counter()
-        out, audit = aligned_aggregate_encrypted(enc, 0.1, c, conflicts, weights=list(rep.weights))
+        out, audit = aligned_aggregate_encrypted(enc, rep.config, c, conflicts, rep.weights)
         elapsed = time.perf_counter() - t0
         assert audit.total_tags == 2656659150
         assert np.max(np.abs(dec_vec(c, out) - rep.aggregated)) <= 1e-6
@@ -609,6 +617,6 @@ class TestBoundCertificates:
                 [ref.enc(g) for g in grads], 0.1, np.array([[0, 1]]), ref, {(0, 1)}, [0.5, 0.5], True, "original"
             )
         with pytest.raises(OverflowAtScale) as err:
-            aligned_aggregate_encrypted([enc_vec(c, g) for g in grads], 0.1, c, [(0, 1)])
+            aligned_aggregate_encrypted([enc_vec(c, g) for g in grads], AlignConfig(), c, [(0, 1)], [0.5, 0.5])
         assert str(err.value) == str(expected.value)
         assert "below 4 at scale 536870912" in str(err.value)

@@ -228,6 +228,18 @@ class TestRunSweep:
         assert err.value.field == "sweep.overrides.aligned.lr"
         assert ran == []
 
+    @pytest.mark.parametrize("jobs", [0, -2, True, 2.5, "2", None])
+    def test_jobs_must_be_a_positive_integer(self, suite, monkeypatch, jobs):
+        ran = []
+        monkeypatch.setattr(sweep, "run_experiment", lambda *args: ran.append(args))
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        spec = SweepSpec(strategies=("fedavg",), seeds=(0, 1), targets=("dom0",))
+        with pytest.raises(ConfigError) as err:
+            run_sweep(suite, MODEL, BASE, spec, jobs=jobs)
+        assert (err.value.field, err.value.message) == ("jobs", "must be a positive integer")
+        assert ran == [] and _RecordingPool.started == []
+
     def test_one_config_parse_per_strategy(self, suite, monkeypatch):
         parsed = []
         original = FedConfig.from_dict.__func__
