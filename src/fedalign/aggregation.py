@@ -245,7 +245,9 @@ class AggregationReport:
 
 def _check_lambda(lam: float) -> None:
     if not (is_real(lam) and 0.0 < lam <= 0.5):
-        raise InvalidLambda(f"lambda must be in (0, 0.5], got {lam}")
+        # A value that is not a number is quoted, so "0.1" does not read as in range.
+        shown = lam if is_real(lam) else repr(lam)
+        raise InvalidLambda(f"lambda must be in (0, 0.5], got {shown}")
 
 
 def detect_conflict(g_i: RealVec, g_j: RealVec) -> tuple[bool, float]:

@@ -352,13 +352,6 @@ def cmd_sweep(args) -> int:
     base = dict(_section(doc, "federation"))
     base.pop("strategy", None)
     base.pop("seed", None)
-    configs = strategy_configs(base, spec)
-    for tgt in spec.targets:
-        if tgt not in suite.domain_ids:
-            raise ConfigError("sweep.targets", f"unknown domain {tgt!r}")
-    for cfg in configs.values():
-        _warn_duplicate_of_fedavg(cfg)
-
     result = run_sweep(
         suite,
         model,
@@ -367,6 +360,9 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         progress=None if args.quiet else lambda line: print(line),
     )
+    # Warned after the grid, so that a sweep run_sweep rejects prints its error alone.
+    for cfg in strategy_configs(base, spec).values():
+        _warn_duplicate_of_fedavg(cfg)
 
     outdir = _out_path(args, "-sweep")
     normalized = {

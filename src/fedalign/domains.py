@@ -299,9 +299,14 @@ class CsvSchema:
     def __post_init__(self):
         if isinstance(self.feature_cols, str):
             raise InvalidSpec("feature_cols must be a sequence of column names, not one string")
-        object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
+        try:
+            object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
+        except TypeError:
+            raise InvalidSpec("feature_cols must be a sequence of column names") from None
         if not self.feature_cols:
             raise InvalidSpec("schema needs at least one feature column")
+        if not all(isinstance(c, str) for c in (*self.feature_cols, self.label_col, self.domain_col)):
+            raise InvalidSpec("column names must be strings")
 
 
 def load_csv(path: str, schema: CsvSchema) -> DomainSuite:

@@ -60,6 +60,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
+    InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -175,7 +176,8 @@ class FedConfig:
             if self.lam is None:
                 object.__setattr__(self, "lam", 0.1)
             if not (is_real(self.lam) and 0.0 < self.lam <= 0.5):
-                raise ConfigError("lambda", f"must be in (0, 0.5], got {self.lam}")
+                shown = self.lam if is_real(self.lam) else repr(self.lam)
+                raise ConfigError("lambda", f"must be in (0, 0.5], got {shown}")
         elif self.lam is not None:
             raise ConfigError("lambda", f"only valid for the aligned strategy, not {self.strategy!r}")
         if self.strategy == "fedprox":
@@ -260,11 +262,14 @@ class ExperimentResult:
     ``sources`` are the training clients' datasets in client order (the one
     pooled dataset for deepall); ``csv_rows`` evaluates them at each
     record's parameters.  ``final_target`` is the last record's
-    ``target_metrics`` (the initial parameters' with no rounds).
+    ``target_metrics`` (the initial parameters' with no rounds).  The model
+    is ``initial_params.spec``.  ``summary()`` finds the rounds with at
+    least one conflict in one pass over the records, and takes their
+    fraction and mean domain variance before and after alignment from that
+    one list (``None`` for both means when no round conflicted).
     """
 
     config: FedConfig
-    model: ModelSpec
     target: str
     sources: tuple[DomainDataset, ...] = field(repr=False)
     records: tuple[RoundRecord, ...]
@@ -283,28 +288,23 @@ class ExperimentResult:
     def final_target_accuracy(self) -> float:
         return self.final_target.accuracy
 
-    def conflict_round_fraction(self) -> float:
-        if not self.records:
-            return 0.0
-        hits = sum(1 for r in self.records if r.aggregation.num_conflicts > 0)
-        return hits / len(self.records)
+    def _conflict_reports(self) -> list[AggregationReport]:
+        """The reports of the rounds with at least one conflict, in order."""
+        return [r.aggregation for r in self.records if r.aggregation.num_conflicts > 0]
 
-    def variance_means_on_conflict_rounds(self) -> tuple[float, float]:
-        """Mean domain variance (before, after) over rounds with >= 1 conflict;
-        NaNs if no round conflicted."""
-        hits = [r.aggregation for r in self.records if r.aggregation.num_conflicts > 0]
-        if not hits:
-            return (float("nan"), float("nan"))
-        return (float(np.mean([a.variance_before for a in hits])), float(np.mean([a.variance_after for a in hits])))
+    def conflict_round_fraction(self) -> float:
+        return len(self._conflict_reports()) / len(self.records) if self.records else 0.0
 
     def params_digest(self) -> str:
         text = ",".join(f"{v:.17g}" for v in self.final_params.values)
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def summary(self) -> dict:
-        vb, va = self.variance_means_on_conflict_rounds()
-        if vb != vb:  # no conflicting rounds: JSON-friendly null, not NaN
-            vb = va = None
+        hits = self._conflict_reports()
+        vb = va = None  # no conflicting rounds: JSON-friendly null, not NaN
+        if hits:
+            vb = float(np.mean([a.variance_before for a in hits]))
+            va = float(np.mean([a.variance_after for a in hits]))
         best = max((r.target_metrics.accuracy for r in self.records), default=self.final_target.accuracy)
         return {
             "strategy": self.config.strategy,
@@ -316,7 +316,7 @@ class ExperimentResult:
             "final_target_accuracy": self.final_target.accuracy,
             "final_target_loss": self.final_target.loss,
             "best_target_accuracy": best,
-            "conflict_round_fraction": self.conflict_round_fraction(),
+            "conflict_round_fraction": len(hits) / len(self.records) if self.records else 0.0,
             "mean_variance_before_on_conflict_rounds": vb,
             "mean_variance_after_on_conflict_rounds": va,
             "final_params_sha256": self.params_digest(),
@@ -444,7 +444,10 @@ def client_phase(
     first check it fails (``gradient``, then ``updated parameters``, then a
     ``displacement`` that is not finite), and the lowest-index failing
     client raises :class:`NonFiniteResult`, ``client <id>: <check> contains
-    NaN or Inf``, which ``run_round`` prefixes with the round.
+    NaN or Inf``, which ``run_round`` prefixes with the round.  A batch
+    label the model has no class for raises :class:`InvalidSpec` at its
+    step, ``client <id>: labels outside [0, C)``, for the lowest-index
+    client whose batch holds one.
     """
     lr = cfg.lr if lr is None else lr
     w = global_params
@@ -458,7 +461,12 @@ def client_phase(
             _check_data(clients, global_params.spec, cfg.batch_size)
             raise
         ys = np.array([ds.labels[sel[step]] for ds, sel in zip(clients, rows)])
-        values, grads = loss_and_grad(w, xs, ys)
+        try:
+            values, grads = loss_and_grad(w, xs, ys)
+        except InvalidSpec as exc:
+            # A label the model has no class for: name the first client whose batch holds one.
+            k = next(k for k, y in enumerate(ys) if y.min() < 0 or y.max() >= w.spec.num_classes)
+            raise InvalidSpec(f"client {clients[k].domain_id}: {exc}") from exc
         for k in nonfinite_rows(grads):
             failed.setdefault(k, "gradient")
         if cfg.local_steps > 1:
@@ -556,7 +564,7 @@ def run_round(
             decrypted, audit_dict = _encrypted_replay(report, cfg.scale)
             report = replace(report, aggregated=decrypted)
         params = sgd_step(params, report.aggregated, lr)
-    except (NonFiniteResult, OverflowAtScale) as exc:
+    except (NonFiniteResult, OverflowAtScale, InvalidSpec) as exc:
         # An error that names its client joins the round as "round t, client <id>: ".
         sep = ", " if str(exc).startswith("client ") else ": "
         raise type(exc)(f"round {t}{sep}{exc}") from exc
@@ -614,7 +622,6 @@ def run_experiment(
         final_target = records[-1].target_metrics if records else evaluate(initial, target_dataset)
     return ExperimentResult(
         config=cfg,
-        model=model,
         target=target,
         sources=tuple(sources),
         records=tuple(records),

@@ -296,7 +296,9 @@ def evaluate(params: ParamVector, dataset: DomainDataset) -> Metrics:
     adds a row of eight or more entries in eight partial sums, and how it
     groups a shorter row depends on the shape.  It adds a row of two of
     exp's entries (never -0.0) as ``a + b`` at every row count, so two
-    classes take that sum directly, without the reduction's set-up.
+    classes take that sum directly, without the reduction's set-up.  A
+    label the model has no class for raises :class:`InvalidSpec` naming the
+    domain.
     """
     n = dataset.num_rows
     if n == 0:
@@ -309,7 +311,10 @@ def evaluate(params: ParamVector, dataset: DomainDataset) -> Metrics:
     for j in range(2, logits.shape[1]):
         np.maximum(top, logits[:, j], out=top)
     logits -= top[:, None]
-    picked = logits[np.arange(n), labels]
+    try:
+        picked = logits[np.arange(n), labels]
+    except IndexError:
+        raise InvalidSpec(f"domain {dataset.domain_id!r} has labels outside [0, {params.spec.num_classes})") from None
     np.exp(logits, out=logits)
     picked -= np.log(logits[:, 0] + logits[:, 1] if logits.shape[1] == 2 else logits.sum(axis=1))
     np.negative(picked, out=picked)

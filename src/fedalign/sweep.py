@@ -211,20 +211,24 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full grid.  ``base_config`` is the shared federation config
     as a plain dict; :func:`strategy_configs` builds each strategy's config
-    from it once, and raises :class:`ConfigError` before any cell runs for
-    a shared ``lambda`` or ``mu`` or a bad field, as it does for a
-    ``jobs`` that is not a positive integer.  ``jobs`` > 1 runs cells in
-    ``min(jobs, cells)`` worker processes (the pool starts every worker at
-    once, so never more than there are cells).  Cells run
-    seed by seed, in grid order within a seed, so each process's batch-row
-    memo serves every cell at a seed it runs; ``progress`` lines come in
-    that run order and results in grid order, with any ``jobs``.
+    from it once.  Before any cell runs, :class:`ConfigError` names a
+    ``jobs`` that is not a positive integer, then a shared ``lambda`` or
+    ``mu`` or a bad field, then a target the suite does not hold.
+    ``jobs`` > 1 runs cells in ``min(jobs, cells)`` worker processes (the
+    pool starts every worker at once, so never more than there are cells).
+    Cells run seed by seed, in grid order within a seed, so each process's
+    batch-row memo serves every cell at a seed it runs; ``progress`` lines
+    come in that run order and results in grid order, with any ``jobs``.
     """
     if not (is_int(jobs) and jobs >= 1):
         raise ConfigError("jobs", "must be a positive integer")
+    configs = strategy_configs(base_config, spec)
+    for t in spec.targets:
+        if t not in suite.domain_ids:
+            raise ConfigError("sweep.targets", f"unknown domain {t!r}")
     grid = [
         (suite, model, replace(cfg, seed=seed), target)
-        for cfg in strategy_configs(base_config, spec).values()
+        for cfg in configs.values()
         for target in spec.targets
         for seed in spec.seeds
     ]

@@ -728,10 +728,13 @@ class TestLazyDiagnostics:
 
 
 class TestAlignConfig:
-    @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.6, "0.1", None, [0.1]])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.6, "0.1", None, [0.1], np.float64(0.9), "0.25"])
     def test_lambda_validated(self, lam):
-        with pytest.raises(InvalidLambda):
+        with pytest.raises(InvalidLambda) as err:
             AlignConfig(lam=lam)
+        # A value that is not a number is quoted; a number, numpy's too, is not.
+        shown = lam if isinstance(lam, float) else repr(lam)
+        assert str(err.value) == f"lambda must be in (0, 0.5], got {shown}"
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -865,6 +865,18 @@ class TestSweep:
         assert main(["sweep", "--spec", cfg]) == 2
         assert "domX" in capsys.readouterr().err
 
+    def test_unknown_target_prints_its_error_alone(self, tmp_path, capsys):
+        # fedprox at one local step warns, but not for a sweep that never runs.
+        cfg = self.sweep_config(
+            tmp_path,
+            sweep={"strategies": ["fedavg", "fedprox"], "seeds": [0], "targets": ["dom0", "domX"]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: config field 'sweep.targets': unknown domain 'domX'\n"
+        assert captured.out == "" and not out.exists()
+
     def test_every_seed_checked_before_running(self, tmp_path, capsys):
         cfg = self.sweep_config(
             tmp_path,

@@ -414,6 +414,25 @@ class TestLoadCsv:
             CsvSchema(feature_cols="x0", label_col="label", domain_col="domain")
         assert CsvSchema(feature_cols=["x0"], label_col="label", domain_col="domain").feature_cols == ("x0",)
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            dict(feature_cols=("x0", 1), label_col="label", domain_col="domain"),
+            dict(feature_cols=("x0",), label_col=None, domain_col="domain"),
+            dict(feature_cols=("x0",), label_col="label", domain_col=b"domain"),
+        ],
+        ids=["feature", "label", "domain"],
+    )
+    def test_schema_rejects_a_name_that_is_not_a_string(self, names):
+        # Accepted, such a name would surface later as a column missing from the header.
+        with pytest.raises(InvalidSpec, match="^column names must be strings$"):
+            CsvSchema(**names)
+
+    @pytest.mark.parametrize("cols", [5, None])
+    def test_schema_rejects_feature_cols_that_are_not_a_sequence(self, cols):
+        with pytest.raises(InvalidSpec, match="^feature_cols must be a sequence of column names$"):
+            CsvSchema(feature_cols=cols, label_col="label", domain_col="domain")
+
     def test_single_domain_rejected(self, tmp_path):
         path = self.write(tmp_path, "domain,x0,x1,label\na,1.0,2.0,0\na,3.0,4.0,1\n")
         with pytest.raises(InsufficientDomains):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedalign.aggregation import AggregationReport
 from fedalign.domains import (
     DomainDataset,
     DomainSuite,
@@ -20,6 +21,7 @@ from fedalign.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
+    InvalidSpec,
     NonFiniteResult,
     OverflowAtScale,
     from_json,
@@ -110,12 +112,22 @@ class TestFedConfig:
             (dict(rounds=400, lr_decay=LrDecay(1, 0.1)), "lr_decay"),
             (dict(rounds=40, lr=1e-300, lr_decay=LrDecay(1, 10.0)), "lr_decay"),
             (dict(rounds=2**62, lr_decay=LrDecay(1, 1.5)), "lr_decay"),
+            (dict(strategy="aligned", lam="0.1"), "lambda"),
+            (dict(strategy="aligned", lam=np.float64(0.7)), "lambda"),
         ],
     )
     def test_validation_names_field(self, kwargs, field):
         with pytest.raises(ConfigError) as err:
             FedConfig(**kwargs)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "lam, shown", [("0.1", "'0.1'"), ([0.1], "[0.1]"), (np.float64(0.7), "0.7"), (0.0, "0.0")]
+    )
+    def test_lambda_that_is_not_a_number_is_quoted(self, lam, shown):
+        with pytest.raises(ConfigError) as err:
+            FedConfig(strategy="aligned", lam=lam)
+        assert (err.value.field, err.value.message) == ("lambda", f"must be in (0, 0.5], got {shown}")
 
     @pytest.mark.parametrize(
         "kwargs", [dict(every_n_rounds=0, factor=2.0), dict(every_n_rounds=5, factor=0.0)]
@@ -476,6 +488,31 @@ class TestRunRound:
         with pytest.raises(OverflowAtScale, match=r"^round 0: encoded magnitude"):
             run_experiment(suite, "dom2", MODEL, too_fine)
 
+    def test_label_outside_classes_names_round_and_lowest_client(self):
+        # The suite checks labels for the CLI; the API can pair a suite with
+        # a model that has fewer classes.
+        suite = small_suite()
+        params = init_params(MODEL, Rng(0, 0))
+        d0, d1, target = suite.domains
+        shifted = [replace(d, labels=d.labels + 2) for d in (d0, d1)]
+        cfg = FedConfig(strategy="fedavg", batch_size=8)
+        with pytest.raises(InvalidSpec, match=r"^round 5, client dom1: labels outside \[0, 2\)$"):
+            run_round(params, 5, [d0, shifted[1]], cfg, target)
+        with pytest.raises(InvalidSpec, match=r"^round 0, client dom0: labels outside \[0, 2\)$"):
+            run_round(params, 0, shifted, cfg, target)
+        with pytest.raises(InvalidSpec, match=r"^round 3, client dom1: labels outside \[0, 2\)$"):
+            run_round(params, 3, [d0, shifted[1]], replace(cfg, strategy="fedprox", local_steps=3, mu=0.1), target)
+
+    @pytest.mark.parametrize("strategy", ["aligned", "deepall"])
+    def test_label_outside_classes_in_a_run_names_its_round(self, strategy):
+        suite = small_suite()
+        three = DomainSuite(
+            tuple(replace(d, labels=d.labels + (d.domain_id == "dom1")) for d in suite.domains), num_classes=3
+        )
+        client = "pooled" if strategy == "deepall" else "dom1"
+        with pytest.raises(InvalidSpec, match=rf"^round \d+, client {client}: labels outside \[0, 2\)$"):
+            run_experiment(three, "dom0", MODEL, FedConfig(strategy=strategy, rounds=20, batch_size=2))
+
 
 class TestPureRound:
     """A round is a pure step over its record: from record t-1's parameters,
@@ -778,6 +815,26 @@ class TestRunExperiment:
         s = run_experiment(suite, "dom1", MODEL, cfg).summary()
         assert s["mean_variance_before_on_conflict_rounds"] is None
         assert s["mean_variance_after_on_conflict_rounds"] is None
+        assert s["conflict_round_fraction"] == 0.0
+        # Rounds with one client test no pair, so none conflicts.
+        res = run_experiment(small_suite(domains=2), "dom1", MODEL, FedConfig(strategy="aligned", rounds=3, batch_size=8))
+        s = res.summary()
+        assert len(res.records) == 3 and s["conflict_round_fraction"] == res.conflict_round_fraction() == 0.0
+        assert s["mean_variance_before_on_conflict_rounds"] is None
+        assert s["mean_variance_after_on_conflict_rounds"] is None
+
+    def test_summary_reads_each_records_conflicts_once(self, monkeypatch):
+        res = run_experiment(small_suite(), "dom0", MODEL, FedConfig(strategy="aligned", rounds=12, batch_size=2))
+        hits = [r.aggregation for r in res.records if r.aggregation.num_conflicts > 0]
+        assert 0 < len(hits) < len(res.records), "the run must mix conflict and no-conflict rounds"
+        reads = []
+        count = AggregationReport.num_conflicts.fget
+        monkeypatch.setattr(AggregationReport, "num_conflicts", property(lambda rep: reads.append(rep) or count(rep)))
+        s = res.summary()
+        assert [id(rep) for rep in reads] == [id(r.aggregation) for r in res.records]
+        assert s["conflict_round_fraction"] == len(hits) / len(res.records)
+        assert s["mean_variance_before_on_conflict_rounds"] == float(np.mean([a.variance_before for a in hits]))
+        assert s["mean_variance_after_on_conflict_rounds"] == float(np.mean([a.variance_after for a in hits]))
 
     def test_csv_rows_columns(self):
         suite = small_suite()

@@ -240,10 +240,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("label", [2, 7])
     def test_label_outside_classes_rejected(self, label):
         # The label entry is read per row, so a label past the last class
-        # raises instead of reading the next row's logits.
+        # raises, naming its domain, instead of reading the next row's logits.
         params = init_params(LOGREG, Rng(0))
         ds = DomainDataset(domain_id="d", features=np.ones((3, 2)), labels=np.array([label, 0, 1]))
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidSpec, match=r"^domain 'd' has labels outside \[0, 2\)$"):
             evaluate(params, ds)
 
 

@@ -16,6 +16,8 @@ from _oracles import checkout_env
 
 MODEL = ModelSpec(input_dim=2, hidden_dim=4, num_classes=2, activation="relu")
 BASE = {"rounds": 4, "batch_size": 8, "lr": 0.1, "lr_decay": None}
+# A strategy override whose cells diverge and fail, at round 6.
+DIVERGING = {"lr": 1e30, "rounds": 10}
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +166,17 @@ class TestRunSweep:
         assert all(c.error is None for c in result.cells)
 
     def test_failed_cell_recorded_not_fatal(self, suite):
-        # An unknown target breaks one cell at run time but the grid finishes.
-        spec = SweepSpec(strategies=("fedavg",), seeds=(0,), targets=("dom0", "ghost"))
+        # A diverging strategy breaks its cell at run time but the grid finishes.
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom0",), overrides={"aligned": DIVERGING}
+        )
         result = run_sweep(suite, MODEL, BASE, spec)
-        ok = {c.target: c for c in result.cells}
-        assert ok["dom0"].error is None
-        assert ok["ghost"].error is not None and "ghost" in ok["ghost"].error
-        assert ok["ghost"].final_target_accuracy is None
+        ok = {c.strategy: c for c in result.cells}
+        assert ok["fedavg"].error is None
+        assert ok["aligned"].error is not None and "NonFiniteResult: round 6" in ok["aligned"].error
+        assert ok["aligned"].final_target_accuracy is None
         # The aggregate mean over the broken column is NaN, not a crash.
-        assert math.isnan(result.mean_accuracy("fedavg", "ghost"))
+        assert math.isnan(result.mean_accuracy("aligned", "dom0"))
 
     def test_parallel_matches_sequential(self, suite):
         spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0, 1), targets=("dom1",))
@@ -189,17 +193,34 @@ class TestRunSweep:
 
     def test_progress_same_for_parallel(self, suite):
         # Worker processes report through the same loop, in run order.
-        spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0, 1), targets=("dom0", "ghost"))
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned"), seeds=(0, 1), targets=("dom0", "dom1"), overrides={"aligned": DIVERGING}
+        )
         serial, parallel = [], []
         run_sweep(suite, MODEL, BASE, spec, jobs=1, progress=serial.append)
         run_sweep(suite, MODEL, BASE, spec, jobs=2, progress=parallel.append)
         assert len(serial) == 8 and serial[-1].startswith("[8/8]")
+        assert sum(line.endswith(" failed") for line in serial) == 4
         assert parallel == serial
 
     def test_to_dict_json_safe(self, suite):
-        spec = SweepSpec(strategies=("fedavg",), seeds=(0,), targets=("dom0", "ghost"))
+        spec = SweepSpec(
+            strategies=("fedavg", "aligned"), seeds=(0,), targets=("dom0",), overrides={"aligned": DIVERGING}
+        )
         result = run_sweep(suite, MODEL, BASE, spec)
+        assert math.isnan(result.mean_accuracy("aligned"))
         __import__("json").dumps(result.to_dict(), allow_nan=False)
+
+    def test_unknown_target_raises_before_any_cell(self, suite, monkeypatch):
+        ran = []
+        monkeypatch.setattr(sweep, "run_experiment", lambda *args: ran.append(args))
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        spec = SweepSpec(strategies=("fedavg", "aligned"), seeds=(0, 1), targets=("dom0", "ghost"))
+        with pytest.raises(ConfigError) as err:
+            run_sweep(suite, MODEL, BASE, spec, jobs=2)
+        assert (err.value.field, err.value.message) == ("sweep.targets", "unknown domain 'ghost'")
+        assert ran == [] and _RecordingPool.started == []
 
     @pytest.mark.parametrize(
         "key, strategies", [("lambda", ("fedavg", "aligned")), ("mu", ("fedprox", "fedavg"))]
