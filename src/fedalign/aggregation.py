@@ -40,10 +40,14 @@ whose row is not finite.
 
 A report stores the round's originals and the loop's decisions; everything
 else is derived on read and, except ``aligned``, cached (see
-:class:`AggregationReport`).  An aggregation whose reader never looks at
-the diagnostics pays nothing for them; the readers that do are
-``rounds.csv`` (every round) and a sweep cell's variance means (the
-conflict rounds, which pay a replay of the aligned rows too).
+:class:`AggregationReport`).  ``probes_and_targets`` is the one rule for
+which rows a step reads, its probe under ``accumulate`` and its target
+under ``target``: the pair loop, the ``aligned`` replay and the encrypted
+replay (``hekit.aligned_aggregate_encrypted``) all take their rows from
+it.  An aggregation whose reader never looks at the diagnostics pays
+nothing for them; the readers that do are ``rounds.csv`` (every round)
+and a sweep cell's variance means (the conflict rounds, which pay a
+replay of the aligned rows too).
 
 ``domain_variance`` is batched: for each row *i* one numpy call forms the
 differences against a chunk of later rows, and each row is then squared
@@ -153,8 +157,9 @@ class AggregationReport:
     ``originals`` is the K×P matrix of the round's client gradients, row k
     for ``client_ids[k]``.  ``aligned`` is the K×P matrix of final ones:
     ``originals`` itself for fedavg and for an aligned round without
-    conflicts, otherwise the recorded conflicts replayed on a fresh copy,
-    with the loop's own in-place step, on every read.
+    conflicts, otherwise the recorded conflicts replayed on a fresh copy, from
+    ``probes_and_targets``'s rows and with the loop's own in-place step, on
+    every read.
 
     ``tested_pairs`` is a read-only (M, 2) int64 array of client indices,
     one row per tested pair in the order tested: the visiting order for
@@ -215,12 +220,9 @@ class AggregationReport:
         if not conflicts:
             return self.originals
         # The recorded conflicts, in tested order, stepped as the loop did.
-        cfg = self.config
-        working = self.originals.copy()
-        orig_rows, work_rows = list(self.originals), list(working)
-        probes = work_rows if cfg.accumulate else orig_rows
-        targets = work_rows if cfg.target == "current" else orig_rows
-        lam, addend = cfg.lam, np.empty(working.shape[1])
+        lam, working = self.config.lam, self.originals.copy()
+        work_rows, addend = list(working), np.empty(working.shape[1])
+        probes, targets = probes_and_targets(list(self.originals), work_rows, self.config)
         for i, j in conflicts:
             _step_into(work_rows[i], probes[i], np.multiply(targets[j], 2.0 * lam, out=addend), lam)
         return working
@@ -274,6 +276,17 @@ def _step_into(row: RealVec, probe: RealVec, addend: RealVec, lam: float) -> Non
     ``probe`` may be ``row``; ``addend`` must not be."""
     np.multiply(probe, 1.0 - 2.0 * lam, out=row)
     np.add(row, addend, out=row)
+
+
+def probes_and_targets(originals: Sequence, working: Sequence, cfg: AlignConfig) -> tuple[Sequence, Sequence]:
+    """The rows the aligned loop's step for a pair ``(i, j)`` reads, as
+    ``(probes, targets)``: the step sets row *i* from ``probes[i]`` and
+    ``targets[j]``.  The probes are ``working`` under ``cfg.accumulate`` and
+    ``originals`` otherwise; the targets are ``originals`` under
+    ``cfg.target == "original"`` and ``working`` otherwise.  The one rule
+    for the pair loop, the ``aligned`` replay and the encrypted replay
+    (``hekit.aligned_aggregate_encrypted``, on cipher handles)."""
+    return (working if cfg.accumulate else originals), (originals if cfg.target == "original" else working)
 
 
 def _exact_dot(probe: RealVec, target: RealVec, buf: RealVec) -> float:
@@ -446,8 +459,7 @@ def aggregate_aligned(
     work_rows = list(working)
     orig_rows = [np.asarray(u.gradient, dtype=np.float64) for u in updates]
     accumulate, current, lam = cfg.accumulate, cfg.target == "current", cfg.lam
-    probes = work_rows if accumulate else orig_rows
-    targets = work_rows if current else orig_rows
+    probes, targets = probes_and_targets(orig_rows, work_rows, cfg)
     norms = list(map(_norm, squares.tolist()))
     # The steps' 2*lam * g_j, when they target the originals (still the
     # working rows here).

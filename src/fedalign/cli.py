@@ -47,7 +47,7 @@ from .domains import CsvSchema, DomainSuite, SyntheticSpec, generate, load_csv, 
 from .errors import ConfigError, FedAlignError, InvalidLambda, InvalidSpec, ParseError, from_json, to_json, utf8_error
 from .federation import ROUND_CSV_COLUMNS, FedConfig, run_experiment
 from .models import ModelSpec
-from .sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep, strategy_configs
+from .sweep import RESULT_CSV_COLUMNS, SweepSpec, run_sweep
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_gen_data"]
 
@@ -361,7 +361,7 @@ def cmd_sweep(args) -> int:
         progress=None if args.quiet else lambda line: print(line),
     )
     # Warned after the grid, so that a sweep run_sweep rejects prints its error alone.
-    for cfg in strategy_configs(base, spec).values():
+    for cfg in result.configs.values():
         _warn_duplicate_of_fedavg(cfg)
 
     outdir = _out_path(args, "-sweep")

@@ -34,8 +34,9 @@ add/sub/mul algebra cannot produce a plaintext bit.  The conflict decisions
 therefore enter :func:`aligned_aggregate_encrypted` as an external input
 (in the simulator, from the plaintext aggregation as a trusted comparator),
 together with that aggregation's own :class:`AlignConfig` and weights: the
-replay has no defaults, so it runs with exactly the semantics the plaintext
-loop ran with.
+replay has no defaults, and it takes each step's rows from the plaintext
+loop's own rule (``aggregation.probes_and_targets``), so it runs with
+exactly the semantics the plaintext loop ran with.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import AlignConfig
+from .aggregation import AlignConfig, probes_and_targets
 from .errors import DimensionMismatch, InvalidSpec, NonFiniteResult, OverflowAtScale, TraceViolation, is_int
 from .numcore import RealVec
 
@@ -349,34 +350,36 @@ def aligned_aggregate_encrypted(
     """Replay the alignment aggregation entirely in encrypted space.
 
     ``cfg`` is the :class:`AlignConfig` the plaintext aggregator ran with
-    (a report's ``config``): the replay takes its ``lam``, ``accumulate``
-    and ``target``, and ``weights`` are the report's own.  ``conflicts``
-    are the externally supplied decisions: the ordered ``(i, j)``
-    client-index pairs that conflicted, in the visiting order the plaintext
-    loop met them, as the plaintext report's ``conflict_pairs`` array holds
-    them (or any sequence of index pairs).  The sign test is not
-    expressible in the operator algebra (see module docstring).
+    (a report's ``config``): the replay takes its ``lam``, and
+    ``weights`` are the report's own.  ``conflicts`` are the externally
+    supplied decisions: the ordered ``(i, j)`` client-index pairs that
+    conflicted, in the visiting order the plaintext loop met them, as the
+    plaintext report's ``conflict_pairs`` array holds them (or any sequence
+    of index pairs).  The sign test is not expressible in the operator
+    algebra (see module docstring).  Every pair is checked before any
+    cipher work, so a malformed list raises :class:`InvalidSpec` first.
 
-    The correction applied for each conflicting pair is
+    Each step's probe ``p`` and target ``t`` come from
+    ``aggregation.probes_and_targets``, as in the plaintext loop.  The step
+    is
 
-        E(h_i) (-) E(2) (*) E(lam) (*) (E(h_i) (-) E(g_j))
+        E(p) (-) E(2) (*) E(lam) (*) (E(p) (-) E(t))
 
     with ``E(2) (*) E(lam)`` computed once.  Returns the encrypted
     aggregated gradient and its trace audit.
     """
     _check_enc_updates(enc_updates)
-    k = len(enc_updates)
+    k, seen = len(enc_updates), set()
+    pairs = np.asarray(conflicts, dtype=np.int64).reshape(-1, 2).tolist()
+    for i, j in pairs:
+        if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:
+            raise InvalidSpec(f"conflict pair {(i, j)} is not a new pair of two of the {k} clients")
+        seen.add((i, j))
     # Built even when no pair conflicts: at a scale of 2^30 or more, encoding
     # 2.0 overflows, and a run at that scale must fail in its first round.
     two_lam = cipher.mul(cipher.enc(2.0), cipher.enc(cfg.lam))
     working = list(enc_updates)
-    seen = set()
-    for i, j in np.asarray(conflicts, dtype=np.int64).reshape(-1, 2).tolist():
-        if not (0 <= i < k and 0 <= j < k) or i == j or (i, j) in seen:
-            raise InvalidSpec(f"conflict pair {(i, j)} is not a new pair of two of the {k} clients")
-        seen.add((i, j))
-        base = working[i] if cfg.accumulate else enc_updates[i]
-        tgt = enc_updates[j] if cfg.target == "original" else working[j]
-        working[i] = cipher.sub(base, cipher.mul(two_lam, cipher.sub(base, tgt)))
-
+    probes, targets = probes_and_targets(enc_updates, working, cfg)
+    for i, j in pairs:
+        working[i] = cipher.sub(probes[i], cipher.mul(two_lam, cipher.sub(probes[i], targets[j])))
     return weighted_sum_encrypted(working, weights, cipher)

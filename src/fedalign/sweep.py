@@ -19,7 +19,7 @@ Each cell is one :class:`CellResult`, whose fields are the columns of
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -110,8 +110,13 @@ RESULT_CSV_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The grid's cells, in grid order.  ``configs`` is each strategy's
+    :class:`FedConfig` at the grid's first seed, as
+    :func:`strategy_configs` built it for the run."""
+
     spec: SweepSpec
     cells: tuple[CellResult, ...]
+    configs: dict[str, FedConfig] = field(compare=False)
 
     def results_rows(self) -> list[dict]:
         """One dict per cell in grid order, keys RESULT_CSV_COLUMNS."""
@@ -251,4 +256,4 @@ def run_sweep(
                     f"[{done}/{len(grid)}] {cell.strategy} target={cell.target} "
                     f"seed={cell.seed} {status}"
                 )
-    return SweepResult(spec=spec, cells=tuple(cells))
+    return SweepResult(spec=spec, cells=tuple(cells), configs=configs)

@@ -317,6 +317,7 @@ class TestAlignedOnRead:
     def assert_replays(grads, rep, working):
         assert rep.originals.tobytes() == np.array(grads, dtype=np.float64).tobytes()
         first, second = rep.aligned, rep.aligned
+        assert rep.originals.tobytes() == np.array(grads, dtype=np.float64).tobytes()
         assert first.tobytes() == working.tobytes()
         assert second.tobytes() == first.tobytes()
         assert bits(weighted_sum(list(first), rep.weights)) == bits(rep.aggregated)

@@ -877,6 +877,23 @@ class TestSweep:
         assert captured.err == "config error: config field 'sweep.targets': unknown domain 'domX'\n"
         assert captured.out == "" and not out.exists()
 
+    def test_each_strategy_config_parsed_once(self, tmp_path, capsys, monkeypatch):
+        # The fedprox warning reads the configs the sweep built; it parses none.
+        from fedalign.federation import FedConfig
+
+        parsed, parse = [], FedConfig.from_dict.__func__
+
+        def counting(cls, d):
+            parsed.append(d["strategy"])
+            return parse(cls, d)
+
+        monkeypatch.setattr(FedConfig, "from_dict", classmethod(counting))
+        grid = {"strategies": ["fedavg", "fedprox"], "seeds": [0, 1], "targets": ["dom0"]}
+        cfg = self.sweep_config(tmp_path, sweep=grid)
+        assert main(["sweep", "--spec", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert parsed == ["fedavg", "fedprox"]
+        assert "warning: strategy fedprox" in capsys.readouterr().err
+
     def test_every_seed_checked_before_running(self, tmp_path, capsys):
         cfg = self.sweep_config(
             tmp_path,

@@ -460,6 +460,15 @@ class TestEncryptedAlignment:
         with pytest.raises(InvalidSpec, match="conflict pair"):
             aligned_aggregate_encrypted(enc, AlignConfig(), c, conflicts, [0.5, 0.5])
 
+    def test_pairs_checked_before_any_step(self):
+        # The first step's SUB would leave the codec range (100 - (-100) =
+        # 200 >= 128 at the default scale); the malformed second pair is
+        # rejected before it runs.
+        c = transparent_cipher()
+        enc = [enc_vec(c, np.array([100.0])), enc_vec(c, np.array([-100.0]))]
+        with pytest.raises(InvalidSpec, match=r"^conflict pair \(0, 0\) "):
+            aligned_aggregate_encrypted(enc, AlignConfig(), c, [(0, 1), (0, 0)], [0.5, 0.5])
+
 
 class TestCountTraces:
     """Tag-count traces and the conflict-list replay against the tuple
