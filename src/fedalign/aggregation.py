@@ -172,7 +172,8 @@ class AggregationReport:
     each row of ``originals``' squared norm as the pairwise ``np.sum(g *
     g)``: the sums the sign certificates read and the round's gradient
     norms take.  ``config`` is the :class:`AlignConfig` the aligned
-    aggregator ran with (None for fedavg).
+    aggregator ran with, in a run the run's one ``FedConfig.align``
+    shared by every round's report (None for fedavg).
     """
 
     aggregated: RealVec

@@ -27,6 +27,7 @@ from .errors import (
     InvalidSpec,
     ParseError,
     UnknownDomain,
+    as_tuple,
     is_finite_real,
     is_int,
     utf8_error,
@@ -74,12 +75,20 @@ class DomainDataset:
     labels: np.ndarray  # int64, shape (rows,)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        if not isinstance(self.domain_id, str):
+            raise InvalidSpec(f"domain_id must be a string, got {self.domain_id!r}")
+        try:
+            feats = np.asarray(self.features, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidSpec("features must be a 2-D matrix of real numbers") from None
         # A float label would otherwise be truncated to a class, so every
         # label must survive the cast (a NaN or huge one casts to garbage).
-        with np.errstate(invalid="ignore"):
-            labs = np.asarray(self.labels).astype(np.int64)
-        if not np.array_equal(labs, self.labels):
+        try:
+            with np.errstate(invalid="ignore"):
+                labs = np.asarray(self.labels).astype(np.int64)
+        except (TypeError, ValueError):
+            labs = None
+        if labs is None or not np.array_equal(labs, self.labels):
             raise InvalidSpec("labels must be integers")
         if feats.ndim != 2:
             raise InvalidSpec("features must be a 2-D matrix")
@@ -115,7 +124,12 @@ class DomainSuite:
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "domains", tuple(self.domains))
+        domains = as_tuple(self.domains)
+        if domains is None or not all(isinstance(d, DomainDataset) for d in domains):
+            raise InvalidSpec("domains must be a sequence of DomainDataset")
+        object.__setattr__(self, "domains", domains)
+        if not is_int(self.num_classes):
+            raise InvalidSpec(f"num_classes must be an integer, got {self.num_classes!r}")
         if len(self.domains) < 2:
             raise InsufficientDomains(f"a suite needs >= 2 domains, got {len(self.domains)}")
         ids = [d.domain_id for d in self.domains]
@@ -155,9 +169,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(is_finite_real(r) for r in self.rotation_degrees):
-            raise InvalidSpec("rotation_degrees must be finite real numbers")
-        object.__setattr__(self, "rotation_degrees", tuple(float(r) for r in self.rotation_degrees))
+        degrees = as_tuple(self.rotation_degrees)
+        if degrees is None or not all(is_finite_real(r) for r in degrees):
+            raise InvalidSpec("rotation_degrees must be a sequence of finite real numbers")
+        object.__setattr__(self, "rotation_degrees", tuple(float(r) for r in degrees))
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not is_int(self.num_domains) or self.num_domains < 2:
@@ -297,12 +312,10 @@ class CsvSchema:
     domain_col: str
 
     def __post_init__(self):
-        if isinstance(self.feature_cols, str):
-            raise InvalidSpec("feature_cols must be a sequence of column names, not one string")
-        try:
-            object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
-        except TypeError:
-            raise InvalidSpec("feature_cols must be a sequence of column names") from None
+        cols = as_tuple(self.feature_cols)
+        if cols is None:
+            raise InvalidSpec("feature_cols must be a sequence of column names")
+        object.__setattr__(self, "feature_cols", cols)
         if not self.feature_cols:
             raise InvalidSpec("schema needs at least one feature column")
         if not all(isinstance(c, str) for c in (*self.feature_cols, self.label_col, self.domain_col)):

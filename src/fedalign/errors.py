@@ -136,6 +136,18 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def as_tuple(value) -> tuple | None:
+    """The items of a value that must be a sequence, as a tuple; None for a
+    string or bytes (whose characters are not its items) or a value that
+    is not iterable."""
+    if isinstance(value, (str, bytes)):
+        return None
+    try:
+        return tuple(value)
+    except TypeError:
+        return None
+
+
 _CHECKS = {
     int: (is_int, "an integer"),
     float: (is_finite_real, "a finite number"),

@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +133,14 @@ class FedConfig:
     alignment step has conflicts to resolve.  The late lr drop (/10 at
     round 400) settles the endpoint, so final accuracies are comparable
     across strategies rather than snapshots of SGD noise.
+
+    ``align`` is derived, not a field: for the aligned strategy it is the
+    run's one :class:`AlignConfig` (``lam``, ``resolved_weighting``,
+    ``accumulate``, ``align_target``, ``order_mode``), built on first read
+    and kept, so every round's report holds that same object; it is None
+    for the other strategies.  ``to_dict``, ``==`` and the manifests see
+    only the fields, and ``dataclasses.replace`` makes a config that
+    builds its own.
     """
 
     strategy: str = "aligned"
@@ -161,6 +170,8 @@ class FedConfig:
             raise ConfigError("batch_size", "must be a positive integer")
         if not (is_finite_real(self.lr) and self.lr > 0):
             raise ConfigError("lr", "must be a positive real")
+        if self.lr_decay is not None and not isinstance(self.lr_decay, LrDecay):
+            raise ConfigError("lr_decay", f"must be an LrDecay or None, got {self.lr_decay!r}")
         if self.lr_decay is not None and self.rounds > 0:
             # The decayed lr is monotone in the round, so the last round's
             # is the one that can leave (0, inf) first.
@@ -208,6 +219,13 @@ class FedConfig:
         if self.weighting is not None:
             return self.weighting
         return "uniform" if self.strategy == "aligned" else "sample_weighted"
+
+    @cached_property
+    def align(self) -> AlignConfig | None:
+        """The run's :class:`AlignConfig`, or None (see the class docstring)."""
+        if self.strategy != "aligned":
+            return None
+        return AlignConfig(self.lam, self.resolved_weighting, self.accumulate, self.align_target, self.order_mode)
 
     def to_dict(self) -> dict:
         return to_json(self, rename=_JSON_NAMES)
@@ -516,19 +534,6 @@ def client_local_step(
     return _updates([dataset], *client_phase([dataset], global_params, cfg, [rows], lr))[0]
 
 
-def _aggregate(updates: list[ClientUpdate], cfg: FedConfig, round_index: int) -> AggregationReport:
-    if cfg.strategy == "aligned":
-        acfg = AlignConfig(
-            lam=cfg.lam,
-            weighting=cfg.resolved_weighting,
-            accumulate=cfg.accumulate,
-            target=cfg.align_target,
-            order_mode=cfg.order_mode,
-        )
-        return aggregate_aligned(updates, acfg, rng=Rng(cfg.seed, 2, round_index))
-    return aggregate_fedavg(updates, weighting=cfg.resolved_weighting)
-
-
 def _encrypted_replay(report: AggregationReport, scale: int) -> tuple[np.ndarray, dict]:
     """Re-run the round's aggregation arithmetic on cipher handles, one per
     row of ``report.originals``, with the semantics of ``report.config``,
@@ -558,7 +563,10 @@ def run_round(
     try:
         values, grads = client_phase(clients, params, cfg, rows, lr)
         updates = _updates(clients, values, grads)
-        report = _aggregate(updates, cfg, t)
+        if cfg.align is not None:
+            report = aggregate_aligned(updates, cfg.align, rng=Rng(cfg.seed, 2, t))
+        else:
+            report = aggregate_fedavg(updates, weighting=cfg.resolved_weighting)
         audit_dict = None
         if cfg.encrypt:
             decrypted, audit_dict = _encrypted_replay(report, cfg.scale)

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .domains import DomainSuite
-from .errors import ConfigError, from_json, is_int
+from .errors import ConfigError, as_tuple, from_json, is_int
 from .federation import STRATEGIES, FedConfig, run_experiment
 from .models import ModelSpec
 
@@ -50,13 +50,17 @@ class SweepSpec:
     overrides: dict[str, dict] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "overrides", dict(self.overrides or {}))
-        if len(self.strategies) == 0:
-            raise ConfigError("sweep.strategies", "must be nonempty")
-        if len(self.seeds) == 0:
-            raise ConfigError("sweep.seeds", "must be nonempty")
-        if len(self.targets) == 0:
-            raise ConfigError("sweep.targets", "must be nonempty")
+        overrides = {} if self.overrides is None else self.overrides
+        if not isinstance(overrides, Mapping):
+            raise ConfigError("sweep.overrides", "must be a mapping of strategy to config patch")
+        object.__setattr__(self, "overrides", dict(overrides))
+        for name in ("strategies", "seeds", "targets"):
+            values = as_tuple(getattr(self, name))
+            if values is None:
+                raise ConfigError(f"sweep.{name}", "must be a sequence")
+            if not values:
+                raise ConfigError(f"sweep.{name}", "must be nonempty")
+            object.__setattr__(self, name, values)
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError("sweep.strategies", f"unknown strategy {s!r}")

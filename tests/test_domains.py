@@ -88,10 +88,14 @@ class TestSyntheticSpec:
             dict(rotation_degrees=(0.0, 15.0, 30.0, float("nan"))),
             dict(rotation_degrees=(0.0, 15.0, 30.0, 10**400)),
             dict(rotation_degrees=(0.0, 15.0, 30.0, "45")),
+            dict(rotation_degrees=5),
+            dict(rotation_degrees=None),
+            dict(rotation_degrees=b"\x00\x0f\x1e\x2d"),  # bytes read as the integers 0, 15, 30, 45
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(InvalidSpec):
+        # The message names one of the fields the case sets.
+        with pytest.raises(InvalidSpec, match="|".join(kwargs)):
             SyntheticSpec(**kwargs)
 
 
@@ -279,8 +283,8 @@ class TestSuiteValidation:
 
     @pytest.mark.parametrize(
         "labels",
-        [[0.5, 1.7, 1.0], np.array([0.0, np.nan, 1.0]), np.array([0.0, 1e20, 1.0]), ["0", "1", "1"]],
-        ids=["fractional", "nan", "huge", "strings"],
+        [[0.5, 1.7, 1.0], np.array([0.0, np.nan, 1.0]), np.array([0.0, 1e20, 1.0]), ["0", "1", "1"], None],
+        ids=["fractional", "nan", "huge", "strings", "none"],
     )
     def test_non_integer_labels_rejected(self, labels):
         # np.int64 casting truncated 0.5 and 1.7 to classes 0 and 1.
@@ -297,6 +301,35 @@ class TestSuiteValidation:
         features[1, 0] = value
         with pytest.raises(InvalidSpec, match="finite"):
             DomainDataset("a", features, np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(num_classes=1.5),
+            dict(num_classes="2"),
+            dict(num_classes=True),
+            dict(domains=5),
+            dict(domains=("a", "b")),
+        ],
+        ids=["num_classes-fraction", "num_classes-string", "num_classes-bool", "domains-int", "domains-strings"],
+    )
+    def test_suite_argument_types_checked(self, kwargs):
+        pair = tuple(DomainDataset(name, np.zeros((3, 2)), np.zeros(3, dtype=int)) for name in "ab")
+        (field,) = kwargs
+        with pytest.raises(InvalidSpec, match=f"^{field} must"):
+            DomainSuite(**{"domains": pair, "num_classes": 2, **kwargs})
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("a", "x", np.zeros(2)), "features"),
+            ((5, np.zeros((2, 2)), np.zeros(2)), "domain_id"),
+        ],
+        ids=["features-string", "domain_id-int"],
+    )
+    def test_dataset_argument_types_checked(self, args, field):
+        with pytest.raises(InvalidSpec, match=f"^{field} must"):
+            DomainDataset(*args)
 
     def test_by_id_unknown(self):
         suite = generate(default_benchmark_spec())

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedalign.aggregation import AggregationReport
+from fedalign.aggregation import AggregationReport, AlignConfig
 from fedalign.domains import (
     DomainDataset,
     DomainSuite,
@@ -114,6 +115,7 @@ class TestFedConfig:
             (dict(rounds=2**62, lr_decay=LrDecay(1, 1.5)), "lr_decay"),
             (dict(strategy="aligned", lam="0.1"), "lambda"),
             (dict(strategy="aligned", lam=np.float64(0.7)), "lambda"),
+            (dict(lr_decay={"every_n_rounds": 1, "factor": 2.0}), "lr_decay"),
         ],
     )
     def test_validation_names_field(self, kwargs, field):
@@ -142,6 +144,17 @@ class TestFedConfig:
         assert FedConfig(strategy="aligned", weighting="sample_weighted").resolved_weighting == (
             "sample_weighted"
         )
+
+    def test_align_is_derived_not_a_field(self):
+        cfg = FedConfig(strategy="aligned", lam=0.2, accumulate=False, align_target="current", order_mode="fixed")
+        assert cfg.align == AlignConfig(0.2, "uniform", False, "current", "fixed")
+        assert cfg.align is cfg.align
+        for strategy in ("fedavg", "fedprox", "deepall"):
+            assert FedConfig(strategy=strategy).align is None
+        assert replace(cfg, lam=0.3).align.lam == 0.3
+        assert pickle.loads(pickle.dumps(cfg)).align == cfg.align
+        assert "align" not in cfg.to_dict()
+        assert FedConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_dict_round_trip(self):
         cfg = FedConfig(
@@ -671,6 +684,12 @@ class TestRunExperiment:
         b = run_experiment(suite, "dom2", MODEL, cfg)
         assert a.params_digest() == b.params_digest()
         assert a.summary() == b.summary()
+
+    @pytest.mark.parametrize("encrypt", [False, True])
+    def test_every_record_shares_the_runs_align_config(self, encrypt):
+        cfg = FedConfig(strategy="aligned", rounds=4, batch_size=8, seed=4, encrypt=encrypt)
+        res = run_experiment(small_suite(), "dom2", MODEL, cfg)
+        assert all(r.aggregation.config is cfg.align for r in res.records)
 
     def test_seed_changes_trajectory(self):
         suite = small_suite()

@@ -62,6 +62,23 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec.from_dict({**base, **patch})
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            (dict(seeds=5), "sweep.seeds"),
+            (dict(strategies="aligned"), "sweep.strategies"),
+            (dict(targets=None), "sweep.targets"),
+            (dict(overrides=[1]), "sweep.overrides"),
+            (dict(overrides=[("aligned", {})]), "sweep.overrides"),
+        ],
+        ids=["seeds-int", "strategies-string", "targets-none", "overrides-list", "overrides-pairs"],
+    )
+    def test_python_api_names_field(self, patch, field):
+        # from_dict checks the JSON types first; only the Python API reaches these.
+        with pytest.raises(ConfigError) as err:
+            SweepSpec(**{**dict(strategies=("aligned",), seeds=(0,), targets=("dom0",)), **patch})
+        assert err.value.field == field and err.value.message.startswith("must be a ")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError) as err:
             SweepSpec.from_dict(
